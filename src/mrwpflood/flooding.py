@@ -8,13 +8,16 @@ at which everyone is informed.
 
 Neighbour queries use a uniform bucket grid with bucket side equal to the
 communication radius, so a query scans at most the 3x3 block of buckets
-around the query point.  The grid only prunes; answers are exact.
+around the query point.  The exchange pairs each uninformed agent only with
+the informed agents of its block and skips agents whose block holds none.
+Pairs are checked in chunks of a fixed size, so the exchange's transient
+memory is bounded whatever the population size and density.  The grid only
+prunes; answers are exact.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -33,6 +36,8 @@ from .zones import CellSet, ZoneMap, build_zone_map
 
 DEFAULT_BOUND_CONSTANTS = (18.0, 600.0)
 FALLBACK_MAX_STEPS = 10_000_000
+# Most (query, candidate) pairs a NeighborIndex query holds at once.
+_PAIR_CHUNK = 1 << 21
 
 SOURCE_RANDOM = "random"
 SOURCE_IN_CZ = "in_cz"
@@ -46,6 +51,13 @@ class NeighborIndex:
     Bucket side equals the communication radius ``R``; positions are bucketed
     by truncation with the far edge clipped into the last bucket.  Queries
     must use a radius at most ``R`` so the 3x3 bucket block suffices.
+
+    A query pairs each point only with the candidate agents (those with the
+    mask true, for ``any_within``) in its block, found by binary search in
+    the candidates' sorted bucket codes; points whose block holds no
+    candidate make no pair.  Pairs are expanded and checked at most
+    ``_PAIR_CHUNK`` at a time, so the transient buffer has a fixed bound
+    whatever the population size and density.
     """
 
     def __init__(self, positions: np.ndarray, L: float, R: float):
@@ -55,56 +67,68 @@ class NeighborIndex:
         self.L = L
         self.R = R
         self.nb = max(1, math.ceil(L / R))
-        ix = np.minimum((positions[:, 0] / R).astype(np.int64), self.nb - 1)
-        iy = np.minimum((positions[:, 1] / R).astype(np.int64), self.nb - 1)
+        ix, iy = self._buckets(positions)
         self.codes = ix * self.nb + iy
         self.order = np.argsort(self.codes, kind="stable")
         self.sorted_codes = self.codes[self.order]
 
-    def _block_codes(self, pts: np.ndarray) -> np.ndarray:
-        """(k, 9) bucket codes of the 3x3 blocks around each point;
-        out-of-grid offsets get an impossible code."""
+    def _buckets(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Bucket column and row of each point."""
         ix = np.minimum((pts[:, 0] / self.R).astype(np.int64), self.nb - 1)
         iy = np.minimum((pts[:, 1] / self.R).astype(np.int64), self.nb - 1)
-        offs = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
-        jx = ix[:, None] + offs[:, 0][None, :]
-        jy = iy[:, None] + offs[:, 1][None, :]
-        valid = (jx >= 0) & (jx < self.nb) & (jy >= 0) & (jy < self.nb)
-        codes = jx * self.nb + jy
-        codes[~valid] = -1
-        return codes
+        return ix, iy
 
-    def _gather(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Flattened (query index, candidate agent index) pairs covering the
-        3x3 bucket blocks of a batch of query points."""
-        codes = self._block_codes(pts)  # (k, 9)
-        flat = codes.ravel()
-        starts = np.searchsorted(self.sorted_codes, flat, side="left")
-        stops = np.searchsorted(self.sorted_codes, flat, side="right")
-        counts = stops - starts
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        # expand the [start, stop) ranges into one long index list
-        bases = np.repeat(starts, counts)
-        offsets = np.arange(total) - np.repeat(
-            np.concatenate(([0], np.cumsum(counts)[:-1])), counts
+    def _pairs(self, pts: np.ndarray, mask: np.ndarray):
+        """Yield (query index, candidate agent index) arrays pairing each
+        point with every agent that has ``mask`` true in the point's 3x3
+        bucket block, at most ``_PAIR_CHUNK`` pairs at a time."""
+        keep = mask[self.order]
+        members, codes = self.order[keep], self.sorted_codes[keep]
+        # The block's three buckets in x-row ix + dx have consecutive codes,
+        # so one code range per row covers them.  Rows off the grid give
+        # ranges below 0 or above nb * nb, which hold no code.
+        ix, iy = self._buckets(pts)
+        row = (ix[:, None] + np.arange(-1, 2)) * self.nb
+        lo = np.searchsorted(codes, row + np.maximum(iy - 1, 0)[:, None], side="left")
+        hi = np.searchsorted(
+            codes, row + np.minimum(iy + 1, self.nb - 1)[:, None], side="right"
         )
-        cand = self.order[bases + offsets]
-        query = np.repeat(np.arange(flat.size), counts) // 9
-        return query, cand
+        counts = (hi - lo).ravel()
+        live = np.flatnonzero(counts)
+        query, counts = live // 3, counts[live]
+        ends = np.cumsum(counts)
+        firsts = ends - counts
+        # pair p of a slot whose first pair is f and whose range starts at
+        # lo takes members[lo - f + p]
+        shift = lo.ravel()[live] - firsts
+        total = int(ends[-1]) if ends.size else 0
+        for a in range(0, total, _PAIR_CHUNK):
+            b = min(a + _PAIR_CHUNK, total)
+            s0 = int(np.searchsorted(ends, a, side="right"))
+            s1 = int(np.searchsorted(ends, b - 1, side="right")) + 1
+            take = np.minimum(ends[s0:s1], b) - np.maximum(firsts[s0:s1], a)
+            slot = np.repeat(np.arange(s0, s1), take)
+            yield query[slot], members[shift[slot] + np.arange(a, b)]
+
+    def _close(
+        self, pts: np.ndarray, query: np.ndarray, cand: np.ndarray, radius: float
+    ) -> np.ndarray:
+        """Whether agent ``cand[k]`` lies within ``radius`` of point
+        ``pts[query[k]]`` (closed ball), for each pair k."""
+        dx = self.positions[:, 0][cand] - pts[:, 0][query]
+        dy = self.positions[:, 1][cand] - pts[:, 1][query]
+        return dx * dx + dy * dy <= radius * radius
 
     def query(self, point: Sequence[float], radius: float) -> np.ndarray:
         """Indices of all agents within ``radius`` (closed ball) of a point."""
         if radius > self.R:
             raise ValueError("query radius exceeds the bucket side")
         pts = np.asarray(point, dtype=float).reshape(1, 2)
-        _, cand = self._gather(pts)
-        if cand.size == 0:
-            return np.empty(0, dtype=np.int64)
-        d = self.positions[cand] - pts[0]
-        keep = (d[:, 0] ** 2 + d[:, 1] ** 2) <= radius * radius
-        return np.sort(cand[keep])
+        everyone = np.ones(len(self.positions), dtype=bool)
+        found = [np.empty(0, dtype=np.int64)]
+        for query, cand in self._pairs(pts, everyone):
+            found.append(cand[self._close(pts, query, cand, radius)])
+        return np.sort(np.concatenate(found))
 
     def any_within(
         self, pts: np.ndarray, mask: np.ndarray, radius: float
@@ -114,32 +138,22 @@ class NeighborIndex:
         if radius > self.R:
             raise ValueError("query radius exceeds the bucket side")
         out = np.zeros(pts.shape[0], dtype=bool)
-        if pts.shape[0] == 0:
-            return out
-        query, cand = self._gather(pts)
-        if cand.size == 0:
-            return out
-        sel = mask[cand]
-        if not sel.any():
-            return out
-        query, cand = query[sel], cand[sel]
-        d = self.positions[cand] - pts[query]
-        hit = (d[:, 0] ** 2 + d[:, 1] ** 2) <= radius * radius
-        out[query[hit]] = True
+        for query, cand in self._pairs(pts, mask):
+            out[query[self._close(pts, query, cand, radius)]] = True
         return out
 
     def pairs_within(self, radius: float) -> np.ndarray:
         """All unordered index pairs (i < j) at distance <= radius."""
         if radius > self.R:
             raise ValueError("query radius exceeds the bucket side")
-        query, cand = self._gather(self.positions)
-        keep = cand > query
-        query, cand = query[keep], cand[keep]
-        if query.size == 0:
-            return np.empty((0, 2), dtype=np.int64)
-        d = self.positions[cand] - self.positions[query]
-        hit = (d[:, 0] ** 2 + d[:, 1] ** 2) <= radius * radius
-        pairs = np.stack([query[hit], cand[hit]], axis=1)
+        everyone = np.ones(len(self.positions), dtype=bool)
+        found = [np.empty((0, 2), dtype=np.int64)]
+        for query, cand in self._pairs(self.positions, everyone):
+            keep = cand > query
+            query, cand = query[keep], cand[keep]
+            hit = self._close(self.positions, query, cand, radius)
+            found.append(np.stack([query[hit], cand[hit]], axis=1))
+        pairs = np.concatenate(found)
         order = np.lexsort((pairs[:, 1], pairs[:, 0]))
         return pairs[order]
 
@@ -315,7 +329,6 @@ class RunRecord:
     max_steps: int
     violations: dict[str, int]
     progress: list[tuple[int, int, int, int]]  # (step, informed, cz cells, suburb)
-    wall_time: float = 0.0
 
     def to_json_dict(self) -> dict:
         bound = self.theoretical_bound
@@ -465,7 +478,6 @@ def run_flood(
     step, every fully-informed central cell and its central neighbours must
     be fully informed at the next step.
     """
-    t_start = time.perf_counter()
     if zone_map is None:
         zone_map = build_zone_map(params)
     if population is None:
@@ -547,5 +559,4 @@ def run_flood(
         max_steps=max_steps,
         violations=violations,
         progress=progress,
-        wall_time=time.perf_counter() - t_start,
     )

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from mrwpflood import flooding
 from mrwpflood.core import WorldParams, derive_substream
+from mrwpflood.experiments import make_params
 from mrwpflood.flooding import (
     DensityMonitor,
     FloodState,
@@ -39,6 +41,32 @@ def static_population(params, positions):
     """All agents parked on zero-length trips at the given positions."""
     states = [build_trip(tuple(p), tuple(p), True) for p in positions]
     return Population.from_states(params, states)
+
+
+def brute_force_any_within(positions, pts, mask, radius):
+    """Reference for ``NeighborIndex.any_within``: a closed-ball check of
+    every query point against every masked agent."""
+    senders = positions[mask]
+    return np.array([brute_force_within(senders, q, radius).size > 0 for q in pts], dtype=bool)
+
+
+def random_index_config(rng):
+    """Positions, index radius and query points for one randomised index
+    check.  Lattice configurations put agents exactly at ``L`` (the clipped
+    last bucket) and at distances exactly equal to an integer radius."""
+    L = float(rng.integers(4, 40))
+    n, k = int(rng.integers(0, 120)), int(rng.integers(0, 60))
+    if rng.random() < 0.5:
+        R = float(rng.integers(1, 6))
+        pts = rng.integers(0, int(L) + 1, size=(n, 2)).astype(float)
+        queries = rng.integers(0, int(L) + 1, size=(k, 2)).astype(float)
+    else:
+        # tiny radii give many buckets per side (nb >> 1)
+        R = float(rng.choice([rng.uniform(0.002, 0.05), rng.uniform(0.05, 1.0)])) * L
+        pts = rng.random((n, 2)) * L
+        pts[rng.random(n) < 0.1] = L
+        queries = rng.random((k, 2)) * L
+    return pts, L, R, queries
 
 
 class TestNeighborIndex:
@@ -85,6 +113,48 @@ class TestNeighborIndex:
     def test_single_agent(self):
         index = NeighborIndex(np.array([[5.0, 5.0]]), 10.0, 2.0)
         assert index.pairs_within(2.0).shape == (0, 2)
+
+    def test_any_within_matches_brute_force(self):
+        for trial in range(200):
+            rng = derive_substream(102, trial)
+            pts, L, R, queries = random_index_config(rng)
+            n = len(pts)
+            index = NeighborIndex(pts, L, R)
+            masks = (
+                np.zeros(n, dtype=bool),
+                np.ones(n, dtype=bool),
+                rng.random(n) < rng.random(),
+            )
+            for mask in masks:
+                for radius in (R, 0.75 * R):
+                    for q in (queries, queries[:0]):
+                        got = index.any_within(q, mask, radius)
+                        want = brute_force_any_within(pts, q, mask, radius)
+                        assert np.array_equal(got, want), (trial, radius)
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_answers_do_not_depend_on_the_pair_chunk(self, monkeypatch, chunk):
+        rng = derive_substream(103, 0)
+        L, R = 12.0, 1.5
+        pts = rng.random((150, 2)) * L
+        pts[:5] = L
+        queries = rng.random((40, 2)) * L
+        mask = rng.random(150) < 0.4
+        index = NeighborIndex(pts, L, R)
+        want = (
+            index.any_within(queries, mask, R),
+            index.pairs_within(R),
+            index.query(queries[0], R),
+        )
+        monkeypatch.setattr(flooding, "_PAIR_CHUNK", chunk)
+        got = (
+            index.any_within(queries, mask, R),
+            index.pairs_within(R),
+            index.query(queries[0], R),
+        )
+        assert want[0].any() and len(want[1]) > 0 and len(want[2]) > 0
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 class TestMeetings:
@@ -348,6 +418,19 @@ class TestRunFlood:
         a = run_flood(p, source_rule="in_cz")
         b = run_flood(p, source_rule="in_cz")
         assert a.to_json_dict() == b.to_json_dict()
+
+    def test_trajectory_matches_brute_force_exchange(self, monkeypatch):
+        p = make_params(2000, seed=33)
+        fast = run_flood(p, source_rule="random", collect_progress=True)
+
+        def brute(index, pts, mask, radius):
+            return brute_force_any_within(index.positions, pts, mask, radius)
+
+        monkeypatch.setattr(NeighborIndex, "any_within", brute)
+        slow = run_flood(p, source_rule="random", collect_progress=True)
+        assert fast.flooding_time is not None and fast.flooding_time > 1
+        assert fast.flooding_time == slow.flooding_time
+        assert fast.progress == slow.progress
 
     def test_serial_parallel_identical(self):
         p = world(n=300, seed=25)
