@@ -5,7 +5,8 @@ the communication radius (``m = ceil(sqrt(5) L / R)``, so any two points in
 the same or adjacent cells are within ``R``).  A cell is *central* when its
 stationary occupancy probability reaches ``(3/8) ln(n) / n``; the remaining
 *suburb* cells hug the four corners, and cells within Manhattan distance
-``2 S`` of a suburb cell form the *extended suburb*.  The module also
+``2 S`` of a suburb cell form the *extended suburb*, read off an exact
+two-pass L1 distance transform of the suburb mask in O(m^2).  The module also
 provides the combinatorial checkers used by the analysis: row/column
 coverage of the central zone, vertex-boundary expansion of central subsets,
 and the suburb diameter bound.
@@ -33,7 +34,8 @@ class ZoneMap:
     ``probs[i, j]`` is the stationary probability of the cell with
     south-west corner ``(i * ell, j * ell)``; ``central`` is its boolean
     mask and ``extended_suburb`` marks cells within Manhattan distance
-    ``2 * suburb_diameter`` of some suburb cell (corner to corner).
+    ``2 * suburb_diameter`` of some suburb cell (corner to corner), computed
+    by ``manhattan_distance`` on the suburb mask in O(m^2).
     ``suburb_diameter`` is the reference length
     ``(3/2) L^3 ln(n) / (ell^2 n)`` that bounds how far suburb cells reach
     from their corner.
@@ -66,9 +68,6 @@ class ZoneMap:
     def central_cells(self) -> CellSet:
         return frozenset((int(i), int(j)) for i, j in np.argwhere(self.central))
 
-    def suburb_cells(self) -> CellSet:
-        return frozenset((int(i), int(j)) for i, j in np.argwhere(~self.central))
-
     def cell_of(self, x: float, y: float) -> Cell:
         """Grid cell containing (x, y); points on the far edges map to the
         last cell."""
@@ -100,6 +99,28 @@ def cell_side_bracket(L: float, R: float) -> tuple[float, float]:
     return R / (1.0 + math.sqrt(5.0)), R / math.sqrt(5.0)
 
 
+def _l1_scan(f: np.ndarray) -> np.ndarray:
+    """``d[k] = min_j f[j] + |k - j|`` down axis 0, as the minimum of a
+    forward scan ``k + min_{j<=k} (f[j] - j)`` and its mirror."""
+    k = np.arange(f.shape[0], dtype=float)[:, None]
+    down = k + np.minimum.accumulate(f - k, axis=0)
+    up = np.minimum.accumulate((f + k)[::-1], axis=0)[::-1] - k
+    return np.minimum(down, up)
+
+
+def manhattan_distance(mask: np.ndarray) -> np.ndarray:
+    """Manhattan distance, in cells, from every cell of a 2-D grid to the
+    nearest ``True`` cell of ``mask`` (``inf`` everywhere when there is
+    none).
+
+    The L1 distance transform is separable: one scan down the columns and
+    one along the rows, O(m^2) in all.  The distances are small integers,
+    so they are exact in float64.
+    """
+    f = np.where(mask, 0.0, np.inf)
+    return _l1_scan(_l1_scan(f).T).T
+
+
 def build_zone_map(params: WorldParams) -> ZoneMap:
     """Cut the arena into cells and classify them.
 
@@ -124,14 +145,7 @@ def build_zone_map(params: WorldParams) -> ZoneMap:
     probs = grid_cell_masses(L, m)
     central = probs >= threshold
     suburb_diameter = 1.5 * L**3 * math.log(n) / (ell**2 * n)
-    extended = np.zeros((m, m), dtype=bool)
-    suburb_idx = np.argwhere(~central)
-    if suburb_idx.size:
-        ii, jj = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-        nearest = np.full((m, m), np.inf)
-        for si, sj in suburb_idx:
-            np.minimum(nearest, np.abs(ii - si) + np.abs(jj - sj), out=nearest)
-        extended = nearest * ell <= 2.0 * suburb_diameter
+    extended = manhattan_distance(~central) * ell <= 2.0 * suburb_diameter
     return ZoneMap(
         n=n,
         L=L,
@@ -349,20 +363,16 @@ def check_suburb_diameter(
     """
     allowance = scale * zone_map.suburb_diameter
     m, ell = zone_map.m, zone_map.ell
-    worst = -math.inf
-    worst_cell: Cell | None = None
-    violations = 0
-    for cell in sorted(zone_map.suburb_cells()):
-        i, j = cell
-        dx = min(i, m - 1 - i) * ell
-        dy = min(j, m - 1 - j) * ell
-        far = max(dx, dy)
-        if far > worst:
-            worst, worst_cell = far, cell
-        if far > allowance:
-            violations += 1
-    if worst == -math.inf:
-        worst = 0.0
+    i, j = np.nonzero(~zone_map.central)  # row-major, i.e. sorted (i, j)
+    if i.size == 0:
+        return SuburbDiameterReport(allowance, 0.0, None, 0)
+    k = np.arange(m)
+    fold = np.minimum(k, m - 1 - k) * ell
+    far = np.maximum(fold[i], fold[j])
+    first = int(np.argmax(far))  # the first maximum in (i, j) order
+    worst = float(far[first])
+    worst_cell = (int(i[first]), int(j[first]))
+    violations = int((far > allowance).sum())
     return SuburbDiameterReport(allowance, worst, worst_cell, violations)
 
 

@@ -9,7 +9,6 @@ import pytest
 from mrwpflood.core import SPEED_ENVELOPE_DEFAULT, WorldParams
 from mrwpflood.experiments import (
     admissible_tau_range,
-    bin_masses,
     default_sweep,
     derived_seed,
     lemma_sweep,
@@ -24,6 +23,7 @@ from mrwpflood.experiments import (
     turn_statistics,
 )
 from mrwpflood.flooding import run_flood
+from mrwpflood.stationary import grid_cell_masses
 from mrwpflood.zones import build_zone_map
 
 
@@ -49,8 +49,8 @@ class TestHelpers:
         p = make_params(1000, R=5.0, v=0.25)
         assert p.R == 5.0 and p.v == 0.25
 
-    def test_bin_masses_sum_to_one(self):
-        assert bin_masses(31.0, 20).sum() == pytest.approx(1.0, abs=1e-12)
+    def test_grid_cell_masses_sum_to_one(self):
+        assert grid_cell_masses(31.0, 20).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_total_variation(self):
         p = np.array([0.5, 0.5])

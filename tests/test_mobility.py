@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mrwpflood.core import Point, WorldParams, derive_substream
-from mrwpflood.experiments import bin_masses, total_variation
+from mrwpflood.experiments import total_variation
 from mrwpflood.mobility import (
     APPROX_STATIONARY,
     ARRIVAL,
@@ -27,6 +27,7 @@ from mrwpflood.mobility import (
     position_histogram,
     step_agent,
 )
+from mrwpflood.stationary import grid_cell_masses
 
 
 def params(n=10, L=10.0, R=2.0, v=0.25, seed=0, **kw):
@@ -347,7 +348,7 @@ class TestInitPopulation:
         p = params(n=20_000, L=20.0, R=2.0, v=0.1, seed=11)
         pop = init_population(p, APPROX_STATIONARY)
         hist = position_histogram(pop, bins=8, snapshots=1, spacing=1)
-        tv = total_variation(hist, bin_masses(p.L, 8))
+        tv = total_variation(hist, grid_cell_masses(p.L, 8))
         assert tv < 0.05
 
 

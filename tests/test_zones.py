@@ -17,6 +17,7 @@ from mrwpflood.zones import (
     core_bounds,
     cz_row_column_counts,
     expansion_margin,
+    manhattan_distance,
     zone_map_svg,
     zone_map_to_csv,
 )
@@ -46,6 +47,83 @@ def hand_map(central: np.ndarray, n: int = 1000, L: float = 10.0) -> ZoneMap:
         extended_suburb=~central.astype(bool),
         suburb_diameter=1.5 * L**3 * math.log(n) / (ell**2 * n),
     )
+
+
+def loop_manhattan_distance(mask: np.ndarray) -> np.ndarray:
+    """Brute-force oracle: one full-grid distance array per marked cell."""
+    ii, jj = np.meshgrid(
+        np.arange(mask.shape[0]), np.arange(mask.shape[1]), indexing="ij"
+    )
+    nearest = np.full(mask.shape, np.inf)
+    for si, sj in np.argwhere(mask):
+        np.minimum(nearest, np.abs(ii - si) + np.abs(jj - sj), out=nearest)
+    return nearest
+
+
+def loop_suburb_diameter(zone_map: ZoneMap, scale: float = 1.0):
+    """Per-cell reference for check_suburb_diameter, in sorted cell order."""
+    allowance = scale * zone_map.suburb_diameter
+    m, ell = zone_map.m, zone_map.ell
+    worst, worst_cell, violations = -math.inf, None, 0
+    for i, j in sorted(map(tuple, np.argwhere(~zone_map.central).tolist())):
+        far = max(min(i, m - 1 - i) * ell, min(j, m - 1 - j) * ell)
+        if far > worst:
+            worst, worst_cell = far, (i, j)
+        if far > allowance:
+            violations += 1
+    return allowance, (0.0 if worst == -math.inf else worst), worst_cell, violations
+
+
+class TestManhattanDistance:
+    def test_matches_loop_on_random_masks(self):
+        rng = np.random.default_rng(7)
+        densities = np.linspace(0.01, 0.99, 10)
+        for k in range(200):
+            m = int(rng.integers(1, 41))
+            shape = (m, m) if k % 4 else (m, int(rng.integers(1, 41)))
+            mask = rng.random(shape) < densities[k % len(densities)]
+            assert np.array_equal(
+                manhattan_distance(mask), loop_manhattan_distance(mask)
+            )
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 30])
+    def test_edge_masks(self, m):
+        single = np.zeros((m, m), dtype=bool)
+        single[m // 3, m - 1] = True
+        for mask in (
+            single,
+            np.ones((m, m), dtype=bool),
+            np.zeros((m, m), dtype=bool),
+        ):
+            d = manhattan_distance(mask)
+            assert d.dtype == np.float64
+            assert np.array_equal(d, loop_manhattan_distance(mask))
+        assert np.isinf(manhattan_distance(np.zeros((m, m), dtype=bool))).all()
+        assert not manhattan_distance(np.ones((m, m), dtype=bool)).any()
+
+    def test_built_maps_match_loop(self):
+        for p in (world(n=500), world(n=3000), world(n=10_000, c1=2.0)):
+            z = build_zone_map(p)
+            nearest = loop_manhattan_distance(~z.central)
+            loop = nearest * z.ell <= 2.0 * z.suburb_diameter
+            assert np.array_equal(z.extended_suburb, loop)
+
+    def test_proper_extended_suburb(self):
+        # at the threshold radius S ~ 1.2 L, so the extended suburb covers
+        # the grid; a larger radius shrinks S below (m - 1) ell while the
+        # four corner cells stay suburb
+        n = 30_000
+        L = math.sqrt(n)
+        z = build_zone_map(WorldParams(n=n, L=L, R=math.sqrt(5.0) * L / 29.5, v=0.1))
+        assert z.m == 30
+        assert 2.0 * z.suburb_diameter < 2.0 * (z.m - 1) * z.ell
+        assert not z.suburb_empty
+        assert 0 < z.extended_suburb.sum() < z.m * z.m
+        nearest = loop_manhattan_distance(~z.central)
+        assert np.array_equal(
+            z.extended_suburb, nearest * z.ell <= 2.0 * z.suburb_diameter
+        )
+        assert not (~z.central & ~z.extended_suburb).any()
 
 
 class TestCellSideBracket:
@@ -294,6 +372,36 @@ class TestSuburbDiameter:
         rep = check_suburb_diameter(z)
         # folded coords of (3,3) on a 4-grid: min(3, 0) = 0 in both axes
         assert rep.worst_distance == 0.0
+
+
+    def test_matches_loop(self):
+        rng = np.random.default_rng(3)
+        maps = [
+            hand_map(np.ones((4, 4), dtype=bool)),
+            hand_map(np.zeros((1, 1), dtype=bool)),
+            hand_map(np.zeros((5, 5), dtype=bool)),
+        ]
+        # ties: the four corners of a symmetric grid share one folded value
+        corners = np.ones((6, 6), dtype=bool)
+        corners[[0, 0, 5, 5], [0, 5, 0, 5]] = False
+        maps.append(hand_map(corners))
+        maps += [hand_map(rng.random((m, m)) < 0.6) for m in (1, 3, 8, 13)]
+        maps += [build_zone_map(world(n=n)) for n in (500, 2000)]
+        maps.append(build_zone_map(world(n=10_000, c1=2.0)))
+        ties = 0
+        for z in maps:
+            # allowances at a folded coordinate: a cell sitting exactly on
+            # it does not violate
+            scales = [1.0, 1.0 / 20.0, 1e-9]
+            scales += [k * z.ell / z.suburb_diameter for k in (1, 2)]
+            ties += sum(s * z.suburb_diameter == z.ell for s in scales)
+            for scale in scales:
+                rep = check_suburb_diameter(z, scale=scale)
+                assert (
+                    rep.allowance, rep.worst_distance, rep.worst_cell, rep.violations
+                ) == loop_suburb_diameter(z, scale)
+                assert type(rep.worst_distance) is float
+        assert ties > 0
 
 
 class TestCoreBounds:
