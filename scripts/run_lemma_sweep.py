@@ -21,7 +21,6 @@ def main() -> int:
     parser.add_argument("--density-horizon", type=int, default=300)
     parser.add_argument("--turn-windows", type=int, default=200)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--output", type=Path, default=Path("lemma_sweep.json"))
     args = parser.parse_args()
 
@@ -30,7 +29,6 @@ def main() -> int:
         density_horizon=args.density_horizon,
         turn_windows=args.turn_windows,
         seed=args.seed,
-        workers=args.workers,
     )
     args.output.write_text(
         json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"

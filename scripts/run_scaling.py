@@ -19,7 +19,6 @@ def main() -> None:
     parser.add_argument("--scales", type=int, nargs="+", default=[1000, 2000, 4000])
     parser.add_argument("--replicas", type=int, default=20)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--output", type=Path, default=Path("scaling.json"))
     args = parser.parse_args()
 
@@ -27,7 +26,6 @@ def main() -> None:
         scales=tuple(args.scales),
         replicas=args.replicas,
         seed=args.seed,
-        workers=args.workers,
     )
     args.output.write_text(
         json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"

@@ -49,7 +49,6 @@ from .flooding import (
     NeighborIndex,
     RunRecord,
     density_monitor,
-    detect_meetings,
     flood_step,
     run_flood,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "NeighborIndex",
     "RunRecord",
     "density_monitor",
-    "detect_meetings",
     "flood_step",
     "run_flood",
     "AgentState",

@@ -9,8 +9,7 @@ into the output directory (``--output-dir`` flag, else the
 
 Every output embeds the resolved config, the seed, the RNG algorithm
 identifier, and the artifact version; no wall-clock data is written, so
-identical configurations produce byte-identical files regardless of
-parallelism.
+identical configurations produce byte-identical files.
 
 Exit codes: 0 success, 1 validation or violation failure, 2 configuration
 error.
@@ -238,9 +237,7 @@ def _say(args, message: str) -> None:
 def cmd_simulate(args, config: dict) -> int:
     params = resolve_params(config)
     out = _out_dir(args)
-    population = init_population(
-        params, config["init"], config["warmup_steps"], workers=args.workers
-    )
+    population = init_population(params, config["init"], config["warmup_steps"])
     watched = list(range(min(args.agents, params.n)))
     rows: list[list] = []
     for agent in watched:
@@ -255,7 +252,7 @@ def cmd_simulate(args, config: dict) -> int:
             ]
         )
     for step in range(1, args.steps + 1):
-        population.step(workers=args.workers)
+        population.step()
         for agent in watched:
             rows.append(
                 [
@@ -288,7 +285,6 @@ def cmd_flood(args, config: dict) -> int:
         warmup_steps=config["warmup_steps"],
         max_steps=config["max_steps"],
         bound_constants=bound_constants(config),
-        workers=args.workers,
         check_stability=args.check_stability,
         collect_progress=True,
     )
@@ -340,7 +336,6 @@ def cmd_validate_stationary(args, config: dict) -> int:
         spacing=args.spacing,
         warmup_steps=config["warmup_steps"],
         compare_approx=not args.skip_approx,
-        workers=args.workers,
     )
     payload = _metadata(config)
     payload["result"] = report.to_json_dict()
@@ -394,7 +389,6 @@ def cmd_lemma_sweep(args, config: dict) -> int:
         include_density=not args.skip_density,
         include_turns=not args.skip_turns,
         seed=int(config["seed"]),
-        workers=args.workers,
     )
     payload = _metadata(config)
     payload["result"] = report.to_json_dict()
@@ -458,7 +452,6 @@ def cmd_scaling(args, config: dict) -> int:
         constants=bound_constants(config),
         init_mode=config["init"],
         seed=int(config["seed"]),
-        workers=args.workers,
     )
     payload = _metadata(config)
     payload["result"] = report.to_json_dict()
@@ -512,7 +505,6 @@ def cmd_lower_bound(args, config: dict) -> int:
             d,
             trials=args.trials,
             flood_cap=args.flood_cap,
-            workers=args.workers,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -624,9 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override a config key (dotted keys reach constants.*)",
     )
     common.add_argument("--output-dir", help="directory for output artifacts")
-    common.add_argument(
-        "--workers", type=int, default=1, help="worker threads for stepping"
-    )
     common.add_argument(
         "-q", "--quiet", action="store_true", help="suppress progress lines"
     )

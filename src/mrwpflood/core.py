@@ -9,7 +9,8 @@ Conventions fixed here once and relied on everywhere else:
   (``>=`` / ``<=``, no epsilon fudging),
 * randomness comes from numpy PCG64 generators keyed by ``(seed, index)``
   through :func:`derive_substream`; identical keys give identical draw
-  sequences, which is what makes reruns and parallel stepping bit-stable.
+  sequences, which is what makes reruns bit-stable and lets the vectorised
+  stepper match the per-agent scalar stepper exactly.
 """
 
 from __future__ import annotations
@@ -154,11 +155,3 @@ def derive_substream(seed: int, index: int) -> np.random.Generator:
         raise ValueError(f"substream index must be >= 0, got {index}")
     entropy = (seed & 0xFFFF_FFFF_FFFF_FFFF, index)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
-
-
-def validate_point(point: Point | tuple[float, float], L: float) -> Point:
-    """Return the point if it lies in the closed square, else raise."""
-    x, y = point
-    if not (0.0 <= x <= L and 0.0 <= y <= L):
-        raise ValueError(f"point ({x}, {y}) outside the closed square [0, {L}]^2")
-    return Point(float(x), float(y))

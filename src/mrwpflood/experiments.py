@@ -207,7 +207,6 @@ def turn_statistics(
     windows: int = 10_000,
     agents: int = 50,
     seed: int | None = None,
-    workers: int = 1,
 ) -> TurnReport:
     """Record trajectories of a stationary population and measure the turn
     count of ``windows`` random (agent, start, length) windows against the
@@ -217,11 +216,11 @@ def turn_statistics(
     tau_min, tau_max = admissible_tau_range(params)
     horizon = 4 * tau_max
     watched = min(agents, params.n)
-    population = init_population(params, APPROX_STATIONARY, workers=workers)
+    population = init_population(params, APPROX_STATIONARY)
     recorder = TrajectoryRecorder(range(watched))
     recorder.mark_start(population)
     for _ in range(horizon):
-        population.step(recorder=recorder, workers=workers)
+        population.step(recorder=recorder)
     trajectories = [
         recorder.trajectory(a, params.v, params.L) for a in range(watched)
     ]
@@ -372,7 +371,6 @@ def lemma_sweep(
     include_density: bool = True,
     include_turns: bool = True,
     seed: int = 0,
-    workers: int = 1,
 ) -> LemmaSweepReport:
     """Run every structural checker across a parameter sweep.
 
@@ -405,17 +403,14 @@ def lemma_sweep(
         density_checked = include_density and eta_eff > 0.0
         density_violations = 0
         if density_checked:
-            population = init_population(params, APPROX_STATIONARY, workers=workers)
+            population = init_population(params, APPROX_STATIONARY)
             density_violations = density_monitor(
-                population, zone_map, eta_eff, density_horizon, workers=workers
+                population, zone_map, eta_eff, density_horizon
             )
         turn_count = turn_violation_count = 0
         if include_turns and params.v > 0.0 and turn_windows > 0:
             turns = turn_statistics(
-                params,
-                windows=turn_windows,
-                seed=derived_seed(seed, 1, k),
-                workers=workers,
+                params, windows=turn_windows, seed=derived_seed(seed, 1, k)
             )
             turn_count = turns.windows
             turn_violation_count = turns.violations
@@ -493,7 +488,6 @@ def scaling_experiment(
     source_rules: Sequence[str] = (SOURCE_IN_CZ, SOURCE_IN_SUBURB),
     init_mode: str = APPROX_STATIONARY,
     seed: int = 0,
-    workers: int = 1,
     collect_progress: bool = False,
 ) -> ScalingReport:
     """Seeded flooding runs across arena scales.
@@ -529,7 +523,6 @@ def scaling_experiment(
                             init_mode=init_mode,
                             zone_map=zone_map,
                             bound_constants=constants,
-                            workers=workers,
                             collect_progress=collect_progress,
                         )
                         break
@@ -673,7 +666,6 @@ def lower_bound_experiment(
     seed: int | None = None,
     max_flood_factor: float = 4.0,
     flood_cap: int | None = None,
-    workers: int = 1,
 ) -> LowerBoundReport:
     """Estimate the corner-event probability and verify the travel-time
     floor on conditional floods.
@@ -722,7 +714,6 @@ def lower_bound_experiment(
             init_mode=APPROX_STATIONARY,
             zone_map=zone_map,
             max_steps=max_steps,
-            workers=workers,
         )
         source_pos = pos[record.source_agent]
         if source_pos[0] <= d and source_pos[1] <= d:
@@ -789,7 +780,6 @@ def stationarity_report(
     spacing: int | None = None,
     warmup_steps: int | None = None,
     compare_approx: bool = True,
-    workers: int = 1,
 ) -> StationarityReport:
     """Pool position histograms of a warmed-up population (and optionally of
     the approximate initialiser) and measure total-variation distances."""
@@ -802,18 +792,14 @@ def stationarity_report(
     if spacing is None:
         spacing = math.ceil(params.L / params.v)
     reference = grid_cell_masses(params.L, bins)
-    population = init_population(params, WARMUP, warmup_steps, workers=workers)
-    hist_warm = position_histogram(
-        population, bins, snapshots, spacing, workers=workers
-    )
+    population = init_population(params, WARMUP, warmup_steps)
+    hist_warm = position_histogram(population, bins, snapshots, spacing)
     tv_model = total_variation(hist_warm, reference)
     hist_approx = None
     tv_init = None
     if compare_approx:
-        population = init_population(params, APPROX_STATIONARY, workers=workers)
-        hist_approx = position_histogram(
-            population, bins, snapshots, spacing, workers=workers
-        )
+        population = init_population(params, APPROX_STATIONARY)
+        hist_approx = position_histogram(population, bins, snapshots, spacing)
         tv_init = total_variation(hist_approx, hist_warm)
     return StationarityReport(
         params=params,

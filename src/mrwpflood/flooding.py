@@ -18,7 +18,7 @@ prunes; answers are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,7 +32,7 @@ from .core import (
     derive_substream,
 )
 from .mobility import APPROX_STATIONARY, Population, init_population
-from .zones import CellSet, ZoneMap, build_zone_map
+from .zones import ZoneMap, build_zone_map
 
 DEFAULT_BOUND_CONSTANTS = (18.0, 600.0)
 FALLBACK_MAX_STEPS = 10_000_000
@@ -175,29 +175,17 @@ def brute_force_pairs(positions: np.ndarray, radius: float) -> np.ndarray:
     return np.stack([i, j], axis=1)
 
 
-def detect_meetings(positions: np.ndarray, L: float, R: float) -> np.ndarray:
-    """Pairs of agents close enough that one protocol step of motion cannot
-    break the link: distance at most ``(3/4) R``."""
-    index = NeighborIndex(positions, L, R)
-    return index.pairs_within(0.75 * R)
-
-
 # ---------------------------------------------------------------------------
 # flood state and stepping
 # ---------------------------------------------------------------------------
 
 @dataclass
 class FloodState:
-    """Mutable per-run flooding state.
-
-    ``informed_cells`` holds the most recently computed set of central cells
-    whose every occupant is informed (empty cells count as informed).
-    """
+    """Mutable per-run flooding state."""
 
     informed: np.ndarray  # bool per agent
     step: int
     source: int
-    informed_cells: CellSet | None = None
 
     @property
     def informed_count(self) -> int:
@@ -208,10 +196,10 @@ class FloodState:
         return bool(self.informed.all())
 
 
-def flood_step(population: Population, state: FloodState, workers: int = 1) -> None:
+def flood_step(population: Population, state: FloodState) -> None:
     """One protocol step: move everyone, then synchronously inform every
     uninformed agent within the radius of an informed one."""
-    population.step(workers=workers)
+    population.step()
     state.step += 1
     if state.all_informed:
         return
@@ -231,16 +219,15 @@ def _cell_codes(positions: np.ndarray, zone_map: ZoneMap) -> np.ndarray:
 
 def informed_cells(
     population: Population, state: FloodState, zone_map: ZoneMap
-) -> tuple[CellSet, int]:
-    """(central cells whose occupants are all informed — empty cells count,
-    number of suburb agents currently informed)."""
+) -> tuple[np.ndarray, int]:
+    """(m x m mask of central cells whose occupants are all informed — empty
+    cells count, number of suburb agents currently informed)."""
     m = zone_map.m
     codes = _cell_codes(population.pos, zone_map)
     blocked = np.zeros(m * m, dtype=bool)
     blocked[codes[~state.informed]] = True
     central_flat = zone_map.central.reshape(-1)
-    done = np.flatnonzero(central_flat & ~blocked)
-    cells = frozenset((int(c // m), int(c % m)) for c in done)
+    cells = (central_flat & ~blocked).reshape(m, m)
     suburb_informed = int((~central_flat[codes] & state.informed).sum())
     return cells, suburb_informed
 
@@ -295,14 +282,13 @@ def density_monitor(
     zone_map: ZoneMap,
     eta: float,
     horizon: int,
-    workers: int = 1,
 ) -> int:
     """Step an (already stationary) population ``horizon`` times and count
     the (step, cell) pairs where a central core held fewer than
     ``eta * ln(n)`` agents."""
     monitor = DensityMonitor(zone_map, eta, population.params.n)
     for _ in range(horizon):
-        population.step(workers=workers)
+        population.step()
         monitor.observe(population.pos)
     return monitor.violations
 
@@ -438,17 +424,14 @@ def frontier_floor(params: WorldParams, gap: float) -> int:
     return math.ceil(gap / (params.R + 2.0 * params.v))
 
 
-def _cz_neighborhood(cells: CellSet, zone_map: ZoneMap) -> CellSet:
-    """The cells plus their central grid neighbours."""
-    central = zone_map.central
-    m = zone_map.m
-    out = set(cells)
-    for (i, j) in cells:
-        for d in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            a, b = i + d[0], j + d[1]
-            if 0 <= a < m and 0 <= b < m and central[a, b]:
-                out.add((a, b))
-    return frozenset(out)
+def _cz_neighborhood(cells: np.ndarray, zone_map: ZoneMap) -> np.ndarray:
+    """Mask of the cells plus their central grid neighbours."""
+    grown = cells.copy()
+    grown[1:, :] |= cells[:-1, :]
+    grown[:-1, :] |= cells[1:, :]
+    grown[:, 1:] |= cells[:, :-1]
+    grown[:, :-1] |= cells[:, 1:]
+    return cells | (grown & zone_map.central)
 
 
 def run_flood(
@@ -459,7 +442,6 @@ def run_flood(
     zone_map: ZoneMap | None = None,
     max_steps: int | None = None,
     bound_constants: tuple[float, float] = DEFAULT_BOUND_CONSTANTS,
-    workers: int = 1,
     check_stability: bool = False,
     collect_progress: bool = False,
     population: Population | None = None,
@@ -481,7 +463,7 @@ def run_flood(
     if zone_map is None:
         zone_map = build_zone_map(params)
     if population is None:
-        population = init_population(params, init_mode, warmup_steps, workers)
+        population = init_population(params, init_mode, warmup_steps)
     source_rng = derive_substream(params.seed, SOURCE_STREAM_INDEX)
     source = choose_source(source_rule, population, zone_map, source_rng)
     if max_steps is None:
@@ -498,18 +480,18 @@ def run_flood(
     progress: list[tuple[int, int, int, int]] = []
     cz_spread_time: int | None = None
     cells, suburb_inf = informed_cells(population, state, zone_map)
-    state.informed_cells = cells
-    if len(cells) == zone_map.cz_size:
+    cell_count = int(cells.sum())
+    if cell_count == zone_map.cz_size:
         cz_spread_time = 0
     if collect_progress:
-        progress.append((0, state.informed_count, len(cells), suburb_inf))
+        progress.append((0, state.informed_count, cell_count, suburb_inf))
     prev_guard = False
     if monitor is not None:
         prev_guard = monitor.observe(population.pos) == 0
     prev_cells = cells
     flooding_time: int | None = 0 if state.all_informed else None
     while flooding_time is None and state.step < max_steps:
-        flood_step(population, state, workers=workers)
+        flood_step(population, state)
         guard = False
         if monitor is not None:
             guard = monitor.observe(population.pos) == 0
@@ -518,16 +500,16 @@ def run_flood(
         )
         if need_cells:
             cells, suburb_inf = informed_cells(population, state, zone_map)
-            state.informed_cells = cells
-            if cz_spread_time is None and len(cells) == zone_map.cz_size:
+            cell_count = int(cells.sum())
+            if cz_spread_time is None and cell_count == zone_map.cz_size:
                 cz_spread_time = state.step
             if check_stability and prev_guard:
                 required = _cz_neighborhood(prev_cells, zone_map)
-                stability_violations += len(required - cells)
+                stability_violations += int((required & ~cells).sum())
             prev_cells = cells
         prev_guard = guard
         if collect_progress:
-            progress.append((state.step, state.informed_count, len(cells), suburb_inf))
+            progress.append((state.step, state.informed_count, cell_count, suburb_inf))
         if on_step is not None:
             on_step(population, state)
         if state.all_informed:

@@ -7,19 +7,17 @@ length units along the remaining path; when a way-point falls inside a step
 the leftover budget is spent in the new direction within the same step, and
 on arrival a fresh trip starts immediately.
 
-Two execution paths produce identical trajectories: a scalar stepper
-(:func:`step_agent`) used for single-agent tests and event recording, and
-the vectorised :class:`Population` engine whose fast path handles the
-common no-way-point case and defers way-point handling to the same scalar
-logic.  Each agent draws trip randomness from its own ``(seed, agent id)``
-substream, so stepping agents serially, in any order, or in parallel chunks
-yields bit-identical results.
+The :class:`Population` engine steps all agents at once: a vectorised
+fast path handles the common no-way-point case and defers way-point
+handling to the scalar stepper (:func:`step_agent`), which also serves as
+the test oracle.  Each agent draws trip randomness from its own
+``(seed, agent id)`` substream, so stepping agents together or one at a
+time, in any order, yields bit-identical results.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import IntEnum
 from typing import Iterable, Sequence
@@ -408,59 +406,32 @@ class Population:
 
     # -- stepping -----------------------------------------------------------
 
-    def _step_slice(
-        self, lo: int, hi: int, recorder: TrajectoryRecorder | None
-    ) -> None:
-        """Advance agents [lo, hi): vectorised fast path for agents that stay
-        on their current leg, scalar way-point handling for the rest."""
-        p = self.params
-        v, L = p.v, p.L
-        pos = self.pos[lo:hi]
-        turn = self.turn[lo:hi]
-        heading = self.heading[lo:hi]
-        horizontal = (heading == Heading.EAST) | (heading == Heading.WEST)
-        drive = np.where(horizontal, turn[:, 0] - pos[:, 0], turn[:, 1] - pos[:, 1])
-        dist = np.abs(drive)
-        fast = dist > v
-        sign = np.sign(drive)
-        move = np.where(fast, sign * v, 0.0)
-        np.add(pos[:, 0], np.where(horizontal, move, 0.0), out=pos[:, 0])
-        np.add(pos[:, 1], np.where(horizontal, 0.0, move), out=pos[:, 1])
-        np.clip(pos, 0.0, L, out=pos)
-        for i in np.flatnonzero(~fast):
-            a = lo + int(i)
-            state, events = step_agent(
-                self.state_of(a), self.rngs[a], v, L, self.step_count
-            )
-            self._set_state(a, state)
-            if recorder is not None:
-                recorder.record(a, events)
-
-    def step(
-        self, recorder: TrajectoryRecorder | None = None, workers: int = 1
-    ) -> None:
+    def step(self, recorder: TrajectoryRecorder | None = None) -> None:
         """Advance every agent by one step.
 
-        Chunked thread execution writes disjoint slices with per-agent
-        randomness, so any worker count produces identical states.
+        Agents that stay on their current leg move in one vectorised pass;
+        the rest go through the scalar :func:`step_agent` with their own
+        substream, so the result equals stepping each agent alone.
         """
-        if self.params.v == 0.0:
-            self.step_count += 1
-            if recorder is not None:
-                recorder.horizon = float(self.step_count)
-            return
-        n = self.params.n
-        if workers <= 1 or n < 2 * workers:
-            self._step_slice(0, n, recorder)
-        else:
-            bounds = [round(k * n / workers) for k in range(workers + 1)]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(self._step_slice, bounds[k], bounds[k + 1], recorder)
-                    for k in range(workers)
-                ]
-                for f in futures:
-                    f.result()
+        v, L = self.params.v, self.params.L
+        if v > 0.0:
+            pos = self.pos
+            horizontal = (self.heading == Heading.EAST) | (self.heading == Heading.WEST)
+            drive = np.where(
+                horizontal, self.turn[:, 0] - pos[:, 0], self.turn[:, 1] - pos[:, 1]
+            )
+            fast = np.abs(drive) > v
+            move = np.where(fast, np.sign(drive) * v, 0.0)
+            np.add(pos[:, 0], np.where(horizontal, move, 0.0), out=pos[:, 0])
+            np.add(pos[:, 1], np.where(horizontal, 0.0, move), out=pos[:, 1])
+            np.clip(pos, 0.0, L, out=pos)
+            for a in np.flatnonzero(~fast).tolist():
+                state, events = step_agent(
+                    self.state_of(a), self.rngs[a], v, L, self.step_count
+                )
+                self._set_state(a, state)
+                if recorder is not None:
+                    recorder.record(a, events)
         self.step_count += 1
         if recorder is not None:
             recorder.horizon = float(self.step_count)
@@ -470,7 +441,6 @@ def init_population(
     params: WorldParams,
     mode: str = APPROX_STATIONARY,
     warmup_steps: int | None = None,
-    workers: int = 1,
 ) -> Population:
     """Build a population in (approximate) stationarity.
 
@@ -495,7 +465,7 @@ def init_population(
         states = [new_trip(Point(*pos[i]), init_rng, L) for i in range(n)]
         population = Population.from_states(params, states)
         for _ in range(warmup_steps):
-            population.step(workers=workers)
+            population.step()
         population.step_count = 0
         return population
     if mode == APPROX_STATIONARY:
@@ -527,7 +497,6 @@ def position_histogram(
     snapshots: int,
     spacing: int,
     recorder: TrajectoryRecorder | None = None,
-    workers: int = 1,
 ) -> np.ndarray:
     """Pooled normalised ``bins x bins`` histogram over periodic snapshots.
 
@@ -540,7 +509,7 @@ def position_histogram(
     for snap in range(snapshots):
         if snap > 0:
             for _ in range(spacing):
-                population.step(recorder=recorder, workers=workers)
+                population.step(recorder=recorder)
         h, _, _ = np.histogram2d(
             population.pos[:, 0], population.pos[:, 1], bins=[edges, edges]
         )

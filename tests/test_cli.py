@@ -283,18 +283,6 @@ class TestDeterminism:
         for name in ("flood_summary.json", "flood_progress.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    def test_flood_workers_byte_identical(self, tmp_path):
-        a, b = tmp_path / "serial", tmp_path / "parallel"
-        assert run_cli("flood", "--output-dir", str(a), "-q", *SMALL) == 0
-        assert (
-            run_cli(
-                "flood", "--output-dir", str(b), "-q", "--workers", "4", *SMALL
-            )
-            == 0
-        )
-        for name in ("flood_summary.json", "flood_progress.csv"):
-            assert (a / name).read_bytes() == (b / name).read_bytes()
-
     def test_zones_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

@@ -12,11 +12,9 @@ from mrwpflood.core import (
     RADIUS_ENVELOPE_DEFAULT,
     SOURCE_STREAM_INDEX,
     SPEED_ENVELOPE_DEFAULT,
-    Point,
     WorldParams,
     check_assumptions,
     derive_substream,
-    validate_point,
 )
 
 
@@ -166,18 +164,3 @@ class TestSubstreams:
         gen = derive_substream(seed, index)
         x = gen.random()
         assert 0.0 <= x < 1.0
-
-
-class TestValidatePoint:
-    def test_inside(self):
-        p = validate_point((3.0, 4.0), 10.0)
-        assert p == Point(3.0, 4.0)
-        assert isinstance(p, Point)
-
-    def test_boundary_is_inside(self):
-        assert validate_point((0.0, 10.0), 10.0) == Point(0.0, 10.0)
-
-    @pytest.mark.parametrize("pt", [(-0.1, 5.0), (5.0, 10.1), (11.0, -2.0)])
-    def test_outside_rejected(self, pt):
-        with pytest.raises(ValueError):
-            validate_point(pt, 10.0)

@@ -217,7 +217,7 @@ class TestLemmaSweep:
 
 class TestScaling:
     def test_small_scaling_run(self):
-        rep = scaling_experiment(scales=(500,), replicas=3, workers=2)
+        rep = scaling_experiment(scales=(500,), replicas=3)
         assert len(rep.runs) == 6  # 3 replicas x 2 source rules
         assert rep.max_ratio > 0.0
         assert set(rep.slopes) == {"in_cz", "in_suburb"}
@@ -289,7 +289,7 @@ class TestLowerBound:
 class TestStationarity:
     def test_small_report(self):
         p = make_params(400)
-        rep = stationarity_report(p, bins=8, snapshots=30, workers=2)
+        rep = stationarity_report(p, bins=8, snapshots=30)
         assert rep.tv_model < 0.1  # loose: tiny pooled sample
         assert rep.tv_init is not None and rep.tv_init < 0.1
         assert rep.histogram_warmup.shape == (8, 8)

@@ -1,6 +1,7 @@
 """Neighbor queries, protocol stepping, density monitoring, full flood runs."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from mrwpflood.flooding import (
     choose_source,
     default_max_steps,
     density_monitor,
-    detect_meetings,
     flood_step,
     flood_time_budget,
     frontier_floor,
@@ -73,12 +73,15 @@ class TestNeighborIndex:
     def test_matches_brute_force_on_random_configs(self):
         # the spatial index must agree with the quadratic reference at the
         # index radius and below it
+        configs = []
         for trial in range(100):
             rng = derive_substream(100, trial)
             n = int(rng.integers(2, 101))
             L = float(rng.uniform(1.0, 50.0))
             R = float(rng.uniform(0.05, 1.0)) * L
-            pts = rng.random((n, 2)) * L
+            configs.append((rng.random((n, 2)) * L, L, R))
+        configs.append((derive_substream(101, 0).random((60, 2)) * 20.0, 20.0, 3.0))
+        for trial, (pts, L, R) in enumerate(configs):
             index = NeighborIndex(pts, L, R)
             for radius in (R, 0.75 * R):
                 got = index.pairs_within(radius)
@@ -157,23 +160,6 @@ class TestNeighborIndex:
             assert np.array_equal(a, b)
 
 
-class TestMeetings:
-    def test_meeting_radius_is_three_quarters(self):
-        L, R = 10.0, 2.0
-        pts = np.array([[1.0, 1.0], [1.0 + 0.7 * R, 1.0], [1.0, 1.0 + 0.8 * R]])
-        pairs = detect_meetings(pts, L, R)
-        assert [0, 1] in pairs.tolist()  # 0.7 R < 0.75 R: meets
-        assert [0, 2] not in pairs.tolist()  # 0.8 R: in range but no meeting
-
-    def test_matches_brute_force(self):
-        rng = derive_substream(101, 0)
-        L, R = 20.0, 3.0
-        pts = rng.random((60, 2)) * L
-        got = detect_meetings(pts, L, R)
-        want = brute_force_pairs(pts, 0.75 * R)
-        assert np.array_equal(got, want)
-
-
 class TestFloodStep:
     def test_two_close_agents_one_step(self):
         p = world(n=2, L=10.0, R=2.0, v=0.0)
@@ -235,8 +221,8 @@ class TestInformedCells:
         # only cells with no uninformed occupant qualify; with one informed
         # agent these are exactly the empty central cells plus possibly the
         # source's own cell
-        for cell in cells:
-            assert z.central[cell]
+        assert cells.shape == (z.m, z.m) and cells.dtype == bool
+        assert not (cells & ~z.central).any()
         assert 0 <= suburb_count <= 1
 
     def test_all_informed_means_all_central_cells(self):
@@ -247,12 +233,49 @@ class TestInformedCells:
             informed=np.ones(400, dtype=bool), step=0, source=0
         )
         cells, suburb_count = informed_cells(pop, state, z)
-        assert len(cells) == z.cz_size
+        assert np.array_equal(cells, z.central)
+        assert int(cells.sum()) == z.cz_size
         codes_central = z.central[
             np.minimum((pop.pos[:, 0] / z.ell).astype(int), z.m - 1),
             np.minimum((pop.pos[:, 1] / z.ell).astype(int), z.m - 1),
         ]
         assert suburb_count == int((~codes_central).sum())
+
+
+def set_neighborhood(cells: set, central: np.ndarray) -> set:
+    """Reference form of the stability neighbourhood on cell tuples: the
+    cells plus their central 4-neighbours."""
+    m = central.shape[0]
+    out = set(cells)
+    for i, j in cells:
+        for a, b in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+            if 0 <= a < m and 0 <= b < m and central[a, b]:
+                out.add((a, b))
+    return out
+
+
+class TestCzNeighborhood:
+    def test_mask_matches_set_form(self):
+        cases = []
+        for trial in range(200):
+            rng = derive_substream(300, trial)
+            m = int(rng.integers(1, 25))
+            central = rng.random((m, m)) < rng.uniform(0.0, 1.0)
+            cells = rng.random((m, m)) < rng.uniform(0.0, 1.0)
+            if trial % 2 == 0:
+                cells &= central  # as run_flood calls it
+            cases.append((cells, central))
+        for n in (400, 2000, 5000):
+            z = build_zone_map(world(n=n))
+            rng = derive_substream(301, n)
+            for density in (0.0, 0.05, 0.5, 1.0):
+                cases.append((z.central & (rng.random((z.m, z.m)) < density), z.central))
+        for k, (cells, central) in enumerate(cases):
+            got = flooding._cz_neighborhood(cells, SimpleNamespace(central=central))
+            want = np.zeros_like(central)
+            for cell in set_neighborhood(set(zip(*np.nonzero(cells))), central):
+                want[cell] = True
+            assert np.array_equal(got, want), k
 
 
 class TestDensityMonitor:
@@ -431,12 +454,6 @@ class TestRunFlood:
         assert fast.flooding_time is not None and fast.flooding_time > 1
         assert fast.flooding_time == slow.flooding_time
         assert fast.progress == slow.progress
-
-    def test_serial_parallel_identical(self):
-        p = world(n=300, seed=25)
-        a = run_flood(p, source_rule="random", workers=1)
-        b = run_flood(p, source_rule="random", workers=4)
-        assert a.to_json_dict() == b.to_json_dict()
 
     def test_timeout_on_static_disconnected_world(self):
         p = WorldParams(n=50, L=100.0, R=1.0, v=0.0, seed=26)

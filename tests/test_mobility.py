@@ -291,16 +291,29 @@ class TestPopulation:
             pop.step()
         assert pop.pos.min() >= 0.0 and pop.pos.max() <= p.L
 
-    def test_serial_and_parallel_stepping_agree_bitwise(self):
-        p = params(n=101, v=0.5, seed=5)
-        pop1 = init_population(p, APPROX_STATIONARY)
-        pop2 = init_population(p, APPROX_STATIONARY)
-        for _ in range(50):
-            pop1.step(workers=1)
-            pop2.step(workers=4)
-        assert np.array_equal(pop1.pos, pop2.pos)
-        assert np.array_equal(pop1.dest, pop2.dest)
-        assert np.array_equal(pop1.leg, pop2.leg)
+    @pytest.mark.parametrize(
+        "n, L, v, most_events",
+        [
+            (101, 20.0, 0.5, 1),
+            (200, 10.0, 3.7, 2),  # several way-points within one step
+            (2000, 44.7, 0.2, 1),
+        ],
+    )
+    def test_vectorised_step_matches_scalar_oracle(self, n, L, v, most_events):
+        # each agent stepped alone by step_agent on its own substream must
+        # end every step in exactly the state the population engine gives it
+        p = params(n=n, L=L, v=v, seed=5)
+        pop = init_population(p, APPROX_STATIONARY)
+        states = [pop.state_of(i) for i in range(n)]
+        rngs = [derive_substream(p.seed, i) for i in range(n)]
+        seen = 0
+        for k in range(60):
+            pop.step()
+            for i in range(n):
+                states[i], events = step_agent(states[i], rngs[i], v, L, k)
+                seen = max(seen, len(events))
+            assert [pop.state_of(i) for i in range(n)] == states, k
+        assert seen >= most_events
 
     def test_zero_speed_step_counts_time(self):
         p = params(n=5, v=0.0)
