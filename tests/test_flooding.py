@@ -73,15 +73,12 @@ class TestNeighborIndex:
     def test_matches_brute_force_on_random_configs(self):
         # the spatial index must agree with the quadratic reference at the
         # index radius and below it
-        configs = []
         for trial in range(100):
             rng = derive_substream(100, trial)
             n = int(rng.integers(2, 101))
             L = float(rng.uniform(1.0, 50.0))
             R = float(rng.uniform(0.05, 1.0)) * L
-            configs.append((rng.random((n, 2)) * L, L, R))
-        configs.append((derive_substream(101, 0).random((60, 2)) * 20.0, 20.0, 3.0))
-        for trial, (pts, L, R) in enumerate(configs):
+            pts = rng.random((n, 2)) * L
             index = NeighborIndex(pts, L, R)
             for radius in (R, 0.75 * R):
                 got = index.pairs_within(radius)
@@ -158,6 +155,18 @@ class TestNeighborIndex:
         assert want[0].any() and len(want[1]) > 0 and len(want[2]) > 0
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+
+class TestMeetings:
+    def test_matches_brute_force(self):
+        # meetings are the pairs within 0.75 R, found on the radius-R index
+        rng = derive_substream(101, 0)
+        L, R = 20.0, 3.0
+        pts = rng.random((60, 2)) * L
+        got = NeighborIndex(pts, L, R).pairs_within(0.75 * R)
+        want = brute_force_pairs(pts, 0.75 * R)
+        assert len(want) > 0
+        assert np.array_equal(got, want)
 
 
 class TestFloodStep:
