@@ -7,10 +7,9 @@ from pathlib import Path
 
 import numpy as np
 
-from mrwpflood.cli import grid_svg
 from mrwpflood.experiments import make_params
 from mrwpflood.stationary import spatial_density
-from mrwpflood.zones import build_zone_map, zone_map_svg
+from mrwpflood.zones import build_zone_map, grid_svg, zone_map_svg
 
 
 def main() -> None:

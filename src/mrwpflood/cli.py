@@ -38,7 +38,13 @@ from .experiments import (
 from .flooding import SOURCE_RANDOM, SourcePlacementError, run_flood
 from .mobility import APPROX_STATIONARY, WARMUP, Heading, Leg, init_population
 from .stationary import destination_law, spatial_density
-from .zones import build_zone_map, check_expansion, zone_map_svg, zone_map_to_csv
+from .zones import (
+    build_zone_map,
+    check_expansion,
+    grid_svg,
+    zone_map_svg,
+    zone_map_to_csv,
+)
 
 OUTPUT_DIR_ENV = "MRWPFLOOD_OUTPUT_DIR"
 
@@ -184,35 +190,6 @@ def _csv_meta(config: dict) -> dict:
 def _svg_meta_comment(config: dict) -> str:
     blob = json.dumps(_metadata(config), sort_keys=True)
     return f"<!-- {blob} -->\n"
-
-
-def grid_svg(values: np.ndarray, size: int = 512) -> str:
-    """Grayscale SVG of a value grid; black marks the maximum.
-
-    ``values[i, j]`` covers the cell with south-west corner at the fractional
-    position (i, j); the south row is drawn at the bottom.
-    """
-    k = values.shape[0]
-    cell = size / k
-    top = float(values.max())
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{size}" viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
-    ]
-    for i in range(k):
-        for j in range(values.shape[1]):
-            shade = values[i, j] / top if top > 0 else 0.0
-            level = int(round(255 * (1.0 - shade)))
-            color = f"#{level:02x}{level:02x}{level:02x}"
-            x = i * cell
-            y = (values.shape[1] - 1 - j) * cell
-            parts.append(
-                f'<rect x="{x:.2f}" y="{y:.2f}" width="{cell:.2f}" '
-                f'height="{cell:.2f}" fill="{color}"/>'
-            )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +343,9 @@ def cmd_expansion_check(args, config: dict) -> int:
         "subsets_checked": report.subsets_checked,
         "violations": report.violations,
         "worst_margin": report.worst_margin,
-        "witness": sorted(report.witness) if report.witness else None,
+        "witness": (
+            None if report.witness is None else np.argwhere(report.witness).tolist()
+        ),
     }
     write_json(out / "expansion.json", payload)
     _say(

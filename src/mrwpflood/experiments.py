@@ -747,7 +747,7 @@ class StationarityReport:
     """Total-variation distances of pooled position histograms.
 
     ``tv_model`` compares the warmed-up population's pooled histogram to the
-    exact per-bin masses; ``tv_init`` compares the approximate
+    exact per-bin masses; ``tv_init`` compares the ``approx-stationary``
     initialiser's pooled histogram to the warmed-up one.
     """
 
@@ -782,7 +782,8 @@ def stationarity_report(
     compare_approx: bool = True,
 ) -> StationarityReport:
     """Pool position histograms of a warmed-up population (and optionally of
-    the approximate initialiser) and measure total-variation distances."""
+    the ``approx-stationary`` initialiser) and measure total-variation
+    distances."""
     if params is None:
         params = make_params(2000)
     if params.v <= 0.0:

@@ -446,11 +446,15 @@ def init_population(
 
     ``warmup`` places agents uniformly with fresh trips and runs
     ``warmup_steps`` steps (default ceil(10 L / v)) before time zero; it is
-    the reference initialiser.  ``approx-stationary`` samples positions from
-    the exact stationary density and destinations from the exact
-    destination law, assigning cross destinations to the second leg and
-    splitting quadrant destinations between the two paths with a fair coin;
-    its position marginal is exact, the joint law approximate.
+    the reference initialiser.  ``approx-stationary`` draws the stationary
+    state directly: positions from the exact stationary density,
+    destinations from the exact destination law (cross destinations put the
+    agent on its second leg), and the path to a quadrant destination from
+    its exact conditional law, vertical first with probability
+    ``wv / (wv + wh)``, where ``wv`` (``wh``) is the distance from the
+    position back to the arena edge behind it along the vertical
+    (horizontal) first leg.  The joint law of position, leg, heading and
+    destination is exact; the mode keeps its historical name.
     """
     n, L = params.n, params.L
     init_rng = derive_substream(params.seed, INIT_STREAM_INDEX)
@@ -472,21 +476,19 @@ def init_population(
         if warmup_steps is not None:
             raise ValueError("warmup_steps only applies to warmup mode")
         pos = sample_stationary_positions(init_rng, n, L)
-        dest, cats = sample_destinations(pos, init_rng, L)
-        coins = init_rng.random(n) < 0.5
-        states = []
-        for i in range(n):
-            if cats[i] < 4:  # cross destination: already on the final leg
-                dx = dest[i, 0] - pos[i, 0]
-                dy = dest[i, 1] - pos[i, 1]
-                if dx == 0.0 and dy == 0.0:
-                    states.append(build_trip(Point(*pos[i]), Point(*dest[i]), True))
-                else:
-                    states.append(
-                        build_trip(Point(*pos[i]), Point(*dest[i]), vertical_first=dx == 0.0)
-                    )
-            else:
-                states.append(build_trip(Point(*pos[i]), Point(*dest[i]), bool(coins[i])))
+        dest, _ = sample_destinations(pos, init_rng, L)
+        # A trip through pos on its first leg started behind pos along that
+        # leg; uniform starts weight each path by the length behind pos
+        # (Palm calculus).  Cross destinations share a coordinate with pos,
+        # so build_trip ignores their coin.
+        x0, y0 = pos[:, 0], pos[:, 1]
+        wv = np.where(dest[:, 1] > y0, y0, L - y0)
+        wh = np.where(dest[:, 0] > x0, x0, L - x0)
+        vertical = init_rng.random(n) * (wv + wh) < wv
+        states = [
+            build_trip(Point(*pos[i]), Point(*dest[i]), bool(vertical[i]))
+            for i in range(n)
+        ]
         return Population.from_states(params, states)
     raise ValueError(f"unknown init mode: {mode!r}")
 

@@ -337,9 +337,9 @@ def sample_destinations(
     """Vectorised destination draws for a batch of origins.
 
     Returns ``(destinations, categories)`` where categories are the codes
-    above; cross destinations are placed uniformly along their segment,
-    which approximates the exact along-segment law closely enough that the
-    warmed-up initialiser remains the reference.
+    above.  Cross destinations are placed uniformly along their segment,
+    which is exact (Palm calculus: given a position on the second leg, the
+    destination's coordinate along that leg is uniform over the part ahead).
     """
     origins = np.asarray(origins, dtype=float)
     masses = _category_masses(origins[:, 0], origins[:, 1], L)

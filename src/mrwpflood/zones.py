@@ -6,17 +6,20 @@ the same or adjacent cells are within ``R``).  A cell is *central* when its
 stationary occupancy probability reaches ``(3/8) ln(n) / n``; the remaining
 *suburb* cells hug the four corners, and cells within Manhattan distance
 ``2 S`` of a suburb cell form the *extended suburb*, read off an exact
-two-pass L1 distance transform of the suburb mask in O(m^2).  The module also
-provides the combinatorial checkers used by the analysis: row/column
-coverage of the central zone, vertex-boundary expansion of central subsets,
-and the suburb diameter bound.
+two-pass L1 distance transform of the suburb mask in O(m^2).
+
+The module owns the cell grid: the position-to-cell rule
+(``ZoneMap.cell_index``) and the 4-neighbour rule (``cz_neighborhood``).
+Every cell set is an ``m x m`` boolean mask.  The module also provides the
+combinatorial checkers used by the analysis: row/column coverage of the
+central zone, vertex-boundary expansion of central subsets, and the suburb
+diameter bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -24,7 +27,6 @@ from .core import WorldParams
 from .stationary import grid_cell_masses
 
 Cell = tuple[int, int]
-CellSet = frozenset[Cell]
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,15 +67,14 @@ class ZoneMap:
     def suburb_empty(self) -> bool:
         return self.cz_size == self.m * self.m
 
-    def central_cells(self) -> CellSet:
-        return frozenset((int(i), int(j)) for i, j in np.argwhere(self.central))
-
-    def cell_of(self, x: float, y: float) -> Cell:
-        """Grid cell containing (x, y); points on the far edges map to the
-        last cell."""
-        i = min(int(x / self.ell), self.m - 1)
-        j = min(int(y / self.ell), self.m - 1)
-        return (i, j)
+    def cell_index(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Grid cell ``(i, j)`` of each row of a ``(k, 2)`` position array,
+        as two index arrays (so ``mask[zone_map.cell_index(pos)]`` reads a
+        cell mask per point).  Coordinates are truncated by ``ell``; points
+        on the far edges map to the last cell."""
+        i = np.minimum((positions[:, 0] / self.ell).astype(np.int64), self.m - 1)
+        j = np.minimum((positions[:, 1] / self.ell).astype(np.int64), self.m - 1)
+        return i, j
 
     def cell_center(self, cell: Cell) -> tuple[float, float]:
         return ((cell[0] + 0.5) * self.ell, (cell[1] + 0.5) * self.ell)
@@ -190,33 +191,38 @@ def cz_row_column_counts(zone_map: ZoneMap) -> CoverageReport:
     )
 
 
-def boundary(cells: Iterable[Cell], zone_map: ZoneMap) -> CellSet:
-    """Vertex boundary of a central subset: central cells outside the subset
-    that share a grid edge with a cell inside it."""
-    inside = frozenset(cells)
-    central = zone_map.central_cells()
-    if not inside <= central:
+def cz_neighborhood(cells: np.ndarray, zone_map: ZoneMap) -> np.ndarray:
+    """Mask of the cells plus their central grid neighbours (a 4-neighbour
+    dilation of an ``m x m`` mask, kept within ``zone_map.central``)."""
+    grown = cells.copy()
+    grown[1:, :] |= cells[:-1, :]
+    grown[:-1, :] |= cells[1:, :]
+    grown[:, 1:] |= cells[:, :-1]
+    grown[:, :-1] |= cells[:, 1:]
+    return cells | (grown & zone_map.central)
+
+
+def boundary(cells: np.ndarray, zone_map: ZoneMap) -> np.ndarray:
+    """Vertex boundary of a central subset, given as an ``m x m`` mask:
+    central cells outside the subset that share a grid edge with a cell
+    inside it."""
+    if cells.shape != zone_map.central.shape or (cells & ~zone_map.central).any():
         raise ValueError("boundary is defined for subsets of the central zone")
-    out: set[Cell] = set()
-    for (i, j) in inside:
-        for d in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nb = (i + d[0], j + d[1])
-            if nb in central and nb not in inside:
-                out.add(nb)
-    return frozenset(out)
+    return cz_neighborhood(cells, zone_map) & ~cells
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExpansionReport:
     """Result of checking ``|boundary(B)| >= sqrt(min(|B|, |CZ| - |B|))``
-    over proper nonempty central subsets."""
+    over proper nonempty central subsets.  ``witness`` is the ``m x m`` mask
+    of the first checked subset with the smallest margin."""
 
     cz_size: int
     mode: str
     subsets_checked: int
     violations: int
     worst_margin: float  # min over checked subsets of |∂B| - sqrt(min(...))
-    witness: CellSet | None = field(default=None)
+    witness: np.ndarray | None = field(default=None)
 
     @property
     def ok(self) -> bool:
@@ -224,29 +230,61 @@ class ExpansionReport:
 
 
 EXHAUSTIVE_LIMIT = 20
+# Subsets one margin evaluation holds at once.
+_SUBSET_BATCH = 512
 
 
-def expansion_margin(subset: Iterable[Cell], zone_map: ZoneMap) -> float:
-    """``|boundary(B)| - sqrt(min(|B|, |CZ| - |B|))`` for one subset."""
-    cells = frozenset(subset)
-    cz = zone_map.cz_size
-    return len(boundary(cells, zone_map)) - math.sqrt(
-        min(len(cells), cz - len(cells))
+def expansion_margin(cells: np.ndarray, zone_map: ZoneMap) -> float:
+    """``|boundary(B)| - sqrt(min(|B|, |CZ| - |B|))`` for one subset mask."""
+    size = int(cells.sum())
+    return int(boundary(cells, zone_map).sum()) - math.sqrt(
+        min(size, zone_map.cz_size - size)
     )
 
 
-def _central_adjacency(zone_map: ZoneMap) -> tuple[list[Cell], np.ndarray]:
-    """Sorted central cells and their grid-adjacency matrix."""
-    cells = sorted(zone_map.central_cells())
-    pos = {c: k for k, c in enumerate(cells)}
-    adj = np.zeros((len(cells), len(cells)), dtype=np.float32)
-    for (i, j), k in pos.items():
-        for d in ((1, 0), (0, 1)):
-            nb = pos.get((i + d[0], j + d[1]))
-            if nb is not None:
-                adj[k, nb] = 1.0
-                adj[nb, k] = 1.0
-    return cells, adj
+def _neighbor_table(central: np.ndarray) -> np.ndarray:
+    """``(|CZ|, 4)`` indices of each central cell's grid neighbours, central
+    cells numbered in ``np.argwhere`` order; a neighbour that is off the
+    grid or not central gets the sentinel ``|CZ|``."""
+    cz = int(central.sum())
+    index = np.full((central.shape[0] + 2, central.shape[1] + 2), cz, dtype=np.int64)
+    index[1:-1, 1:-1][central] = np.arange(cz)
+    shifted = [index[2:, 1:-1], index[:-2, 1:-1], index[1:-1, 2:], index[1:-1, :-2]]
+    return np.stack(shifted, axis=-1)[central]
+
+
+def _margins(rows: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
+    """Expansion margin of each subset in a ``(b, |CZ|)`` boolean array."""
+    b, cz = rows.shape
+    # cell-major layout: each neighbour gather copies whole rows of b flags
+    padded = np.zeros((cz + 1, b), dtype=bool)  # the sentinel row stays off
+    padded[:cz] = rows.T
+    touched = np.zeros((cz, b), dtype=bool)
+    for column in neighbors.T:
+        touched |= padded[column]
+    sizes = rows.sum(axis=1)
+    bounds = (touched & ~padded[:cz]).sum(axis=0)
+    return bounds - np.sqrt(np.minimum(sizes, cz - sizes))
+
+
+def _exhaustive_subsets(cz: int):
+    """Bit rows of ``s = 1 .. 2^cz - 2`` in increasing batches."""
+    bits = np.arange(cz, dtype=np.int64)
+    stop = (1 << cz) - 1
+    for start in range(1, stop, _SUBSET_BATCH):
+        s = np.arange(start, min(start + _SUBSET_BATCH, stop), dtype=np.int64)
+        yield ((s[:, None] >> bits) & 1) == 1
+
+
+def _random_subsets(cz: int, samples: int, rng: np.random.Generator):
+    """``samples`` uniform subset draws, empty and full ones dropped."""
+    drawn = 0
+    while drawn < samples:
+        b = min(_SUBSET_BATCH, samples - drawn)
+        drawn += b
+        rows = rng.random((b, cz)) < 0.5
+        sizes = rows.sum(axis=1)
+        yield rows[(sizes > 0) & (sizes < cz)]
 
 
 def check_expansion(
@@ -257,76 +295,51 @@ def check_expansion(
 ) -> ExpansionReport:
     """Verify the boundary-expansion inequality on central subsets.
 
-    ``exhaustive`` enumerates every proper nonempty subset (only feasible
-    for small central zones); ``random`` draws uniform subsets with a fixed
-    generator, skipping the empty and full draws.  ``auto`` picks exhaustive
-    when ``|CZ| <= 20``.
+    A subset is a boolean row over the central cells in ``np.argwhere``
+    order.  ``exhaustive`` enumerates every proper nonempty subset as the
+    bits of ``s = 1 .. 2^|CZ| - 2`` (only feasible for small central
+    zones); ``random`` draws uniform subsets with a fixed generator,
+    skipping the empty and full draws.  ``auto`` picks exhaustive when
+    ``|CZ| <= 20``.  Subsets are checked ``_SUBSET_BATCH`` at a time
+    against a ``(|CZ|, 4)`` neighbour table, so memory grows linearly in
+    ``|CZ|``.
     """
-    cells, adj = _central_adjacency(zone_map)
-    cz = len(cells)
+    central = zone_map.central
+    cz = zone_map.cz_size
     if cz < 2:
         return ExpansionReport(cz, "exhaustive", 0, 0, math.inf)
     if mode == "auto":
         mode = "exhaustive" if cz <= EXHAUSTIVE_LIMIT else "random"
-    worst = math.inf
-    witness: CellSet | None = None
-    violations = 0
-    checked = 0
     if mode == "exhaustive":
         if cz > EXHAUSTIVE_LIMIT:
             raise ValueError(
                 f"exhaustive expansion check limited to {EXHAUSTIVE_LIMIT} "
                 f"central cells, got {cz}"
             )
-        # neighbour bitmasks make |boundary| a popcount per subset
-        nb_masks = [0] * cz
-        for k in range(cz):
-            for other in np.flatnonzero(adj[k]):
-                nb_masks[k] |= 1 << int(other)
-        full = (1 << cz) - 1
-        roots = [math.sqrt(s) for s in range(cz + 1)]
-        for s in range(1, full):
-            reach = 0
-            x = s
-            while x:
-                low = x & -x
-                reach |= nb_masks[low.bit_length() - 1]
-                x ^= low
-            size = s.bit_count()
-            margin = (reach & ~s & full).bit_count() - roots[min(size, cz - size)]
-            checked += 1
-            if margin < worst:
-                worst = margin
-                witness = frozenset(cells[k] for k in range(cz) if s >> k & 1)
-            if margin < 0:
-                violations += 1
+        batches = _exhaustive_subsets(cz)
     elif mode == "random":
-        if rng is None:
-            rng = np.random.default_rng(0)
-        batch = 512
-        drawn = 0
-        while drawn < samples:
-            b = min(batch, samples - drawn)
-            drawn += b
-            masks = rng.random((b, cz)) < 0.5
-            sizes = masks.sum(axis=1)
-            proper = (sizes > 0) & (sizes < cz)
-            masks, sizes = masks[proper], sizes[proper]
-            if masks.shape[0] == 0:
-                continue
-            touched = (masks.astype(np.float32) @ adj) > 0.0
-            bounds = (touched & ~masks).sum(axis=1)
-            margins = bounds - np.sqrt(np.minimum(sizes, cz - sizes))
-            checked += masks.shape[0]
-            violations += int((margins < 0).sum())
-            low = int(np.argmin(margins))
-            if margins[low] < worst:
-                worst = float(margins[low])
-                witness = frozenset(
-                    cells[k] for k in np.flatnonzero(masks[low])
-                )
+        batches = _random_subsets(
+            cz, samples, np.random.default_rng(0) if rng is None else rng
+        )
     else:
         raise ValueError(f"unknown expansion mode: {mode!r}")
+    neighbors = _neighbor_table(central)
+    worst = math.inf
+    best: np.ndarray | None = None
+    violations = checked = 0
+    for rows in batches:
+        if rows.shape[0] == 0:
+            continue
+        margins = _margins(rows, neighbors)
+        checked += rows.shape[0]
+        violations += int((margins < 0).sum())
+        low = int(np.argmin(margins))
+        if margins[low] < worst:
+            worst, best = float(margins[low]), rows[low]
+    witness = None
+    if best is not None:
+        witness = np.zeros_like(central)
+        witness[central] = best
     return ExpansionReport(cz, mode, checked, violations, worst, witness)
 
 
@@ -412,33 +425,44 @@ def zone_map_to_csv(zone_map: ZoneMap) -> str:
     return "\n".join(lines) + "\n"
 
 
-def zone_map_svg(zone_map: ZoneMap, size: int = 512) -> str:
-    """Deterministic grayscale SVG of the probability grid (black = the
-    largest probability, white = zero).  Central cells get a thin outline."""
-    m = zone_map.m
-    cell_px = size / m
-    top = float(zone_map.probs.max())
+def grid_svg(
+    values: np.ndarray, size: int = 512, outline: np.ndarray | None = None
+) -> str:
+    """Deterministic grayscale SVG of a value grid (black = the largest
+    value, white = zero).
+
+    ``values[i, j]`` covers the cell with south-west corner at grid position
+    (i, j); the south row is drawn at the bottom.  Cells where ``outline``
+    is true get a thin red outline.
+    """
+    k = values.shape[0]
+    cell = size / k
+    top = float(values.max())
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
         f'height="{size}" viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="white"/>',
     ]
-    for i in range(m):
-        for j in range(m):
-            shade = zone_map.probs[i, j] / top if top > 0 else 0.0
+    for i in range(k):
+        for j in range(values.shape[1]):
+            shade = values[i, j] / top if top > 0 else 0.0
             level = int(round(255 * (1.0 - shade)))
             color = f"#{level:02x}{level:02x}{level:02x}"
-            x = i * cell_px
-            # SVG y grows downward; flip so the south row sits at the bottom
-            y = (m - 1 - j) * cell_px
+            x = i * cell
+            y = (values.shape[1] - 1 - j) * cell
             stroke = (
                 ' stroke="#cc0000" stroke-width="1"'
-                if zone_map.central[i, j]
+                if outline is not None and outline[i, j]
                 else ""
             )
             parts.append(
-                f'<rect x="{x:.2f}" y="{y:.2f}" width="{cell_px:.2f}" '
-                f'height="{cell_px:.2f}" fill="{color}"{stroke}/>'
+                f'<rect x="{x:.2f}" y="{y:.2f}" width="{cell:.2f}" '
+                f'height="{cell:.2f}" fill="{color}"{stroke}/>'
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def zone_map_svg(zone_map: ZoneMap, size: int = 512) -> str:
+    """The probability grid as a :func:`grid_svg`, central cells outlined."""
+    return grid_svg(zone_map.probs, size, outline=zone_map.central)

@@ -27,7 +27,7 @@ from mrwpflood.flooding import (
     suburb_reach,
 )
 from mrwpflood.mobility import APPROX_STATIONARY, WARMUP, Population, build_trip, init_population
-from mrwpflood.zones import build_zone_map
+from mrwpflood.zones import build_zone_map, cz_neighborhood
 
 
 def world(n=500, L=None, R=None, v=None, c1=2.5, seed=0, **kw):
@@ -250,6 +250,26 @@ class TestInformedCells:
         ]
         assert suburb_count == int((~codes_central).sum())
 
+    def test_matches_per_agent_recount(self):
+        p = world(n=400, seed=9)
+        z = build_zone_map(p)
+        pop = init_population(p, APPROX_STATIONARY)
+        informed = derive_substream(9, 1).random(400) < 0.8
+        cells, suburb_count = informed_cells(
+            pop, FloodState(informed=informed, step=0, source=0), z
+        )
+        want = z.central.copy()
+        suburb = 0
+        for (x, y), known in zip(pop.pos.tolist(), informed):
+            cell = (min(int(x / z.ell), z.m - 1), min(int(y / z.ell), z.m - 1))
+            if not known:
+                want[cell] = False
+            elif not z.central[cell]:
+                suburb += 1
+        assert np.array_equal(cells, want)
+        assert 0 < want.sum() < z.cz_size
+        assert suburb_count == suburb
+
 
 def set_neighborhood(cells: set, central: np.ndarray) -> set:
     """Reference form of the stability neighbourhood on cell tuples: the
@@ -280,7 +300,7 @@ class TestCzNeighborhood:
             for density in (0.0, 0.05, 0.5, 1.0):
                 cases.append((z.central & (rng.random((z.m, z.m)) < density), z.central))
         for k, (cells, central) in enumerate(cases):
-            got = flooding._cz_neighborhood(cells, SimpleNamespace(central=central))
+            got = cz_neighborhood(cells, SimpleNamespace(central=central))
             want = np.zeros_like(central)
             for cell in set_neighborhood(set(zip(*np.nonzero(cells))), central):
                 want[cell] = True
@@ -395,7 +415,10 @@ class TestChooseSource:
         pop = init_population(p, APPROX_STATIONARY)
         rng = derive_substream(0, 1)
         cz_agent = choose_source("in_cz", pop, z, rng)
-        assert z.central[z.cell_of(*pop.pos[cz_agent])]
+        x, y = pop.pos[cz_agent]
+        assert z.central[min(int(x / z.ell), z.m - 1), min(int(y / z.ell), z.m - 1)]
+        in_cz = z.central[z.cell_index(pop.pos)]
+        assert in_cz[cz_agent] and 0 < in_cz.sum() < p.n
 
     def test_in_suburb_raises_when_suburb_unoccupied(self):
         # a radius this large makes every cell central: nobody is in the
@@ -489,6 +512,40 @@ class TestRunFlood:
         assert rec.violations["core_occupancy"] == 0
         assert rec.violations["stability"] == 0
         assert not rec.timed_out
+
+    def test_stability_count_matches_set_recount(self):
+        # eta = 0 makes the density guard hold at every step, so every step
+        # is checked; recount the violations from per-agent cell tuples
+        p = make_params(1000, eta=0.0, seed=0)
+        z = build_zone_map(p)
+        pop = init_population(p, APPROX_STATIONARY)
+        start = pop.pos.copy()
+
+        def full_cells(positions, informed):
+            blocked = {
+                (min(int(x / z.ell), z.m - 1), min(int(y / z.ell), z.m - 1))
+                for (x, y), known in zip(positions.tolist(), informed)
+                if not known
+            }
+            return set(map(tuple, np.argwhere(z.central).tolist())) - blocked
+
+        recount = {"prev": None, "violations": 0}
+
+        def on_step(population, state):
+            if recount["prev"] is None:  # time zero: only the source knows
+                first = np.arange(p.n) == state.source
+                recount["prev"] = full_cells(start, first)
+            cells = full_cells(population.pos, state.informed)
+            required = set_neighborhood(recount["prev"], z.central)
+            recount["violations"] += len(required - cells)
+            recount["prev"] = cells
+
+        rec = run_flood(
+            p, zone_map=z, population=pop, check_stability=True, on_step=on_step
+        )
+        assert rec.violations["core_occupancy"] == 0
+        assert rec.violations["stability"] == recount["violations"]
+        assert rec.violations["stability"] > 0
 
     def test_stability_check_absent_by_default(self):
         p = world(n=200, seed=32)

@@ -365,6 +365,65 @@ class TestInitPopulation:
         assert tv < 0.05
 
 
+def palm_first_legs(rng, count, L):
+    """Perfect simulation of the stationary state (Palm calculus): a
+    uniform (start, destination) pair kept with probability proportional to
+    its Manhattan length, a fair coin for the path, a uniform point along
+    it.  Returns the positions and vertical-first flags of at least
+    ``count`` agents on a first leg."""
+    pos, vertical, got = [], [], 0
+    while got < count:
+        k = 200_000
+        s = rng.random((k, 2)) * L
+        d = rng.random((k, 2)) * L
+        dx, dy = d[:, 0] - s[:, 0], d[:, 1] - s[:, 1]
+        length = np.abs(dx) + np.abs(dy)
+        keep = rng.random(k) * 2.0 * L < length
+        v = rng.random(k) < 0.5
+        u = rng.random(k) * length
+        keep &= u < np.where(v, np.abs(dy), np.abs(dx))  # still on the first leg
+        x = np.where(v, s[:, 0], s[:, 0] + np.sign(dx) * u)
+        y = np.where(v, s[:, 1] + np.sign(dy) * u, s[:, 1])
+        pos.append(np.stack([x, y], axis=1)[keep])
+        vertical.append(v[keep])
+        got += int(keep.sum())
+    return np.concatenate(pos), np.concatenate(vertical)
+
+
+class TestStationaryJointLaw:
+    def test_first_leg_heading_matches_palm_sampler(self):
+        # near the west edge most destinations lie east; an eastbound first
+        # leg has almost no room behind it, a vertical one about half the
+        # arena, so P(vertical | first leg) is about 0.79 there, not 1/2
+        L = 10.0
+        pop = init_population(params(n=20_000, L=L, v=0.1, seed=3), APPROX_STATIONARY)
+        first = pop.leg == Leg.FIRST
+        vertical = (pop.heading == Heading.NORTH) | (pop.heading == Heading.SOUTH)
+        ref_pos, ref_vertical = palm_first_legs(np.random.default_rng(1), 600_000, L)
+        regions = [  # (x0, x1, y0, y1) as fractions of L
+            (0.0, 0.15, 0.4, 0.6),
+            (0.4, 0.6, 0.0, 0.15),
+            (0.4, 0.6, 0.4, 0.6),
+            (0.0, 0.2, 0.2, 0.4),
+            (0.85, 1.0, 0.6, 0.8),
+        ]
+        skewed = 0
+        for x0, x1, y0, y1 in regions:
+            def inside(pts):
+                return (
+                    (pts[:, 0] >= x0 * L) & (pts[:, 0] < x1 * L)
+                    & (pts[:, 1] >= y0 * L) & (pts[:, 1] < y1 * L)
+                )
+            got = vertical[inside(pop.pos) & first]
+            want = ref_vertical[inside(ref_pos)]
+            assert got.size >= 100 and want.size >= 5000
+            p = want.mean()
+            se = math.sqrt(p * (1.0 - p) * (1.0 / got.size + 1.0 / want.size))
+            assert abs(got.mean() - p) <= 4.0 * se, (x0, y0, got.mean(), p)
+            skewed += abs(p - 0.5) > 8.0 * se
+        assert skewed >= 3  # a fair coin fails these regions by > 4 se
+
+
 class TestRecorder:
     def test_only_watched_agents_recorded(self):
         p = params(n=10, v=2.0, seed=12)

@@ -17,6 +17,7 @@ from mrwpflood.zones import (
     core_bounds,
     cz_row_column_counts,
     expansion_margin,
+    grid_svg,
     manhattan_distance,
     zone_map_svg,
     zone_map_to_csv,
@@ -186,10 +187,22 @@ class TestBuildZoneMap:
 
     def test_cell_lookup(self):
         z = build_zone_map(world(n=500))
-        assert z.cell_of(0.0, 0.0) == (0, 0)
-        assert z.cell_of(z.L, z.L) == (z.m - 1, z.m - 1)  # far edge folds in
-        i, j = z.cell_of(z.L / 2, z.ell / 2)
-        assert i == z.m // 2 and j == 0
+        pts = np.array([[0.0, 0.0], [z.L, z.L], [z.L / 2, z.ell / 2]])
+        i, j = z.cell_index(pts)
+        assert i.dtype == j.dtype == np.int64
+        assert (i[0], j[0]) == (0, 0)
+        assert (i[1], j[1]) == (z.m - 1, z.m - 1)  # far edge folds in
+        assert i[2] == z.m // 2 and j[2] == 0
+        # the scalar truncate-and-clip rule, point by point
+        rng = np.random.default_rng(4)
+        pts = np.concatenate([rng.random((500, 2)) * z.L, [[z.L, 0.0], [0.0, z.L]]])
+        i, j = z.cell_index(pts)
+        for k, (x, y) in enumerate(pts):
+            assert (i[k], j[k]) == (
+                min(int(x / z.ell), z.m - 1),
+                min(int(y / z.ell), z.m - 1),
+            )
+        assert z.central[z.cell_index(pts)].shape == (len(pts),)
 
     def test_cell_center(self):
         z = build_zone_map(world(n=500))
@@ -235,45 +248,157 @@ class TestCoverage:
         assert not rep.ok
 
 
+def set_boundary(cells, central: np.ndarray) -> frozenset:
+    """Reference vertex boundary on cell tuples: central cells outside the
+    set that share a grid edge with a cell inside it."""
+    inside = frozenset(cells)
+    cz = frozenset(map(tuple, np.argwhere(central).tolist()))
+    out = set()
+    for i, j in inside:
+        for nb in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+            if nb in cz and nb not in inside:
+                out.add(nb)
+    return frozenset(out)
+
+
+def reference_check_expansion(central, mode, samples=100_000, rng=None):
+    """The set/bitmask expansion checker, kept as the oracle: sorted central
+    cell tuples, neighbour bitmasks and a per-subset popcount loop for
+    ``exhaustive``; a dense adjacency matrix product per batch of 512 draws
+    for ``random``.  Returns (checked, violations, worst, witness cells)."""
+    cells = sorted(map(tuple, np.argwhere(central).tolist()))
+    cz = len(cells)
+    if cz < 2:
+        return 0, 0, math.inf, None
+    pos = {c: k for k, c in enumerate(cells)}
+    adj = np.zeros((cz, cz), dtype=np.float32)
+    for (i, j), k in pos.items():
+        for d in ((1, 0), (0, 1)):
+            nb = pos.get((i + d[0], j + d[1]))
+            if nb is not None:
+                adj[k, nb] = adj[nb, k] = 1.0
+    worst, witness, violations, checked = math.inf, None, 0, 0
+    if mode == "exhaustive":
+        nb_masks = [0] * cz
+        for k in range(cz):
+            for other in np.flatnonzero(adj[k]):
+                nb_masks[k] |= 1 << int(other)
+        full = (1 << cz) - 1
+        for s in range(1, full):
+            reach, x = 0, s
+            while x:
+                low = x & -x
+                reach |= nb_masks[low.bit_length() - 1]
+                x ^= low
+            size = s.bit_count()
+            margin = (reach & ~s & full).bit_count() - math.sqrt(min(size, cz - size))
+            checked += 1
+            if margin < worst:
+                worst = margin
+                witness = frozenset(cells[k] for k in range(cz) if s >> k & 1)
+            if margin < 0:
+                violations += 1
+        return checked, violations, worst, witness
+    rng = np.random.default_rng(0) if rng is None else rng
+    drawn = 0
+    while drawn < samples:
+        b = min(512, samples - drawn)
+        drawn += b
+        masks = rng.random((b, cz)) < 0.5
+        sizes = masks.sum(axis=1)
+        proper = (sizes > 0) & (sizes < cz)
+        masks, sizes = masks[proper], sizes[proper]
+        if masks.shape[0] == 0:
+            continue
+        touched = (masks.astype(np.float32) @ adj) > 0.0
+        margins = (touched & ~masks).sum(axis=1) - np.sqrt(np.minimum(sizes, cz - sizes))
+        checked += masks.shape[0]
+        violations += int((margins < 0).sum())
+        low = int(np.argmin(margins))
+        if margins[low] < worst:
+            worst = float(margins[low])
+            witness = frozenset(cells[k] for k in np.flatnonzero(masks[low]))
+    return checked, violations, worst, witness
+
+
+def mask_of(cells, m: int) -> np.ndarray:
+    mask = np.zeros((m, m), dtype=bool)
+    for cell in cells:
+        mask[cell] = True
+    return mask
+
+
+def assert_matches_reference(rep, central, mode, **kw):
+    checked, violations, worst, witness = reference_check_expansion(
+        central, mode, **kw
+    )
+    assert rep.subsets_checked == checked
+    assert rep.violations == violations
+    assert rep.worst_margin == worst
+    if witness is None:
+        assert rep.witness is None
+    else:
+        assert rep.witness.shape == central.shape and rep.witness.dtype == bool
+        assert np.argwhere(rep.witness).tolist() == [list(c) for c in sorted(witness)]
+
+
 class TestBoundary:
     def test_empty_set(self):
         z = build_zone_map(world(n=500))
-        assert boundary([], z) == frozenset()
+        b = boundary(np.zeros((z.m, z.m), dtype=bool), z)
+        assert b.shape == (z.m, z.m) and b.dtype == bool
+        assert not b.any()
 
     def test_full_cz_has_empty_boundary(self):
         z = build_zone_map(world(n=500))
-        assert boundary(z.central_cells(), z) == frozenset()
+        assert not boundary(z.central.copy(), z).any()
 
     def test_interior_cell_has_four_neighbours(self):
         z = build_zone_map(world(n=500))
         mid = (z.m // 2, z.m // 2)
-        b = boundary([mid], z)
-        assert len(b) == 4
-        assert all(abs(i - mid[0]) + abs(j - mid[1]) == 1 for i, j in b)
+        b = boundary(mask_of([mid], z.m), z)
+        assert b.sum() == 4
+        assert all(abs(i - mid[0]) + abs(j - mid[1]) == 1 for i, j in np.argwhere(b))
 
     def test_non_central_member_rejected(self):
         central = np.zeros((3, 3), dtype=bool)
         central[1, 1] = True
         z = hand_map(central)
         with pytest.raises(ValueError):
-            boundary([(0, 0)], z)
+            boundary(mask_of([(0, 0)], 3), z)
+        with pytest.raises(ValueError):
+            boundary(np.zeros((2, 2), dtype=bool), z)  # not an m x m mask
 
     def test_boundary_stays_central(self):
         z = build_zone_map(world(n=2000))
-        cells = list(z.central_cells())[:5]
-        for cell in boundary(cells, z):
-            assert z.central[cell]
+        cells = z.central & (np.random.default_rng(1).random((z.m, z.m)) < 0.05)
+        assert cells.any()
+        assert not (boundary(cells, z) & ~z.central).any()
+
+    def test_matches_set_form(self):
+        rng = np.random.default_rng(11)
+        maps = [hand_map(rng.random((m, m)) < rng.uniform(0.2, 1.0))
+                for m in rng.integers(1, 16, size=60)]
+        maps += [build_zone_map(world(n=n)) for n in (500, 2000)]
+        for z in maps:
+            for density in (0.0, 0.1, 0.5, 1.0):
+                cells = z.central & (rng.random((z.m, z.m)) < density)
+                want = set_boundary(map(tuple, np.argwhere(cells).tolist()), z.central)
+                assert np.array_equal(boundary(cells, z), mask_of(want, z.m))
 
 
 class TestExpansion:
     def test_margin_matches_reference_definition(self):
         z = build_zone_map(world(n=500))
-        subset = list(z.central_cells())[: z.cz_size // 3]
-        margin = expansion_margin(subset, z)
-        expected = len(boundary(subset, z)) - math.sqrt(
-            min(len(subset), z.cz_size - len(subset))
+        subset = z.central.copy()
+        subset.flat[np.flatnonzero(z.central)[z.cz_size // 3:]] = False
+        size = z.cz_size // 3
+        assert subset.sum() == size
+        cells = map(tuple, np.argwhere(subset).tolist())
+        expected = len(set_boundary(cells, z.central)) - math.sqrt(
+            min(size, z.cz_size - size)
         )
-        assert margin == pytest.approx(expected)
+        assert expansion_margin(subset, z) == expected
 
     def test_exhaustive_on_all_central_grid(self):
         central = np.ones((2, 2), dtype=bool)
@@ -290,13 +415,47 @@ class TestExpansion:
         central[0, 0] = False
         z = hand_map(central)
         rep = check_expansion(z, mode="exhaustive")
-        cells = sorted(z.central_cells())
+        cells = np.argwhere(central)
         worst = math.inf
-        for mask in range(1, 2 ** len(cells) - 1):
-            subset = [cells[k] for k in range(len(cells)) if mask >> k & 1]
+        for bits in range(1, 2 ** len(cells) - 1):
+            subset = mask_of(
+                [tuple(cells[k]) for k in range(len(cells)) if bits >> k & 1], 3
+            )
             worst = min(worst, expansion_margin(subset, z))
         assert rep.worst_margin == pytest.approx(worst)
         assert rep.violations == (0 if worst >= 0 else 1)
+        assert expansion_margin(rep.witness, z) == rep.worst_margin
+
+    def test_exhaustive_matches_bitmask_oracle(self):
+        rng = np.random.default_rng(12)
+        nontrivial = 0
+        for trial in range(240):
+            m = int(rng.integers(2, 7))
+            central = rng.random((m, m)) < rng.uniform(0.25, 1.0)
+            cap = 16 if trial % 40 == 0 else 12
+            cz = np.flatnonzero(central)
+            if cz.size > cap:
+                central.flat[rng.choice(cz, cz.size - cap, replace=False)] = False
+            nontrivial += central.sum() >= 2
+            rep = check_expansion(hand_map(central), mode="exhaustive")
+            assert_matches_reference(rep, central, "exhaustive")
+        assert nontrivial >= 200
+
+    def test_random_matches_matrix_oracle(self):
+        maps = [build_zone_map(world(n=n)) for n in (500, 2000, 10_000)]
+        rng = np.random.default_rng(13)
+        maps += [hand_map(rng.random((m, m)) < 0.7) for m in (5, 9, 30)]
+        # two central cells: a quarter of the draws are empty or full
+        maps.append(hand_map(mask_of([(0, 0), (0, 1)], 3)))
+        for k, z in enumerate(maps):
+            for samples in (1, 700, 1500):
+                rep = check_expansion(
+                    z, mode="random", samples=samples, rng=np.random.default_rng(k)
+                )
+                assert_matches_reference(
+                    rep, z.central, "random", samples=samples,
+                    rng=np.random.default_rng(k),
+                )
 
     def test_disconnected_set_violates(self):
         # two far-apart central cells in a sea of suburb: the subset holding
@@ -309,6 +468,8 @@ class TestExpansion:
         assert not rep.ok
         assert rep.worst_margin < 0
         assert rep.witness is not None
+        assert not (rep.witness & ~central).any()
+        assert expansion_margin(rep.witness, z) == rep.worst_margin
 
     def test_random_mode_on_built_map(self):
         z = build_zone_map(world(n=2000))
@@ -316,6 +477,7 @@ class TestExpansion:
         assert rep.mode == "random"
         assert rep.subsets_checked == 2000
         assert rep.violations == 0
+        assert expansion_margin(rep.witness, z) == pytest.approx(rep.worst_margin)
 
     def test_auto_picks_exhaustive_below_limit(self):
         central = np.ones((3, 3), dtype=bool)
@@ -336,6 +498,7 @@ class TestExpansion:
         b = check_expansion(z, mode="random", samples=500,
                             rng=np.random.default_rng(5))
         assert a.worst_margin == b.worst_margin
+        assert np.array_equal(a.witness, b.witness)
 
 
 class TestSuburbDiameter:
@@ -428,3 +591,5 @@ class TestRendering:
         assert svg.startswith("<?xml") or svg.startswith("<svg")
         assert svg.count("<rect") >= z.m * z.m
         assert "</svg>" in svg
+        assert svg.count('stroke="#cc0000"') == z.cz_size
+        assert grid_svg(z.probs) == svg.replace(' stroke="#cc0000" stroke-width="1"', "")
