@@ -53,18 +53,14 @@ from .flooding import (
     run_flood,
 )
 from .mobility import (
-    AgentState,
     AgentTrajectory,
     Heading,
     Leg,
     Population,
     TripEvent,
     TurnWindowStats,
-    build_trip,
     count_turns,
     init_population,
-    new_trip,
-    step_agent,
 )
 from .stationary import (
     CrossMasses,
@@ -74,9 +70,7 @@ from .stationary import (
     destination_law,
     grid_cell_masses,
     peak_spatial_density,
-    sample_destination,
     sample_destinations,
-    sample_stationary_position,
     sample_stationary_positions,
     spatial_density,
 )
@@ -118,18 +112,14 @@ __all__ = [
     "density_monitor",
     "flood_step",
     "run_flood",
-    "AgentState",
     "AgentTrajectory",
     "Heading",
     "Leg",
     "Population",
     "TripEvent",
     "TurnWindowStats",
-    "build_trip",
     "count_turns",
     "init_population",
-    "new_trip",
-    "step_agent",
     "CrossMasses",
     "DestinationLaw",
     "cell_probability",
@@ -137,9 +127,7 @@ __all__ = [
     "grid_cell_masses",
     "destination_law",
     "peak_spatial_density",
-    "sample_destination",
     "sample_destinations",
-    "sample_stationary_position",
     "sample_stationary_positions",
     "spatial_density",
     "ZoneMap",

@@ -41,7 +41,9 @@ from .stationary import destination_law, spatial_density
 from .zones import (
     build_zone_map,
     check_expansion,
+    gray,
     grid_svg,
+    svg_canvas,
     zone_map_svg,
     zone_map_to_csv,
 )
@@ -533,19 +535,11 @@ def cmd_heatmap(args, config: dict) -> int:
         (x0, y0, L - x0, L - y0, law.density_ne),
         (x0, 0.0, L - x0, y0, law.density_se),
     ]
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{size}" viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+    shapes = [
+        f'<rect x="{qx * scale:.2f}" y="{(L - qy - qh) * scale:.2f}" '
+        f'width="{qw * scale:.2f}" height="{qh * scale:.2f}" fill="{gray(dens, top)}"/>'
+        for qx, qy, qw, qh, dens in quads
     ]
-    for qx, qy, qw, qh, dens in quads:
-        shade = dens / top if top > 0 else 0.0
-        level = int(round(255 * (1.0 - shade)))
-        color = f"#{level:02x}{level:02x}{level:02x}"
-        parts.append(
-            f'<rect x="{qx * scale:.2f}" y="{(L - qy - qh) * scale:.2f}" '
-            f'width="{qw * scale:.2f}" height="{qh * scale:.2f}" fill="{color}"/>'
-        )
     # the axis-aligned cross through the origin carries the atomic mass:
     # stroke width scales with each arm's share
     cross = law.cross
@@ -557,15 +551,14 @@ def cmd_heatmap(args, config: dict) -> int:
     ]
     for ax0, ay0, ax1, ay1, mass in arms:
         width = 1.0 + 16.0 * mass
-        parts.append(
+        shapes.append(
             f'<line x1="{ax0 * scale:.2f}" y1="{(L - ay0) * scale:.2f}" '
             f'x2="{ax1 * scale:.2f}" y2="{(L - ay1) * scale:.2f}" '
             f'stroke="black" stroke-width="{width:.2f}"/>'
         )
-    parts.append("</svg>")
     dest_path = out / "heatmap_destination.svg"
     dest_path.write_text(
-        _svg_meta_comment(config) + "\n".join(parts) + "\n", encoding="utf-8"
+        _svg_meta_comment(config) + svg_canvas(size, shapes), encoding="utf-8"
     )
     _say(args, f"wrote {spatial_path} and {dest_path}")
     return 0

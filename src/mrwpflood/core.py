@@ -9,8 +9,8 @@ Conventions fixed here once and relied on everywhere else:
   (``>=`` / ``<=``, no epsilon fudging),
 * randomness comes from numpy PCG64 generators keyed by ``(seed, index)``
   through :func:`derive_substream`; identical keys give identical draw
-  sequences, which is what makes reruns bit-stable and lets the vectorised
-  stepper match the per-agent scalar stepper exactly.
+  sequences, which is what makes reruns bit-stable and lets the array
+  stepping engine match each agent stepped alone exactly.
 """
 
 from __future__ import annotations

@@ -793,14 +793,16 @@ def stationarity_report(
     if spacing is None:
         spacing = math.ceil(params.L / params.v)
     reference = grid_cell_masses(params.L, bins)
-    population = init_population(params, WARMUP, warmup_steps)
-    hist_warm = position_histogram(population, bins, snapshots, spacing)
+    # each population is released before the next is built
+    warm = init_population(params, WARMUP, warmup_steps)
+    hist_warm = position_histogram(warm, bins, snapshots, spacing)
+    del warm
     tv_model = total_variation(hist_warm, reference)
     hist_approx = None
     tv_init = None
     if compare_approx:
-        population = init_population(params, APPROX_STATIONARY)
-        hist_approx = position_histogram(population, bins, snapshots, spacing)
+        approx = init_population(params, APPROX_STATIONARY)
+        hist_approx = position_histogram(approx, bins, snapshots, spacing)
         tv_init = total_variation(hist_approx, hist_warm)
     return StationarityReport(
         params=params,

@@ -158,14 +158,6 @@ class NeighborIndex:
         return pairs[order]
 
 
-def brute_force_within(
-    positions: np.ndarray, point: Sequence[float], radius: float
-) -> np.ndarray:
-    """Reference implementation of the closed-ball query."""
-    d = positions - np.asarray(point, dtype=float)
-    return np.flatnonzero(d[:, 0] ** 2 + d[:, 1] ** 2 <= radius * radius)
-
-
 def brute_force_pairs(positions: np.ndarray, radius: float) -> np.ndarray:
     """Reference all-pairs query: unordered pairs (i < j) with distance at
     most ``radius``, in the same lexicographic order as ``pairs_within``."""

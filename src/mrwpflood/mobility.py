@@ -7,20 +7,21 @@ length units along the remaining path; when a way-point falls inside a step
 the leftover budget is spent in the new direction within the same step, and
 on arrival a fresh trip starts immediately.
 
-The :class:`Population` engine steps all agents at once: a vectorised
-fast path handles the common no-way-point case and defers way-point
-handling to the scalar stepper (:func:`step_agent`), which also serves as
-the test oracle.  Each agent draws trip randomness from its own
-``(seed, agent id)`` substream, so stepping agents together or one at a
-time, in any order, yields bit-identical results.
+The :class:`Population` engine keeps all agents in arrays and steps them
+in whole-array passes, one pass per way-point depth: agents whose next
+way-point lies beyond their remaining budget move and are done, the rest
+jump to the way-point and start their next leg by one trip rule
+(:func:`_trips`).  Each agent draws trip randomness from its own
+``(seed, agent id)`` substream, so the result equals stepping each agent
+alone, in any order, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -69,120 +70,34 @@ class TripEvent:
     heading_after: Heading
 
 
-@dataclass(frozen=True)
-class AgentState:
-    """Kinematic state of one agent.
+def _trips(
+    pos: np.ndarray, dest: np.ndarray, vertical: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(turn, leg, heading)`` of trips from each row of ``pos`` to the
+    same row of ``dest``, vertical leg first where ``vertical`` is true.
 
-    ``turn_point`` is the way-point the agent currently moves toward: the
-    elbow of the path on the first leg, the destination itself on the
-    second.
+    A destination sharing a coordinate with its position gives a single-leg
+    trip that starts on the second leg (``turn`` is the destination); a
+    destination equal to the position gives a zero-length trip, heading
+    east, that completes on the next step.
     """
-
-    position: Point
-    destination: Point
-    leg: Leg
-    heading: Heading
-    turn_point: Point
-
-
-def _axis_heading(delta: float, vertical: bool) -> Heading:
-    if vertical:
-        return Heading.NORTH if delta > 0 else Heading.SOUTH
-    return Heading.EAST if delta > 0 else Heading.WEST
-
-
-def build_trip(
-    position: Point | tuple[float, float],
-    destination: Point | tuple[float, float],
-    vertical_first: bool,
-) -> AgentState:
-    """Assemble the agent state for a trip from ``position`` to
-    ``destination`` along the chosen two-leg path.
-
-    Destinations sharing a coordinate with the position give a single-leg
-    trip that starts on the second leg; a destination equal to the position
-    gives a zero-length trip that completes on the next step.
-    """
-    pos = Point(*position)
-    dest = Point(*destination)
-    dx = dest.x - pos.x
-    dy = dest.y - pos.y
-    if dx == 0.0 and dy == 0.0:
-        return AgentState(pos, dest, Leg.SECOND, Heading.EAST, dest)
-    if dx == 0.0:
-        return AgentState(pos, dest, Leg.SECOND, _axis_heading(dy, True), dest)
-    if dy == 0.0:
-        return AgentState(pos, dest, Leg.SECOND, _axis_heading(dx, False), dest)
-    if vertical_first:
-        turn = Point(pos.x, dest.y)
-        return AgentState(pos, dest, Leg.FIRST, _axis_heading(dy, True), turn)
-    turn = Point(dest.x, pos.y)
-    return AgentState(pos, dest, Leg.FIRST, _axis_heading(dx, False), turn)
-
-
-def new_trip(
-    position: Point | tuple[float, float], rng: np.random.Generator, L: float
-) -> AgentState:
-    """Draw a fresh trip: uniform destination, fair coin between the two
-    Manhattan paths.  Fixed draw order: x, y, coin."""
-    x = rng.random() * L
-    y = rng.random() * L
-    vertical_first = rng.random() < 0.5
-    return build_trip(position, (x, y), vertical_first)
-
-
-def _distance_to_waypoint(state: AgentState) -> float:
-    if state.heading in (Heading.EAST, Heading.WEST):
-        return abs(state.turn_point.x - state.position.x)
-    return abs(state.turn_point.y - state.position.y)
-
-
-def step_agent(
-    state: AgentState,
-    rng: np.random.Generator,
-    v: float,
-    L: float,
-    step_index: int = 0,
-) -> tuple[AgentState, list[TripEvent]]:
-    """Advance one agent by one step of path budget ``v``.
-
-    Returns the new state and the way-point events crossed, in order.  Event
-    times are ``step_index + consumed/v``.  A way-point reached exactly at
-    the end of the budget still fires its event and switches the state, so
-    the next step departs in the new direction.
-    """
-    if v == 0.0:
-        return state, []
-    events: list[TripEvent] = []
-    budget = v
-    for _ in range(ROLLOVER_CAP):
-        dist = _distance_to_waypoint(state)
-        if dist > budget:
-            vec = HEADING_VECTORS[state.heading]
-            nx = min(max(state.position.x + vec[0] * budget, 0.0), L)
-            ny = min(max(state.position.y + vec[1] * budget, 0.0), L)
-            return replace(state, position=Point(nx, ny)), events
-        budget -= dist
-        t = step_index + (v - budget) / v
-        if state.leg == Leg.FIRST:
-            turn = state.turn_point
-            heading = _axis_heading(
-                state.destination.x - turn.x
-                if state.heading in (Heading.NORTH, Heading.SOUTH)
-                else state.destination.y - turn.y,
-                vertical=state.heading in (Heading.EAST, Heading.WEST),
-            )
-            state = AgentState(
-                turn, state.destination, Leg.SECOND, heading, state.destination
-            )
-            events.append(TripEvent(TURN, t, turn.x, turn.y, heading))
-        else:
-            pos = state.destination
-            state = new_trip(pos, rng, L)
-            events.append(TripEvent(ARRIVAL, t, pos.x, pos.y, state.heading))
-        if budget == 0.0:
-            return state, events
-    raise RuntimeError("way-point rollover cap exceeded within one step")
+    dx = dest[:, 0] - pos[:, 0]
+    dy = dest[:, 1] - pos[:, 1]
+    single = (dx == 0.0) | (dy == 0.0)
+    north_south = np.where(single, dy != 0.0, vertical)
+    heading = np.where(
+        north_south,
+        np.where(dy > 0.0, Heading.NORTH, Heading.SOUTH),
+        np.where(dx >= 0.0, Heading.EAST, Heading.WEST),
+    )
+    turn = np.where(
+        north_south[:, None],
+        np.stack([pos[:, 0], dest[:, 1]], axis=1),
+        np.stack([dest[:, 0], pos[:, 1]], axis=1),
+    )
+    turn[single] = dest[single]
+    leg = np.where(single, Leg.SECOND, Leg.FIRST)
+    return turn, leg, heading
 
 
 # ---------------------------------------------------------------------------
@@ -375,63 +290,66 @@ class Population:
         self.rngs = [derive_substream(params.seed, i) for i in range(n)]
         self.step_count = 0
 
-    # -- construction -------------------------------------------------------
-
-    @classmethod
-    def from_states(cls, params: WorldParams, states: Sequence[AgentState]) -> "Population":
-        if len(states) != params.n:
-            raise ValueError("need exactly n agent states")
-        pos = np.array([s.position for s in states], dtype=float)
-        dest = np.array([s.destination for s in states], dtype=float)
-        turn = np.array([s.turn_point for s in states], dtype=float)
-        leg = np.array([s.leg for s in states], dtype=np.int8)
-        heading = np.array([s.heading for s in states], dtype=np.int8)
-        return cls(params, pos, dest, turn, leg, heading)
-
-    def state_of(self, i: int) -> AgentState:
-        return AgentState(
-            position=Point(*self.pos[i]),
-            destination=Point(*self.dest[i]),
-            leg=Leg(int(self.leg[i])),
-            heading=Heading(int(self.heading[i])),
-            turn_point=Point(*self.turn[i]),
-        )
-
-    def _set_state(self, i: int, s: AgentState) -> None:
-        self.pos[i] = s.position
-        self.dest[i] = s.destination
-        self.turn[i] = s.turn_point
-        self.leg[i] = s.leg
-        self.heading[i] = s.heading
-
-    # -- stepping -----------------------------------------------------------
-
     def step(self, recorder: TrajectoryRecorder | None = None) -> None:
-        """Advance every agent by one step.
+        """Advance every agent by one step of path budget ``v``.
 
-        Agents that stay on their current leg move in one vectorised pass;
-        the rest go through the scalar :func:`step_agent` with their own
-        substream, so the result equals stepping each agent alone.
+        Each pass takes the agents with budget left.  Those whose way-point
+        lies beyond their budget move along their heading and are done; the
+        rest jump to the way-point, spend the distance, and start their next
+        leg: the second leg after an elbow, a fresh trip after an arrival
+        (destination x, destination y and path coin, drawn in that order
+        from the agent's own substream).  An agent whose budget runs out
+        exactly at a way-point stops there, already facing its new
+        direction.  Way-point events go to ``recorder`` for the agents it
+        watches.
         """
         v, L = self.params.v, self.params.L
         if v > 0.0:
-            pos = self.pos
-            horizontal = (self.heading == Heading.EAST) | (self.heading == Heading.WEST)
-            drive = np.where(
-                horizontal, self.turn[:, 0] - pos[:, 0], self.turn[:, 1] - pos[:, 1]
-            )
-            fast = np.abs(drive) > v
-            move = np.where(fast, np.sign(drive) * v, 0.0)
-            np.add(pos[:, 0], np.where(horizontal, move, 0.0), out=pos[:, 0])
-            np.add(pos[:, 1], np.where(horizontal, 0.0, move), out=pos[:, 1])
-            np.clip(pos, 0.0, L, out=pos)
-            for a in np.flatnonzero(~fast).tolist():
-                state, events = step_agent(
-                    self.state_of(a), self.rngs[a], v, L, self.step_count
+            idx = np.arange(self.params.n)
+            budget = np.full(self.params.n, v)
+            for _ in range(ROLLOVER_CAP):
+                heading = self.heading[idx]
+                axis = heading & 1  # 0 east/west, 1 north/south
+                dist = np.abs(self.turn[idx, axis] - self.pos[idx, axis])
+                far = dist > budget
+                go = idx[far]
+                self.pos[go] = np.clip(
+                    self.pos[go] + HEADING_VECTORS[heading[far]] * budget[far, None],
+                    0.0,
+                    L,
                 )
-                self._set_state(a, state)
+                near = ~far
+                if not near.any():
+                    break
+                idx, budget = idx[near], budget[near] - dist[near]
+                at = self.turn[idx]  # on the second leg this is the destination
+                arrive = self.leg[idx] == Leg.SECOND
+                dest = self.dest[idx]
+                vertical = np.zeros(idx.size, dtype=bool)
+                if arrive.any():
+                    draws = np.array([self.rngs[a].random(3) for a in idx[arrive]])
+                    dest[arrive] = draws[:, :2] * L
+                    vertical[arrive] = draws[:, 2] < 0.5
+                turn, leg, heading_after = _trips(at, dest, vertical)
+                self.pos[idx] = at
+                self.dest[idx] = dest
+                self.turn[idx] = turn
+                self.leg[idx] = leg
+                self.heading[idx] = heading_after
                 if recorder is not None:
-                    recorder.record(a, events)
+                    times = self.step_count + (v - budget) / v
+                    for k in np.flatnonzero(np.isin(idx, recorder.watched)).tolist():
+                        kind = ARRIVAL if arrive[k] else TURN
+                        x, y = float(at[k, 0]), float(at[k, 1])
+                        after = Heading(int(heading_after[k]))
+                        event = TripEvent(kind, float(times[k]), x, y, after)
+                        recorder.record(int(idx[k]), [event])
+                left = budget > 0.0
+                idx, budget = idx[left], budget[left]
+                if idx.size == 0:
+                    break
+            else:
+                raise RuntimeError("way-point rollover cap exceeded within one step")
         self.step_count += 1
         if recorder is not None:
             recorder.horizon = float(self.step_count)
@@ -466,8 +384,9 @@ def init_population(
         if warmup_steps < 1:
             raise ValueError("warmup needs at least one step")
         pos = init_rng.random((n, 2)) * L
-        states = [new_trip(Point(*pos[i]), init_rng, L) for i in range(n)]
-        population = Population.from_states(params, states)
+        draws = init_rng.random((n, 3))  # per agent: destination x, y, coin
+        dest = draws[:, :2] * L
+        population = Population(params, pos, dest, *_trips(pos, dest, draws[:, 2] < 0.5))
         for _ in range(warmup_steps):
             population.step()
         population.step_count = 0
@@ -480,16 +399,12 @@ def init_population(
         # A trip through pos on its first leg started behind pos along that
         # leg; uniform starts weight each path by the length behind pos
         # (Palm calculus).  Cross destinations share a coordinate with pos,
-        # so build_trip ignores their coin.
+        # so the trip rule ignores their coin.
         x0, y0 = pos[:, 0], pos[:, 1]
         wv = np.where(dest[:, 1] > y0, y0, L - y0)
         wh = np.where(dest[:, 0] > x0, x0, L - x0)
         vertical = init_rng.random(n) * (wv + wh) < wv
-        states = [
-            build_trip(Point(*pos[i]), Point(*dest[i]), bool(vertical[i]))
-            for i in range(n)
-        ]
-        return Population.from_states(params, states)
+        return Population(params, pos, dest, *_trips(pos, dest, vertical))
     raise ValueError(f"unknown init mode: {mode!r}")
 
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from .core import Point
 
-#: Hard cap on rejection-sampling iterations for a single point.
+#: Least number of proposals the rejection sampler draws before giving up.
 REJECTION_CAP = 10**6
 
 
@@ -260,17 +260,6 @@ def sample_stationary_positions(
     return out
 
 
-def sample_stationary_position(rng: np.random.Generator, L: float) -> Point:
-    """Draw one position from the stationary density (rejection sampling)."""
-    fmax = peak_spatial_density(L)
-    for _ in range(REJECTION_CAP):
-        x = rng.random() * L
-        y = rng.random() * L
-        if rng.random() * fmax <= _density_raw(x, y, L):
-            return Point(x, y)
-    raise RuntimeError("rejection sampler exceeded its iteration cap")
-
-
 # Destination categories, in the fixed order used by the samplers:
 # 0..3 cross segments (S, N, W, E), 4..7 quadrants (SW, NW, NE, SE).
 CROSS_SOUTH, CROSS_NORTH, CROSS_WEST, CROSS_EAST = 0, 1, 2, 3
@@ -351,12 +340,3 @@ def sample_destinations(
     u2 = rng.random(len(origins))
     return _place_destinations(origins, cats, u1, u2, L), cats
 
-
-def sample_destination(
-    origin: Point | tuple[float, float], rng: np.random.Generator, L: float
-) -> Point:
-    """Draw a single destination from the law at ``origin``."""
-    destination_law(origin, L)  # validates the origin, incl. the corner rule
-    origins = np.asarray([origin], dtype=float)
-    dest, _ = sample_destinations(origins, rng, L)
-    return Point(float(dest[0, 0]), float(dest[0, 1]))

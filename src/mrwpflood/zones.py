@@ -76,9 +76,6 @@ class ZoneMap:
         j = np.minimum((positions[:, 1] / self.ell).astype(np.int64), self.m - 1)
         return i, j
 
-    def cell_center(self, cell: Cell) -> tuple[float, float]:
-        return ((cell[0] + 0.5) * self.ell, (cell[1] + 0.5) * self.ell)
-
     def to_dict(self) -> dict:
         return {
             "n": self.n,
@@ -425,6 +422,28 @@ def zone_map_to_csv(zone_map: ZoneMap) -> str:
     return "\n".join(lines) + "\n"
 
 
+def svg_canvas(size: int, shapes: list[str]) -> str:
+    """A ``size`` x ``size`` SVG document on a white background holding
+    ``shapes``, one element per line."""
+    return "\n".join(
+        [
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+            f'height="{size}" viewBox="0 0 {size} {size}">',
+            f'<rect width="{size}" height="{size}" fill="white"/>',
+            *shapes,
+            "</svg>",
+        ]
+    ) + "\n"
+
+
+def gray(value: float, top: float) -> str:
+    """Fill colour of ``value`` on a grayscale where ``top`` is black and
+    zero is white."""
+    shade = value / top if top > 0 else 0.0
+    level = int(round(255 * (1.0 - shade)))
+    return f"#{level:02x}{level:02x}{level:02x}"
+
+
 def grid_svg(
     values: np.ndarray, size: int = 512, outline: np.ndarray | None = None
 ) -> str:
@@ -438,16 +457,9 @@ def grid_svg(
     k = values.shape[0]
     cell = size / k
     top = float(values.max())
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{size}" viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
-    ]
+    shapes = []
     for i in range(k):
         for j in range(values.shape[1]):
-            shade = values[i, j] / top if top > 0 else 0.0
-            level = int(round(255 * (1.0 - shade)))
-            color = f"#{level:02x}{level:02x}{level:02x}"
             x = i * cell
             y = (values.shape[1] - 1 - j) * cell
             stroke = (
@@ -455,12 +467,11 @@ def grid_svg(
                 if outline is not None and outline[i, j]
                 else ""
             )
-            parts.append(
+            shapes.append(
                 f'<rect x="{x:.2f}" y="{y:.2f}" width="{cell:.2f}" '
-                f'height="{cell:.2f}" fill="{color}"{stroke}/>'
+                f'height="{cell:.2f}" fill="{gray(values[i, j], top)}"{stroke}/>'
             )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return svg_canvas(size, shapes)
 
 
 def zone_map_svg(zone_map: ZoneMap, size: int = 512) -> str:

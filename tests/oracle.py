@@ -1,0 +1,217 @@
+"""Scalar reference implementations the tests compare the array code against.
+
+The per-agent trip stepper (:func:`step_agent` on one :class:`AgentState`)
+is the oracle of ``Population.step`` and ``init_population``: each agent
+stepped alone on its own ``(seed, agent id)`` substream must end every step
+in the state, and with the way-point events, that the population engine
+gives it.  The other helpers are single-point forms of array code in the
+package.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from typing import Sequence
+
+import numpy as np
+
+from mrwpflood.core import Point, WorldParams
+from mrwpflood.mobility import (
+    ARRIVAL,
+    HEADING_VECTORS,
+    ROLLOVER_CAP,
+    TURN,
+    Heading,
+    Leg,
+    Population,
+    TripEvent,
+)
+from mrwpflood.stationary import (
+    REJECTION_CAP,
+    destination_law,
+    peak_spatial_density,
+    sample_destinations,
+    spatial_density,
+)
+from mrwpflood.zones import Cell, ZoneMap
+
+
+# ---------------------------------------------------------------------------
+# the scalar trip stepper
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class AgentState:
+    """Kinematic state of one agent.
+
+    ``turn_point`` is the way-point the agent currently moves toward: the
+    elbow of the path on the first leg, the destination itself on the
+    second.
+    """
+
+    position: Point
+    destination: Point
+    leg: Leg
+    heading: Heading
+    turn_point: Point
+
+
+def _axis_heading(delta: float, vertical: bool) -> Heading:
+    if vertical:
+        return Heading.NORTH if delta > 0 else Heading.SOUTH
+    return Heading.EAST if delta > 0 else Heading.WEST
+
+
+def build_trip(
+    position: Point | tuple[float, float],
+    destination: Point | tuple[float, float],
+    vertical_first: bool,
+) -> AgentState:
+    """Assemble the agent state for a trip from ``position`` to
+    ``destination`` along the chosen two-leg path.
+
+    Destinations sharing a coordinate with the position give a single-leg
+    trip that starts on the second leg; a destination equal to the position
+    gives a zero-length trip that completes on the next step.
+    """
+    pos = Point(*position)
+    dest = Point(*destination)
+    dx = dest.x - pos.x
+    dy = dest.y - pos.y
+    if dx == 0.0 and dy == 0.0:
+        return AgentState(pos, dest, Leg.SECOND, Heading.EAST, dest)
+    if dx == 0.0:
+        return AgentState(pos, dest, Leg.SECOND, _axis_heading(dy, True), dest)
+    if dy == 0.0:
+        return AgentState(pos, dest, Leg.SECOND, _axis_heading(dx, False), dest)
+    if vertical_first:
+        turn = Point(pos.x, dest.y)
+        return AgentState(pos, dest, Leg.FIRST, _axis_heading(dy, True), turn)
+    turn = Point(dest.x, pos.y)
+    return AgentState(pos, dest, Leg.FIRST, _axis_heading(dx, False), turn)
+
+
+def new_trip(
+    position: Point | tuple[float, float], rng: np.random.Generator, L: float
+) -> AgentState:
+    """Draw a fresh trip: uniform destination, fair coin between the two
+    Manhattan paths.  Fixed draw order: x, y, coin."""
+    x = rng.random() * L
+    y = rng.random() * L
+    vertical_first = rng.random() < 0.5
+    return build_trip(position, (x, y), vertical_first)
+
+
+def _distance_to_waypoint(state: AgentState) -> float:
+    if state.heading in (Heading.EAST, Heading.WEST):
+        return abs(state.turn_point.x - state.position.x)
+    return abs(state.turn_point.y - state.position.y)
+
+
+def step_agent(
+    state: AgentState,
+    rng: np.random.Generator,
+    v: float,
+    L: float,
+    step_index: int = 0,
+) -> tuple[AgentState, list[TripEvent]]:
+    """Advance one agent by one step of path budget ``v``.
+
+    Returns the new state and the way-point events crossed, in order.  Event
+    times are ``step_index + consumed/v``.  A way-point reached exactly at
+    the end of the budget still fires its event and switches the state, so
+    the next step departs in the new direction.
+    """
+    if v == 0.0:
+        return state, []
+    events: list[TripEvent] = []
+    budget = v
+    for _ in range(ROLLOVER_CAP):
+        dist = _distance_to_waypoint(state)
+        if dist > budget:
+            vec = HEADING_VECTORS[state.heading]
+            nx = min(max(state.position.x + vec[0] * budget, 0.0), L)
+            ny = min(max(state.position.y + vec[1] * budget, 0.0), L)
+            return replace(state, position=Point(nx, ny)), events
+        budget -= dist
+        t = step_index + (v - budget) / v
+        if state.leg == Leg.FIRST:
+            turn = state.turn_point
+            heading = _axis_heading(
+                state.destination.x - turn.x
+                if state.heading in (Heading.NORTH, Heading.SOUTH)
+                else state.destination.y - turn.y,
+                vertical=state.heading in (Heading.EAST, Heading.WEST),
+            )
+            state = AgentState(
+                turn, state.destination, Leg.SECOND, heading, state.destination
+            )
+            events.append(TripEvent(TURN, t, turn.x, turn.y, heading))
+        else:
+            pos = state.destination
+            state = new_trip(pos, rng, L)
+            events.append(TripEvent(ARRIVAL, t, pos.x, pos.y, state.heading))
+        if budget == 0.0:
+            return state, events
+    raise RuntimeError("way-point rollover cap exceeded within one step")
+
+
+def from_states(params: WorldParams, states: Sequence[AgentState]) -> Population:
+    """A population holding ``states``, one per agent."""
+    if len(states) != params.n:
+        raise ValueError("need exactly n agent states")
+    pos = np.array([s.position for s in states], dtype=float)
+    dest = np.array([s.destination for s in states], dtype=float)
+    turn = np.array([s.turn_point for s in states], dtype=float)
+    leg = np.array([s.leg for s in states], dtype=np.int8)
+    heading = np.array([s.heading for s in states], dtype=np.int8)
+    return Population(params, pos, dest, turn, leg, heading)
+
+
+def state_of(population: Population, i: int) -> AgentState:
+    """Agent ``i`` of ``population`` as an :class:`AgentState`."""
+    return AgentState(
+        position=Point(*population.pos[i]),
+        destination=Point(*population.dest[i]),
+        leg=Leg(int(population.leg[i])),
+        heading=Heading(int(population.heading[i])),
+        turn_point=Point(*population.turn[i]),
+    )
+
+
+# ---------------------------------------------------------------------------
+# single-point forms of array code
+# ---------------------------------------------------------------------------
+
+def brute_force_within(
+    positions: np.ndarray, point: Sequence[float], radius: float
+) -> np.ndarray:
+    """Reference implementation of the closed-ball query."""
+    d = positions - np.asarray(point, dtype=float)
+    return np.flatnonzero(d[:, 0] ** 2 + d[:, 1] ** 2 <= radius * radius)
+
+
+def sample_stationary_position(rng: np.random.Generator, L: float) -> Point:
+    """Draw one position from the stationary density (rejection sampling)."""
+    fmax = peak_spatial_density(L)
+    for _ in range(REJECTION_CAP):
+        x = rng.random() * L
+        y = rng.random() * L
+        if rng.random() * fmax <= spatial_density(x, y, L):
+            return Point(x, y)
+    raise RuntimeError("rejection sampler exceeded its iteration cap")
+
+
+def sample_destination(
+    origin: Point | tuple[float, float], rng: np.random.Generator, L: float
+) -> Point:
+    """Draw a single destination from the law at ``origin``."""
+    destination_law(origin, L)  # validates the origin, incl. the corner rule
+    origins = np.asarray([origin], dtype=float)
+    dest, _ = sample_destinations(origins, rng, L)
+    return Point(float(dest[0, 0]), float(dest[0, 1]))
+
+
+def cell_center(zone_map: ZoneMap, cell: Cell) -> tuple[float, float]:
+    """Centre point of a grid cell."""
+    return ((cell[0] + 0.5) * zone_map.ell, (cell[1] + 0.5) * zone_map.ell)

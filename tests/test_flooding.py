@@ -15,7 +15,6 @@ from mrwpflood.flooding import (
     NeighborIndex,
     SourcePlacementError,
     brute_force_pairs,
-    brute_force_within,
     choose_source,
     default_max_steps,
     density_monitor,
@@ -26,8 +25,16 @@ from mrwpflood.flooding import (
     run_flood,
     suburb_reach,
 )
-from mrwpflood.mobility import APPROX_STATIONARY, WARMUP, Population, build_trip, init_population
+from mrwpflood.mobility import (
+    APPROX_STATIONARY,
+    WARMUP,
+    Heading,
+    Leg,
+    Population,
+    init_population,
+)
 from mrwpflood.zones import build_zone_map, cz_neighborhood
+from oracle import brute_force_within, cell_center
 
 
 def world(n=500, L=None, R=None, v=None, c1=2.5, seed=0, **kw):
@@ -39,8 +46,10 @@ def world(n=500, L=None, R=None, v=None, c1=2.5, seed=0, **kw):
 
 def static_population(params, positions):
     """All agents parked on zero-length trips at the given positions."""
-    states = [build_trip(tuple(p), tuple(p), True) for p in positions]
-    return Population.from_states(params, states)
+    pos = np.array(positions, dtype=float)
+    n = len(pos)
+    leg, heading = np.full(n, Leg.SECOND), np.full(n, Heading.EAST)
+    return Population(params, pos, pos.copy(), pos.copy(), leg, heading)
 
 
 def brute_force_any_within(positions, pts, mask, radius):
@@ -333,7 +342,7 @@ class TestDensityMonitor:
         z = build_zone_map(p)
         mid = (z.m // 2, z.m // 2)
         assert z.central[mid]
-        cx, cy = z.cell_center(mid)
+        cx, cy = cell_center(z, mid)
         mon = DensityMonitor(z, eta=0.1, n=100)
         bad = mon.observe(np.array([[cx, cy]]))
         assert mon.worst_count == 0

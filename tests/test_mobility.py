@@ -6,28 +6,30 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mrwpflood.core import Point, WorldParams, derive_substream
+from mrwpflood import mobility
+from mrwpflood.core import INIT_STREAM_INDEX, Point, WorldParams, derive_substream
 from mrwpflood.experiments import total_variation
 from mrwpflood.mobility import (
     APPROX_STATIONARY,
     ARRIVAL,
     TURN,
     WARMUP,
-    AgentState,
     AgentTrajectory,
     Heading,
     Leg,
-    Population,
     TrajectoryRecorder,
     TripEvent,
-    build_trip,
+    _trips,
     count_turns,
     init_population,
-    new_trip,
     position_histogram,
-    step_agent,
 )
-from mrwpflood.stationary import grid_cell_masses
+from mrwpflood.stationary import (
+    grid_cell_masses,
+    sample_destinations,
+    sample_stationary_positions,
+)
+from oracle import build_trip, from_states, new_trip, state_of, step_agent
 
 
 def params(n=10, L=10.0, R=2.0, v=0.25, seed=0, **kw):
@@ -69,6 +71,18 @@ class TestBuildTrip:
         s = build_trip((1.0, 2.0), (1.0, 2.0), vertical_first=True)
         assert s.leg == Leg.SECOND
         assert s.turn_point == s.destination == Point(1.0, 2.0)
+
+    def test_array_rule_matches_scalar(self):
+        # integer lattice: many shared coordinates and zero-length trips
+        rng = np.random.default_rng(0)
+        pos = rng.integers(0, 4, (400, 2)).astype(float)
+        dest = rng.integers(0, 4, (400, 2)).astype(float)
+        vertical = rng.random(400) < 0.5
+        turn, leg, heading = _trips(pos, dest, vertical)
+        for i in range(400):
+            s = build_trip(pos[i], dest[i], bool(vertical[i]))
+            assert Point(*turn[i]) == s.turn_point
+            assert (leg[i], heading[i]) == (s.leg, s.heading)
 
 
 class TestStepAgent:
@@ -258,6 +272,73 @@ class TestTrajectory:
             count_turns(self.straight(), t=0, tau=0)
 
 
+def oracle_init(p, mode, warmup_steps=None):
+    """The per-agent oracle of ``init_population``: the same ``init_rng``
+    draws, one :func:`build_trip` or :func:`new_trip` per agent, and in
+    warmup mode ``warmup_steps`` scalar steps of each agent on its own
+    substream.  Returns the agent states and the substreams."""
+    init_rng = derive_substream(p.seed, INIT_STREAM_INDEX)
+    rngs = [derive_substream(p.seed, i) for i in range(p.n)]
+    if mode == WARMUP:
+        pos = init_rng.random((p.n, 2)) * p.L
+        states = [new_trip(Point(*pos[i]), init_rng, p.L) for i in range(p.n)]
+        for k in range(warmup_steps):
+            for i in range(p.n):
+                states[i], _ = step_agent(states[i], rngs[i], p.v, p.L, k)
+        return states, rngs
+    pos = sample_stationary_positions(init_rng, p.n, p.L)
+    dest, _ = sample_destinations(pos, init_rng, p.L)
+    x0, y0 = pos[:, 0], pos[:, 1]
+    wv = np.where(dest[:, 1] > y0, y0, p.L - y0)
+    wh = np.where(dest[:, 0] > x0, x0, p.L - x0)
+    vertical = init_rng.random(p.n) * (wv + wh) < wv
+    states = [
+        build_trip(Point(*pos[i]), Point(*dest[i]), bool(vertical[i]))
+        for i in range(p.n)
+    ]
+    return states, rngs
+
+
+ORACLE_CASES = [  # n, L, v, most way-points of one agent in one step, init
+    (101, 20.0, 0.5, 1, APPROX_STATIONARY),
+    (200, 10.0, 3.7, 2, APPROX_STATIONARY),
+    (2000, 44.7, 0.2, 1, APPROX_STATIONARY),
+    (300, 5.0, 11.0, 6, APPROX_STATIONARY),  # several arrivals per step
+    (400, 20.0, 0.9, 1, WARMUP),
+]
+
+
+def oracle_case_id(case):
+    """Approx-stationary cases are named by their numbers alone."""
+    *numbers, mode = case
+    name = "-".join(map(str, numbers))
+    return name if mode == APPROX_STATIONARY else f"{mode}-{name}"
+
+
+def step_beside_oracle(pop, states, rngs, steps):
+    """Step ``pop`` and, beside it, each agent's oracle state on its own
+    substream.  Every state must match after every step, and every third
+    agent's recorded way-point events must equal the oracle's, in order.
+    Returns the most events one agent crossed in one step."""
+    p = pop.params
+    rec = TrajectoryRecorder(range(0, p.n, 3))
+    rec.mark_start(pop)
+    logs = {a: [] for a in rec.watched}
+    most = 0
+    for k in range(steps):
+        pop.step(recorder=rec)
+        for i in range(p.n):
+            states[i], events = step_agent(states[i], rngs[i], p.v, p.L, k)
+            most = max(most, len(events))
+            if i in logs:
+                logs[i].extend(events)
+        assert [state_of(pop, i) for i in range(p.n)] == states, k
+    for a, events in logs.items():
+        assert rec.trajectory(a, p.v, p.L).events == events, a
+    assert sum(map(len, logs.values())) > 0
+    return most
+
+
 class TestPopulation:
     def test_round_trip_states(self):
         p = params(n=3)
@@ -266,13 +347,13 @@ class TestPopulation:
             build_trip((5.0, 5.0), (5.0, 9.0), False),
             build_trip((4.0, 4.0), (4.0, 4.0), True),
         ]
-        pop = Population.from_states(p, states)
+        pop = from_states(p, states)
         for i, s in enumerate(states):
-            assert pop.state_of(i) == s
+            assert state_of(pop, i) == s
 
     def test_from_states_requires_n(self):
         with pytest.raises(ValueError):
-            Population.from_states(params(n=2), [build_trip((0, 0), (1, 1), True)])
+            from_states(params(n=2), [build_trip((0, 0), (1, 1), True)])
 
     def test_step_advances_everyone_by_v(self):
         p = params(n=50, v=0.125, seed=3)
@@ -292,28 +373,53 @@ class TestPopulation:
         assert pop.pos.min() >= 0.0 and pop.pos.max() <= p.L
 
     @pytest.mark.parametrize(
-        "n, L, v, most_events",
-        [
-            (101, 20.0, 0.5, 1),
-            (200, 10.0, 3.7, 2),  # several way-points within one step
-            (2000, 44.7, 0.2, 1),
-        ],
+        "n, L, v, most_events, mode",
+        ORACLE_CASES,
+        ids=[oracle_case_id(case) for case in ORACLE_CASES],
     )
-    def test_vectorised_step_matches_scalar_oracle(self, n, L, v, most_events):
+    def test_vectorised_step_matches_scalar_oracle(self, n, L, v, most_events, mode):
         # each agent stepped alone by step_agent on its own substream must
-        # end every step in exactly the state the population engine gives it
+        # end every step in exactly the state the population engine gives
+        # it, and every watched agent's recorded events must be its own
         p = params(n=n, L=L, v=v, seed=5)
-        pop = init_population(p, APPROX_STATIONARY)
-        states = [pop.state_of(i) for i in range(n)]
-        rngs = [derive_substream(p.seed, i) for i in range(n)]
-        seen = 0
-        for k in range(60):
+        warmup = {"warmup_steps": 20} if mode == WARMUP else {}
+        pop = init_population(p, mode, **warmup)
+        states, rngs = oracle_init(p, mode, **warmup)
+        assert [state_of(pop, i) for i in range(n)] == states
+        assert step_beside_oracle(pop, states, rngs, 60) >= most_events
+
+    def test_budget_ending_on_waypoints_matches_scalar_oracle(self):
+        # first trips on the integer lattice with v = 1/4: elbows and
+        # arrivals fall exactly at the end of a step's budget, many legs
+        # share a coordinate, and some trips have zero length
+        p = params(n=300, L=10.0, v=0.25, seed=6)
+        rng = np.random.default_rng(6)
+        ends = rng.integers(0, 11, (p.n, 4)).astype(float)
+        ends[::50, 2:] = ends[::50, :2]
+        states = [
+            build_trip(ends[i, :2], ends[i, 2:], bool(rng.random() < 0.5))
+            for i in range(p.n)
+        ]
+        pop = from_states(p, states)
+        rngs = [derive_substream(p.seed, i) for i in range(p.n)]
+        step_beside_oracle(pop, states, rngs, 40)
+
+    @pytest.mark.parametrize("mode", [APPROX_STATIONARY, WARMUP])
+    def test_init_matches_scalar_oracle(self, mode):
+        p = params(n=3000, L=30.0, v=0.6, seed=8)
+        warmup = {"warmup_steps": 4} if mode == WARMUP else {}
+        pop = init_population(p, mode, **warmup)
+        ref = from_states(p, oracle_init(p, mode, **warmup)[0])
+        for field in ("pos", "dest", "turn", "leg", "heading"):
+            assert np.array_equal(getattr(pop, field), getattr(ref, field)), field
+        assert np.any(pop.leg == Leg.FIRST) and np.any(pop.leg == Leg.SECOND)
+
+    def test_rollover_cap_stops_a_runaway_step(self, monkeypatch):
+        # v = 50 on L = 1 crosses dozens of way-points per agent and step
+        pop = init_population(params(n=20, L=1.0, v=50.0, seed=6), APPROX_STATIONARY)
+        monkeypatch.setattr(mobility, "ROLLOVER_CAP", 8)
+        with pytest.raises(RuntimeError, match="rollover cap"):
             pop.step()
-            for i in range(n):
-                states[i], events = step_agent(states[i], rngs[i], v, L, k)
-                seen = max(seen, len(events))
-            assert [pop.state_of(i) for i in range(n)] == states, k
-        assert seen >= most_events
 
     def test_zero_speed_step_counts_time(self):
         p = params(n=5, v=0.0)
@@ -422,6 +528,26 @@ class TestStationaryJointLaw:
             assert abs(got.mean() - p) <= 4.0 * se, (x0, y0, got.mean(), p)
             skewed += abs(p - 0.5) > 8.0 * se
         assert skewed >= 3  # a fair coin fails these regions by > 4 se
+
+
+class TestInitialWaypointRate:
+    def test_waypoint_rate_is_stationary_from_the_start(self):
+        # in stationarity an agent crosses 3v/L way-points per step (two per
+        # trip, of mean length 2L/3).  Counting events, not agents, makes
+        # that exact for any v.  The count is a sum of independent per-agent
+        # counts with variance at most their mean, so sqrt(expected) bounds
+        # its standard error: 1.2% here.  Over these first 8 steps the exact
+        # path law reads within 0.6 se of the rate, a fair path coin about
+        # 6% (7 se) low.
+        n, L, v, steps = 30_000, 10.0, 0.2, 8
+        pop = init_population(params(n=n, L=L, v=v, seed=1), APPROX_STATIONARY)
+        rec = TrajectoryRecorder(range(n))
+        rec.mark_start(pop)
+        for _ in range(steps):
+            pop.step(recorder=rec)
+        count = sum(len(rec.trajectory(a, v, L).events) for a in range(n))
+        expected = 3.0 * v / L * n * steps
+        assert abs(count - expected) <= 4.0 * math.sqrt(expected), count / expected
 
 
 class TestRecorder:

