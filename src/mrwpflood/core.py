@@ -10,7 +10,10 @@ Conventions fixed here once and relied on everywhere else:
 * randomness comes from numpy PCG64 generators keyed by ``(seed, index)``
   through :func:`derive_substream`; identical keys give identical draw
   sequences, which is what makes reruns bit-stable and lets the array
-  stepping engine match each agent stepped alone exactly.
+  stepping engine match each agent stepped alone exactly.  Agent streams
+  are seeded for all agents in one array pass (:func:`substream_seeds`)
+  and each is built at its agent's first arrival
+  (:func:`seeded_substream`), identical to ``derive_substream(seed, i)``.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 #: Identifier of the deterministic generator construction, embedded in all
 #: output files so results can be tied to the stream definition.
@@ -155,3 +159,72 @@ def derive_substream(seed: int, index: int) -> np.random.Generator:
         raise ValueError(f"substream index must be >= 0, got {index}")
     entropy = (seed & 0xFFFF_FFFF_FFFF_FFFF, index)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+
+# Constants of numpy's SeedSequence (numpy/random/bit_generator.pyx), which
+# substream_seeds reproduces for many indices at once.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MASK32 = 0xFFFF_FFFF
+
+
+def substream_seeds(seed: int, indices) -> np.ndarray:
+    """PCG64 seed words of the substreams ``(seed, i)`` for each ``i`` in
+    ``indices``, as a ``(len(indices), 4)`` uint64 array.
+
+    Row ``r`` equals ``SeedSequence((seed mod 2**64, indices[r]))
+    .generate_state(4, np.uint64)``: numpy's pool hash and mix, run in
+    whole-array uint32 arithmetic, so :func:`seeded_substream` of the row
+    draws what ``derive_substream(seed, indices[r])`` draws.  Indices must
+    lie in [0, 2**32); a larger one would add an entropy word.
+    """
+    index = np.asarray(indices).ravel()
+    if index.size and (index.min() < 0 or index.max() > _MASK32):
+        raise ValueError("substream_seeds takes indices in [0, 2**32)")
+    seed &= 0xFFFF_FFFF_FFFF_FFFF
+    words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
+    entropy = [np.full(index.size, w, dtype=np.uint32) for w in words]
+    entropy.append(index.astype(np.uint32))
+    entropy += [np.zeros(index.size, dtype=np.uint32)] * (_POOL_SIZE - len(entropy))
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    pool = [hashmix(word) for word in entropy]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])
+                pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    state = np.empty((index.size, 2 * _POOL_SIZE), dtype="<u4")
+    hash_const = _INIT_B
+    for k in range(2 * _POOL_SIZE):
+        value = pool[k % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, k] = value ^ (value >> np.uint32(16))
+    return state.view("<u8").astype(np.uint64)
+
+
+class _SeedWords(ISeedSequence):
+    """Seed sequence that hands PCG64 one row of :func:`substream_seeds`."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = np.ascontiguousarray(words, dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        if n_words != self.words.size or np.dtype(dtype) != np.uint64:
+            raise ValueError("stored seed words are 4 uint64 values")
+        return self.words
+
+
+def seeded_substream(words: np.ndarray) -> np.random.Generator:
+    """The generator seeded by one row of :func:`substream_seeds`."""
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))

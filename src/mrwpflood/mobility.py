@@ -13,7 +13,9 @@ way-point lies beyond their remaining budget move and are done, the rest
 jump to the way-point and start their next leg by one trip rule
 (:func:`_trips`).  Each agent draws trip randomness from its own
 ``(seed, agent id)`` substream, so the result equals stepping each agent
-alone, in any order, bit for bit.
+alone, in any order, bit for bit.  The substreams of all agents are seeded
+in one array pass, and an agent's generator is built only at its first
+arrival; it is identical to ``derive_substream(seed, agent id)``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,14 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import INIT_STREAM_INDEX, Point, WorldParams, derive_substream
+from .core import (
+    INIT_STREAM_INDEX,
+    Point,
+    WorldParams,
+    derive_substream,
+    seeded_substream,
+    substream_seeds,
+)
 from .stationary import sample_destinations, sample_stationary_positions
 
 #: Hard cap on way-point events processed for one agent within one step.
@@ -266,7 +275,14 @@ class TrajectoryRecorder:
 # ---------------------------------------------------------------------------
 
 class Population:
-    """Structure-of-arrays state of all agents plus their substreams."""
+    """Structure-of-arrays state of all agents plus their substreams.
+
+    ``seeds`` holds the PCG64 seed words of every agent's ``(seed, agent
+    id)`` substream, computed for all agents in one array pass.  Agent
+    ``i``'s generator is built from row ``i`` at its first arrival and kept
+    in ``streams``; it draws exactly what ``derive_substream(seed, i)``
+    draws.
+    """
 
     def __init__(
         self,
@@ -278,17 +294,31 @@ class Population:
         heading: np.ndarray,
     ):
         n = params.n
-        for arr, width in ((pos, 2), (dest, 2), (turn, 2)):
-            if arr.shape != (n, width):
-                raise ValueError("population arrays must have shape (n, 2)")
+        for name, arr, shape in (
+            ("pos", pos, (n, 2)),
+            ("dest", dest, (n, 2)),
+            ("turn", turn, (n, 2)),
+            ("leg", leg, (n,)),
+            ("heading", heading, (n,)),
+        ):
+            if np.shape(arr) != shape:
+                raise ValueError(f"{name} has shape {np.shape(arr)}, expected {shape}")
         self.params = params
         self.pos = np.ascontiguousarray(pos, dtype=float)
         self.dest = np.ascontiguousarray(dest, dtype=float)
         self.turn = np.ascontiguousarray(turn, dtype=float)
         self.leg = np.ascontiguousarray(leg, dtype=np.int8)
         self.heading = np.ascontiguousarray(heading, dtype=np.int8)
-        self.rngs = [derive_substream(params.seed, i) for i in range(n)]
+        self.seeds = substream_seeds(params.seed, np.arange(n))
+        self.streams: dict[int, np.random.Generator] = {}
         self.step_count = 0
+
+    def _stream(self, agent: int) -> np.random.Generator:
+        """Agent ``agent``'s substream, built at its first use."""
+        rng = self.streams.get(agent)
+        if rng is None:
+            rng = self.streams[agent] = seeded_substream(self.seeds[agent])
+        return rng
 
     def step(self, recorder: TrajectoryRecorder | None = None) -> None:
         """Advance every agent by one step of path budget ``v``.
@@ -327,7 +357,9 @@ class Population:
                 dest = self.dest[idx]
                 vertical = np.zeros(idx.size, dtype=bool)
                 if arrive.any():
-                    draws = np.array([self.rngs[a].random(3) for a in idx[arrive]])
+                    draws = np.array(
+                        [self._stream(a).random(3) for a in idx[arrive].tolist()]
+                    )
                     dest[arrive] = draws[:, :2] * L
                     vertical[arrive] = draws[:, 2] < 0.5
                 turn, leg, heading_after = _trips(at, dest, vertical)

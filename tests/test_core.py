@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mrwpflood.core import (
     INIT_STREAM_INDEX,
@@ -15,6 +15,8 @@ from mrwpflood.core import (
     WorldParams,
     check_assumptions,
     derive_substream,
+    seeded_substream,
+    substream_seeds,
 )
 
 
@@ -164,3 +166,44 @@ class TestSubstreams:
         gen = derive_substream(seed, index)
         x = gen.random()
         assert 0.0 <= x < 1.0
+
+
+def seed_sequence_words(seed, indices):
+    """Reference for ``substream_seeds``: numpy's own SeedSequence, one
+    index at a time."""
+    entropy = [(seed & (2**64 - 1), int(i)) for i in indices]
+    return np.array([np.random.SeedSequence(e).generate_state(4, np.uint64) for e in entropy])
+
+
+# the extremes of the one-word index range, plus 1000 indices below 2**32
+GATE_INDICES = np.concatenate(
+    [[0, 1, 2**32 - 1], np.random.default_rng(17).integers(0, 2**32, 1000)]
+)
+
+
+class TestSubstreamSeeds:
+    # one- and two-word seeds, the 64-bit edge and a seed that wraps past it
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 5 + 2**64])
+    def test_matches_seed_sequence(self, seed):
+        words = substream_seeds(seed, GATE_INDICES)
+        assert words.dtype == np.uint64 and words.shape == (GATE_INDICES.size, 4)
+        assert np.array_equal(words, seed_sequence_words(seed, GATE_INDICES))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=-(2**70), max_value=2**70))
+    def test_matches_seed_sequence_on_drawn_seeds(self, seed):
+        words = substream_seeds(seed, GATE_INDICES)
+        assert np.array_equal(words, seed_sequence_words(seed, GATE_INDICES))
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 5 + 2**64])
+    def test_generators_draw_the_derived_streams(self, seed):
+        indices = GATE_INDICES[:60]
+        words = substream_seeds(seed, indices)
+        for row, i in zip(words, indices.tolist()):
+            expected = derive_substream(seed, i).random(7)
+            assert np.array_equal(seeded_substream(row).random(7), expected), i
+
+    @pytest.mark.parametrize("indices", [[2**32], [0, 2**32 + 5], [2**64], [-1]])
+    def test_indices_outside_one_word_rejected(self, indices):
+        with pytest.raises(ValueError):
+            substream_seeds(0, indices)

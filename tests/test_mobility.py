@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from mrwpflood import mobility
 from mrwpflood.core import INIT_STREAM_INDEX, Point, WorldParams, derive_substream
-from mrwpflood.experiments import total_variation
+from mrwpflood.experiments import make_params, total_variation
 from mrwpflood.mobility import (
     APPROX_STATIONARY,
     ARRIVAL,
@@ -17,6 +17,7 @@ from mrwpflood.mobility import (
     AgentTrajectory,
     Heading,
     Leg,
+    Population,
     TrajectoryRecorder,
     TripEvent,
     _trips,
@@ -428,6 +429,61 @@ class TestPopulation:
         pop.step()
         assert np.array_equal(pop.pos, before)
         assert pop.step_count == 1
+
+
+class TestPopulationInput:
+    @pytest.mark.parametrize(
+        "name, shape",
+        [
+            ("pos", (7, 2)),
+            ("dest", (6, 3)),
+            ("turn", (6,)),
+            ("leg", (7,)),
+            ("leg", (5,)),
+            ("leg", (6, 1)),
+            ("heading", (7,)),
+            ("heading", (5,)),
+        ],
+    )
+    def test_wrong_shape_rejected_by_name(self, name, shape):
+        p = params(n=6)
+        arrays = {
+            "pos": np.ones((6, 2)),
+            "dest": np.ones((6, 2)),
+            "turn": np.ones((6, 2)),
+            "leg": np.zeros(6, dtype=np.int8),
+            "heading": np.zeros(6, dtype=np.int8),
+        }
+        Population(p, **arrays)
+        arrays[name] = np.zeros(shape)
+        with pytest.raises(ValueError, match=rf"^{name} has shape"):
+            Population(p, **arrays)
+
+
+class TestLazySubstreams:
+    def test_generators_are_built_at_first_arrival(self, monkeypatch):
+        built = []
+        generator = np.random.Generator
+
+        def counting_generator(bit_generator):
+            built.append(bit_generator)
+            return generator(bit_generator)
+
+        monkeypatch.setattr(np.random, "Generator", counting_generator)
+        pop = init_population(make_params(200_000))
+        assert len(built) == 1  # the initialiser's own stream, no agent's
+        assert pop.streams == {}
+        rec = TrajectoryRecorder(range(pop.params.n))
+        rec.mark_start(pop)
+        for _ in range(3):
+            pop.step(recorder=rec)
+        events = {
+            a: rec.trajectory(a, pop.params.v, pop.params.L).events for a in rec.watched
+        }
+        arrived = {a for a, evs in events.items() if any(e.kind == ARRIVAL for e in evs)}
+        assert 0 < len(pop.streams) <= sum(map(len, events.values()))
+        assert set(pop.streams) == arrived
+        assert len(built) == 1 + len(arrived)
 
 
 class TestInitPopulation:
