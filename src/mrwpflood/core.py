@@ -60,7 +60,11 @@ class WorldParams:
     R       transmission radius (> 0)
     v       constant agent speed per step (>= 0)
     seed    64-bit seed from which every substream is derived
-    c1      radius-envelope constant: R >= c1 * L * sqrt(log n / n)
+    c1      radius-envelope constant: R >= c1 * L * sqrt(log n / n).  The
+            default, RADIUS_ENVELOPE_DEFAULT = 200, is not the 2.5 that
+            make_params, the CLI config and the README use; a bare
+            WorldParams at those radii reports radius_ok False, so
+            run_flood caps it at FALLBACK_MAX_STEPS.  Pass c1 to match.
     c2      speed-envelope constant: v <= R / c2
     eta     core-density constant: every central-cell core should hold at
             least eta * log n agents

@@ -6,13 +6,18 @@ simultaneously informs all agents within the communication radius (closed
 ball, measured on the post-move snapshot).  Flooding time is the first step
 at which everyone is informed.
 
-Neighbour queries use a uniform bucket grid with bucket side equal to the
-communication radius, so a query scans at most the 3x3 block of buckets
-around the query point.  The exchange pairs each uninformed agent only with
-the informed agents of its block and skips agents whose block holds none.
-Pairs are checked in chunks of a fixed size, so the exchange's transient
-memory is bounded whatever the population size and density.  The grid only
-prunes; answers are exact.
+The exchange runs in two passes.  The first uses the paper's cell rule: on
+a grid whose cell side is below ``R / sqrt(5)``, any two points in the same
+cell or in edge-adjacent cells lie within ``R``.  So every uninformed agent
+in a cell that holds an informed agent, or next to one, is informed without
+a distance check.  The remaining agents go through a uniform bucket grid
+with bucket side equal to the communication radius, so a query scans at
+most the 3x3 block of buckets around the query point.  Each is paired only
+with the informed agents of its block, and agents whose block holds none
+are skipped.  Pairs are checked in chunks of a fixed size, so the
+exchange's transient memory is bounded whatever the population size and
+density.  The grids only decide which pairs need a check; answers are
+exact.
 """
 
 from __future__ import annotations
@@ -32,12 +37,18 @@ from .core import (
     derive_substream,
 )
 from .mobility import APPROX_STATIONARY, Population, init_population
-from .zones import ZoneMap, build_zone_map, cz_neighborhood
+from .zones import ZoneMap, build_zone_map, cz_neighborhood, dilate, grid_index
 
 DEFAULT_BOUND_CONSTANTS = (18.0, 600.0)
 FALLBACK_MAX_STEPS = 10_000_000
 # Most (query, candidate) pairs a NeighborIndex query holds at once.
 _PAIR_CHUNK = 1 << 21
+# Most cells a side of the certain-hit grid of ``any_within`` may have (4 MB
+# a mask); for smaller radii every query point is checked by distance.
+_CELL_SIDES = 1 << 11
+# Relative margin that keeps the certain-hit cell side strictly below
+# radius / sqrt(5) in floating point.
+_CELL_MARGIN = 1e-9
 
 SOURCE_RANDOM = "random"
 SOURCE_IN_CZ = "in_cz"
@@ -48,9 +59,13 @@ SOURCE_FIXED_PREFIX = "agent:"
 class NeighborIndex:
     """Uniform bucket grid over agent positions for radius queries.
 
-    Bucket side equals the communication radius ``R``; positions are bucketed
-    by truncation with the far edge clipped into the last bucket.  Queries
-    must use a radius at most ``R`` so the 3x3 bucket block suffices.
+    Agents and query points lie in the arena ``[0, L]^2``.  Bucket side
+    equals the communication radius ``R``; positions are bucketed by
+    ``zones.grid_index`` (truncation, with the far edge clipped into the
+    last bucket).  Queries must use a radius at most ``R`` so the 3x3
+    bucket block suffices.  The bucket codes are sorted once, as 16-bit
+    keys when there are at most 2^16 buckets (numpy's stable sort of such
+    keys is a radix sort, in the same order).
 
     A query pairs each point only with the candidate agents (those with the
     mask true, for ``any_within``) in its block, found by binary search in
@@ -67,16 +82,11 @@ class NeighborIndex:
         self.L = L
         self.R = R
         self.nb = max(1, math.ceil(L / R))
-        ix, iy = self._buckets(positions)
+        ix, iy = grid_index(positions, R, self.nb)
         self.codes = ix * self.nb + iy
-        self.order = np.argsort(self.codes, kind="stable")
+        key = self.codes.astype(np.uint16) if self.nb <= 1 << 8 else self.codes
+        self.order = np.argsort(key, kind="stable")
         self.sorted_codes = self.codes[self.order]
-
-    def _buckets(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Bucket column and row of each point."""
-        ix = np.minimum((pts[:, 0] / self.R).astype(np.int64), self.nb - 1)
-        iy = np.minimum((pts[:, 1] / self.R).astype(np.int64), self.nb - 1)
-        return ix, iy
 
     def _pairs(self, pts: np.ndarray, mask: np.ndarray):
         """Yield (query index, candidate agent index) arrays pairing each
@@ -87,7 +97,7 @@ class NeighborIndex:
         # The block's three buckets in x-row ix + dx have consecutive codes,
         # so one code range per row covers them.  Rows off the grid give
         # ranges below 0 or above nb * nb, which hold no code.
-        ix, iy = self._buckets(pts)
+        ix, iy = grid_index(pts, self.R, self.nb)
         row = (ix[:, None] + np.arange(-1, 2)) * self.nb
         lo = np.searchsorted(codes, row + np.maximum(iy - 1, 0)[:, None], side="left")
         hi = np.searchsorted(
@@ -130,16 +140,45 @@ class NeighborIndex:
             found.append(cand[self._close(pts, query, cand, radius)])
         return np.sort(np.concatenate(found))
 
+    def _certain(
+        self, pts: np.ndarray, mask: np.ndarray, radius: float
+    ) -> np.ndarray:
+        """For each query point, whether the cell rule proves an agent with
+        ``mask`` true within ``radius`` of it; false for every point when
+        the grid would have more than ``_CELL_SIDES`` cells a side.
+
+        The grid has ``k = ceil(sqrt(5) L / radius * (1 + _CELL_MARGIN))``
+        cells a side, so its side ``s`` has ``5 s^2 < radius^2`` with room
+        for rounding.  Two points in the same cell or in edge-adjacent
+        cells lie in an ``s x 2s`` box, at most ``sqrt(5) s`` apart.  The
+        occupied cells are marked with one scatter and grown by ``dilate``;
+        every point in a marked cell is a hit."""
+        sides = math.sqrt(5.0) * self.L * (1.0 + _CELL_MARGIN)
+        if not sides <= _CELL_SIDES * radius:
+            return np.zeros(pts.shape[0], dtype=bool)
+        k = math.ceil(sides / radius)
+        side = self.L / k
+        marked = np.zeros((k, k), dtype=bool)
+        marked[grid_index(self.positions[mask], side, k)] = True
+        return dilate(marked)[grid_index(pts, side, k)]
+
     def any_within(
         self, pts: np.ndarray, mask: np.ndarray, radius: float
     ) -> np.ndarray:
         """For each query point, whether any agent with ``mask`` true lies
-        within ``radius`` of it (closed ball)."""
+        within ``radius`` of it (closed ball).
+
+        Certain hits by the cell rule (``_certain``) need no distance
+        check; only the other points are paired and checked."""
         if radius > self.R:
             raise ValueError("query radius exceeds the bucket side")
-        out = np.zeros(pts.shape[0], dtype=bool)
-        for query, cand in self._pairs(pts, mask):
-            out[query[self._close(pts, query, cand, radius)]] = True
+        if pts.shape[0] == 0 or not mask.any():
+            return np.zeros(pts.shape[0], dtype=bool)
+        out = self._certain(pts, mask, radius)
+        rest = np.flatnonzero(~out)
+        left = pts[rest]
+        for query, cand in self._pairs(left, mask):
+            out[rest[query[self._close(left, query, cand, radius)]]] = True
         return out
 
     def pairs_within(self, radius: float) -> np.ndarray:

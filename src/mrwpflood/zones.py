@@ -8,12 +8,14 @@ stationary occupancy probability reaches ``(3/8) ln(n) / n``; the remaining
 ``2 S`` of a suburb cell form the *extended suburb*, read off an exact
 two-pass L1 distance transform of the suburb mask in O(m^2).
 
-The module owns the cell grid: the position-to-cell rule
-(``ZoneMap.cell_index``) and the 4-neighbour rule (``cz_neighborhood``).
-Every cell set is an ``m x m`` boolean mask.  The module also provides the
-combinatorial checkers used by the analysis: row/column coverage of the
-central zone, vertex-boundary expansion of central subsets, and the suburb
-diameter bound.
+The module owns the cell grid rules: the position-to-cell rule
+(``grid_index``, which ``ZoneMap.cell_index`` applies with side ``ell``)
+and the 4-neighbour rule (``dilate``, which ``cz_neighborhood`` keeps
+within the central zone).  The exchange's neighbour index uses both on
+grids of its own.  Every cell set is an ``m x m`` boolean mask.  The
+module also provides the combinatorial checkers used by the analysis:
+row/column coverage of the central zone, vertex-boundary expansion of
+central subsets, and the suburb diameter bound.
 """
 
 from __future__ import annotations
@@ -27,6 +29,29 @@ from .core import WorldParams
 from .stationary import grid_cell_masses
 
 Cell = tuple[int, int]
+
+
+def grid_index(
+    positions: np.ndarray, side: float, m: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cell ``(i, j)`` of each row of a ``(k, 2)`` position array on an
+    ``m x m`` grid of cells of side ``side``, as two index arrays.
+    Coordinates are truncated by ``side``; points on the far edges map to
+    the last cell."""
+    i = np.minimum((positions[:, 0] / side).astype(np.int64), m - 1)
+    j = np.minimum((positions[:, 1] / side).astype(np.int64), m - 1)
+    return i, j
+
+
+def dilate(cells: np.ndarray) -> np.ndarray:
+    """A 2-D mask grown by one step of the 4-neighbour rule: every cell of
+    ``cells`` plus the cells that share a grid edge with one."""
+    grown = cells.copy()
+    grown[1:, :] |= cells[:-1, :]
+    grown[:-1, :] |= cells[1:, :]
+    grown[:, 1:] |= cells[:, :-1]
+    grown[:, :-1] |= cells[:, 1:]
+    return grown
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,12 +94,9 @@ class ZoneMap:
 
     def cell_index(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Grid cell ``(i, j)`` of each row of a ``(k, 2)`` position array,
-        as two index arrays (so ``mask[zone_map.cell_index(pos)]`` reads a
-        cell mask per point).  Coordinates are truncated by ``ell``; points
-        on the far edges map to the last cell."""
-        i = np.minimum((positions[:, 0] / self.ell).astype(np.int64), self.m - 1)
-        j = np.minimum((positions[:, 1] / self.ell).astype(np.int64), self.m - 1)
-        return i, j
+        by ``grid_index`` with side ``ell`` (so
+        ``mask[zone_map.cell_index(pos)]`` reads a cell mask per point)."""
+        return grid_index(positions, self.ell, self.m)
 
     def to_dict(self) -> dict:
         return {
@@ -189,14 +211,9 @@ def cz_row_column_counts(zone_map: ZoneMap) -> CoverageReport:
 
 
 def cz_neighborhood(cells: np.ndarray, zone_map: ZoneMap) -> np.ndarray:
-    """Mask of the cells plus their central grid neighbours (a 4-neighbour
-    dilation of an ``m x m`` mask, kept within ``zone_map.central``)."""
-    grown = cells.copy()
-    grown[1:, :] |= cells[:-1, :]
-    grown[:-1, :] |= cells[1:, :]
-    grown[:, 1:] |= cells[:, :-1]
-    grown[:, :-1] |= cells[:, 1:]
-    return cells | (grown & zone_map.central)
+    """Mask of the cells plus their central grid neighbours (``dilate``
+    of an ``m x m`` mask, kept within ``zone_map.central``)."""
+    return cells | (dilate(cells) & zone_map.central)
 
 
 def boundary(cells: np.ndarray, zone_map: ZoneMap) -> np.ndarray:

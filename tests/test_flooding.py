@@ -166,6 +166,105 @@ class TestNeighborIndex:
             assert np.array_equal(a, b)
 
 
+def lattice(L, k):
+    """Every point ``(i L / k, j L / k)`` for ``i, j = 0 .. k``: the corners
+    of a k x k cell grid, the far edges ``x = L`` and ``y = L`` included."""
+    ticks = np.arange(k + 1) * (L / k)
+    return np.stack(np.meshgrid(ticks, ticks), axis=-1).reshape(-1, 2)
+
+
+def closed_ball_hits(positions, pts, mask, radius):
+    """``brute_force_any_within`` by whole-array broadcasting, 256 query
+    points at a time, with the same closed-ball arithmetic."""
+    senders = positions[mask]
+    out = np.zeros(len(pts), dtype=bool)
+    for a in range(0, len(pts), 256):
+        d = senders[None, :, :] - pts[a:a + 256, None, :]
+        out[a:a + 256] = (d[..., 0] ** 2 + d[..., 1] ** 2 <= radius * radius).any(axis=1)
+    return out
+
+
+def certain_hit_cases():
+    """(positions, L, R, query points, mask, radius) cases for the
+    certain-hit rule."""
+    for trial in range(150):
+        rng = derive_substream(104, trial)
+        pts, L, R, queries = random_index_config(rng)
+        k = math.ceil(math.sqrt(5.0) * L / R * (1.0 + flooding._CELL_MARGIN))
+        if trial % 3 == 0 and k <= 40:
+            # the corners of the certain-hit grid itself, at both radii
+            pts = np.concatenate([pts, lattice(L, k)])
+            queries = np.concatenate([queries, lattice(L, k), lattice(L, 2 * k)])
+        mask = rng.random(len(pts)) < rng.uniform(0.05, 1.0)
+        for radius in (R, 0.75 * R):
+            yield pts, L, R, queries, mask, radius
+    # sqrt(5) L / radius = k is an integer, so a cell side of exactly
+    # radius / sqrt(5) would put the far corners of a 1 x 2 cell block at
+    # radius, or just past it in floating point.  One agent at a time, so
+    # no other agent hides a wrong mark.
+    for L, k in ((5.0, 25), (7.0, 10), (10.0, 26), (12.0, 27), (20.0, 43), (44.0, 40)):
+        radius = math.sqrt(5.0) * L / k
+        corners = lattice(L, k)
+        rng = derive_substream(105, k)
+        last = [i * (k + 1) + j for i in range(k - 2, k + 1) for j in range(k - 2, k + 1)]
+        for agent in last + list(rng.integers(len(corners), size=5)):
+            mask = np.zeros(len(corners), dtype=bool)
+            mask[agent] = True
+            yield corners, L, radius, corners, mask, radius
+
+
+class TestCertainHits:
+    def test_marks_are_hits_by_exact_distance(self):
+        marked = hits = 0
+        for case, (pts, L, R, queries, mask, radius) in enumerate(certain_hit_cases()):
+            index = NeighborIndex(pts, L, R)
+            marks = index._certain(queries, mask, radius)
+            want = closed_ball_hits(pts, queries, mask, radius)
+            assert not (marks & ~want).any(), case
+            assert np.array_equal(index.any_within(queries, mask, radius), want), case
+            marked += int(marks.sum())
+            hits += int(want.sum())
+        # the rule must settle most hits, or it checks nothing
+        assert marked > 0.5 * hits
+
+    def test_same_and_edge_adjacent_cells_are_marked(self):
+        # one agent at the centre of cell (2, 2) of a 10 x 10 grid of side 1
+        radius = math.sqrt(5.0) * 10.0 / 9.5
+        index = NeighborIndex(np.array([[2.5, 2.5]]), 10.0, radius)
+        queries = np.array(
+            [[2.0, 2.0], [2.9, 2.9], [1.0, 2.5], [3.99, 2.0], [2.5, 1.0],
+             [2.5, 3.99], [1.5, 1.5], [3.5, 3.5], [4.0, 2.5]]
+        )
+        marks = index._certain(queries, np.ones(1, dtype=bool), radius)
+        assert marks.tolist() == [True] * 6 + [False] * 3
+
+    def test_no_grid_for_tiny_radii(self):
+        index = NeighborIndex(np.array([[0.5, 0.5], [0.5, 0.5 + 1e-4]]), 100.0, 1.0)
+        mask = np.array([True, False])
+        radius = 100.0 * math.sqrt(5.0) / (flooding._CELL_SIDES + 1)
+        assert not index._certain(index.positions, mask, radius).any()
+        assert index.any_within(index.positions, mask, radius).tolist() == [True, True]
+        assert index.any_within(index.positions, mask, 0.0).tolist() == [True, False]
+
+
+class TestBucketOrder:
+    def test_order_is_a_stable_int64_argsort(self):
+        seen = set()
+        configs = [random_index_config(derive_substream(106, t)) for t in range(120)]
+        rng = derive_substream(107, 0)
+        for L, R in ((100.0, 1.0), (100.0, 100.0 / 256), (100.0, 0.2), (300.0, 1.0)):
+            pts = rng.random((2000, 2)) * L
+            pts[:50] = L
+            configs.append((pts, L, R, None))
+        for pts, L, R, _ in configs:
+            index = NeighborIndex(pts, L, R)
+            want = np.argsort(index.codes.astype(np.int64), kind="stable")
+            assert np.array_equal(index.order, want), (L, R)
+            assert np.array_equal(index.sorted_codes, index.codes[want])
+            seen.add(index.nb <= 256)
+        assert seen == {True, False}
+
+
 class TestMeetings:
     def test_matches_brute_force(self):
         # meetings are the pairs within 0.75 R, found on the radius-R index
