@@ -14,11 +14,10 @@ Two checkouts give byte-identical artifacts when their listings match:
     python3 /path/to/other/checkout/scripts/artifact_digests.py > old.txt
     diff old.txt new.txt
 
-`--keep DIR` writes the artifacts to DIR instead, for inspection.  The
-whole list takes about 20 s on a 2-core host.
+The whole list takes about 20 s on a 2-core host.  To inspect an
+artifact, run its command with `--output-dir`.
 """
 
-import argparse
 import hashlib
 import os
 import subprocess
@@ -73,11 +72,8 @@ def run(name: str, arguments: list[str], root: Path) -> list[str]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--keep", type=Path, help="write the artifacts here")
-    args = parser.parse_args()
     with tempfile.TemporaryDirectory() as scratch:
-        root = Path(scratch) if args.keep is None else args.keep.resolve()
+        root = Path(scratch)
         for name, arguments in COMMANDS:
             print("\n".join(run(name, arguments, root)), flush=True)
     return 0

@@ -59,10 +59,9 @@ SOURCE_FIXED_PREFIX = "agent:"
 class NeighborIndex:
     """Uniform bucket grid over agent positions for radius queries.
 
-    Agents and query points lie in the arena ``[0, L]^2``.  Bucket side
-    equals the communication radius ``R``; positions are bucketed by
-    ``zones.grid_index`` (truncation, with the far edge clipped into the
-    last bucket).  Queries must use a radius at most ``R`` so the 3x3
+    Bucket side equals the communication radius ``R``; positions are
+    bucketed by ``zones.grid_index`` (truncation, with the far edge clipped
+    into the last bucket).  Queries must use a radius at most ``R`` so the 3x3
     bucket block suffices.  The bucket codes are sorted once, as 16-bit
     keys when there are at most 2^16 buckets (numpy's stable sort of such
     keys is a radix sort, in the same order).
@@ -152,15 +151,25 @@ class NeighborIndex:
         for rounding.  Two points in the same cell or in edge-adjacent
         cells lie in an ``s x 2s`` box, at most ``sqrt(5) s`` apart.  The
         occupied cells are marked with one scatter and grown by ``dilate``;
-        every point in a marked cell is a hit."""
+        every point in a marked cell is a hit.  Only agents and points in
+        the arena ``[0, L]^2`` take part: ``grid_index`` would put a point
+        outside it into an edge cell it does not lie in."""
         sides = math.sqrt(5.0) * self.L * (1.0 + _CELL_MARGIN)
         if not sides <= _CELL_SIDES * radius:
             return np.zeros(pts.shape[0], dtype=bool)
         k = math.ceil(sides / radius)
         side = self.L / k
+        senders = self.positions[mask]
         marked = np.zeros((k, k), dtype=bool)
-        marked[grid_index(self.positions[mask], side, k)] = True
-        return dilate(marked)[grid_index(pts, side, k)]
+        marked[grid_index(senders[self._in_arena(senders)], side, k)] = True
+        inside = self._in_arena(pts)
+        out = np.zeros(pts.shape[0], dtype=bool)
+        out[inside] = dilate(marked)[grid_index(pts[inside], side, k)]
+        return out
+
+    def _in_arena(self, pts: np.ndarray) -> np.ndarray:
+        """Whether each point lies in ``[0, L]^2``."""
+        return ((pts >= 0.0) & (pts <= self.L)).all(axis=1)
 
     def any_within(
         self, pts: np.ndarray, mask: np.ndarray, radius: float

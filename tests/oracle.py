@@ -183,14 +183,6 @@ def state_of(population: Population, i: int) -> AgentState:
 # single-point forms of array code
 # ---------------------------------------------------------------------------
 
-def brute_force_within(
-    positions: np.ndarray, point: Sequence[float], radius: float
-) -> np.ndarray:
-    """Reference implementation of the closed-ball query."""
-    d = positions - np.asarray(point, dtype=float)
-    return np.flatnonzero(d[:, 0] ** 2 + d[:, 1] ** 2 <= radius * radius)
-
-
 def sample_stationary_position(rng: np.random.Generator, L: float) -> Point:
     """Draw one position from the stationary density (rejection sampling)."""
     fmax = peak_spatial_density(L)

@@ -34,7 +34,7 @@ from mrwpflood.mobility import (
     init_population,
 )
 from mrwpflood.zones import build_zone_map, cz_neighborhood
-from oracle import brute_force_within, cell_center
+from oracle import cell_center
 
 
 def world(n=500, L=None, R=None, v=None, c1=2.5, seed=0, **kw):
@@ -54,9 +54,14 @@ def static_population(params, positions):
 
 def brute_force_any_within(positions, pts, mask, radius):
     """Reference for ``NeighborIndex.any_within``: a closed-ball check of
-    every query point against every masked agent."""
+    every query point against every masked agent, by whole-array
+    broadcasting 256 query points at a time."""
     senders = positions[mask]
-    return np.array([brute_force_within(senders, q, radius).size > 0 for q in pts], dtype=bool)
+    out = np.zeros(len(pts), dtype=bool)
+    for a in range(0, len(pts), 256):
+        d = senders[None, :, :] - pts[a:a + 256, None, :]
+        out[a:a + 256] = (d[..., 0] ** 2 + d[..., 1] ** 2 <= radius * radius).any(axis=1)
+    return out
 
 
 def random_index_config(rng):
@@ -173,17 +178,6 @@ def lattice(L, k):
     return np.stack(np.meshgrid(ticks, ticks), axis=-1).reshape(-1, 2)
 
 
-def closed_ball_hits(positions, pts, mask, radius):
-    """``brute_force_any_within`` by whole-array broadcasting, 256 query
-    points at a time, with the same closed-ball arithmetic."""
-    senders = positions[mask]
-    out = np.zeros(len(pts), dtype=bool)
-    for a in range(0, len(pts), 256):
-        d = senders[None, :, :] - pts[a:a + 256, None, :]
-        out[a:a + 256] = (d[..., 0] ** 2 + d[..., 1] ** 2 <= radius * radius).any(axis=1)
-    return out
-
-
 def certain_hit_cases():
     """(positions, L, R, query points, mask, radius) cases for the
     certain-hit rule."""
@@ -219,7 +213,7 @@ class TestCertainHits:
         for case, (pts, L, R, queries, mask, radius) in enumerate(certain_hit_cases()):
             index = NeighborIndex(pts, L, R)
             marks = index._certain(queries, mask, radius)
-            want = closed_ball_hits(pts, queries, mask, radius)
+            want = brute_force_any_within(pts, queries, mask, radius)
             assert not (marks & ~want).any(), case
             assert np.array_equal(index.any_within(queries, mask, radius), want), case
             marked += int(marks.sum())
@@ -237,6 +231,22 @@ class TestCertainHits:
         )
         marks = index._certain(queries, np.ones(1, dtype=bool), radius)
         assert marks.tolist() == [True] * 6 + [False] * 3
+
+    def test_points_outside_the_arena_are_checked_by_distance(self):
+        # a 10 x 10 grid of side 1; each pair is in edge-adjacent cells once
+        # grid_index puts the outside point into an edge cell, yet 2.45 apart
+        radius = math.sqrt(5.0) * 10.0 / 9.5
+        inside = np.array([[1.5, 0.5], [8.5, 9.5], [0.5, 1.5]])
+        outside = np.array([[-0.9, 0.0], [10.9, 10.0], [0.0, -0.9]])
+        far = np.array([[-50.0, 3.0], [3.0, 1e6]])
+        mask = np.ones(1, dtype=bool)
+        for a, b in zip(inside, outside):
+            for sender, query in ((a, b), (b, a)):
+                index = NeighborIndex(sender[None, :], 10.0, radius)
+                queries = np.concatenate([query[None, :], far])
+                assert not brute_force_any_within(index.positions, queries, mask, radius).any()
+                assert not index._certain(queries, mask, radius).any()
+                assert not index.any_within(queries, mask, radius).any()
 
     def test_no_grid_for_tiny_radii(self):
         index = NeighborIndex(np.array([[0.5, 0.5], [0.5, 0.5 + 1e-4]]), 100.0, 1.0)
