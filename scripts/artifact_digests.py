@@ -16,6 +16,11 @@ Two checkouts give byte-identical artifacts when their listings match:
 
 The whole list takes about 20 s on a 2-core host.  To inspect an
 artifact, run its command with `--output-dir`.
+
+One command covers the sparse regime:
+`flood --set n=64000 --set R=0.98 --set max_steps=30` has L / R = 258, so
+its neighbour index has more than 2^16 bucket codes and sorts them by the
+int64 key (the denser commands all use the 16-bit key).
 """
 
 import hashlib
@@ -37,6 +42,10 @@ COMMANDS = [
     ("flood-warmup", ["flood", "--set", "init=warmup"]),
     ("flood-suburb", ["flood", "--source", "in_suburb"]),
     ("flood-in-cz-32k", ["flood", "--source", "in_cz", "--set", "n=32000"]),
+    (
+        "flood-sparse-64k",
+        ["flood", "--set", "n=64000", "--set", "R=0.98", "--set", "max_steps=30"],
+    ),
     ("validate-stationary", ["validate-stationary", "--snapshots", "20"]),
     ("zones", ["zones"]),
     ("expansion-check", ["expansion-check"]),

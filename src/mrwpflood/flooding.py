@@ -6,15 +6,16 @@ simultaneously informs all agents within the communication radius (closed
 ball, measured on the post-move snapshot).  Flooding time is the first step
 at which everyone is informed.
 
-The exchange runs in two passes.  The first uses the paper's cell rule: on
-a grid whose cell side is below ``R / sqrt(5)``, any two points in the same
-cell or in edge-adjacent cells lie within ``R``.  So every uninformed agent
-in a cell that holds an informed agent, or next to one, is informed without
-a distance check.  The remaining agents go through a uniform bucket grid
-with bucket side equal to the communication radius, so a query scans at
-most the 3x3 block of buckets around the query point.  Each is paired only
-with the informed agents of its block, and agents whose block holds none
-are skipped.  Pairs are checked in chunks of a fixed size, so the
+The exchange works on two grids.  The first uses the paper's cell rule:
+on a grid whose cell side is below ``R / sqrt(5)``, any two points in the
+same cell or in edge-adjacent cells lie within ``R``.  So every uninformed
+agent in a cell that holds an informed agent, or next to one, is informed
+without a distance check.  The second is a bucket grid of side just above
+``R``, cut into sub-rows.  An agent with no informed agent in the 3x3
+bucket block around it is a miss without a search.  Each remaining agent
+is paired only with the informed agents in its search band: in its own
+bucket column and the two beside it, the sub-rows that can hold a point
+within ``R``.  Pairs are checked in chunks of a fixed size, so the
 exchange's transient memory is bounded whatever the population size and
 density.  The grids only decide which pairs need a check; answers are
 exact.
@@ -37,18 +38,31 @@ from .core import (
     derive_substream,
 )
 from .mobility import APPROX_STATIONARY, Population, init_population
-from .zones import ZoneMap, build_zone_map, cz_neighborhood, dilate, grid_index
+from .zones import (
+    ZoneMap,
+    build_zone_map,
+    cz_neighborhood,
+    dilate,
+    dilate8,
+    grid_index,
+)
 
 DEFAULT_BOUND_CONSTANTS = (18.0, 600.0)
 FALLBACK_MAX_STEPS = 10_000_000
 # Most (query, candidate) pairs a NeighborIndex query holds at once.
 _PAIR_CHUNK = 1 << 21
-# Most cells a side of the certain-hit grid of ``any_within`` may have (4 MB
-# a mask); for smaller radii every query point is checked by distance.
+# Most cells a side of the certain-hit grid and of the bucket mask of the
+# miss filter in ``any_within`` (4 MB a mask); for smaller radii each is
+# skipped and every query point is searched.
 _CELL_SIDES = 1 << 11
 # Relative margin that keeps the certain-hit cell side strictly below
 # radius / sqrt(5) in floating point.
 _CELL_MARGIN = 1e-9
+# Most sub-rows per bucket of the NeighborIndex grid.
+_SUB_ROWS = 8
+# Relative margin by which the NeighborIndex bucket side exceeds R and the
+# search band exceeds the query disc, well above floating-point rounding.
+_BAND_MARGIN = 1e-9
 
 SOURCE_RANDOM = "random"
 SOURCE_IN_CZ = "in_cz"
@@ -57,21 +71,29 @@ SOURCE_FIXED_PREFIX = "agent:"
 
 
 class NeighborIndex:
-    """Uniform bucket grid over agent positions for radius queries.
+    """Bucket grid over agent positions for radius queries.
 
-    Bucket side equals the communication radius ``R``; positions are
-    bucketed by ``zones.grid_index`` (truncation, with the far edge clipped
-    into the last bucket).  Queries must use a radius at most ``R`` so the 3x3
-    bucket block suffices.  The bucket codes are sorted once, as 16-bit
-    keys when there are at most 2^16 buckets (numpy's stable sort of such
-    keys is a radix sort, in the same order).
+    The arena is cut into ``nb`` columns of width ``side``, just above the
+    index radius ``R`` (by the factor ``1 + _BAND_MARGIN``), and into ``ny
+    = k * nb`` sub-rows of height ``side / k``; a bucket is a ``side x
+    side`` square of ``k`` sub-rows in one column.  Queries must use a
+    radius at most ``R``.  Because ``side`` exceeds ``R`` by more than
+    rounding can, two points within ``R`` lie in the same or adjacent
+    columns and at most ``k`` sub-rows apart, so in the same bucket or in
+    8-neighbour ones.  Coordinates map to columns and sub-rows by
+    ``zones.grid_index`` (truncation, clipped into the grid).  Agents are
+    sorted by the code ``column * ny + sub-row``, so each column's sub-rows
+    have consecutive codes.  ``k`` (at most ``_SUB_ROWS``) is the largest
+    that keeps every code below 2^16 where one can: numpy's stable sort of
+    16-bit keys is a radix sort, in the same order.
 
-    A query pairs each point only with the candidate agents (those with the
-    mask true, for ``any_within``) in its block, found by binary search in
-    the candidates' sorted bucket codes; points whose block holds no
-    candidate make no pair.  Pairs are expanded and checked at most
-    ``_PAIR_CHUNK`` at a time, so the transient buffer has a fixed bound
-    whatever the population size and density.
+    A query searches, in each of the three columns around a point, only the
+    sub-rows that can hold an agent within the radius (``_pairs``): a band
+    of about 5.5 R^2 at ``k = 8``, against the 9 R^2 of a 3 x 3 bucket
+    block.  Pairs are expanded and checked at most ``_PAIR_CHUNK`` at a
+    time, so the transient buffer has a fixed bound whatever the population
+    size and density.  The grids only decide which pairs need a check;
+    answers are exact.
     """
 
     def __init__(self, positions: np.ndarray, L: float, R: float):
@@ -80,29 +102,54 @@ class NeighborIndex:
         self.positions = positions
         self.L = L
         self.R = R
-        self.nb = max(1, math.ceil(L / R))
-        ix, iy = grid_index(positions, R, self.nb)
-        self.codes = ix * self.nb + iy
-        key = self.codes.astype(np.uint16) if self.nb <= 1 << 8 else self.codes
+        self.side = R * (1.0 + _BAND_MARGIN)
+        self.nb = max(1, math.ceil(L / self.side))
+        self.k = max(1, min(_SUB_ROWS, (1 << 16) // (self.nb * self.nb)))
+        self.ny = self.k * self.nb
+        self.height = self.side / self.k
+        col, row = self._columns(positions[:, 0]), self._rows(positions[:, 1])
+        self.codes = col * self.ny + row
+        wide = self.nb * self.ny > 1 << 16
+        key = self.codes if wide else self.codes.astype(np.uint16)
         self.order = np.argsort(key, kind="stable")
         self.sorted_codes = self.codes[self.order]
 
-    def _pairs(self, pts: np.ndarray, mask: np.ndarray):
+    def _columns(self, x: np.ndarray) -> np.ndarray:
+        return grid_index(x, self.side, self.nb)
+
+    def _rows(self, y: np.ndarray) -> np.ndarray:
+        return grid_index(y, self.height, self.ny)
+
+    def _pairs(self, pts: np.ndarray, mask: np.ndarray, radius: float):
         """Yield (query index, candidate agent index) arrays pairing each
-        point with every agent that has ``mask`` true in the point's 3x3
-        bucket block, at most ``_PAIR_CHUNK`` pairs at a time."""
+        point with every agent that has ``mask`` true in its search band,
+        at most ``_PAIR_CHUNK`` pairs at a time.  Every such agent within
+        ``radius`` of the point is among its pairs.
+
+        The band holds, for each of the point's own column and the two
+        beside it, the sub-rows within ``sqrt(radius^2 - g^2)`` of the
+        point's y, where ``g`` is the x-gap from the point to the column (0
+        for its own); a column with ``g > radius`` is skipped.  A clipped
+        edge column reaches past the grid, so the gap is measured to the
+        column's near edge only.  ``g`` is shrunk and the radius grown by
+        the relative ``_BAND_MARGIN``, which exceeds the rounding of the
+        gaps, square roots and row bounds."""
         keep = mask[self.order]
         members, codes = self.order[keep], self.sorted_codes[keep]
-        # The block's three buckets in x-row ix + dx have consecutive codes,
-        # so one code range per row covers them.  Rows off the grid give
-        # ranges below 0 or above nb * nb, which hold no code.
-        ix, iy = grid_index(pts, self.R, self.nb)
-        row = (ix[:, None] + np.arange(-1, 2)) * self.nb
-        lo = np.searchsorted(codes, row + np.maximum(iy - 1, 0)[:, None], side="left")
-        hi = np.searchsorted(
-            codes, row + np.minimum(iy + 1, self.nb - 1)[:, None], side="right"
-        )
-        counts = (hi - lo).ravel()
+        # gap to the column on the left, to the own column, to the right
+        x, y = pts[:, 0], pts[:, 1:]
+        col = self._columns(x)
+        into = x - col * self.side
+        gap = np.maximum(into[:, None] * (1.0, 0.0, -1.0) + (0.0, 0.0, self.side), 0.0)
+        gap *= 1.0 - _BAND_MARGIN
+        reach = (radius * (1.0 + _BAND_MARGIN)) ** 2 - gap * gap
+        half = np.sqrt(np.maximum(reach, 0.0))
+        # Columns off the grid give code ranges below 0 or at least
+        # nb * ny, which hold no code.
+        first = (col[:, None] + np.arange(-1, 2)) * self.ny
+        lo = np.searchsorted(codes, first + self._rows(y - half), side="left")
+        hi = np.searchsorted(codes, first + self._rows(y + half), side="right")
+        counts = np.where(reach >= 0.0, hi - lo, 0).ravel()
         live = np.flatnonzero(counts)
         query, counts = live // 3, counts[live]
         ends = np.cumsum(counts)
@@ -131,11 +178,11 @@ class NeighborIndex:
     def query(self, point: Sequence[float], radius: float) -> np.ndarray:
         """Indices of all agents within ``radius`` (closed ball) of a point."""
         if radius > self.R:
-            raise ValueError("query radius exceeds the bucket side")
+            raise ValueError("query radius exceeds the index radius")
         pts = np.asarray(point, dtype=float).reshape(1, 2)
         everyone = np.ones(len(self.positions), dtype=bool)
         found = [np.empty(0, dtype=np.int64)]
-        for query, cand in self._pairs(pts, everyone):
+        for query, cand in self._pairs(pts, everyone, radius):
             found.append(cand[self._close(pts, query, cand, radius)])
         return np.sort(np.concatenate(found))
 
@@ -159,17 +206,34 @@ class NeighborIndex:
             return np.zeros(pts.shape[0], dtype=bool)
         k = math.ceil(sides / radius)
         side = self.L / k
+
+        def cells(p):
+            return grid_index(p[:, 0], side, k), grid_index(p[:, 1], side, k)
+
         senders = self.positions[mask]
         marked = np.zeros((k, k), dtype=bool)
-        marked[grid_index(senders[self._in_arena(senders)], side, k)] = True
+        marked[cells(senders[self._in_arena(senders)])] = True
         inside = self._in_arena(pts)
         out = np.zeros(pts.shape[0], dtype=bool)
-        out[inside] = dilate(marked)[grid_index(pts[inside], side, k)]
+        out[inside] = dilate(marked)[cells(pts[inside])]
         return out
 
     def _in_arena(self, pts: np.ndarray) -> np.ndarray:
         """Whether each point lies in ``[0, L]^2``."""
         return ((pts >= 0.0) & (pts <= self.L)).all(axis=1)
+
+    def _near(self, pts: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """For each query point, whether its bucket or one of the eight
+        around it holds an agent with ``mask`` true.  A point for which
+        this is false has no such agent within ``R``.
+
+        The buckets of agents and points come from the same column and
+        sub-row truncation as the search (a bucket is ``code // k``), so
+        the filter and the band agree."""
+        held = np.zeros(self.nb * self.nb, dtype=bool)
+        held[self.codes[mask] // self.k] = True
+        near = dilate8(held.reshape(self.nb, self.nb))
+        return near[self._columns(pts[:, 0]), self._rows(pts[:, 1]) // self.k]
 
     def any_within(
         self, pts: np.ndarray, mask: np.ndarray, radius: float
@@ -178,25 +242,31 @@ class NeighborIndex:
         within ``radius`` of it (closed ball).
 
         Certain hits by the cell rule (``_certain``) need no distance
-        check; only the other points are paired and checked."""
+        check.  Of the other points, those with no such agent in the 3 x 3
+        bucket block around them (``_near``) are misses without a search;
+        only the rest are paired by their bands (``_pairs``) and checked.
+        The block filter is skipped when there are more than
+        ``_CELL_SIDES`` buckets a side."""
         if radius > self.R:
-            raise ValueError("query radius exceeds the bucket side")
+            raise ValueError("query radius exceeds the index radius")
         if pts.shape[0] == 0 or not mask.any():
             return np.zeros(pts.shape[0], dtype=bool)
         out = self._certain(pts, mask, radius)
         rest = np.flatnonzero(~out)
+        if self.nb <= _CELL_SIDES:
+            rest = rest[self._near(pts[rest], mask)]
         left = pts[rest]
-        for query, cand in self._pairs(left, mask):
+        for query, cand in self._pairs(left, mask, radius):
             out[rest[query[self._close(left, query, cand, radius)]]] = True
         return out
 
     def pairs_within(self, radius: float) -> np.ndarray:
         """All unordered index pairs (i < j) at distance <= radius."""
         if radius > self.R:
-            raise ValueError("query radius exceeds the bucket side")
+            raise ValueError("query radius exceeds the index radius")
         everyone = np.ones(len(self.positions), dtype=bool)
         found = [np.empty((0, 2), dtype=np.int64)]
-        for query, cand in self._pairs(self.positions, everyone):
+        for query, cand in self._pairs(self.positions, everyone, radius):
             keep = cand > query
             query, cand = query[keep], cand[keep]
             hit = self._close(self.positions, query, cand, radius)

@@ -8,14 +8,15 @@ stationary occupancy probability reaches ``(3/8) ln(n) / n``; the remaining
 ``2 S`` of a suburb cell form the *extended suburb*, read off an exact
 two-pass L1 distance transform of the suburb mask in O(m^2).
 
-The module owns the cell grid rules: the position-to-cell rule
-(``grid_index``, which ``ZoneMap.cell_index`` applies with side ``ell``)
-and the 4-neighbour rule (``dilate``, which ``cz_neighborhood`` keeps
-within the central zone).  The exchange's neighbour index uses both on
-grids of its own.  Every cell set is an ``m x m`` boolean mask.  The
-module also provides the combinatorial checkers used by the analysis:
-row/column coverage of the central zone, vertex-boundary expansion of
-central subsets, and the suburb diameter bound.
+The module owns the cell grid rules: the coordinate-to-cell rule
+(``grid_index``, which ``ZoneMap.cell_index`` applies with side ``ell`` on
+both axes), the 4-neighbour rule (``dilate``, which ``cz_neighborhood``
+keeps within the central zone) and the 8-neighbour rule (``dilate8``).
+The exchange's neighbour index uses them on grids of its own.  Every cell
+set is an ``m x m`` boolean mask.  The module also provides the
+combinatorial checkers used by the analysis: row/column coverage of the
+central zone, vertex-boundary expansion of central subsets, and the suburb
+diameter bound.
 """
 
 from __future__ import annotations
@@ -31,16 +32,13 @@ from .stationary import grid_cell_masses
 Cell = tuple[int, int]
 
 
-def grid_index(
-    positions: np.ndarray, side: float, m: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cell ``(i, j)`` of each row of a ``(k, 2)`` position array on an
-    ``m x m`` grid of cells of side ``side``, as two index arrays.
-    Coordinates are truncated by ``side``; points on the far edges map to
-    the last cell."""
-    i = np.minimum((positions[:, 0] / side).astype(np.int64), m - 1)
-    j = np.minimum((positions[:, 1] / side).astype(np.int64), m - 1)
-    return i, j
+def grid_index(coords: np.ndarray, side: float, m: int) -> np.ndarray:
+    """Index of the cell holding each coordinate, on a line of ``m`` cells
+    of side ``side`` starting at 0.  Coordinates are truncated by ``side``
+    and clipped into ``[0, m - 1]``: the far edge maps to the last cell,
+    and coordinates outside the line to the nearest end cell."""
+    i = np.minimum((coords / side).astype(np.int64), m - 1)
+    return np.maximum(i, 0, out=i)
 
 
 def dilate(cells: np.ndarray) -> np.ndarray:
@@ -51,6 +49,18 @@ def dilate(cells: np.ndarray) -> np.ndarray:
     grown[:-1, :] |= cells[1:, :]
     grown[:, 1:] |= cells[:, :-1]
     grown[:, :-1] |= cells[:, 1:]
+    return grown
+
+
+def dilate8(cells: np.ndarray) -> np.ndarray:
+    """A 2-D mask grown by one step of the 8-neighbour rule: every cell of
+    ``cells`` plus the cells that share an edge or a corner with one."""
+    rows = cells.copy()
+    rows[1:, :] |= cells[:-1, :]
+    rows[:-1, :] |= cells[1:, :]
+    grown = rows.copy()
+    grown[:, 1:] |= rows[:, :-1]
+    grown[:, :-1] |= rows[:, 1:]
     return grown
 
 
@@ -94,9 +104,12 @@ class ZoneMap:
 
     def cell_index(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Grid cell ``(i, j)`` of each row of a ``(k, 2)`` position array,
-        by ``grid_index`` with side ``ell`` (so
+        by ``grid_index`` with side ``ell`` on each axis (so
         ``mask[zone_map.cell_index(pos)]`` reads a cell mask per point)."""
-        return grid_index(positions, self.ell, self.m)
+        return (
+            grid_index(positions[:, 0], self.ell, self.m),
+            grid_index(positions[:, 1], self.ell, self.m),
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -246,6 +259,8 @@ class ExpansionReport:
 EXHAUSTIVE_LIMIT = 20
 # Subsets one margin evaluation holds at once.
 _SUBSET_BATCH = 512
+# Rows of uniforms a random subset batch draws at once.
+_DRAW_ROWS = 64
 
 
 def expansion_margin(cells: np.ndarray, zone_map: ZoneMap) -> float:
@@ -291,12 +306,22 @@ def _exhaustive_subsets(cz: int):
 
 
 def _random_subsets(cz: int, samples: int, rng: np.random.Generator):
-    """``samples`` uniform subset draws, empty and full ones dropped."""
+    """``samples`` uniform subset draws, empty and full ones dropped.
+
+    Each batch is the rows of one ``rng.random((b, cz)) < 0.5`` draw.  The
+    uniforms are drawn ``_DRAW_ROWS`` rows at a time into one reused
+    buffer, which takes the stream in the same order, so only a fraction
+    of the batch's float64 values is held at once."""
+    buf = np.empty((min(_DRAW_ROWS, samples), cz))
     drawn = 0
     while drawn < samples:
         b = min(_SUBSET_BATCH, samples - drawn)
         drawn += b
-        rows = rng.random((b, cz)) < 0.5
+        rows = np.empty((b, cz), dtype=bool)
+        for a in range(0, b, _DRAW_ROWS):
+            part = buf[: min(_DRAW_ROWS, b - a)]
+            rng.random(out=part)
+            np.less(part, 0.5, out=rows[a : a + len(part)])
         sizes = rows.sum(axis=1)
         yield rows[(sizes > 0) & (sizes < cz)]
 

@@ -257,6 +257,79 @@ class TestCertainHits:
         assert index.any_within(index.positions, mask, 0.0).tolist() == [True, False]
 
 
+def band_cases():
+    """(positions, L, R, query points, mask, radius) cases for the search
+    band and the block filter of ``NeighborIndex``."""
+    for trial in range(150):
+        rng = derive_substream(108, trial)
+        pts, L, R, queries = random_index_config(rng)
+        mask = rng.random(len(pts)) < rng.uniform(0.05, 1.0)
+        for radius in (R, 0.75 * R, 0.0):
+            yield pts, L, R, np.concatenate([queries, pts]), mask, radius
+    # Agents on column and sub-row edges, one ulp either side of them, on
+    # the far edges x = L, y = L and just outside [0, L]^2; query points at
+    # the radius from them in many directions, rounded either way.
+    worlds = ((10.0, 1.0), (10.0, 0.7), (3.7, 0.3), (50.0, 3.1))
+    for trial, (L, R) in enumerate(worlds):
+        rng = derive_substream(109, trial)
+        index = NeighborIndex(np.empty((0, 2)), L, R)
+
+        def around(e):
+            return np.concatenate(
+                [e, np.nextafter(e, -1.0), np.nextafter(e, L + 1.0), [L, -1e-9, L + 1e-9]]
+            )
+
+        xs = around(np.arange(index.nb + 1) * index.side)
+        ys = around(np.arange(0, index.ny + 1, 3) * index.height)
+        grid = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
+        grid = rng.choice(grid, size=400, replace=False)
+        grid = np.concatenate([grid, [[-0.3 * R, 0.5 * L], [0.5 * L, L + 0.3 * R]]])
+        for radius in (R, 0.75 * R):
+            angle = rng.random((len(grid), 4)) * 2.0 * np.pi
+            unit = np.stack([np.cos(angle), np.sin(angle)], -1)
+            ring = grid[:, None, :] + radius * unit
+            inward = np.nextafter(ring, grid[:, None, :])
+            queries = np.concatenate([ring, inward]).reshape(-1, 2)
+            yield grid, L, R, queries, np.ones(len(grid), dtype=bool), radius
+
+
+class TestCandidateBand:
+    def test_band_holds_every_closed_ball_neighbour(self):
+        pairs = close = 0
+        for case, (pts, L, R, queries, mask, radius) in enumerate(band_cases()):
+            index = NeighborIndex(pts, L, R)
+            got = [np.empty(0, dtype=np.int64)]
+            for query, cand in index._pairs(queries, mask, radius):
+                got.append(query * len(pts) + cand)
+            got = np.concatenate(got)
+            d = pts[None, :, :] - queries[:, None, :]
+            within = (d[..., 0] ** 2 + d[..., 1] ** 2 <= radius * radius) & mask
+            want = np.flatnonzero(within)  # query * len(pts) + agent
+            assert np.isin(want, got).all(), case
+            assert len(np.unique(got)) == len(got), case
+            # the block filter keeps every point with a neighbour
+            assert not (within.any(axis=1) & ~index._near(queries, mask)).any(), case
+            pairs += len(got)
+            close += len(want)
+        assert close > 10_000
+        # the band must cut the 3 x 3 block: here it makes 1.6 pairs per
+        # neighbour, a search of the whole block 2.5
+        assert pairs < 2.0 * close
+
+    def test_any_within_without_block_filter(self):
+        # more than _CELL_SIDES buckets a side: no filter, no certain hits
+        rng = derive_substream(110, 0)
+        L, R = 100.0, 100.0 / (flooding._CELL_SIDES + 5)
+        pts = rng.random((3000, 2)) * L
+        queries = np.concatenate([pts[:500] + R * 0.6, rng.random((500, 2)) * L])
+        index = NeighborIndex(pts, L, R)
+        assert index.nb > flooding._CELL_SIDES
+        mask = rng.random(3000) < 0.5
+        want = brute_force_any_within(pts, queries, mask, R)
+        assert want.any()
+        assert np.array_equal(index.any_within(queries, mask, R), want)
+
+
 class TestBucketOrder:
     def test_order_is_a_stable_int64_argsort(self):
         seen = set()
@@ -268,11 +341,23 @@ class TestBucketOrder:
             configs.append((pts, L, R, None))
         for pts, L, R, _ in configs:
             index = NeighborIndex(pts, L, R)
+            # column * ny + sub-row, by the scalar truncate-and-clip rule
+            for (x, y), code in zip(pts[:100], index.codes[:100]):
+                col = min(max(int(x / index.side), 0), index.nb - 1)
+                row = min(max(int(y / index.height), 0), index.ny - 1)
+                assert code == col * index.ny + row
             want = np.argsort(index.codes.astype(np.int64), kind="stable")
             assert np.array_equal(index.order, want), (L, R)
             assert np.array_equal(index.sorted_codes, index.codes[want])
-            seen.add(index.nb <= 256)
+            seen.add(index.nb * index.ny <= 1 << 16)
         assert seen == {True, False}
+
+    @pytest.mark.parametrize("n", [2000, 32_000, 128_000, 10**6])
+    def test_sub_rows_keep_the_16_bit_key(self, n):
+        p = make_params(n)
+        index = NeighborIndex(np.empty((0, 2)), p.L, p.R)
+        assert index.nb * index.ny <= 1 << 16
+        assert index.k >= 5 and index.side * index.nb >= p.L > p.R
 
 
 class TestMeetings:

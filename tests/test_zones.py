@@ -9,6 +9,7 @@ from mrwpflood.core import WorldParams
 from mrwpflood.zones import (
     EXHAUSTIVE_LIMIT,
     ZoneMap,
+    _random_subsets,
     boundary,
     build_zone_map,
     cell_side_bracket,
@@ -441,6 +442,18 @@ class TestExpansion:
             rep = check_expansion(hand_map(central), mode="exhaustive")
             assert_matches_reference(rep, central, "exhaustive")
         assert nontrivial >= 200
+
+    def test_random_subsets_are_the_one_shot_rows(self):
+        # chunked draws into a reused buffer give the rows of one draw
+        for cz, samples in ((2, 700), (40, 1), (40, 64), (40, 1500), (300, 513)):
+            got = list(_random_subsets(cz, samples, np.random.default_rng(cz)))
+            rng = np.random.default_rng(cz)
+            sizes = [512] * (samples // 512) + [samples % 512] * (samples % 512 > 0)
+            assert len(got) == len(sizes)
+            for b, rows in zip(sizes, got):
+                want = rng.random((b, cz)) < 0.5
+                count = want.sum(axis=1)
+                assert np.array_equal(rows, want[(count > 0) & (count < cz)])
 
     def test_random_matches_matrix_oracle(self):
         maps = [build_zone_map(world(n=n)) for n in (500, 2000, 10_000)]
