@@ -20,7 +20,11 @@ artifact, run its command with `--output-dir`.
 One command covers the sparse regime:
 `flood --set n=64000 --set R=0.98 --set max_steps=30` has L / R = 258, so
 its neighbour index has more than 2^16 bucket codes and sorts them by the
-int64 key (the denser commands all use the 16-bit key).
+int64 key (the denser commands all use the 16-bit key).  One covers fast
+agents: `flood --set R=2 --set v=9` floods in T = 6 steps at seed 0, and
+about half the agents cross at least one way-point each step, so the
+listing covers the way-point passes after the first, whole-array mobility
+pass.
 """
 
 import hashlib
@@ -42,6 +46,7 @@ COMMANDS = [
     ("flood-warmup", ["flood", "--set", "init=warmup"]),
     ("flood-suburb", ["flood", "--source", "in_suburb"]),
     ("flood-in-cz-32k", ["flood", "--source", "in_cz", "--set", "n=32000"]),
+    ("flood-fast", ["flood", "--set", "R=2", "--set", "v=9"]),
     (
         "flood-sparse-64k",
         ["flood", "--set", "n=64000", "--set", "R=0.98", "--set", "max_steps=30"],

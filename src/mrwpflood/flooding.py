@@ -6,14 +6,16 @@ simultaneously informs all agents within the communication radius (closed
 ball, measured on the post-move snapshot).  Flooding time is the first step
 at which everyone is informed.
 
-The exchange works on two grids.  The first uses the paper's cell rule:
-on a grid whose cell side is below ``R / sqrt(5)``, any two points in the
-same cell or in edge-adjacent cells lie within ``R``.  So every uninformed
-agent in a cell that holds an informed agent, or next to one, is informed
-without a distance check.  The second is a bucket grid of side just above
-``R``, cut into sub-rows.  An agent with no informed agent in the 3x3
-bucket block around it is a miss without a search.  Each remaining agent
-is paired only with the informed agents in its search band: in its own
+The exchange works on two grids, in three passes.  First, the miss
+filter: on a bucket grid of side just above ``R``, cut into sub-rows, an
+agent with no informed agent in the 3x3 bucket block around it is a miss
+without a search.  Second, the paper's cell rule: on a grid whose cell
+side is below ``R / sqrt(5)``, any two points in the same cell or in
+edge-adjacent cells lie within ``R``.  So every agent the filter kept that
+lies in a cell holding an informed agent, or next to one, is informed
+without a distance check; such an agent has an informed agent within
+``R``, so the filter never drops one.  Third, each remaining agent is
+paired only with the informed agents in its search band: in its own
 bucket column and the two beside it, the sub-rows that can hold a point
 within ``R``.  Pairs are checked in chunks of a fixed size, so the
 exchange's transient memory is bounded whatever the population size and
@@ -77,7 +79,7 @@ class NeighborIndex:
     index radius ``R`` (by the factor ``1 + _BAND_MARGIN``), and into ``ny
     = k * nb`` sub-rows of height ``side / k``; a bucket is a ``side x
     side`` square of ``k`` sub-rows in one column.  Queries must use a
-    radius at most ``R``.  Because ``side`` exceeds ``R`` by more than
+    radius in ``[0, R]``.  Because ``side`` exceeds ``R`` by more than
     rounding can, two points within ``R`` lie in the same or adjacent
     columns and at most ``k`` sub-rows apart, so in the same bucket or in
     8-neighbour ones.  Coordinates map to columns and sub-rows by
@@ -175,10 +177,16 @@ class NeighborIndex:
         dy = self.positions[:, 1][cand] - pts[:, 1][query]
         return dx * dx + dy * dy <= radius * radius
 
+    def _check_radius(self, radius: float) -> None:
+        """Reject a query radius outside ``[0, R]``, NaN included."""
+        if not 0.0 <= radius <= self.R:
+            raise ValueError(
+                f"query radius {radius} is outside [0, {self.R}], the index radius"
+            )
+
     def query(self, point: Sequence[float], radius: float) -> np.ndarray:
         """Indices of all agents within ``radius`` (closed ball) of a point."""
-        if radius > self.R:
-            raise ValueError("query radius exceeds the index radius")
+        self._check_radius(radius)
         pts = np.asarray(point, dtype=float).reshape(1, 2)
         everyone = np.ones(len(self.positions), dtype=bool)
         found = [np.empty(0, dtype=np.int64)]
@@ -192,6 +200,7 @@ class NeighborIndex:
         """For each query point, whether the cell rule proves an agent with
         ``mask`` true within ``radius`` of it; false for every point when
         the grid would have more than ``_CELL_SIDES`` cells a side.
+        ``any_within`` passes it only the points the miss filter kept.
 
         The grid has ``k = ceil(sqrt(5) L / radius * (1 + _CELL_MARGIN))``
         cells a side, so its side ``s`` has ``5 s^2 < radius^2`` with room
@@ -220,7 +229,8 @@ class NeighborIndex:
 
     def _in_arena(self, pts: np.ndarray) -> np.ndarray:
         """Whether each point lies in ``[0, L]^2``."""
-        return ((pts >= 0.0) & (pts <= self.L)).all(axis=1)
+        x, y = pts[:, 0], pts[:, 1]
+        return (x >= 0.0) & (x <= self.L) & (y >= 0.0) & (y <= self.L)
 
     def _near(self, pts: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """For each query point, whether its bucket or one of the eight
@@ -241,29 +251,33 @@ class NeighborIndex:
         """For each query point, whether any agent with ``mask`` true lies
         within ``radius`` of it (closed ball).
 
-        Certain hits by the cell rule (``_certain``) need no distance
-        check.  Of the other points, those with no such agent in the 3 x 3
-        bucket block around them (``_near``) are misses without a search;
-        only the rest are paired by their bands (``_pairs``) and checked.
-        The block filter is skipped when there are more than
-        ``_CELL_SIDES`` buckets a side."""
-        if radius > self.R:
-            raise ValueError("query radius exceeds the index radius")
+        First, points with no such agent in the 3 x 3 bucket block around
+        them (``_near``) are misses without a search; the block filter is
+        skipped when there are more than ``_CELL_SIDES`` buckets a side.
+        Second, of the points it keeps, the certain hits by the cell rule
+        (``_certain``) need no distance check.  Every point the cell rule
+        marks has such an agent within ``radius <= R``, so the filter keeps
+        it: the order drops no hit.  Only the rest are paired by their bands
+        (``_pairs``) and checked."""
+        self._check_radius(radius)
+        out = np.zeros(pts.shape[0], dtype=bool)
         if pts.shape[0] == 0 or not mask.any():
-            return np.zeros(pts.shape[0], dtype=bool)
-        out = self._certain(pts, mask, radius)
-        rest = np.flatnonzero(~out)
+            return out
         if self.nb <= _CELL_SIDES:
-            rest = rest[self._near(pts[rest], mask)]
+            rest = np.flatnonzero(self._near(pts, mask))
+        else:
+            rest = np.arange(pts.shape[0])
         left = pts[rest]
+        certain = self._certain(left, mask, radius)
+        out[rest[certain]] = True
+        rest, left = rest[~certain], left[~certain]
         for query, cand in self._pairs(left, mask, radius):
             out[rest[query[self._close(left, query, cand, radius)]]] = True
         return out
 
     def pairs_within(self, radius: float) -> np.ndarray:
         """All unordered index pairs (i < j) at distance <= radius."""
-        if radius > self.R:
-            raise ValueError("query radius exceeds the index radius")
+        self._check_radius(radius)
         everyone = np.ones(len(self.positions), dtype=bool)
         found = [np.empty((0, 2), dtype=np.int64)]
         for query, cand in self._pairs(self.positions, everyone, radius):

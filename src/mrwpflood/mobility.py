@@ -8,10 +8,12 @@ the leftover budget is spent in the new direction within the same step, and
 on arrival a fresh trip starts immediately.
 
 The :class:`Population` engine keeps all agents in arrays and steps them
-in whole-array passes, one pass per way-point depth: agents whose next
-way-point lies beyond their remaining budget move and are done, the rest
-jump to the way-point and start their next leg by one trip rule
-(:func:`_trips`).  Each agent draws trip randomness from its own
+in array passes, one pass per way-point depth: agents whose next way-point
+lies beyond their remaining budget move and are done, the rest jump to the
+way-point and start their next leg by one trip rule (:func:`_trips`).  The
+first pass, in which every agent has the whole budget ``v``, works on the
+whole arrays without gathering; later passes gather only the agents that
+reached a way-point.  Each agent draws trip randomness from its own
 ``(seed, agent id)`` substream, so the result equals stepping each agent
 alone, in any order, bit for bit.  The substreams of all agents are seeded
 in one array pass, and an agent's generator is built only at its first
@@ -323,35 +325,37 @@ class Population:
     def step(self, recorder: TrajectoryRecorder | None = None) -> None:
         """Advance every agent by one step of path budget ``v``.
 
-        Each pass takes the agents with budget left.  Those whose way-point
-        lies beyond their budget move along their heading and are done; the
-        rest jump to the way-point, spend the distance, and start their next
-        leg: the second leg after an elbow, a fresh trip after an arrival
-        (destination x, destination y and path coin, drawn in that order
-        from the agent's own substream).  An agent whose budget runs out
+        Each pass takes the agents with budget left: the first runs on the
+        whole arrays, since every agent starts with budget ``v``; later
+        passes gather the agents that reached a way-point.  Those whose
+        way-point lies beyond their budget move along their heading and are
+        done; the rest jump to the way-point, spend the distance, and start
+        their next leg: the second leg after an elbow, a fresh trip after an
+        arrival (destination x, destination y and path coin, drawn in that
+        order from the agent's own substream).  An agent whose budget runs out
         exactly at a way-point stops there, already facing its new
         direction.  Way-point events go to ``recorder`` for the agents it
         watches.
         """
         v, L = self.params.v, self.params.L
         if v > 0.0:
-            idx = np.arange(self.params.n)
-            budget = np.full(self.params.n, v)
-            for _ in range(ROLLOVER_CAP):
-                heading = self.heading[idx]
-                axis = heading & 1  # 0 east/west, 1 north/south
-                dist = np.abs(self.turn[idx, axis] - self.pos[idx, axis])
-                far = dist > budget
-                go = idx[far]
-                self.pos[go] = np.clip(
-                    self.pos[go] + HEADING_VECTORS[heading[far]] * budget[far, None],
-                    0.0,
-                    L,
+            # the first pass has every agent, each with budget v
+            pos, heading = self.pos, self.heading
+            dist = np.abs(
+                np.where(
+                    heading & 1,  # 0 east/west, 1 north/south
+                    self.turn[:, 1] - pos[:, 1],
+                    self.turn[:, 0] - pos[:, 0],
                 )
-                near = ~far
-                if not near.any():
+            )
+            far = dist > v
+            moved = pos + HEADING_VECTORS[heading] * v
+            np.copyto(pos, np.clip(moved, 0.0, L, out=moved), where=far[:, None])
+            idx = np.flatnonzero(~far)
+            budget = v - dist[idx]
+            for _ in range(ROLLOVER_CAP):
+                if idx.size == 0:
                     break
-                idx, budget = idx[near], budget[near] - dist[near]
                 at = self.turn[idx]  # on the second leg this is the destination
                 arrive = self.leg[idx] == Leg.SECOND
                 dest = self.dest[idx]
@@ -380,6 +384,18 @@ class Population:
                 idx, budget = idx[left], budget[left]
                 if idx.size == 0:
                     break
+                heading = self.heading[idx]
+                axis = heading & 1  # 0 east/west, 1 north/south
+                dist = np.abs(self.turn[idx, axis] - self.pos[idx, axis])
+                far = dist > budget
+                go = idx[far]
+                self.pos[go] = np.clip(
+                    self.pos[go] + HEADING_VECTORS[heading[far]] * budget[far, None],
+                    0.0,
+                    L,
+                )
+                near = ~far
+                idx, budget = idx[near], budget[near] - dist[near]
             else:
                 raise RuntimeError("way-point rollover cap exceeded within one step")
         self.step_count += 1

@@ -111,6 +111,27 @@ class TestNeighborIndex:
         with pytest.raises(ValueError):
             index.pairs_within(2.5)
 
+    def test_radius_outside_zero_to_r_rejected(self):
+        # a negative radius is no closed ball, and NaN compares false with
+        # every bound; a zero radius of either sign holds the point alone
+        index = NeighborIndex(np.array([[1.0, 1.0], [2.0, 1.0], [9.0, 9.0]]), 10.0, 1.5)
+        mask = np.ones(3, dtype=bool)
+        pts = np.array([[1.0, 1.0], [1.2, 1.0]])
+        for radius in (-1.0, math.nan, np.nextafter(1.5, math.inf)):
+            with pytest.raises(ValueError, match="outside"):
+                index.query((1.2, 1.0), radius)
+            with pytest.raises(ValueError, match="outside"):
+                index.any_within(pts, mask, radius)
+            with pytest.raises(ValueError, match="outside"):
+                index.any_within(pts[:0], mask, radius)
+            with pytest.raises(ValueError, match="outside"):
+                index.pairs_within(radius)
+        for radius in (0.0, -0.0):
+            assert index.query((1.0, 1.0), radius).tolist() == [0]
+            assert index.query((1.2, 1.0), radius).tolist() == []
+            assert index.any_within(pts, mask, radius).tolist() == [True, False]
+            assert index.pairs_within(radius).shape == (0, 2)
+
     def test_query_returns_sorted_closed_ball(self):
         pts = np.array([[1.0, 1.0], [2.0, 1.0], [9.0, 9.0], [1.0, 2.0]])
         index = NeighborIndex(pts, 10.0, 1.5)
@@ -207,6 +228,16 @@ def certain_hit_cases():
             yield corners, L, radius, corners, mask, radius
 
 
+def arena_edge_points(L):
+    """Points on the edges and corners of ``[0, L]^2``, at -0.0, one ulp
+    inside and outside, and 1e-9 outside."""
+    ticks = [
+        -1e-9, np.nextafter(0.0, -1.0), -0.0, 0.0, np.nextafter(0.0, 1.0),
+        0.5 * L, np.nextafter(L, 0.0), L, np.nextafter(L, 2.0 * L), L + 1e-9,
+    ]
+    return np.stack(np.meshgrid(ticks, ticks), axis=-1).reshape(-1, 2)
+
+
 class TestCertainHits:
     def test_marks_are_hits_by_exact_distance(self):
         marked = hits = 0
@@ -220,6 +251,27 @@ class TestCertainHits:
             hits += int(want.sum())
         # the rule must settle most hits, or it checks nothing
         assert marked > 0.5 * hits
+
+    def test_marks_pass_the_miss_filter(self):
+        # any_within runs the cell rule only on the points the miss filter
+        # keeps, so every mark must pass the filter, on the cell-edge
+        # lattices and on points on and just outside the arena's edges
+        marked = 0
+        for case, (pts, L, R, queries, mask, radius) in enumerate(certain_hit_cases()):
+            queries = np.concatenate([queries, arena_edge_points(L)])
+            index = NeighborIndex(pts, L, R)
+            marks = index._certain(queries, mask, radius)
+            assert not (marks & ~index._near(queries, mask)).any(), case
+            marked += int(marks.sum())
+        assert marked > 10_000
+
+    def test_arena_test_per_coordinate(self):
+        for L in (1.0, 7.3, 100.0):
+            pts = arena_edge_points(L)
+            index = NeighborIndex(pts, L, 1.0)
+            inside = index._in_arena(pts)
+            assert np.array_equal(inside, ((pts >= 0.0) & (pts <= L)).all(axis=1))
+            assert inside.sum() == 36 and (~inside).sum() == 64
 
     def test_same_and_edge_adjacent_cells_are_marked(self):
         # one agent at the centre of cell (2, 2) of a 10 x 10 grid of side 1

@@ -405,6 +405,40 @@ class TestPopulation:
         rngs = [derive_substream(p.seed, i) for i in range(p.n)]
         step_beside_oracle(pop, states, rngs, 40)
 
+    @pytest.mark.parametrize("v", [0.25, 0.3])
+    def test_first_pass_on_the_arena_edges_matches_scalar_oracle(self, v):
+        # agents on the edges x = 0, L and y = 0, L (and at -0.0) heading
+        # along, into and away from them, with their next way-point, an
+        # elbow or the destination, exactly v away or one ulp further; the
+        # positions must equal the oracle's bit for bit after every step,
+        # so a changed sign of zero or a last-ulp change shows
+        L = 10.0
+        edges = [
+            (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (0.0, L), (L, 0.0), (L, L),
+            (-0.0, 5.0), (0.0, 3.7), (L, 5.0), (5.0, -0.0), (6.1, 0.0), (5.0, L),
+            (L - v, L), (0.0, v),
+        ]
+        states = []
+        for x, y in edges:
+            for heading in Heading:
+                step = mobility.HEADING_VECTORS[heading]
+                for d in (v, np.nextafter(v, np.inf)):
+                    way = (x + step[0] * d, y + step[1] * d)
+                    states.append(build_trip((x, y), way, False))
+                    elbow = (way[0] + step[1] * 1.5, way[1] + step[0] * 1.5)
+                    states.append(build_trip((x, y), elbow, heading & 1 == 1))
+        assert {s.heading for s in states} == set(Heading)
+        p = params(n=len(states), L=L, v=v, seed=9)
+        pop = from_states(p, states)
+        rngs = [derive_substream(p.seed, i) for i in range(p.n)]
+        for k in range(8):
+            pop.step()
+            for i in range(p.n):
+                states[i], _ = step_agent(states[i], rngs[i], v, L, k)
+            want = np.array([s.position for s in states])
+            assert np.array_equal(pop.pos.view(np.uint64), want.view(np.uint64)), k
+            assert [state_of(pop, i) for i in range(p.n)] == states, k
+
     @pytest.mark.parametrize("mode", [APPROX_STATIONARY, WARMUP])
     def test_init_matches_scalar_oracle(self, mode):
         p = params(n=3000, L=30.0, v=0.6, seed=8)
