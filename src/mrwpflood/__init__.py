@@ -4,7 +4,7 @@ agents moving by the Manhattan random way-point model on a square arena.
 The package is organised bottom-up:
 
 - :mod:`mrwpflood.core` — scenario parameters, assumption checks, seeded
-  RNG substreams;
+  RNG substream per key;
 - :mod:`mrwpflood.stationary` — exact stationary position and destination
   laws, their samplers, and a quadrature oracle;
 - :mod:`mrwpflood.mobility` — the kinematic engine, population stepping,

@@ -10,10 +10,11 @@ Conventions fixed here once and relied on everywhere else:
 * randomness comes from numpy PCG64 generators keyed by ``(seed, index)``
   through :func:`derive_substream`; identical keys give identical draw
   sequences, which is what makes reruns bit-stable and lets the array
-  stepping engine match each agent stepped alone exactly.  Agent streams
-  are seeded for all agents in one array pass (:func:`substream_seeds`)
-  and each is built at its agent's first arrival
-  (:func:`seeded_substream`), identical to ``derive_substream(seed, i)``.
+  stepping engine match each agent stepped alone exactly.  Each agent
+  draws from its substream without a ``Generator``: the PCG64 states
+  are seeded for all agents in one array pass (:func:`pcg64_states`) and
+  advanced in arrays (:func:`pcg64_random3`), bit for bit as
+  ``derive_substream(seed, i)`` would draw.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 #: Identifier of the deterministic generator construction, embedded in all
 #: output files so results can be tied to the stream definition.
@@ -156,7 +156,7 @@ def derive_substream(seed: int, index: int) -> np.random.Generator:
     """Deterministic, statistically independent substream for (seed, index).
 
     Two calls with the same pair return generators producing identical draw
-    sequences; different pairs give independent streams.  Agents use their
+    sequences; different pairs give independent draws.  Agents use their
     own id as index, infrastructure draws use the reserved indices above.
     """
     if index < 0:
@@ -175,12 +175,12 @@ _MASK32 = 0xFFFF_FFFF
 
 
 def substream_seeds(seed: int, indices) -> np.ndarray:
-    """PCG64 seed words of the substreams ``(seed, i)`` for each ``i`` in
+    """PCG64 seed words of the substream ``(seed, i)`` for each ``i`` in
     ``indices``, as a ``(len(indices), 4)`` uint64 array.
 
     Row ``r`` equals ``SeedSequence((seed mod 2**64, indices[r]))
     .generate_state(4, np.uint64)``: numpy's pool hash and mix, run in
-    whole-array uint32 arithmetic, so :func:`seeded_substream` of the row
+    whole-array uint32 arithmetic, so :func:`pcg64_states` of the row
     draws what ``derive_substream(seed, indices[r])`` draws.  Indices must
     lie in [0, 2**32); a larger one would add an entropy word.
     """
@@ -217,18 +217,92 @@ def substream_seeds(seed: int, indices) -> np.ndarray:
     return state.view("<u8").astype(np.uint64)
 
 
-class _SeedWords(ISeedSequence):
-    """Seed sequence that hands PCG64 one row of :func:`substream_seeds`."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = np.ascontiguousarray(words, dtype=np.uint64)
-
-    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-        if n_words != self.words.size or np.dtype(dtype) != np.uint64:
-            raise ValueError("stored seed words are 4 uint64 values")
-        return self.words
+# numpy's PCG64 (numpy/random/src/pcg64): a 128-bit LCG, state <- a * state
+# + inc mod 2**128, whose output is a permutation (XSL-RR) of each new state.
+# Every integer constant is a uint64, so the arithmetic is the same under
+# numpy 1.x casting and under NEP 50.
+_PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
+_U1, _U11, _U32, _U58, _U63 = (np.uint64(k) for k in (1, 11, 32, 58, 63))
+_SEED_CHUNK = 2048  # rows seeded at a time, so every temporary stays in cache
 
 
-def seeded_substream(words: np.ndarray) -> np.random.Generator:
-    """The generator seeded by one row of :func:`substream_seeds`."""
-    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
+def _limb_matrix(pairs) -> np.ndarray:
+    """Matrix of the maps ``(s, inc) -> A * s + C * inc mod 2**128``, one
+    per pair ``(A, C)``, on 16-bit limbs.
+
+    A state row ``[s_hi, s_lo, inc_hi, inc_lo]`` viewed as ``<u2`` is 16
+    limbs ``x``; its limb at 128-bit position ``i`` adds ``x * (M << 16 i)``
+    for multiplier ``M``, and the 32-bit chunk ``q`` of ``M << 16 i`` is the
+    entry in row ``(q, pair)``.  So ``matrix @ x`` gives ``d_q`` with ``A *
+    s + C * inc = sum_q d_q 2**(32 q) mod 2**128``.  Entries are below
+    2**32 and limbs below 2**16, so each ``d_q`` is an integer below 2**52,
+    exact in double precision whatever the order of summation.
+    """
+    positions = (4, 5, 6, 7, 0, 1, 2, 3)  # the hi word's limbs, then the lo's
+    return np.array(
+        [
+            [(mult << 16 * i >> 32 * q) & _MASK32 for mult in pair for i in positions]
+            for q in range(4)
+            for pair in pairs
+        ],
+        dtype=np.float64,
+    )
+
+
+def _jump(k: int) -> tuple[int, int]:
+    """k LCG steps take ``s`` to ``a**k * s + (1 + a + ... + a**(k-1)) * inc``."""
+    return pow(_PCG_MULT, k, 2**128), sum(pow(_PCG_MULT, j, 2**128) for j in range(k))
+
+
+# seeding, a * (inc + initstate) + inc, is linear in (initstate, inc)
+_SEED = _limb_matrix([(_PCG_MULT, _PCG_MULT + 1)])
+_STEP3 = _limb_matrix([_jump(1), _jump(2), _jump(3)])
+
+
+def _advance(x: np.ndarray, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of ``A * s + C * inc mod 2**128`` for each pair of
+    ``matrix`` (axis 0) and each ``[s | inc][hi | lo]`` row of ``x`` (axis 1)."""
+    limbs = x.astype("<u8", copy=False).view("<u2").reshape(len(x), 16)
+    d = (limbs @ matrix.T).T.astype(np.uint64, order="C").reshape(4, -1, len(x))
+    carry = (d[0] >> _U32) + d[1]  # (d_0 + d_1 * 2**32) >> 32
+    return (carry >> _U32) + d[2] + (d[3] << _U32), d[0] + (d[1] << _U32)
+
+
+def pcg64_states(words: np.ndarray) -> np.ndarray:
+    """PCG64 states seeded by rows of :func:`substream_seeds`, as an
+    ``(m, 2, 2)`` uint64 array indexed ``[row][state | inc][hi | lo]``.
+
+    This is numpy's ``pcg64_set_seed``: ``initstate = words[0]:words[1]``
+    and ``initseq = words[2]:words[3]`` (high:low), ``inc = initseq << 1 |
+    1``, and two LCG steps from state 0 with ``initstate`` added after the
+    first, which leave ``a * (inc + initstate) + inc``.
+    """
+    words = np.asarray(words, dtype=np.uint64).reshape(-1, 4)
+    states = np.empty((len(words), 2, 2), dtype=np.uint64)
+    for start in range(0, len(words), _SEED_CHUNK):
+        w = words[start : start + _SEED_CHUNK]
+        chunk = states[start : start + _SEED_CHUNK]
+        chunk[:, 0] = w[:, :2]
+        chunk[:, 1, 0] = w[:, 2] << _U1 | w[:, 3] >> _U63
+        chunk[:, 1, 1] = w[:, 3] << _U1 | _U1
+        hi, lo = _advance(chunk, _SEED)
+        chunk[:, 0, 0], chunk[:, 0, 1] = hi[0], lo[0]
+    return states
+
+
+def pcg64_random3(states: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Three uniform doubles from each generator ``states[rows]``, as an
+    ``(len(rows), 3)`` array, and advance those states by three steps.
+
+    Row ``r`` draws what ``Generator(PCG64(...)).random(3)`` draws from the
+    same state: the next three states come from one jump each, ``a**k * s
+    + (1 + ... + a**(k-1)) * inc``; each is output as ``rotr64(hi ^ lo, hi
+    >> 58)``, whose top 53 bits times 2**-53 give the double.  ``rows``
+    must not repeat a row.
+    """
+    hi, lo = _advance(states[rows], _STEP3)
+    states[rows, 0, 0], states[rows, 0, 1] = hi[2], lo[2]
+    out = hi ^ lo
+    rot = hi >> _U58
+    out = out >> rot | out << (-rot & _U63)
+    return ((out >> _U11) * 2.0**-53).T

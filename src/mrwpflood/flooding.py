@@ -290,15 +290,6 @@ class NeighborIndex:
         return pairs[order]
 
 
-def brute_force_pairs(positions: np.ndarray, radius: float) -> np.ndarray:
-    """Reference all-pairs query: unordered pairs (i < j) with distance at
-    most ``radius``, in the same lexicographic order as ``pairs_within``."""
-    diff = positions[:, None, :] - positions[None, :, :]
-    close = (diff**2).sum(axis=2) <= radius * radius
-    i, j = np.nonzero(np.triu(close, k=1))
-    return np.stack([i, j], axis=1)
-
-
 # ---------------------------------------------------------------------------
 # flood state and stepping
 # ---------------------------------------------------------------------------

@@ -12,12 +12,13 @@ in array passes, one pass per way-point depth: agents whose next way-point
 lies beyond their remaining budget move and are done, the rest jump to the
 way-point and start their next leg by one trip rule (:func:`_trips`).  The
 first pass, in which every agent has the whole budget ``v``, works on the
-whole arrays without gathering; later passes gather only the agents that
-reached a way-point.  Each agent draws trip randomness from its own
-``(seed, agent id)`` substream, so the result equals stepping each agent
-alone, in any order, bit for bit.  The substreams of all agents are seeded
-in one array pass, and an agent's generator is built only at its first
-arrival; it is identical to ``derive_substream(seed, agent id)``.
+whole arrays without gathering, moving every agent by its cached velocity;
+later passes gather only the agents that reached a way-point.  Each agent
+draws trip randomness from its own ``(seed, agent id)`` substream, so the
+result equals stepping each agent alone, in any order, bit for bit.  The
+PCG64 states of all agents are held in one array and advanced in array
+passes; they draw exactly what ``derive_substream(seed, agent id)`` draws,
+with no ``Generator`` built for any agent.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from .core import (
     Point,
     WorldParams,
     derive_substream,
-    seeded_substream,
+    pcg64_random3,
+    pcg64_states,
     substream_seeds,
 )
 from .stationary import sample_destinations, sample_stationary_positions
@@ -57,6 +59,11 @@ class Heading(IntEnum):
     WEST = 2
     SOUTH = 3
 
+
+# plain ints for the array code: np.where converts an IntEnum member about
+# three times slower than an int
+_EAST, _NORTH, _WEST, _SOUTH = map(int, Heading)
+_FIRST, _SECOND = map(int, Leg)
 
 #: Unit direction vector per heading, indexed by Heading value.
 HEADING_VECTORS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
@@ -98,8 +105,8 @@ def _trips(
     north_south = np.where(single, dy != 0.0, vertical)
     heading = np.where(
         north_south,
-        np.where(dy > 0.0, Heading.NORTH, Heading.SOUTH),
-        np.where(dx >= 0.0, Heading.EAST, Heading.WEST),
+        np.where(dy > 0.0, _NORTH, _SOUTH),
+        np.where(dx >= 0.0, _EAST, _WEST),
     )
     turn = np.where(
         north_south[:, None],
@@ -107,7 +114,7 @@ def _trips(
         np.stack([dest[:, 0], pos[:, 1]], axis=1),
     )
     turn[single] = dest[single]
-    leg = np.where(single, Leg.SECOND, Leg.FIRST)
+    leg = np.where(single, _SECOND, _FIRST)
     return turn, leg, heading
 
 
@@ -277,13 +284,13 @@ class TrajectoryRecorder:
 # ---------------------------------------------------------------------------
 
 class Population:
-    """Structure-of-arrays state of all agents plus their substreams.
+    """Structure-of-arrays state of all agents, random generators included.
 
-    ``seeds`` holds the PCG64 seed words of every agent's ``(seed, agent
-    id)`` substream, computed for all agents in one array pass.  Agent
-    ``i``'s generator is built from row ``i`` at its first arrival and kept
-    in ``streams``; it draws exactly what ``derive_substream(seed, i)``
-    draws.
+    ``pcg`` holds the PCG64 state of every agent's ``(seed, agent id)``
+    substream (:func:`~mrwpflood.core.pcg64_states`), seeded for all agents
+    in one array pass; row ``i`` draws exactly what ``derive_substream(seed,
+    i)`` draws.  ``vel`` caches ``HEADING_VECTORS[heading] * v`` and is
+    written wherever a heading changes.
     """
 
     def __init__(
@@ -311,23 +318,18 @@ class Population:
         self.turn = np.ascontiguousarray(turn, dtype=float)
         self.leg = np.ascontiguousarray(leg, dtype=np.int8)
         self.heading = np.ascontiguousarray(heading, dtype=np.int8)
-        self.seeds = substream_seeds(params.seed, np.arange(n))
-        self.streams: dict[int, np.random.Generator] = {}
+        self.vel = np.take(HEADING_VECTORS * params.v, self.heading, axis=0)
+        self.pcg = pcg64_states(substream_seeds(params.seed, np.arange(n)))
         self.step_count = 0
-
-    def _stream(self, agent: int) -> np.random.Generator:
-        """Agent ``agent``'s substream, built at its first use."""
-        rng = self.streams.get(agent)
-        if rng is None:
-            rng = self.streams[agent] = seeded_substream(self.seeds[agent])
-        return rng
 
     def step(self, recorder: TrajectoryRecorder | None = None) -> None:
         """Advance every agent by one step of path budget ``v``.
 
         Each pass takes the agents with budget left: the first runs on the
-        whole arrays, since every agent starts with budget ``v``; later
-        passes gather the agents that reached a way-point.  Those whose
+        whole arrays, since every agent starts with budget ``v``, and moves
+        every agent by its velocity (those that reach a way-point are put
+        on it before their position is read again); later passes gather
+        the agents that reached a way-point.  Those whose
         way-point lies beyond their budget move along their heading and are
         done; the rest jump to the way-point, spend the distance, and start
         their next leg: the second leg after an elbow, a fresh trip after an
@@ -340,30 +342,27 @@ class Population:
         v, L = self.params.v, self.params.L
         if v > 0.0:
             # the first pass has every agent, each with budget v
-            pos, heading = self.pos, self.heading
+            pos = self.pos
             dist = np.abs(
                 np.where(
-                    heading & 1,  # 0 east/west, 1 north/south
+                    self.heading & 1,  # 0 east/west, 1 north/south
                     self.turn[:, 1] - pos[:, 1],
                     self.turn[:, 0] - pos[:, 0],
                 )
             )
-            far = dist > v
-            moved = pos + HEADING_VECTORS[heading] * v
-            np.copyto(pos, np.clip(moved, 0.0, L, out=moved), where=far[:, None])
-            idx = np.flatnonzero(~far)
+            idx = np.flatnonzero(dist <= v)
             budget = v - dist[idx]
+            pos += self.vel
+            np.clip(pos, 0.0, L, out=pos)
             for _ in range(ROLLOVER_CAP):
                 if idx.size == 0:
                     break
                 at = self.turn[idx]  # on the second leg this is the destination
-                arrive = self.leg[idx] == Leg.SECOND
+                arrive = self.leg[idx] == _SECOND
                 dest = self.dest[idx]
                 vertical = np.zeros(idx.size, dtype=bool)
                 if arrive.any():
-                    draws = np.array(
-                        [self._stream(a).random(3) for a in idx[arrive].tolist()]
-                    )
+                    draws = pcg64_random3(self.pcg, idx[arrive])
                     dest[arrive] = draws[:, :2] * L
                     vertical[arrive] = draws[:, 2] < 0.5
                 turn, leg, heading_after = _trips(at, dest, vertical)
@@ -372,6 +371,7 @@ class Population:
                 self.turn[idx] = turn
                 self.leg[idx] = leg
                 self.heading[idx] = heading_after
+                self.vel[idx] = np.take(HEADING_VECTORS * v, heading_after, axis=0)
                 if recorder is not None:
                     times = self.step_count + (v - budget) / v
                     for k in np.flatnonzero(np.isin(idx, recorder.watched)).tolist():

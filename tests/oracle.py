@@ -4,8 +4,8 @@ The per-agent trip stepper (:func:`step_agent` on one :class:`AgentState`)
 is the oracle of ``Population.step`` and ``init_population``: each agent
 stepped alone on its own ``(seed, agent id)`` substream must end every step
 in the state, and with the way-point events, that the population engine
-gives it.  The other helpers are single-point forms of array code in the
-package.
+gives it.  The other helpers are single-point or all-pairs forms of array
+code in the package.
 """
 
 from __future__ import annotations
@@ -180,7 +180,7 @@ def state_of(population: Population, i: int) -> AgentState:
 
 
 # ---------------------------------------------------------------------------
-# single-point forms of array code
+# single-point and all-pairs forms of array code
 # ---------------------------------------------------------------------------
 
 def sample_stationary_position(rng: np.random.Generator, L: float) -> Point:
@@ -202,6 +202,15 @@ def sample_destination(
     origins = np.asarray([origin], dtype=float)
     dest, _ = sample_destinations(origins, rng, L)
     return Point(float(dest[0, 0]), float(dest[0, 1]))
+
+
+def brute_force_pairs(positions: np.ndarray, radius: float) -> np.ndarray:
+    """Reference all-pairs query: unordered pairs (i < j) with distance at
+    most ``radius``, in the same lexicographic order as ``NeighborIndex.pairs_within``."""
+    diff = positions[:, None, :] - positions[None, :, :]
+    close = (diff**2).sum(axis=2) <= radius * radius
+    i, j = np.nonzero(np.triu(close, k=1))
+    return np.stack([i, j], axis=1)
 
 
 def cell_center(zone_map: ZoneMap, cell: Cell) -> tuple[float, float]:

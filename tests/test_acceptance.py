@@ -22,13 +22,14 @@ from mrwpflood.experiments import (
     stationarity_report,
     turn_statistics,
 )
-from mrwpflood.flooding import NeighborIndex, brute_force_pairs
+from mrwpflood.flooding import NeighborIndex
 from mrwpflood.stationary import (
     cell_probability,
     cell_probability_quadrature,
     destination_law,
 )
 from mrwpflood.zones import ZoneMap, build_zone_map, check_expansion, cz_row_column_counts
+from oracle import brute_force_pairs
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
     line = f"[criterion {num:02d}] {name}: {'PASS' if ok else 'FAIL'} ({detail})"

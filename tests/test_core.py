@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.random.bit_generator import ISeedSequence
 
+from mrwpflood import core
 from mrwpflood.core import (
     INIT_STREAM_INDEX,
     MONITOR_STREAM_INDEX,
@@ -15,7 +17,8 @@ from mrwpflood.core import (
     WorldParams,
     check_assumptions,
     derive_substream,
-    seeded_substream,
+    pcg64_random3,
+    pcg64_states,
     substream_seeds,
 )
 
@@ -198,12 +201,134 @@ class TestSubstreamSeeds:
     @pytest.mark.parametrize("seed", [0, 2**32, 5 + 2**64])
     def test_generators_draw_the_derived_streams(self, seed):
         indices = GATE_INDICES[:60]
-        words = substream_seeds(seed, indices)
-        for row, i in zip(words, indices.tolist()):
-            expected = derive_substream(seed, i).random(7)
-            assert np.array_equal(seeded_substream(row).random(7), expected), i
+        states = pcg64_states(substream_seeds(seed, indices))
+        rows = np.arange(indices.size)
+        draws = np.concatenate([pcg64_random3(states, rows) for _ in range(3)], axis=1)
+        for row, i in zip(draws, indices.tolist()):
+            assert np.array_equal(row, derive_substream(seed, i).random(9)), i
 
     @pytest.mark.parametrize("indices", [[2**32], [0, 2**32 + 5], [2**64], [-1]])
     def test_indices_outside_one_word_rejected(self, indices):
         with pytest.raises(ValueError):
             substream_seeds(0, indices)
+
+
+class SeedWords(ISeedSequence):
+    """Seed sequence that hands numpy's PCG64 four chosen seed words, so
+    its own seeding is the reference for :func:`pcg64_states`."""
+
+    def __init__(self, words):
+        self.words = np.asarray(words, dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert n_words == 4 and np.dtype(dtype) == np.uint64
+        return self.words
+
+
+PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
+M64 = 2**64 - 1
+
+
+def seeding_carries(words):
+    """Whether the low-word sums of ``inc + initstate`` and of ``a * (inc
+    + initstate) + inc`` carry, for one row of seed words (Python ints)."""
+    w0, w1, w2, w3 = map(int, words)
+    inc = ((w2 << 64 | w3) << 1 | 1) & (2**128 - 1)
+    start = (inc + (w0 << 64 | w1)) & (2**128 - 1)
+    product = PCG_MULT * start & (2**128 - 1)
+    return (inc & M64) + w1 > M64, (product & M64) + (inc & M64) > M64
+
+
+def bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+class TestArrayPCG64:
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 - 1, 5 + 2**64])
+    def test_draws_match_the_derived_streams_bitwise(self, seed):
+        # every agent draws at least four trips, some more, in shuffled
+        # subsets; rows left out of a draw must not move
+        indices = GATE_INDICES[:64]
+        states = pcg64_states(substream_seeds(seed, indices))
+        rng = np.random.default_rng(3)
+        drawn = [[] for _ in indices]
+        for k in range(8):
+            rows = rng.permutation(indices.size)
+            if k >= 4:
+                rows = rows[: rng.integers(1, indices.size)]
+            before = states.copy()
+            for r, row in zip(rows.tolist(), pcg64_random3(states, rows)):
+                drawn[r].append(row)
+            left = np.setdiff1d(np.arange(indices.size), rows)
+            assert np.array_equal(states[left], before[left])
+        for r, i in enumerate(indices.tolist()):
+            want = derive_substream(seed, i).random(3 * len(drawn[r]))
+            assert np.array_equal(bits(np.concatenate(drawn[r])), bits(want)), i
+
+    def test_seeding_matches_numpy_pcg64_across_chunks(self):
+        # more rows than one seeding chunk holds, so chunk edges are covered
+        words = substream_seeds(11, np.arange(5000))
+        states = pcg64_states(words)
+        for row, w in enumerate(words):
+            state = np.random.PCG64(SeedWords(w)).state["state"]
+            assert int(states[row, 0, 0]) << 64 | int(states[row, 0, 1]) == state["state"]
+            assert int(states[row, 1, 0]) << 64 | int(states[row, 1, 1]) == state["inc"]
+
+    def test_many_states_match_numpy_pcg64(self):
+        # random states, with every one of 300 000 whose draws need the
+        # carry from the lowest 32-bit chunk of the limb sums into the next
+        # (about one draw in 60 000; see core._advance)
+        rng = np.random.default_rng(7)
+        pool = rng.integers(0, 2**64, (300_000, 2, 2), dtype=np.uint64)
+        pool[:, 1, 1] |= np.uint64(1)  # PCG64 increments are odd
+        d = (pool.view("<u2").reshape(-1, 16) @ core._STEP3.T).astype(np.uint64)
+        low, next_ = d[:, :3], d[:, 3:6]
+        carried = (low >> np.uint64(32)) + (next_ & np.uint64(M64 >> 32)) > M64 >> 32
+        assert carried.any(axis=1).sum() >= 5
+        states = np.concatenate([pool[carried.any(axis=1)], pool[:2000]])
+        start = states.copy()
+        draws = pcg64_random3(states, np.arange(len(states)))
+        bit_generator = np.random.PCG64()
+        gen = np.random.Generator(bit_generator)
+        for row, (s, inc) in enumerate(start.tolist()):
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": s[0] << 64 | s[1], "inc": inc[0] << 64 | inc[1]},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            assert np.array_equal(bits(draws[row]), bits(gen.random(3))), row
+            state = bit_generator.state["state"]["state"]
+            assert int(states[row, 0, 0]) << 64 | int(states[row, 0, 1]) == state, row
+
+    def test_chosen_seed_words_match_numpy_pcg64(self):
+        # the seeding's two 128-bit additions (inc + initstate, then
+        # a * (inc + initstate) + inc) each carry out of the low word in
+        # some rows and not in others; the all-ones row also wraps at 2**128,
+        # and the rows of long 16-bit runs make large limb sums
+        words = np.array(
+            [
+                [M64, M64, M64, M64],
+                [0, 1, 0, 2**63 - 1],
+                [0x0123456789ABCDEF, 0xFEDCBA9876543210, 0x0F0F0F0F0F0F0F0F, 2**63 - 1],
+                [0, 0, 0, 0],
+                [1, M64, 2**63, 2**62],
+                [M64, 0, M64, 0],
+                [0xFFFF0000FFFF0000, 0x0000FFFF0000FFFF] * 2,
+                [0x0000FFFF0000FFFF, 0xFFFF0000FFFF0000] * 2,
+                *np.random.default_rng(5).integers(0, 2**64, (11, 4), dtype=np.uint64),
+            ],
+            dtype=np.uint64,
+        )
+        carries = np.array([seeding_carries(row) for row in words])
+        assert carries.any(axis=0).all() and (~carries).any(axis=0).all()
+        assert carries.all(axis=1).any()
+        states = pcg64_states(words)
+        rows = np.arange(len(words))
+        draws = np.concatenate([pcg64_random3(states, rows) for _ in range(4)], axis=1)
+        for row, w, got in zip(rows.tolist(), words, draws):
+            gen = np.random.Generator(np.random.PCG64(SeedWords(w)))
+            assert np.array_equal(bits(got), bits(gen.random(12))), row
+            state = gen.bit_generator.state["state"]
+            assert int(states[row, 0, 0]) << 64 | int(states[row, 0, 1]) == state["state"]
+            assert int(states[row, 1, 0]) << 64 | int(states[row, 1, 1]) == state["inc"]

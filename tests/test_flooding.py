@@ -14,7 +14,6 @@ from mrwpflood.flooding import (
     FloodState,
     NeighborIndex,
     SourcePlacementError,
-    brute_force_pairs,
     choose_source,
     default_max_steps,
     density_monitor,
@@ -34,7 +33,7 @@ from mrwpflood.mobility import (
     init_population,
 )
 from mrwpflood.zones import build_zone_map, cz_neighborhood
-from oracle import cell_center
+from oracle import brute_force_pairs, cell_center
 
 
 def world(n=500, L=None, R=None, v=None, c1=2.5, seed=0, **kw):

@@ -316,11 +316,18 @@ def oracle_case_id(case):
     return name if mode == APPROX_STATIONARY else f"{mode}-{name}"
 
 
+def assert_velocity_cached(pop):
+    """``pop.vel`` must equal ``HEADING_VECTORS[heading] * v`` bit for bit."""
+    want = mobility.HEADING_VECTORS[pop.heading] * pop.params.v
+    assert np.array_equal(pop.vel.view(np.uint64), want.view(np.uint64))
+
+
 def step_beside_oracle(pop, states, rngs, steps):
     """Step ``pop`` and, beside it, each agent's oracle state on its own
-    substream.  Every state must match after every step, and every third
-    agent's recorded way-point events must equal the oracle's, in order.
-    Returns the most events one agent crossed in one step."""
+    substream.  Every state and the cached velocity must match after every
+    step, and every third agent's recorded way-point events must equal the
+    oracle's, in order.  Returns the most events one agent crossed in one
+    step."""
     p = pop.params
     rec = TrajectoryRecorder(range(0, p.n, 3))
     rec.mark_start(pop)
@@ -334,6 +341,7 @@ def step_beside_oracle(pop, states, rngs, steps):
             if i in logs:
                 logs[i].extend(events)
         assert [state_of(pop, i) for i in range(p.n)] == states, k
+        assert_velocity_cached(pop)
     for a, events in logs.items():
         assert rec.trajectory(a, p.v, p.L).events == events, a
     assert sum(map(len, logs.values())) > 0
@@ -438,6 +446,7 @@ class TestPopulation:
             want = np.array([s.position for s in states])
             assert np.array_equal(pop.pos.view(np.uint64), want.view(np.uint64)), k
             assert [state_of(pop, i) for i in range(p.n)] == states, k
+            assert_velocity_cached(pop)
 
     @pytest.mark.parametrize("mode", [APPROX_STATIONARY, WARMUP])
     def test_init_matches_scalar_oracle(self, mode):
@@ -494,8 +503,8 @@ class TestPopulationInput:
             Population(p, **arrays)
 
 
-class TestLazySubstreams:
-    def test_generators_are_built_at_first_arrival(self, monkeypatch):
+class TestArraySubstreams:
+    def test_no_generator_is_built_for_an_agent(self, monkeypatch):
         built = []
         generator = np.random.Generator
 
@@ -506,18 +515,20 @@ class TestLazySubstreams:
         monkeypatch.setattr(np.random, "Generator", counting_generator)
         pop = init_population(make_params(200_000))
         assert len(built) == 1  # the initialiser's own stream, no agent's
-        assert pop.streams == {}
         rec = TrajectoryRecorder(range(pop.params.n))
         rec.mark_start(pop)
         for _ in range(3):
             pop.step(recorder=rec)
-        events = {
-            a: rec.trajectory(a, pop.params.v, pop.params.L).events for a in rec.watched
+        arrived = {
+            a
+            for a in rec.watched
+            if any(
+                e.kind == ARRIVAL
+                for e in rec.trajectory(a, pop.params.v, pop.params.L).events
+            )
         }
-        arrived = {a for a, evs in events.items() if any(e.kind == ARRIVAL for e in evs)}
-        assert 0 < len(pop.streams) <= sum(map(len, events.values()))
-        assert set(pop.streams) == arrived
-        assert len(built) == 1 + len(arrived)
+        assert len(arrived) > 100  # agents drew fresh trips ...
+        assert len(built) == 1  # ... from their array-held states
 
 
 class TestInitPopulation:
