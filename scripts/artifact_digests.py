@@ -24,7 +24,11 @@ int64 key (the denser commands all use the 16-bit key).  One covers fast
 agents: `flood --set R=2 --set v=9` floods in T = 6 steps at seed 0, and
 about half the agents cross at least one way-point each step, so the
 listing covers the way-point passes after the first, whole-array mobility
-pass.
+pass.  One covers slow agents far below the connectivity radius:
+`flood --set n=8000 --set R=1.5 --set v=0.02 --source in_suburb --set
+max_steps=300` spreads for all 300 steps (7994 of 8000 agents informed at
+seed 0), on an exchange lattice of two cells a bucket side where the
+denser commands use eight.
 """
 
 import hashlib
@@ -47,6 +51,13 @@ COMMANDS = [
     ("flood-suburb", ["flood", "--source", "in_suburb"]),
     ("flood-in-cz-32k", ["flood", "--source", "in_cz", "--set", "n=32000"]),
     ("flood-fast", ["flood", "--set", "R=2", "--set", "v=9"]),
+    (
+        "flood-slow-8k",
+        [
+            "flood", "--set", "n=8000", "--set", "R=1.5", "--set", "v=0.02",
+            "--source", "in_suburb", "--set", "max_steps=300",
+        ],
+    ),
     (
         "flood-sparse-64k",
         ["flood", "--set", "n=64000", "--set", "R=0.98", "--set", "max_steps=30"],

@@ -6,28 +6,25 @@ simultaneously informs all agents within the communication radius (closed
 ball, measured on the post-move snapshot).  Flooding time is the first step
 at which everyone is informed.
 
-The exchange works on two grids, in three passes.  First, the miss
-filter: on a bucket grid of side just above ``R``, cut into sub-rows, an
-agent with no informed agent in the 3x3 bucket block around it is a miss
-without a search.  Second, the paper's cell rule: on a grid whose cell
-side is below ``R / sqrt(5)``, any two points in the same cell or in
-edge-adjacent cells lie within ``R``.  So every agent the filter kept that
-lies in a cell holding an informed agent, or next to one, is informed
-without a distance check; such an agent has an informed agent within
-``R``, so the filter never drops one.  Third, each remaining agent is
-paired only with the informed agents in its search band: in its own
-bucket column and the two beside it, the sub-rows that can hold a point
-within ``R``.  Pairs are checked in chunks of a fixed size, so the
-exchange's transient memory is bounded whatever the population size and
-density.  The grids only decide which pairs need a check; answers are
-exact.
+The exchange works on one lattice, the neighbour index's own cells: bucket
+columns just wider than ``R``, cut into square cells.  Two stencils of cell
+offsets are fixed per query radius: the *possible* one holds the offsets
+whose nearest points can lie within the radius, the *certain* one those
+whose farthest points do.  An agent outside the possible dilation of the
+informed agents' cells is a miss without a search; one in the arena and
+inside the certain dilation of the informed agents in the arena is a hit
+without a distance check.  Each other agent is paired only with the
+informed agents in its search band (the sub-rows of three bucket columns
+that can hold a point within ``R``), in pair chunks of a fixed size, so
+transient memory is bounded.  Answers are exact.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -40,36 +37,72 @@ from .core import (
     derive_substream,
 )
 from .mobility import APPROX_STATIONARY, Population, init_population
-from .zones import (
-    ZoneMap,
-    build_zone_map,
-    cz_neighborhood,
-    dilate,
-    dilate8,
-    grid_index,
-)
+from .zones import ZoneMap, build_zone_map, cz_neighborhood, grid_index
 
 DEFAULT_BOUND_CONSTANTS = (18.0, 600.0)
 FALLBACK_MAX_STEPS = 10_000_000
 # Most (query, candidate) pairs a NeighborIndex query holds at once.
 _PAIR_CHUNK = 1 << 21
-# Most cells a side of the certain-hit grid and of the bucket mask of the
-# miss filter in ``any_within`` (4 MB a mask); for smaller radii each is
-# skipped and every query point is searched.
+# Most cells a side of the lattice of ``any_within`` (4 MB a mask); past it
+# every query point is searched.
 _CELL_SIDES = 1 << 11
-# Relative margin that keeps the certain-hit cell side strictly below
-# radius / sqrt(5) in floating point.
-_CELL_MARGIN = 1e-9
 # Most sub-rows per bucket of the NeighborIndex grid.
 _SUB_ROWS = 8
+# Most sub-columns per bucket column of the lattice.
+_SUB_COLUMNS = 8
+# Most cells a side of a lattice finer than the buckets, per sqrt(n).
+_LATTICE_SPAN = 2.0
 # Relative margin by which the NeighborIndex bucket side exceeds R and the
 # search band exceeds the query disc, well above floating-point rounding.
 _BAND_MARGIN = 1e-9
+# Relative margin of the stencil radii, also well above rounding; below the
+# bucket's, so that one cell per bucket gives the 3 x 3 block.
+_STENCIL_MARGIN = 0.5 * _BAND_MARGIN
 
 SOURCE_RANDOM = "random"
 SOURCE_IN_CZ = "in_cz"
 SOURCE_IN_SUBURB = "in_suburb"
 SOURCE_FIXED_PREFIX = "agent:"
+
+
+@functools.lru_cache(maxsize=256)
+def _stencils(radius: float, cell: float) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Row widths of the possible and the certain stencil of square cells
+    of side ``cell`` for a query radius: rows ``d`` and ``-d`` hold the
+    offsets ``(a, d)`` with ``|a| <= widths[d]``, later rows none.  Cells at
+    offset ``(a, d)`` have nearest points ``cell * hypot(max(|a| - 1, 0),
+    max(|d| - 1, 0))`` apart, within ``radius * (1 + _STENCIL_MARGIN)`` for
+    the possible stencil, and farthest points ``cell * hypot(|a| + 1, |d| +
+    1)`` apart, within ``radius * (1 - _STENCIL_MARGIN)`` for the certain."""
+    reach = radius * (1.0 + _STENCIL_MARGIN) / cell
+    possible = tuple(
+        math.floor(math.sqrt(reach**2 - max(d - 1, 0) ** 2)) + 1
+        for d in range(math.floor(reach) + 2)
+    )
+    reach = radius * (1.0 - _STENCIL_MARGIN) / cell
+    certain = (
+        math.floor(math.sqrt(reach**2 - (d + 1) ** 2)) - 1 for d in range(math.floor(reach))
+    )
+    return possible, tuple(w for w in certain if w >= 0)
+
+
+def _dilate(cells: np.ndarray, pitch: int, widths: tuple[int, ...]) -> np.ndarray:
+    """A flat lattice mask, cell ``(x, y)`` at ``x * pitch + y``, grown by a
+    stencil of ``_stencils``: ``(x, y)`` is set when ``cells`` holds ``(x +
+    a, y + d)`` with ``|a| <= widths[|d|]``.  From the last row in, the mask
+    is grown along x to the row's width and ORed in shifted by ``d``; each
+    run of ``pitch`` ends in more empty cells than the stencil has rows."""
+    grown = np.zeros_like(cells)
+    run, width = cells, 0
+    for d in reversed(range(len(widths))):
+        for width in range(width + 1, widths[d] + 1):
+            wider = run.copy()
+            wider[pitch:] |= run[:-pitch]
+            wider[:-pitch] |= run[pitch:]
+            run = wider
+        grown[d:] |= run[: run.size - d]
+        grown[: grown.size - d] |= run[d:]
+    return grown
 
 
 class NeighborIndex:
@@ -90,12 +123,17 @@ class NeighborIndex:
     16-bit keys is a radix sort, in the same order.
 
     A query searches, in each of the three columns around a point, only the
-    sub-rows that can hold an agent within the radius (``_pairs``): a band
-    of about 5.5 R^2 at ``k = 8``, against the 9 R^2 of a 3 x 3 bucket
-    block.  Pairs are expanded and checked at most ``_PAIR_CHUNK`` at a
-    time, so the transient buffer has a fixed bound whatever the population
-    size and density.  The grids only decide which pairs need a check;
-    answers are exact.
+    sub-rows that can hold an agent within the radius (``_pairs``): about
+    5.5 R^2 at ``k = 8``, against 9 R^2 for a 3 x 3 bucket block, in chunks
+    of at most ``_PAIR_CHUNK`` pairs whatever the population size.
+
+    ``any_within`` decides most points on a lattice of ``lattice`` square
+    cells a side: each column cut into ``j`` sub-columns, the sub-rows
+    grouped ``k / j`` at a time.  ``j`` is the largest divisor of ``k`` (at
+    most ``_SUB_COLUMNS``) with ``j * nb <= _LATTICE_SPAN * sqrt(n)``, so
+    the lattice has O(n) cells; there is none past ``_CELL_SIDES`` cells a
+    side.  Each agent's cell (``cells``) is found here, and the arena mask
+    (``inside``) when an agent lies outside ``[0, L]^2``.  Answers are exact.
     """
 
     def __init__(self, positions: np.ndarray, L: float, R: float):
@@ -115,12 +153,29 @@ class NeighborIndex:
         key = self.codes if wide else self.codes.astype(np.uint16)
         self.order = np.argsort(key, kind="stable")
         self.sorted_codes = self.codes[self.order]
+        most = min(_LATTICE_SPAN * math.sqrt(len(positions)), _CELL_SIDES)
+        divisors = [j for j in range(1, min(self.k, _SUB_COLUMNS) + 1) if self.k % j == 0]
+        self.j = max(j for j in divisors if j == 1 or j * self.nb <= most)
+        self.cell = self.side / self.j
+        self.lattice = self.j * self.nb
+        # a possible stencil has at most j + 1 rows (``_stencils``)
+        self.pitch = self.lattice + self.j + 1
+        self.cells = None
+        if self.lattice <= _CELL_SIDES:
+            sub = col if self.j == 1 else self._sub_columns(positions[:, 0])
+            self.cells = sub * self.pitch + row // (self.k // self.j)
+        self.inside = None
+        if positions.size and not (positions.min() >= 0.0 and positions.max() <= L):
+            self.inside = self._in_arena(positions)
 
     def _columns(self, x: np.ndarray) -> np.ndarray:
         return grid_index(x, self.side, self.nb)
 
     def _rows(self, y: np.ndarray) -> np.ndarray:
         return grid_index(y, self.height, self.ny)
+
+    def _sub_columns(self, x: np.ndarray) -> np.ndarray:
+        return grid_index(x, self.cell, self.lattice)
 
     def _pairs(self, pts: np.ndarray, mask: np.ndarray, radius: float):
         """Yield (query index, candidate agent index) arrays pairing each
@@ -184,66 +239,43 @@ class NeighborIndex:
                 f"query radius {radius} is outside [0, {self.R}], the index radius"
             )
 
-    def query(self, point: Sequence[float], radius: float) -> np.ndarray:
-        """Indices of all agents within ``radius`` (closed ball) of a point."""
-        self._check_radius(radius)
-        pts = np.asarray(point, dtype=float).reshape(1, 2)
-        everyone = np.ones(len(self.positions), dtype=bool)
-        found = [np.empty(0, dtype=np.int64)]
-        for query, cand in self._pairs(pts, everyone, radius):
-            found.append(cand[self._close(pts, query, cand, radius)])
-        return np.sort(np.concatenate(found))
-
-    def _certain(
-        self, pts: np.ndarray, mask: np.ndarray, radius: float
-    ) -> np.ndarray:
-        """For each query point, whether the cell rule proves an agent with
-        ``mask`` true within ``radius`` of it; false for every point when
-        the grid would have more than ``_CELL_SIDES`` cells a side.
-        ``any_within`` passes it only the points the miss filter kept.
-
-        The grid has ``k = ceil(sqrt(5) L / radius * (1 + _CELL_MARGIN))``
-        cells a side, so its side ``s`` has ``5 s^2 < radius^2`` with room
-        for rounding.  Two points in the same cell or in edge-adjacent
-        cells lie in an ``s x 2s`` box, at most ``sqrt(5) s`` apart.  The
-        occupied cells are marked with one scatter and grown by ``dilate``;
-        every point in a marked cell is a hit.  Only agents and points in
-        the arena ``[0, L]^2`` take part: ``grid_index`` would put a point
-        outside it into an edge cell it does not lie in."""
-        sides = math.sqrt(5.0) * self.L * (1.0 + _CELL_MARGIN)
-        if not sides <= _CELL_SIDES * radius:
-            return np.zeros(pts.shape[0], dtype=bool)
-        k = math.ceil(sides / radius)
-        side = self.L / k
-
-        def cells(p):
-            return grid_index(p[:, 0], side, k), grid_index(p[:, 1], side, k)
-
-        senders = self.positions[mask]
-        marked = np.zeros((k, k), dtype=bool)
-        marked[cells(senders[self._in_arena(senders)])] = True
-        inside = self._in_arena(pts)
-        out = np.zeros(pts.shape[0], dtype=bool)
-        out[inside] = dilate(marked)[cells(pts[inside])]
-        return out
-
     def _in_arena(self, pts: np.ndarray) -> np.ndarray:
         """Whether each point lies in ``[0, L]^2``."""
         x, y = pts[:, 0], pts[:, 1]
         return (x >= 0.0) & (x <= self.L) & (y >= 0.0) & (y <= self.L)
 
-    def _near(self, pts: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """For each query point, whether its bucket or one of the eight
-        around it holds an agent with ``mask`` true.  A point for which
-        this is false has no such agent within ``R``.
+    def _held(self, mask: np.ndarray) -> np.ndarray:
+        """Flat lattice mask of the cells holding an agent with ``mask``."""
+        held = np.zeros(self.lattice * self.pitch, dtype=bool)
+        held[self.cells[mask]] = True
+        return held
 
-        The buckets of agents and points come from the same column and
-        sub-row truncation as the search (a bucket is ``code // k``), so
-        the filter and the band agree."""
-        held = np.zeros(self.nb * self.nb, dtype=bool)
-        held[self.codes[mask] // self.k] = True
-        near = dilate8(held.reshape(self.nb, self.nb))
-        return near[self._columns(pts[:, 0]), self._rows(pts[:, 1]) // self.k]
+    def _marks(
+        self, pts: np.ndarray, mask: np.ndarray, radius: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(possible, certain): for each query point, whether an agent with
+        ``mask`` true may lie within ``radius`` of it, and whether the
+        lattice proves that one does.  The cells holding such agents are
+        grown by the stencils of ``_stencils(radius, cell)``, whose margin
+        exceeds the rounding of the cell bounds.  Clipping a point into the
+        lattice never widens its gap to a cell, so the possible dilation
+        misses no hit.  The certain one takes only agents and points in the
+        arena, which ``grid_index`` puts into the cells they lie in.  Every
+        certain mark is a possible one."""
+        possible_rows, certain_rows = _stencils(radius, self.cell)
+        held = self._held(mask)
+        near = _dilate(held, self.pitch, possible_rows)
+        if self.inside is not None:
+            held = self._held(mask & self.inside)
+        sure = _dilate(held, self.pitch, certain_rows)
+        rows = self._rows(pts[:, 1]) // (self.k // self.j)
+        cell = self._sub_columns(pts[:, 0]) * self.pitch + rows
+        possible = near[cell]
+        kept = np.flatnonzero(possible)
+        marked = kept[sure[cell[kept]]]
+        certain = np.zeros_like(possible)
+        certain[marked[self._in_arena(pts[marked])]] = True
+        return possible, certain
 
     def any_within(
         self, pts: np.ndarray, mask: np.ndarray, radius: float
@@ -251,26 +283,20 @@ class NeighborIndex:
         """For each query point, whether any agent with ``mask`` true lies
         within ``radius`` of it (closed ball).
 
-        First, points with no such agent in the 3 x 3 bucket block around
-        them (``_near``) are misses without a search; the block filter is
-        skipped when there are more than ``_CELL_SIDES`` buckets a side.
-        Second, of the points it keeps, the certain hits by the cell rule
-        (``_certain``) need no distance check.  Every point the cell rule
-        marks has such an agent within ``radius <= R``, so the filter keeps
-        it: the order drops no hit.  Only the rest are paired by their bands
-        (``_pairs``) and checked."""
+        Points outside the possible dilation (``_marks``) are misses
+        without a search, and points marked certain are hits without a
+        distance check.  Only the rest, or every point when there is no
+        lattice, are paired by their bands (``_pairs``) and checked."""
         self._check_radius(radius)
         out = np.zeros(pts.shape[0], dtype=bool)
         if pts.shape[0] == 0 or not mask.any():
             return out
-        if self.nb <= _CELL_SIDES:
-            rest = np.flatnonzero(self._near(pts, mask))
-        else:
+        if self.cells is None:
             rest = np.arange(pts.shape[0])
+        else:
+            possible, out = self._marks(pts, mask, radius)
+            rest = np.flatnonzero(possible & ~out)
         left = pts[rest]
-        certain = self._certain(left, mask, radius)
-        out[rest[certain]] = True
-        rest, left = rest[~certain], left[~certain]
         for query, cand in self._pairs(left, mask, radius):
             out[rest[query[self._close(left, query, cand, radius)]]] = True
         return out

@@ -108,12 +108,10 @@ def _trips(
         np.where(dy > 0.0, _NORTH, _SOUTH),
         np.where(dx >= 0.0, _EAST, _WEST),
     )
-    turn = np.where(
-        north_south[:, None],
-        np.stack([pos[:, 0], dest[:, 1]], axis=1),
-        np.stack([dest[:, 0], pos[:, 1]], axis=1),
-    )
-    turn[single] = dest[single]
+    # a single-leg trip turns at its destination, never at a -0.0 of pos
+    turn = dest.copy()
+    np.copyto(turn[:, 0], pos[:, 0], where=vertical & ~single)
+    np.copyto(turn[:, 1], pos[:, 1], where=~(vertical | single))
     leg = np.where(single, _SECOND, _FIRST)
     return turn, leg, heading
 

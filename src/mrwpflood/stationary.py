@@ -188,10 +188,6 @@ class DestinationLaw:
             self.density_se * (L - x0) * y0,
         )
 
-    @property
-    def total_mass(self) -> float:
-        return sum(self.quadrant_masses()) + self.cross.total
-
 
 def destination_law(origin: Point | tuple[float, float], L: float) -> DestinationLaw:
     """Destination law from ``origin``; rejects the four arena corners.

@@ -10,13 +10,12 @@ two-pass L1 distance transform of the suburb mask in O(m^2).
 
 The module owns the cell grid rules: the coordinate-to-cell rule
 (``grid_index``, which ``ZoneMap.cell_index`` applies with side ``ell`` on
-both axes), the 4-neighbour rule (``dilate``, which ``cz_neighborhood``
-keeps within the central zone) and the 8-neighbour rule (``dilate8``).
-The exchange's neighbour index uses them on grids of its own.  Every cell
-set is an ``m x m`` boolean mask.  The module also provides the
-combinatorial checkers used by the analysis: row/column coverage of the
-central zone, vertex-boundary expansion of central subsets, and the suburb
-diameter bound.
+both axes, and the exchange's neighbour index on a lattice of its own) and
+the 4-neighbour rule (``dilate``, which ``cz_neighborhood`` keeps within
+the central zone).  Every cell set is an ``m x m`` boolean mask.  The
+module also provides the combinatorial checkers used by the analysis:
+row/column coverage of the central zone, vertex-boundary expansion of
+central subsets, and the suburb diameter bound.
 """
 
 from __future__ import annotations
@@ -49,18 +48,6 @@ def dilate(cells: np.ndarray) -> np.ndarray:
     grown[:-1, :] |= cells[1:, :]
     grown[:, 1:] |= cells[:, :-1]
     grown[:, :-1] |= cells[:, 1:]
-    return grown
-
-
-def dilate8(cells: np.ndarray) -> np.ndarray:
-    """A 2-D mask grown by one step of the 8-neighbour rule: every cell of
-    ``cells`` plus the cells that share an edge or a corner with one."""
-    rows = cells.copy()
-    rows[1:, :] |= cells[:-1, :]
-    rows[:-1, :] |= cells[1:, :]
-    grown = rows.copy()
-    grown[:, 1:] |= rows[:, :-1]
-    grown[:, :-1] |= rows[:, 1:]
     return grown
 
 
@@ -261,14 +248,6 @@ EXHAUSTIVE_LIMIT = 20
 _SUBSET_BATCH = 512
 # Rows of uniforms a random subset batch draws at once.
 _DRAW_ROWS = 64
-
-
-def expansion_margin(cells: np.ndarray, zone_map: ZoneMap) -> float:
-    """``|boundary(B)| - sqrt(min(|B|, |CZ| - |B|))`` for one subset mask."""
-    size = int(cells.sum())
-    return int(boundary(cells, zone_map).sum()) - math.sqrt(
-        min(size, zone_map.cz_size - size)
-    )
 
 
 def _neighbor_table(central: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ code in the package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -33,7 +34,7 @@ from mrwpflood.stationary import (
     sample_destinations,
     spatial_density,
 )
-from mrwpflood.zones import Cell, ZoneMap
+from mrwpflood.zones import Cell, ZoneMap, boundary
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +205,12 @@ def sample_destination(
     return Point(float(dest[0, 0]), float(dest[0, 1]))
 
 
+def total_mass(law) -> float:
+    """Total probability of a ``DestinationLaw``: its four quadrant masses
+    and its cross segments."""
+    return sum(law.quadrant_masses()) + law.cross.total
+
+
 def brute_force_pairs(positions: np.ndarray, radius: float) -> np.ndarray:
     """Reference all-pairs query: unordered pairs (i < j) with distance at
     most ``radius``, in the same lexicographic order as ``NeighborIndex.pairs_within``."""
@@ -211,6 +218,28 @@ def brute_force_pairs(positions: np.ndarray, radius: float) -> np.ndarray:
     close = (diff**2).sum(axis=2) <= radius * radius
     i, j = np.nonzero(np.triu(close, k=1))
     return np.stack([i, j], axis=1)
+
+
+def ball_query(index, point: Sequence[float], radius: float) -> np.ndarray:
+    """Sorted indices of all agents of a ``NeighborIndex`` within
+    ``radius`` (closed ball) of one point, found by the index's own band
+    search: the single-point form of ``NeighborIndex.any_within``."""
+    index._check_radius(radius)
+    pts = np.asarray(point, dtype=float).reshape(1, 2)
+    everyone = np.ones(len(index.positions), dtype=bool)
+    found = [np.empty(0, dtype=np.int64)]
+    for query, cand in index._pairs(pts, everyone, radius):
+        found.append(cand[index._close(pts, query, cand, radius)])
+    return np.sort(np.concatenate(found))
+
+
+def expansion_margin(cells: np.ndarray, zone_map: ZoneMap) -> float:
+    """``|boundary(B)| - sqrt(min(|B|, |CZ| - |B|))`` for one subset mask:
+    the single-subset form of ``zones.check_expansion``'s margins."""
+    size = int(cells.sum())
+    return int(boundary(cells, zone_map).sum()) - math.sqrt(
+        min(size, zone_map.cz_size - size)
+    )
 
 
 def cell_center(zone_map: ZoneMap, cell: Cell) -> tuple[float, float]:

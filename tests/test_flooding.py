@@ -33,7 +33,7 @@ from mrwpflood.mobility import (
     init_population,
 )
 from mrwpflood.zones import build_zone_map, cz_neighborhood
-from oracle import brute_force_pairs, cell_center
+from oracle import ball_query, brute_force_pairs, cell_center
 
 
 def world(n=500, L=None, R=None, v=None, c1=2.5, seed=0, **kw):
@@ -118,7 +118,7 @@ class TestNeighborIndex:
         pts = np.array([[1.0, 1.0], [1.2, 1.0]])
         for radius in (-1.0, math.nan, np.nextafter(1.5, math.inf)):
             with pytest.raises(ValueError, match="outside"):
-                index.query((1.2, 1.0), radius)
+                ball_query(index, (1.2, 1.0), radius)
             with pytest.raises(ValueError, match="outside"):
                 index.any_within(pts, mask, radius)
             with pytest.raises(ValueError, match="outside"):
@@ -126,15 +126,15 @@ class TestNeighborIndex:
             with pytest.raises(ValueError, match="outside"):
                 index.pairs_within(radius)
         for radius in (0.0, -0.0):
-            assert index.query((1.0, 1.0), radius).tolist() == [0]
-            assert index.query((1.2, 1.0), radius).tolist() == []
+            assert ball_query(index, (1.0, 1.0), radius).tolist() == [0]
+            assert ball_query(index, (1.2, 1.0), radius).tolist() == []
             assert index.any_within(pts, mask, radius).tolist() == [True, False]
             assert index.pairs_within(radius).shape == (0, 2)
 
     def test_query_returns_sorted_closed_ball(self):
         pts = np.array([[1.0, 1.0], [2.0, 1.0], [9.0, 9.0], [1.0, 2.0]])
         index = NeighborIndex(pts, 10.0, 1.5)
-        hits = index.query((1.0, 1.0), 1.0)
+        hits = ball_query(index, (1.0, 1.0), 1.0)
         assert hits.tolist() == [0, 1, 3]
 
     def test_any_within_masks(self):
@@ -178,53 +178,51 @@ class TestNeighborIndex:
         want = (
             index.any_within(queries, mask, R),
             index.pairs_within(R),
-            index.query(queries[0], R),
+            ball_query(index, queries[0], R),
         )
         monkeypatch.setattr(flooding, "_PAIR_CHUNK", chunk)
         got = (
             index.any_within(queries, mask, R),
             index.pairs_within(R),
-            index.query(queries[0], R),
+            ball_query(index, queries[0], R),
         )
         assert want[0].any() and len(want[1]) > 0 and len(want[2]) > 0
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
 
 
-def lattice(L, k):
-    """Every point ``(i L / k, j L / k)`` for ``i, j = 0 .. k``: the corners
-    of a k x k cell grid, the far edges ``x = L`` and ``y = L`` included."""
-    ticks = np.arange(k + 1) * (L / k)
-    return np.stack(np.meshgrid(ticks, ticks), axis=-1).reshape(-1, 2)
+# (sub-rows k, sub-columns j) pairs with j dividing k: every lattice
+# resolution from one cell per bucket to eight cells a bucket side
+RESOLUTIONS = [(k, j) for k in range(1, 9) for j in range(1, k + 1) if k % j == 0]
 
 
-def certain_hit_cases():
-    """(positions, L, R, query points, mask, radius) cases for the
-    certain-hit rule."""
-    for trial in range(150):
-        rng = derive_substream(104, trial)
-        pts, L, R, queries = random_index_config(rng)
-        k = math.ceil(math.sqrt(5.0) * L / R * (1.0 + flooding._CELL_MARGIN))
-        if trial % 3 == 0 and k <= 40:
-            # the corners of the certain-hit grid itself, at both radii
-            pts = np.concatenate([pts, lattice(L, k)])
-            queries = np.concatenate([queries, lattice(L, k), lattice(L, 2 * k)])
-        mask = rng.random(len(pts)) < rng.uniform(0.05, 1.0)
-        for radius in (R, 0.75 * R):
-            yield pts, L, R, queries, mask, radius
-    # sqrt(5) L / radius = k is an integer, so a cell side of exactly
-    # radius / sqrt(5) would put the far corners of a 1 x 2 cell block at
-    # radius, or just past it in floating point.  One agent at a time, so
-    # no other agent hides a wrong mark.
-    for L, k in ((5.0, 25), (7.0, 10), (10.0, 26), (12.0, 27), (20.0, 43), (44.0, 40)):
-        radius = math.sqrt(5.0) * L / k
-        corners = lattice(L, k)
-        rng = derive_substream(105, k)
-        last = [i * (k + 1) + j for i in range(k - 2, k + 1) for j in range(k - 2, k + 1)]
-        for agent in last + list(rng.integers(len(corners), size=5)):
-            mask = np.zeros(len(corners), dtype=bool)
-            mask[agent] = True
-            yield corners, L, radius, corners, mask, radius
+def at_resolution(monkeypatch, k, j):
+    """Make the next indexes cut buckets into ``k`` sub-rows and ``j``
+    sub-columns, whatever their number of agents (``k`` as far as the
+    16-bit key and ``j * nb`` as far as ``_CELL_SIDES`` allow)."""
+    monkeypatch.setattr(flooding, "_SUB_ROWS", k)
+    monkeypatch.setattr(flooding, "_SUB_COLUMNS", j)
+    monkeypatch.setattr(flooding, "_LATTICE_SPAN", math.inf)
+
+
+def empty_index(L, R):
+    """An index of one agent at the origin, for its lattice geometry."""
+    return NeighborIndex(np.zeros((1, 2)), L, R)
+
+
+def ulps(ticks):
+    """Each value, and one ulp below and above it."""
+    ticks = np.asarray(ticks, dtype=float)
+    return np.concatenate([ticks, np.nextafter(ticks, -np.inf), np.nextafter(ticks, np.inf)])
+
+
+def lattice_edges(index):
+    """Points on every sub-column edge crossed with every sub-row edge of an
+    index's lattice (``x = L`` and ``y = L`` included), one ulp either side
+    of them too."""
+    xs = ulps(np.append(np.arange(index.lattice + 1) * index.cell, index.L))
+    ys = ulps(np.append(np.arange(index.ny + 1) * index.height, index.L))
+    return np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
 
 
 def arena_edge_points(L):
@@ -237,31 +235,61 @@ def arena_edge_points(L):
     return np.stack(np.meshgrid(ticks, ticks), axis=-1).reshape(-1, 2)
 
 
+def certain_hit_cases():
+    """(k, j, positions, L, R, query points, mask, radius) cases for the
+    lattice's stencils: random configurations at every resolution, a third
+    of them with agents and queries on the lattice's edges."""
+    for trial in range(150):
+        rng = derive_substream(104, trial)
+        pts, L, R, queries = random_index_config(rng)
+        k, j = RESOLUTIONS[trial % len(RESOLUTIONS)]
+        side = R * (1.0 + flooding._BAND_MARGIN)
+        cell, sides = side / j, j * math.ceil(L / side)
+        if trial % 3 == 0 and sides <= 40:
+            ticks = np.arange(sides + 1) * cell
+            corners = np.stack(np.meshgrid(ticks, ticks), axis=-1).reshape(-1, 2)
+            pts = np.concatenate([pts, corners])
+            queries = np.concatenate([queries, corners, corners + 0.5 * cell])
+        mask = rng.random(len(pts)) < rng.uniform(0.05, 1.0)
+        for radius in (R, 0.75 * R):
+            yield k, j, pts, L, R, queries, mask, radius
+
+
 class TestCertainHits:
-    def test_marks_are_hits_by_exact_distance(self):
+    def test_marks_are_hits_by_exact_distance(self, monkeypatch):
         marked = hits = 0
-        for case, (pts, L, R, queries, mask, radius) in enumerate(certain_hit_cases()):
+        for case, (k, j, pts, L, R, queries, mask, radius) in enumerate(
+            certain_hit_cases()
+        ):
+            at_resolution(monkeypatch, k, j)
             index = NeighborIndex(pts, L, R)
-            marks = index._certain(queries, mask, radius)
+            marks = index._marks(queries, mask, radius)[1]
             want = brute_force_any_within(pts, queries, mask, radius)
             assert not (marks & ~want).any(), case
             assert np.array_equal(index.any_within(queries, mask, radius), want), case
-            marked += int(marks.sum())
-            hits += int(want.sum())
-        # the rule must settle most hits, or it checks nothing
+            if index.j > 1:
+                marked += int(marks.sum())
+                hits += int(want.sum())
+            else:
+                assert not marks.any(), case
+        # where the lattice is finer than the buckets, the rule must settle
+        # most hits, or it checks nothing
         assert marked > 0.5 * hits
 
-    def test_marks_pass_the_miss_filter(self):
-        # any_within runs the cell rule only on the points the miss filter
-        # keeps, so every mark must pass the filter, on the cell-edge
-        # lattices and on points on and just outside the arena's edges
+    def test_marks_pass_the_miss_filter(self, monkeypatch):
+        # any_within searches only the points the possible dilation keeps
+        # and not certain, so every certain mark must be a possible one, on
+        # the lattice edges and on points on and just outside the arena
         marked = 0
-        for case, (pts, L, R, queries, mask, radius) in enumerate(certain_hit_cases()):
+        for case, (k, j, pts, L, R, queries, mask, radius) in enumerate(
+            certain_hit_cases()
+        ):
+            at_resolution(monkeypatch, k, j)
             queries = np.concatenate([queries, arena_edge_points(L)])
             index = NeighborIndex(pts, L, R)
-            marks = index._certain(queries, mask, radius)
-            assert not (marks & ~index._near(queries, mask)).any(), case
-            marked += int(marks.sum())
+            possible, certain = index._marks(queries, mask, radius)
+            assert not (certain & ~possible).any(), case
+            marked += int(certain.sum())
         assert marked > 10_000
 
     def test_arena_test_per_coordinate(self):
@@ -271,46 +299,178 @@ class TestCertainHits:
             inside = index._in_arena(pts)
             assert np.array_equal(inside, ((pts >= 0.0) & (pts <= L)).all(axis=1))
             assert inside.sum() == 36 and (~inside).sum() == 64
+            assert np.array_equal(index.inside, inside)
+        inside = np.array([[0.0, -0.0], [1.0, 7.3]])
+        assert NeighborIndex(inside, 7.3, 1.0).inside is None
 
-    def test_same_and_edge_adjacent_cells_are_marked(self):
-        # one agent at the centre of cell (2, 2) of a 10 x 10 grid of side 1
-        radius = math.sqrt(5.0) * 10.0 / 9.5
-        index = NeighborIndex(np.array([[2.5, 2.5]]), 10.0, radius)
-        queries = np.array(
-            [[2.0, 2.0], [2.9, 2.9], [1.0, 2.5], [3.99, 2.0], [2.5, 1.0],
-             [2.5, 3.99], [1.5, 1.5], [3.5, 3.5], [4.0, 2.5]]
+    def test_stencil_cells_are_marked(self, monkeypatch):
+        for k, j in RESOLUTIONS:
+            self.check_stencil_cells(monkeypatch, k, j)
+
+    @staticmethod
+    def check_stencil_cells(monkeypatch, k, j):
+        # one agent at the centre of a cell: the centre of the cell at
+        # offset (a, d) is marked certain when the cells' farthest points
+        # lie within the radius, and possible when their nearest points do
+        at_resolution(monkeypatch, k, j)
+        R = 1.0
+        probe = empty_index(9.0, R)
+        middle = (probe.lattice // 2 + 0.5) * probe.cell
+        index = NeighborIndex(np.array([[middle, middle]]), 9.0, R)
+        assert index.j == j
+        offsets = np.arange(-j - 2, j + 3)
+        a, d = (g.ravel() for g in np.meshgrid(offsets, offsets, indexing="ij"))
+        queries = middle + np.stack([a, d], axis=1) * index.cell
+        for radius in (R, 0.75 * R, 0.3 * R):
+            reach = (radius / index.cell) ** 2
+            far = (abs(a) + 1) ** 2 + (abs(d) + 1) ** 2 <= reach
+            near = np.maximum(abs(a) - 1, 0) ** 2 + np.maximum(abs(d) - 1, 0) ** 2 <= reach
+            possible, certain = index._marks(queries, np.ones(1, dtype=bool), radius)
+            assert np.array_equal(certain, far), (k, j, radius)
+            assert np.array_equal(possible, near), (k, j, radius)
+            if radius >= 0.75 * R:
+                assert certain.any() == (j > 1), (k, j, radius)
+        # one cell per bucket: the possible stencil is the 3 x 3 block
+        if j == 1:
+            assert np.array_equal(possible, (abs(a) <= 1) & (abs(d) <= 1))
+
+    def test_points_outside_the_arena_are_checked_by_distance(self, monkeypatch):
+        for k, j in RESOLUTIONS:
+            if j > 1:
+                self.check_outside_points(monkeypatch, k, j)
+
+    @staticmethod
+    def check_outside_points(monkeypatch, k, j):
+        # An agent in the arena, in a cell of the certain stencil of the
+        # edge cell, and a point just past the radius from it outside the
+        # arena: grid_index clips the point into the edge cell.  The far
+        # edge of the lattice lies within one cell of x = L.
+        at_resolution(monkeypatch, k, j)
+        L, R = 4.99, 1.0
+        cell = empty_index(L, R).cell
+        width = flooding._stencils(R, cell)[1][0]
+        low = (width + 0.5) * cell
+        pairs = (
+            ((low, 0.5 * cell), (low - 1.01 * R, 0.5 * cell)),
+            ((0.5 * cell, low), (0.5 * cell, low - 1.01 * R)),
+            ((L - low + 0.01, L - 0.5 * cell), (L - low + 0.01 + 1.01 * R, L - 0.5 * cell)),
         )
-        marks = index._certain(queries, np.ones(1, dtype=bool), radius)
-        assert marks.tolist() == [True] * 6 + [False] * 3
-
-    def test_points_outside_the_arena_are_checked_by_distance(self):
-        # a 10 x 10 grid of side 1; each pair is in edge-adjacent cells once
-        # grid_index puts the outside point into an edge cell, yet 2.45 apart
-        radius = math.sqrt(5.0) * 10.0 / 9.5
-        inside = np.array([[1.5, 0.5], [8.5, 9.5], [0.5, 1.5]])
-        outside = np.array([[-0.9, 0.0], [10.9, 10.0], [0.0, -0.9]])
         far = np.array([[-50.0, 3.0], [3.0, 1e6]])
         mask = np.ones(1, dtype=bool)
-        for a, b in zip(inside, outside):
+        for a, b in pairs:
             for sender, query in ((a, b), (b, a)):
-                index = NeighborIndex(sender[None, :], 10.0, radius)
-                queries = np.concatenate([query[None, :], far])
-                assert not brute_force_any_within(index.positions, queries, mask, radius).any()
-                assert not index._certain(queries, mask, radius).any()
-                assert not index.any_within(queries, mask, radius).any()
+                index = NeighborIndex(np.array([sender]), L, R)
+                assert index.j == j
+                queries = np.concatenate([[query], far])
+                # the clipped pair sits in the certain stencil
+                cells = index._sub_columns(queries[:1, 0]), index._rows(queries[:1, 1])
+                gap = abs(cells[0][0] - index.cells[0] // index.pitch)
+                rows = abs(cells[1][0] // (k // j) - index.cells[0] % index.pitch)
+                assert rows < len(flooding._stencils(R, cell)[1])
+                assert gap <= flooding._stencils(R, cell)[1][rows]
+                assert not brute_force_any_within(index.positions, queries, mask, R).any()
+                assert not index._marks(queries, mask, R)[1].any(), (k, j, sender)
+                assert not index.any_within(queries, mask, R).any(), (k, j, sender)
 
-    def test_no_grid_for_tiny_radii(self):
+    def test_no_grid_for_tiny_radii(self, monkeypatch):
+        # six cells a bucket side (the 16-bit key allows six sub-rows), and
+        # a radius below the diagonal of one: the certain stencil is empty
+        at_resolution(monkeypatch, 8, 8)
         index = NeighborIndex(np.array([[0.5, 0.5], [0.5, 0.5 + 1e-4]]), 100.0, 1.0)
+        assert index.j == index.k == 6 and index.cells is not None
         mask = np.array([True, False])
         radius = 100.0 * math.sqrt(5.0) / (flooding._CELL_SIDES + 1)
-        assert not index._certain(index.positions, mask, radius).any()
+        assert flooding._stencils(radius, index.cell)[1] == ()
+        assert not index._marks(index.positions, mask, radius)[1].any()
         assert index.any_within(index.positions, mask, radius).tolist() == [True, True]
         assert index.any_within(index.positions, mask, 0.0).tolist() == [True, False]
 
 
+class TestLattice:
+    @pytest.mark.parametrize("n", [2000, 32_000, 128_000, 10**6])
+    def test_lattice_is_order_n(self, n):
+        p = make_params(n)
+        index = NeighborIndex(np.zeros((n, 2)), p.L, p.R)
+        assert index.lattice == index.j * index.nb <= max(index.nb, 2.0 * math.sqrt(n))
+        assert index.k % index.j == 0 and index.cells is not None
+        # the largest such divisor: eight cells a bucket side at n = 32k
+        finer = range(index.j + 1, index.k + 1)
+        assert all(index.k % j or j * index.nb > 2.0 * math.sqrt(n) for j in finer)
+        if n == 32_000:
+            assert index.j == 8
+
+    def test_lattice_cells_at_build(self, monkeypatch):
+        # sub-column by truncation on the cell side, sub-rows grouped k / j
+        # at a time, clipped into the lattice as the buckets are
+        rng = derive_substream(111, 0)
+        for k, j in RESOLUTIONS:
+            at_resolution(monkeypatch, k, j)
+            pts = rng.random((300, 2)) * 14.0 - 1.0
+            pts[:40] = rng.choice(lattice_edges(empty_index(12.0, 2.0)), 40)
+            index = NeighborIndex(pts, 12.0, 2.0)
+            assert (index.k, index.j) == (k, j)
+            for (x, y), cell in zip(pts, index.cells):
+                col = min(max(int(x / index.cell), 0), index.lattice - 1)
+                row = min(max(int(y / index.height), 0), index.ny - 1)
+                assert cell == col * index.pitch + row // (k // j)
+
+    @pytest.mark.parametrize("k, j", RESOLUTIONS)
+    def test_one_agent_on_the_lattice_edges(self, monkeypatch, k, j):
+        # One agent at a time on a lattice corner, one ulp off it, or in a
+        # cell's middle; queries on every sub-column and sub-row edge, one
+        # ulp either side, and at the radius from the agent, rounded either
+        # way.  Alone, no other agent hides a wrong mark.
+        at_resolution(monkeypatch, k, j)
+        L, R = 6.0, 1.0
+        probe = empty_index(L, R)
+        edges = lattice_edges(probe)
+        x0, y0 = probe.lattice // 2 * probe.cell, probe.ny // 2 * probe.height
+        senders = [(x, y) for x in ulps([x0]) for y in ulps([y0])]
+        senders += [(x0 + 0.5 * probe.cell, y0 + 0.3 * probe.cell), (L, L), (0.0, L)]
+        mask = np.ones(1, dtype=bool)
+        checked = 0
+        for sender in senders:
+            index = NeighborIndex(np.array([sender]), L, R)
+            assert (index.k, index.j) == (k, j)
+            for radius in (R, 0.75 * R):
+                ring = np.array(sender) + radius * np.array(
+                    [[1, 0], [-1, 0], [0, 1], [0, -1], [0.6, 0.8], [-0.8, -0.6]]
+                )
+                queries = np.concatenate([edges, ulps(ring.ravel()).reshape(-1, 2)])
+                want = brute_force_any_within(index.positions, queries, mask, radius)
+                possible, certain = index._marks(queries, mask, radius)
+                assert not (want & ~possible).any(), (sender, radius)
+                assert not (certain & ~want).any(), (sender, radius)
+                assert np.array_equal(index.any_within(queries, mask, radius), want)
+                checked += int(want.sum())
+                if j > 1:
+                    assert certain.any()
+        assert checked > 500
+
+    @pytest.mark.parametrize("k, j", RESOLUTIONS)
+    def test_many_agents_match_brute_force(self, monkeypatch, k, j):
+        at_resolution(monkeypatch, k, j)
+        for trial in range(12):
+            rng = derive_substream(112, trial * 100 + k * 10 + j)
+            pts, L, R, queries = random_index_config(rng)
+            probe = empty_index(L, R)
+            if probe.cells is not None:
+                edges = lattice_edges(probe)
+                pts = np.concatenate([pts, rng.choice(edges, 60)])
+                queries = np.concatenate([queries, rng.choice(edges, 300)])
+            index = NeighborIndex(pts, L, R)
+            mask = rng.random(len(pts)) < rng.uniform(0.05, 1.0)
+            for radius in (R, 0.75 * R, 0.0):
+                want = brute_force_any_within(pts, queries, mask, radius)
+                assert np.array_equal(index.any_within(queries, mask, radius), want)
+                if index.cells is not None:
+                    possible, certain = index._marks(queries, mask, radius)
+                    assert not (want & ~possible).any() and not (certain & ~want).any()
+
+
 def band_cases():
     """(positions, L, R, query points, mask, radius) cases for the search
-    band and the block filter of ``NeighborIndex``."""
+    band and the possible stencil of ``NeighborIndex``."""
     for trial in range(150):
         rng = derive_substream(108, trial)
         pts, L, R, queries = random_index_config(rng)
@@ -358,8 +518,9 @@ class TestCandidateBand:
             want = np.flatnonzero(within)  # query * len(pts) + agent
             assert np.isin(want, got).all(), case
             assert len(np.unique(got)) == len(got), case
-            # the block filter keeps every point with a neighbour
-            assert not (within.any(axis=1) & ~index._near(queries, mask)).any(), case
+            # the possible stencil keeps every point with a neighbour
+            possible = index._marks(queries, mask, radius)[0]
+            assert not (within.any(axis=1) & ~possible).any(), case
             pairs += len(got)
             close += len(want)
         assert close > 10_000
@@ -368,13 +529,15 @@ class TestCandidateBand:
         assert pairs < 2.0 * close
 
     def test_any_within_without_block_filter(self):
-        # more than _CELL_SIDES buckets a side: no filter, no certain hits
+        # more than _CELL_SIDES buckets a side: no lattice, so neither the
+        # possible (block) filter nor certain hits, and every point is
+        # searched
         rng = derive_substream(110, 0)
         L, R = 100.0, 100.0 / (flooding._CELL_SIDES + 5)
         pts = rng.random((3000, 2)) * L
         queries = np.concatenate([pts[:500] + R * 0.6, rng.random((500, 2)) * L])
         index = NeighborIndex(pts, L, R)
-        assert index.nb > flooding._CELL_SIDES
+        assert index.nb > flooding._CELL_SIDES and index.cells is None
         mask = rng.random(3000) < 0.5
         want = brute_force_any_within(pts, queries, mask, R)
         assert want.any()

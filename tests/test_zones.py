@@ -17,13 +17,12 @@ from mrwpflood.zones import (
     check_suburb_diameter,
     core_bounds,
     cz_row_column_counts,
-    expansion_margin,
     grid_svg,
     manhattan_distance,
     zone_map_svg,
     zone_map_to_csv,
 )
-from oracle import cell_center
+from oracle import cell_center, expansion_margin
 
 
 def world(n=500, L=None, R=None, v=None, c1=2.5, seed=0, **kw):
