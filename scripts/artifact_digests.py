@@ -28,7 +28,10 @@ pass.  One covers slow agents far below the connectivity radius:
 `flood --set n=8000 --set R=1.5 --set v=0.02 --source in_suburb --set
 max_steps=300` spreads for all 300 steps (7994 of 8000 agents informed at
 seed 0), on an exchange lattice of two cells a bucket side where the
-denser commands use eight.
+denser commands use eight.  One covers the corner trials at a seed of two
+32-bit words: `lower-bound --trials 1000 --flood-cap 2 --set
+seed=4294967297` (about 0.8 s) derives every trial's seed and stream from
+a seed whose high word is 1.
 """
 
 import hashlib
@@ -68,6 +71,13 @@ COMMANDS = [
     ("lemma-sweep", ["lemma-sweep", "--skip-expansion", "--skip-density"]),
     ("scaling", ["scaling", "--scales", "1000", "--replicas", "2"]),
     ("lower-bound", ["lower-bound", "--trials", "200", "--flood-cap", "3"]),
+    (
+        "lower-bound-2word",
+        [
+            "lower-bound", "--trials", "1000", "--flood-cap", "2",
+            "--set", "seed=4294967297",
+        ],
+    ),
     ("heatmap", ["heatmap"]),
     ("heatmap-origin", ["heatmap", "--origin", "2,7", "--bins", "30"]),
 ]

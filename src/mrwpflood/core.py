@@ -166,7 +166,7 @@ def derive_substream(seed: int, index: int) -> np.random.Generator:
 
 
 # Constants of numpy's SeedSequence (numpy/random/bit_generator.pyx), which
-# substream_seeds reproduces for many indices at once.
+# seedseq_words reproduces for many entropy rows at once.
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -174,47 +174,65 @@ _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _MASK32 = 0xFFFF_FFFF
 
 
+def entropy_words(value: int) -> list[int]:
+    """The uint32 words SeedSequence reads from a non-negative integer."""
+    if value < 0:
+        raise ValueError("expected non-negative integer")  # numpy's message
+    return [value >> s & _MASK32 for s in range(0, max(int(value).bit_length(), 1), 32)]
+
+
+def seedseq_words(entropy, n_words: int) -> np.ndarray:
+    """``SeedSequence(row).generate_state(n_words)`` for every row, as a
+    ``(rows, n_words)`` uint32 array, in whole-array uint32 arithmetic.
+    ``entropy`` lists a row's words, each a scalar or one per row."""
+    columns = (np.array(word, np.uint32, ndmin=1) for word in entropy)
+    entropy = list(np.broadcast_arrays(*columns))
+    hash_const, mult = _INIT_A, _MULT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    pool = [hashmix(w) for w in (entropy + [0 * entropy[0]] * _POOL_SIZE)[:_POOL_SIZE]]
+    # every pool word into every other, then each word past the pool into all
+    for src in range(max(len(entropy), _POOL_SIZE)):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value = pool[src] if src < _POOL_SIZE else entropy[src]
+                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(value)
+                pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    hash_const, mult = _INIT_B, _MULT_B  # generate_state hashes with these
+    words = [hashmix(pool[k % _POOL_SIZE]) for k in range(n_words)]
+    return np.stack(words, axis=1).astype("<u4", copy=False)
+
+
 def substream_seeds(seed: int, indices) -> np.ndarray:
     """PCG64 seed words of the substream ``(seed, i)`` for each ``i`` in
     ``indices``, as a ``(len(indices), 4)`` uint64 array.
 
     Row ``r`` equals ``SeedSequence((seed mod 2**64, indices[r]))
-    .generate_state(4, np.uint64)``: numpy's pool hash and mix, run in
-    whole-array uint32 arithmetic, so :func:`pcg64_states` of the row
+    .generate_state(4, np.uint64)``, so :func:`pcg64_states` of the row
     draws what ``derive_substream(seed, indices[r])`` draws.  Indices must
     lie in [0, 2**32); a larger one would add an entropy word.
     """
     index = np.asarray(indices).ravel()
     if index.size and (index.min() < 0 or index.max() > _MASK32):
         raise ValueError("substream_seeds takes indices in [0, 2**32)")
-    seed &= 0xFFFF_FFFF_FFFF_FFFF
-    words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
-    entropy = [np.full(index.size, w, dtype=np.uint32) for w in words]
-    entropy.append(index.astype(np.uint32))
-    entropy += [np.zeros(index.size, dtype=np.uint32)] * (_POOL_SIZE - len(entropy))
-    hash_const = _INIT_A
+    entropy = entropy_words(seed & 0xFFFF_FFFF_FFFF_FFFF) + [index.astype(np.uint32)]
+    return seedseq_words(entropy, 8).view("<u8").astype(np.uint64)
 
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
 
-    pool = [hashmix(word) for word in entropy]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])
-                pool[dst] = mixed ^ (mixed >> np.uint32(16))
-    state = np.empty((index.size, 2 * _POOL_SIZE), dtype="<u4")
-    hash_const = _INIT_B
-    for k in range(2 * _POOL_SIZE):
-        value = pool[k % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * np.uint32(hash_const)
-        state[:, k] = value ^ (value >> np.uint32(16))
-    return state.view("<u8").astype(np.uint64)
+def substream_states(seeds: np.ndarray, index: int) -> np.ndarray:
+    """:func:`pcg64_states` of ``derive_substream(s, index)`` for each
+    64-bit seed ``s`` of ``seeds``; a seed below 2**32 is one word, not two."""
+    low, high = np.ascontiguousarray(seeds, "<u8").view("<u4").reshape(-1, 2).T
+    words = seedseq_words([low, high, *entropy_words(index)], 8)
+    short = np.flatnonzero(high == 0)
+    words[short] = seedseq_words([low[short], *entropy_words(index)], 8)
+    return pcg64_states(words.view("<u8"))
 
 
 # numpy's PCG64 (numpy/random/src/pcg64): a 128-bit LCG, state <- a * state

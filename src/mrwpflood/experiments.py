@@ -25,6 +25,9 @@ from .core import (
     SPEED_ENVELOPE_DEFAULT,
     WorldParams,
     derive_substream,
+    entropy_words,
+    seedseq_words,
+    substream_states,
 )
 from .flooding import (
     DEFAULT_BOUND_CONSTANTS,
@@ -692,14 +695,21 @@ def lower_bound_experiment(
     zone_map = build_zone_map(params)
     hits = f_occupied = annulus_empty = floods = satisfied = 0
     conditional_times: list[int] = []
+    # derived_seed(seed, 2, k) and its init stream's PCG64 state, for all k
+    ks = np.arange(trials, dtype=np.uint32)
+    trial_seeds = seedseq_words([*entropy_words(seed), 2, ks], 2).view("<u8")[:, 0]
+    states = substream_states(trial_seeds, INIT_STREAM_INDEX)
+    init_rng = np.random.Generator(np.random.PCG64(0))
+    state = init_rng.bit_generator.state  # with no buffered uint32
     for k in range(trials):
-        trial_seed = derived_seed(seed, 2, k)
-        init_rng = derive_substream(trial_seed, INIT_STREAM_INDEX)
+        (s_hi, s_lo), (inc_hi, inc_lo) = states[k].tolist()
+        state["state"] = {"state": s_hi << 64 | s_lo, "inc": inc_hi << 64 | inc_lo}
+        init_rng.bit_generator.state = state
         pos = sample_stationary_positions(init_rng, params.n, params.L)
-        in_f = (pos[:, 0] <= d) & (pos[:, 1] <= d)
-        in_e = (pos[:, 0] <= 3.0 * d) & (pos[:, 1] <= 3.0 * d)
+        corner = np.maximum(pos[:, 0], pos[:, 1])  # F is corner <= d, E <= 3d
+        in_f = corner[corner <= 3.0 * d] <= d  # of the agents in E
         some_f = bool(in_f.any())
-        empty_annulus = not bool((in_e & ~in_f).any())
+        empty_annulus = bool(in_f.all())  # nothing in E outside F
         f_occupied += some_f
         annulus_empty += empty_annulus
         hit = some_f and empty_annulus
@@ -709,7 +719,7 @@ def lower_bound_experiment(
         if flood_cap is not None and floods >= flood_cap:
             continue
         record = run_flood(
-            replace(params, seed=trial_seed),
+            replace(params, seed=int(trial_seeds[k])),
             source_rule=SOURCE_RANDOM,
             init_mode=APPROX_STATIONARY,
             zone_map=zone_map,

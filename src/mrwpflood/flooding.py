@@ -296,7 +296,7 @@ class NeighborIndex:
         else:
             possible, out = self._marks(pts, mask, radius)
             rest = np.flatnonzero(possible & ~out)
-        left = pts[rest]
+        left = np.take(pts, rest, axis=0)
         for query, cand in self._pairs(left, mask, radius):
             out[rest[query[self._close(left, query, cand, radius)]]] = True
         return out
@@ -347,7 +347,8 @@ def flood_step(population: Population, state: FloodState) -> None:
     p = population.params
     index = NeighborIndex(population.pos, p.L, p.R)
     targets = np.flatnonzero(~state.informed)
-    hit = index.any_within(population.pos[targets], state.informed, p.R)
+    pts = np.take(population.pos, targets, axis=0)
+    hit = index.any_within(pts, state.informed, p.R)
     state.informed[targets[hit]] = True
 
 

@@ -247,12 +247,13 @@ def sample_stationary_positions(
         attempts += batch
         if attempts > cap:
             raise RuntimeError("rejection sampler exceeded its iteration cap")
-        cand = rng.random((batch, 2)) * L
+        cand = rng.random((batch, 2))
+        cand *= L
         u = rng.random(batch)
-        keep = cand[u * fmax <= _density_raw(cand[:, 0], cand[:, 1], L)]
-        take = min(len(keep), count - filled)
-        out[filled : filled + take] = keep[:take]
-        filled += take
+        u *= fmax
+        keep = np.flatnonzero(u <= _density_raw(*cand.T, L))[: count - filled]
+        out[filled : filled + len(keep)] = np.take(cand, keep, axis=0)
+        filled += len(keep)
     return out
 
 

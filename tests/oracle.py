@@ -4,8 +4,12 @@ The per-agent trip stepper (:func:`step_agent` on one :class:`AgentState`)
 is the oracle of ``Population.step`` and ``init_population``: each agent
 stepped alone on its own ``(seed, agent id)`` substream must end every step
 in the state, and with the way-point events, that the population engine
-gives it.  The other helpers are single-point or all-pairs forms of array
-code in the package.
+gives it.  :func:`sample_stationary_positions` (a boolean row mask per
+batch) and :func:`lower_bound_experiment` (two seed sequences and a fresh
+generator per trial) are the direct forms of the package's sampler and
+corner-trial loop, which must draw and report exactly what they do.  The
+other helpers are single-point or all-pairs forms of array code in the
+package.
 """
 
 from __future__ import annotations
@@ -16,8 +20,11 @@ from typing import Sequence
 
 import numpy as np
 
-from mrwpflood.core import Point, WorldParams
+from mrwpflood.core import INIT_STREAM_INDEX, Point, WorldParams, derive_substream
+from mrwpflood.experiments import LowerBoundReport, derived_seed
+from mrwpflood.flooding import SOURCE_RANDOM, run_flood
 from mrwpflood.mobility import (
+    APPROX_STATIONARY,
     ARRIVAL,
     HEADING_VECTORS,
     ROLLOVER_CAP,
@@ -29,12 +36,13 @@ from mrwpflood.mobility import (
 )
 from mrwpflood.stationary import (
     REJECTION_CAP,
+    _density_raw,
     destination_law,
     peak_spatial_density,
     sample_destinations,
     spatial_density,
 )
-from mrwpflood.zones import Cell, ZoneMap, boundary
+from mrwpflood.zones import Cell, ZoneMap, boundary, build_zone_map
 
 
 # ---------------------------------------------------------------------------
@@ -245,3 +253,97 @@ def expansion_margin(cells: np.ndarray, zone_map: ZoneMap) -> float:
 def cell_center(zone_map: ZoneMap, cell: Cell) -> tuple[float, float]:
     """Centre point of a grid cell."""
     return ((cell[0] + 0.5) * zone_map.ell, (cell[1] + 0.5) * zone_map.ell)
+
+
+# ---------------------------------------------------------------------------
+# the direct sampler and corner-trial loop
+# ---------------------------------------------------------------------------
+
+def sample_stationary_positions(
+    rng: np.random.Generator, count: int, L: float
+) -> np.ndarray:
+    """``stationary.sample_stationary_positions`` with the same batches and
+    draws, keeping each batch's accepted rows by a 2-D boolean row mask."""
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    out = np.empty((count, 2), dtype=float)
+    filled = 0
+    attempts = 0
+    cap = max(REJECTION_CAP, 10 * count)
+    fmax = peak_spatial_density(L)
+    while filled < count:
+        batch = max(64, 2 * (count - filled))
+        attempts += batch
+        if attempts > cap:
+            raise RuntimeError("rejection sampler exceeded its iteration cap")
+        cand = rng.random((batch, 2)) * L
+        u = rng.random(batch)
+        keep = cand[u * fmax <= _density_raw(cand[:, 0], cand[:, 1], L)]
+        take = min(len(keep), count - filled)
+        out[filled : filled + take] = keep[:take]
+        filled += take
+    return out
+
+
+def lower_bound_experiment(
+    params: WorldParams,
+    d: float,
+    trials: int = 10_000,
+    seed: int | None = None,
+    max_flood_factor: float = 4.0,
+    flood_cap: int | None = None,
+) -> LowerBoundReport:
+    """``experiments.lower_bound_experiment`` trial by trial: each trial's
+    seed from ``derived_seed``, its stream from ``derive_substream`` and
+    the corner test on every position."""
+    if seed is None:
+        seed = params.seed
+    threshold = (2.0 * d - params.R) / (2.0 * params.v)
+    max_steps = math.ceil(max_flood_factor * threshold) + 1
+    zone_map = build_zone_map(params)
+    hits = f_occupied = annulus_empty = floods = satisfied = 0
+    conditional_times: list[int] = []
+    for k in range(trials):
+        trial_seed = derived_seed(seed, 2, k)
+        init_rng = derive_substream(trial_seed, INIT_STREAM_INDEX)
+        pos = sample_stationary_positions(init_rng, params.n, params.L)
+        in_f = (pos[:, 0] <= d) & (pos[:, 1] <= d)
+        in_e = (pos[:, 0] <= 3.0 * d) & (pos[:, 1] <= 3.0 * d)
+        some_f = bool(in_f.any())
+        empty_annulus = not bool((in_e & ~in_f).any())
+        f_occupied += some_f
+        annulus_empty += empty_annulus
+        hit = some_f and empty_annulus
+        if not hit:
+            continue
+        hits += 1
+        if flood_cap is not None and floods >= flood_cap:
+            continue
+        record = run_flood(
+            replace(params, seed=trial_seed),
+            source_rule=SOURCE_RANDOM,
+            init_mode=APPROX_STATIONARY,
+            zone_map=zone_map,
+            max_steps=max_steps,
+        )
+        source_pos = pos[record.source_agent]
+        if source_pos[0] <= d and source_pos[1] <= d:
+            continue  # source inside F: the floor argument does not apply
+        floods += 1
+        t = record.flooding_time if not record.timed_out else max_steps
+        conditional_times.append(t)
+        if t >= threshold:
+            satisfied += 1
+    return LowerBoundReport(
+        params=params,
+        d=d,
+        trials=trials,
+        hits=hits,
+        f_occupied=f_occupied,
+        annulus_empty=annulus_empty,
+        floods=floods,
+        threshold=threshold,
+        conditional_times=conditional_times,
+        conditional_satisfied=satisfied,
+        max_steps=max_steps,
+    )

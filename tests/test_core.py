@@ -1,13 +1,14 @@
 """Parameter validation, envelope checks and RNG substream derivation."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.random.bit_generator import ISeedSequence
 
-from mrwpflood import core
+from mrwpflood import core, experiments
 from mrwpflood.core import (
     INIT_STREAM_INDEX,
     MONITOR_STREAM_INDEX,
@@ -17,10 +18,14 @@ from mrwpflood.core import (
     WorldParams,
     check_assumptions,
     derive_substream,
+    entropy_words,
     pcg64_random3,
     pcg64_states,
+    seedseq_words,
     substream_seeds,
+    substream_states,
 )
+from mrwpflood.experiments import derived_seed, lower_bound_params
 
 
 def make(n=100, L=10.0, R=2.0, v=0.1, **kw):
@@ -211,6 +216,112 @@ class TestSubstreamSeeds:
     def test_indices_outside_one_word_rejected(self, indices):
         with pytest.raises(ValueError):
             substream_seeds(0, indices)
+
+
+def generator_at(states, row):
+    """A ``Generator`` on numpy's PCG64 started from ``states[row]``."""
+    (s_hi, s_lo), (inc_hi, inc_lo) = states[row].tolist()
+    bit_generator = np.random.PCG64()
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": s_hi << 64 | s_lo, "inc": inc_hi << 64 | inc_lo},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return np.random.Generator(bit_generator)
+
+
+class TestSeedSequenceWords:
+    # one entropy integer of one, two, three and four words, and entropy
+    # longer than the four-word pool, which numpy mixes in after the pool
+    @pytest.mark.parametrize(
+        "entropy",
+        [(), (0,), (5, 2**32), (2**64 - 1, 2), (2**64 + 5, 2), (2**100, 3, 1, 4, 1, 5)],
+    )
+    def test_matches_seed_sequence(self, entropy):
+        column = np.arange(0, 2**32, 2**22, dtype=np.uint64).astype(np.uint32)
+        words = [w for e in entropy for w in entropy_words(e)]
+        got = seedseq_words([*words, column], 7)
+        assert got.dtype == np.uint32 and got.shape == (column.size, 7)
+        for row, c in zip(got, column.tolist()):
+            want = np.random.SeedSequence((*entropy, c)).generate_state(7)
+            assert np.array_equal(row, want), c
+
+    def test_entropy_words(self):
+        for value in (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 3**70):
+            want = np.random.SeedSequence(value).generate_state(5)
+            assert np.array_equal(seedseq_words(entropy_words(value), 5)[0], want)
+        assert entropy_words(np.uint64(2**64 - 1)) == entropy_words(2**64 - 1)
+        assert entropy_words(np.int64(7)) == [7]
+        with pytest.raises(ValueError):
+            entropy_words(-1)
+        with pytest.raises(TypeError):
+            entropy_words(2.0)
+
+
+def corner_trial_streams(monkeypatch, seed, trials):
+    """Each trial's seed and init-stream draws as ``lower_bound_experiment``
+    makes them, with its sampler and flood replaced: every trial records
+    its stream's state, its first 8 draws and the 8 after 12 000 more (the
+    first sampler batch at n = 2000), and reports a corner event, whose
+    flood records its seed."""
+    streams, seeds = [], []
+
+    def sampler(rng, count, L):
+        state = rng.bit_generator.state
+        first = rng.random(8)
+        rng.random(12_000)
+        streams.append((state, first, rng.random(8)))
+        pos = np.full((count, 2), L / 2)
+        pos[0] = 0.0  # alone in the corner square
+        return pos
+
+    def flood(params, **kwargs):
+        seeds.append(params.seed)
+        return SimpleNamespace(source_agent=1, flooding_time=0, timed_out=False)
+
+    monkeypatch.setattr(experiments, "sample_stationary_positions", sampler)
+    monkeypatch.setattr(experiments, "run_flood", flood)
+    params, d = lower_bound_params(n=1000)
+    report = experiments.lower_bound_experiment(params, d, trials=trials, seed=seed)
+    assert report.hits == report.floods == len(seeds) == len(streams) == trials
+    return seeds, streams
+
+
+class TestTrialStreams:
+    # trial k of the corner experiment draws from
+    # derive_substream(derived_seed(seed, 2, k), INIT_STREAM_INDEX)
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 5 + 2**64, 2**100]
+    )
+    def test_match_the_derived_streams_bitwise(self, monkeypatch, seed):
+        # seeds past 64 bits are not wrapped by derived_seed: their three or
+        # four words make entropy longer than the pool
+        trials = 1200 if seed < 2**64 else 50
+        seeds, streams = corner_trial_streams(monkeypatch, seed, trials)
+        for k, (trial_seed, (state, first, later)) in enumerate(zip(seeds, streams)):
+            assert trial_seed == derived_seed(seed, 2, k), k
+            want = derive_substream(trial_seed, INIT_STREAM_INDEX)
+            assert state == want.bit_generator.state, k
+            assert np.array_equal(bits(first), bits(want.random(8))), k
+            want.random(12_000)
+            assert np.array_equal(bits(later), bits(want.random(8))), k
+
+    def test_one_word_trial_seeds(self):
+        # a trial seed below 2**32 is one entropy word, not two; such a
+        # derived seed turns up about once in 2**32 trials, so the seeds are
+        # chosen, among others of two words
+        chosen = [0, 1, 2, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
+        states = substream_states(np.array(chosen, dtype=np.uint64), INIT_STREAM_INDEX)
+        for row, seed in enumerate(chosen):
+            sequence = np.random.SeedSequence((seed, INIT_STREAM_INDEX))
+            want = np.random.Generator(np.random.PCG64(sequence))
+            got = generator_at(states, row)
+            assert got.bit_generator.state == want.bit_generator.state, seed
+            assert np.array_equal(bits(got.random(9)), bits(want.random(9))), seed
+
+    def test_no_trials(self, monkeypatch):
+        assert corner_trial_streams(monkeypatch, 3, 0) == ([], [])
 
 
 class SeedWords(ISeedSequence):

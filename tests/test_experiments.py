@@ -25,6 +25,7 @@ from mrwpflood.experiments import (
 from mrwpflood.flooding import run_flood
 from mrwpflood.stationary import grid_cell_masses
 from mrwpflood.zones import build_zone_map
+import oracle
 
 
 class TestHelpers:
@@ -277,6 +278,18 @@ class TestLowerBound:
             lower_bound_experiment(params, params.L, trials=1)
         with pytest.raises(ValueError):
             lower_bound_experiment(replace(params, v=0.0), d, trials=1)
+
+    @pytest.mark.parametrize(
+        "seed, override", [(0, None), (2**32 + 1, None), (0, 4_000_000_007)]
+    )
+    def test_matches_the_trial_by_trial_oracle(self, seed, override):
+        params, d = lower_bound_params(n=1000, seed=seed)
+        got = lower_bound_experiment(params, d, trials=400, seed=override, flood_cap=2)
+        want = oracle.lower_bound_experiment(
+            params, d, trials=400, seed=override, flood_cap=2
+        )
+        assert got.to_json_dict() == want.to_json_dict()
+        assert got.floods > 0
 
     def test_deterministic(self):
         params, d = lower_bound_params(n=1000)

@@ -25,6 +25,7 @@ from mrwpflood.stationary import (
     sample_stationary_positions,
     spatial_density,
 )
+import oracle
 from oracle import sample_destination, sample_stationary_position, total_mass
 
 # strategy: positive arena sides away from degenerate float extremes
@@ -226,6 +227,29 @@ class TestPositionSampler:
         a = sample_stationary_positions(derive_substream(7, 3), 500, 10.0)
         b = sample_stationary_positions(derive_substream(7, 3), 500, 10.0)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("L", [1.0, 10.0, math.sqrt(2000), 1e4])
+    @pytest.mark.parametrize("count", [0, 1, 31, 32, 33, 64, 2000, 32_000])
+    def test_matches_the_row_mask_oracle_bitwise(self, count, L):
+        rng, ref = derive_substream(7, 0), derive_substream(7, 0)
+        got = sample_stationary_positions(rng, count, L)
+        want = oracle.sample_stationary_positions(ref, count, L)
+        assert got.shape == want.shape == (count, 2)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("count, seed", [(31, 1925), (33, 274)])
+    def test_a_short_first_batch_draws_a_second(self, count, seed):
+        # these streams accept fewer than ``count`` of the first batch's
+        # max(64, 2 * count) proposals, so the sampler draws another batch
+        rng, ref = derive_substream(seed, 0), derive_substream(seed, 0)
+        one_batch = derive_substream(seed, 0)
+        one_batch.random(3 * max(64, 2 * count))
+        got = sample_stationary_positions(rng, count, 10.0)
+        assert rng.bit_generator.state != one_batch.bit_generator.state
+        want = oracle.sample_stationary_positions(ref, count, 10.0)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_single_draw_matches_law_region(self):
         pt = sample_stationary_position(derive_substream(7, 4), 10.0)
