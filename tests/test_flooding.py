@@ -1,5 +1,6 @@
 """Neighbor queries, protocol stepping, density monitoring, full flood runs."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -33,7 +34,8 @@ from mrwpflood.mobility import (
     init_population,
 )
 from mrwpflood.zones import build_zone_map, cz_neighborhood
-from oracle import ball_query, brute_force_pairs, cell_center
+import oracle
+from oracle import ball_query, brute_force_pairs, cell_center, pairs_within
 
 
 def world(n=500, L=None, R=None, v=None, c1=2.5, seed=0, **kw):
@@ -94,21 +96,21 @@ class TestNeighborIndex:
             pts = rng.random((n, 2)) * L
             index = NeighborIndex(pts, L, R)
             for radius in (R, 0.75 * R):
-                got = index.pairs_within(radius)
+                got = pairs_within(index, radius)
                 want = brute_force_pairs(pts, radius)
                 assert np.array_equal(got, want), (trial, radius)
 
     def test_ties_at_exact_radius_included(self):
         pts = np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 4.0]])
         index = NeighborIndex(pts, 10.0, 5.0)
-        pairs = index.pairs_within(5.0)  # (0,2) at distance exactly 5
+        pairs = pairs_within(index, 5.0)  # (0,2) at distance exactly 5
         assert [0, 2] in pairs.tolist()
 
     def test_radius_above_bucket_side_rejected(self):
         pts = np.zeros((3, 2))
         index = NeighborIndex(pts, 10.0, 2.0)
         with pytest.raises(ValueError):
-            index.pairs_within(2.5)
+            pairs_within(index, 2.5)
 
     def test_radius_outside_zero_to_r_rejected(self):
         # a negative radius is no closed ball, and NaN compares false with
@@ -124,12 +126,12 @@ class TestNeighborIndex:
             with pytest.raises(ValueError, match="outside"):
                 index.any_within(pts[:0], mask, radius)
             with pytest.raises(ValueError, match="outside"):
-                index.pairs_within(radius)
+                pairs_within(index, radius)
         for radius in (0.0, -0.0):
             assert ball_query(index, (1.0, 1.0), radius).tolist() == [0]
             assert ball_query(index, (1.2, 1.0), radius).tolist() == []
             assert index.any_within(pts, mask, radius).tolist() == [True, False]
-            assert index.pairs_within(radius).shape == (0, 2)
+            assert pairs_within(index, radius).shape == (0, 2)
 
     def test_query_returns_sorted_closed_ball(self):
         pts = np.array([[1.0, 1.0], [2.0, 1.0], [9.0, 9.0], [1.0, 2.0]])
@@ -146,7 +148,7 @@ class TestNeighborIndex:
 
     def test_single_agent(self):
         index = NeighborIndex(np.array([[5.0, 5.0]]), 10.0, 2.0)
-        assert index.pairs_within(2.0).shape == (0, 2)
+        assert pairs_within(index, 2.0).shape == (0, 2)
 
     def test_any_within_matches_brute_force(self):
         for trial in range(200):
@@ -177,13 +179,13 @@ class TestNeighborIndex:
         index = NeighborIndex(pts, L, R)
         want = (
             index.any_within(queries, mask, R),
-            index.pairs_within(R),
+            pairs_within(index, R),
             ball_query(index, queries[0], R),
         )
         monkeypatch.setattr(flooding, "_PAIR_CHUNK", chunk)
         got = (
             index.any_within(queries, mask, R),
-            index.pairs_within(R),
+            pairs_within(index, R),
             ball_query(index, queries[0], R),
         )
         assert want[0].any() and len(want[1]) > 0 and len(want[2]) > 0
@@ -580,10 +582,96 @@ class TestMeetings:
         rng = derive_substream(101, 0)
         L, R = 20.0, 3.0
         pts = rng.random((60, 2)) * L
-        got = NeighborIndex(pts, L, R).pairs_within(0.75 * R)
+        got = pairs_within(NeighborIndex(pts, L, R), 0.75 * R)
         want = brute_force_pairs(pts, 0.75 * R)
         assert len(want) > 0
         assert np.array_equal(got, want)
+
+
+def lattice_of(index):
+    """The geometry of an index's lattice."""
+    return index.j, index.cell, index.pitch, index.lattice
+
+
+class TestSenderIndex:
+    def test_sender_index_matches_the_masked_index(self):
+        # an index of pos[mask] queried with an all-true mask answers as an
+        # index of pos queried with mask; given the population size, it has
+        # the population's lattice
+        hits = outside = 0
+        for trial in range(150):
+            rng = derive_substream(112, trial)
+            pts, L, R, queries = random_index_config(rng)
+            edges = arena_edge_points(L)
+            if trial % 2:
+                pts = np.concatenate([pts, edges[rng.integers(0, len(edges), 6)]])
+            stray = rng.random((20, 2)) * 1.4 * L - 0.2 * L
+            queries = np.concatenate([queries, edges, stray])
+            n = len(pts)
+            full = NeighborIndex(pts, L, R)
+            for mask in (np.ones(n, dtype=bool), rng.random(n) < rng.random()):
+                senders = pts[mask]
+                everyone = np.ones(len(senders), dtype=bool)
+                sized = NeighborIndex(senders, L, R, n)
+                assert lattice_of(sized) == lattice_of(full), trial
+                for radius in (0.0, R):
+                    want = brute_force_any_within(pts, queries, mask, radius)
+                    got = full.any_within(queries, mask, radius)
+                    assert np.array_equal(got, want), (trial, radius)
+                    for index in (sized, NeighborIndex(senders, L, R)):
+                        got = index.any_within(queries, everyone, radius)
+                        assert np.array_equal(got, want), (trial, radius)
+                    hits += int(want.sum())
+                outside += int((full.inside is not None) and mask.any())
+        assert hits > 10_000 and outside > 20
+
+    @staticmethod
+    def loneliest(pos):
+        """The agent farthest from its nearest neighbour."""
+        gaps = pos[:, None, :] - pos[None, :, :]
+        d2 = gaps[..., 0] ** 2 + gaps[..., 1] ** 2
+        np.fill_diagonal(d2, np.inf)
+        return int(np.argmax(d2.min(axis=1)))
+
+    @pytest.mark.parametrize(
+        "n, c1, slow, seed, steps", [(1000, 0.7, 1, 3, 36), (600, 0.6, 8, 0, 180)]
+    )
+    def test_flood_matches_the_brute_force_exchange(
+        self, monkeypatch, n, c1, slow, seed, steps
+    ):
+        # every step, from a lone source to one target left, at cap speed
+        # and at an eighth of it: the index holds exactly the agents
+        # informed before the step, on the world's lattice, and the step
+        # informs exactly whom brute force does
+        p = make_params(n, c1=c1, seed=seed)
+        p = dataclasses.replace(p, v=p.v / slow)
+        pop = init_population(p, APPROX_STATIONARY)
+        world_lattice = lattice_of(NeighborIndex(pop.pos, p.L, p.R))
+        built = []
+
+        class Recorded(NeighborIndex):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(flooding, "NeighborIndex", Recorded)
+        source = self.loneliest(pop.pos)
+        state = FloodState(informed=np.eye(n, dtype=bool)[source], step=0, source=source)
+        senders = []
+        while not state.all_informed and state.step < steps:
+            before = state.informed.copy()
+            flood_step(pop, state)
+            index = built[-1]
+            assert len(built) == state.step
+            assert lattice_of(index) == world_lattice, state.step
+            assert np.array_equal(index.positions, pop.pos[before]), state.step
+            want = before.copy()
+            want[~before] = brute_force_any_within(pop.pos, pop.pos[~before], before, p.R)
+            assert np.array_equal(state.informed, want), state.step
+            senders.append(int(before.sum()))
+        assert state.all_informed and state.step == steps
+        assert senders[:2] == [1, 1] and senders[-1] == n - 1
+        assert world_lattice[0] > 1
 
 
 class TestFloodStep:
@@ -686,6 +774,30 @@ class TestInformedCells:
         assert np.array_equal(cells, want)
         assert 0 < want.sum() < z.cz_size
         assert suburb_count == suburb
+
+
+    def test_matches_the_marking_oracle(self):
+        # the counting pass where its 2 m^2 bins are no more than the
+        # agents, the marking pass elsewhere, both on worlds with central
+        # and suburb cells
+        counted = set()
+        for n, c1 in ((400, 1.2), (1000, 1.2), (2000, 1.2), (2000, 2.5)):
+            p = make_params(n, c1=c1, seed=n)
+            z = build_zone_map(p)
+            assert 0 < z.cz_size < z.m * z.m
+            counted.add(2 * z.m * z.m <= n)
+            pop = init_population(p, APPROX_STATIONARY)
+            rng = derive_substream(113, n)
+            suburb = 0
+            for frac in (0.0, 0.02, 0.5, 0.98, 1.0):
+                state = FloodState(informed=rng.random(n) < frac, step=0, source=0)
+                cells, suburb_count = informed_cells(pop, state, z)
+                want = oracle.informed_cells(pop, state, z)
+                assert np.array_equal(cells, want[0]), (n, c1, frac)
+                assert suburb_count == want[1] and type(suburb_count) is int
+                suburb += suburb_count
+            assert suburb > 0
+        assert counted == {True, False}
 
 
 def set_neighborhood(cells: set, central: np.ndarray) -> set:
