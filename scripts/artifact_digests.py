@@ -33,7 +33,10 @@ denser commands use eight.  One covers an exchange with few senders:
 steps, so each step's neighbour index holds between 1 and 24 agents.  One
 covers the corner trials at a seed of two 32-bit words: `lower-bound
 --trials 1000 --flood-cap 2 --set seed=4294967297` (about 0.8 s) derives
-every trial's seed and stream from a seed whose high word is 1.
+every trial's seed and stream from a seed whose high word is 1.  One covers
+slow agents: `simulate --set v=0.005 --steps 3000 --agents 20` steps agents
+whose legs last thousands of steps, so their way-point countdowns run long
+and expire mid-run.
 """
 
 import hashlib
@@ -49,6 +52,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # seed 0) unless its arguments say otherwise.
 COMMANDS = [
     ("simulate", ["simulate"]),
+    (
+        "simulate-slow",
+        ["simulate", "--set", "v=0.005", "--steps", "3000", "--agents", "20"],
+    ),
     ("flood", ["flood"]),
     ("flood-stability", ["flood", "--check-stability"]),
     ("flood-stability-eta0", ["flood", "--check-stability", "--set", "eta=0"]),

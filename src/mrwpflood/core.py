@@ -316,10 +316,18 @@ def pcg64_random3(states: np.ndarray, rows: np.ndarray) -> np.ndarray:
     same state: the next three states come from one jump each, ``a**k * s
     + (1 + ... + a**(k-1)) * inc``; each is output as ``rotr64(hi ^ lo, hi
     >> 58)``, whose top 53 bits times 2**-53 give the double.  ``rows``
-    must not repeat a row.
+    must not repeat a row.  ``states`` must be C-contiguous: its rows are
+    gathered and scattered as single 32-byte items of a 1-D view, which
+    numpy copies several times faster than rows of a 3-D array.
     """
-    hi, lo = _advance(states[rows], _STEP3)
-    states[rows, 0, 0], states[rows, 0, 1] = hi[2], lo[2]
+    if not states.flags.c_contiguous:
+        raise ValueError("pcg64_random3 needs C-contiguous states")
+    items = states.reshape(len(states), 4).view("V32")[:, 0]
+    picked = items[rows]
+    x = picked.view(np.uint64).reshape(-1, 2, 2)
+    hi, lo = _advance(x, _STEP3)
+    x[:, 0, 0], x[:, 0, 1] = hi[2], lo[2]
+    items[rows] = picked
     out = hi ^ lo
     rot = hi >> _U58
     out = out >> rot | out << (-rot & _U63)

@@ -287,7 +287,7 @@ class NeighborIndex:
         kept = np.flatnonzero(possible)
         marked = kept[sure[cell[kept]]]
         certain = np.zeros_like(possible)
-        certain[marked[self._in_arena(pts[marked])]] = True
+        certain[marked[self._in_arena(np.take(pts, marked, axis=0))]] = True
         return possible, certain
 
     def any_within(

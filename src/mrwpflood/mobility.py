@@ -11,14 +11,21 @@ The :class:`Population` engine keeps all agents in arrays and steps them
 in array passes, one pass per way-point depth: agents whose next way-point
 lies beyond their remaining budget move and are done, the rest jump to the
 way-point and start their next leg by one trip rule (:func:`_trips`).  The
-first pass, in which every agent has the whole budget ``v``, works on the
-whole arrays without gathering, moving every agent by its cached velocity;
-later passes gather only the agents that reached a way-point.  Each agent
-draws trip randomness from its own ``(seed, agent id)`` substream, so the
-result equals stepping each agent alone, in any order, bit for bit.  The
-PCG64 states of all agents are held in one array and advanced in array
-passes; they draw exactly what ``derive_substream(seed, agent id)`` draws,
-with no ``Generator`` built for any agent.
+first pass, in which every agent has the whole budget ``v``, moves every
+agent by its cached velocity, but gives the exact way-point test only to
+the agents whose countdown has run out: each tested agent counts the
+coming steps on which it certainly stays more than ``v`` from its
+way-point, with an allowance for the rounding of repeated ``pos += vel``
+(:meth:`Population._countdown`).  So beyond ``pos += vel``, its clip and
+one int16 decrement an agent, a step costs in proportion to the agents
+that reach a way-point, about ``3 v / L`` of them.  The way-point passes
+gather and scatter state rows as items of 1-D complex views
+(:func:`_rows`).  Each agent draws trip randomness from its own ``(seed,
+agent id)`` substream, so the result equals stepping each agent alone, in
+any order, bit for bit.  The PCG64 states of all agents are held in one
+array and advanced in array passes; they draw exactly what
+``derive_substream(seed, agent id)`` draws, with no ``Generator`` built for
+any agent.
 """
 
 from __future__ import annotations
@@ -63,7 +70,7 @@ class Heading(IntEnum):
 # plain ints for the array code: np.where converts an IntEnum member about
 # three times slower than an int
 _EAST, _NORTH, _WEST, _SOUTH = map(int, Heading)
-_FIRST, _SECOND = map(int, Leg)
+_SECOND = int(Leg.SECOND)
 
 #: Unit direction vector per heading, indexed by Heading value.
 HEADING_VECTORS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
@@ -112,8 +119,43 @@ def _trips(
     turn = dest.copy()
     np.copyto(turn[:, 0], pos[:, 0], where=vertical & ~single)
     np.copyto(turn[:, 1], pos[:, 1], where=~(vertical | single))
-    leg = np.where(single, _SECOND, _FIRST)
+    leg = single.astype(np.int8)  # Leg.SECOND is 1, Leg.FIRST 0
     return turn, leg, heading
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """An ``(m, 2)`` float array as a 1-D complex view, one item per row.
+
+    numpy gathers and scatters 16-byte items of a 1-D array several times
+    faster than rows of a 2-D one; complex subtraction is the subtraction
+    of each column, bit for bit."""
+    return a.view(np.complex128)[:, 0]
+
+
+def _pairs(c: np.ndarray) -> np.ndarray:
+    """The ``(m, 2)`` float view of a 1-D complex array."""
+    return c.view(np.float64).reshape(-1, 2)
+
+
+# a complex product with a real factor is that factor times each column,
+# bit for bit, signed zeros included
+_UNIT = _rows(HEADING_VECTORS)
+
+
+def _gap(turn_gap: np.ndarray, heading: np.ndarray) -> np.ndarray:
+    """Distance to the way-point along the heading, from the complex
+    ``turn - pos``."""
+    return np.abs(np.where(heading & 1, turn_gap.imag, turn_gap.real))
+
+
+#: Relative allowance of the way-point countdown for rounding
+#: (:meth:`Population._countdown`), thousands of times the 2**-53 that each
+#: sum and difference it covers can round by.
+_SLACK = 2.0**-40
+
+#: Longest countdown held: counts are int16, and an agent whose count runs
+#: out early only gets a fresh one.
+_COUNT_CAP = np.iinfo(np.int16).max
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +331,12 @@ class Population:
     in one array pass; row ``i`` draws exactly what ``derive_substream(seed,
     i)`` draws.  ``vel`` caches ``HEADING_VECTORS[heading] * v`` and is
     written wherever a heading changes.
+
+    Each agent has a way-point countdown, set in ``__init__`` and after
+    every step in which it was tested: the number of coming steps that it
+    certainly starts more than ``v`` from its way-point.  Each step counts
+    it down; the count does not depend on ``step_count``, which callers
+    reset.  The state arrays must change only through :meth:`step`.
     """
 
     def __init__(
@@ -319,83 +367,101 @@ class Population:
         self.vel = np.take(HEADING_VECTORS * params.v, self.heading, axis=0)
         self.pcg = pcg64_states(substream_seeds(params.seed, np.arange(n)))
         self.step_count = 0
+        self._velocity = _rows(HEADING_VECTORS * params.v)  # vel per heading
+        self._left = self._countdown(slice(None))
+
+    def _countdown(self, rows) -> np.ndarray:
+        """How many coming steps the agents ``rows`` certainly begin more
+        than ``v`` from their way-point, as int16 (zero for none, at most
+        ``_COUNT_CAP``).
+
+        ``j`` steps ahead an agent has added its velocity ``j`` times to a
+        coordinate in [0, L]; each sum rounds by at most ``2**-53 L``, and
+        the distance the first pass then computes by a relative ``2**-53``.
+        So that distance exceeds ``v`` while ``gap - v - j (v + 2**-53 L)``
+        does, up to relative errors of order ``2**-53``, which ``_SLACK``
+        covers many times over, the rounding of this formula included.  The
+        count is the number of such ``j = 0, 1, ...``.  A position off the
+        arena counts from the edge the next clip puts it on, which is no
+        further along the heading than where the agent will be.
+        """
+        v, L = self.params.v, self.params.L
+        here = np.clip(_pairs(_rows(self.pos)[rows]), 0.0, L)
+        gap = _gap(_rows(self.turn)[rows] - _rows(here), self.heading[rows])
+        count = np.ceil((gap * (1.0 - _SLACK) - v * (1.0 + _SLACK)) / (v + L * _SLACK))
+        return np.clip(count, 0.0, _COUNT_CAP, out=count).astype(np.int16)
 
     def step(self, recorder: TrajectoryRecorder | None = None) -> None:
         """Advance every agent by one step of path budget ``v``.
 
-        Each pass takes the agents with budget left: the first runs on the
-        whole arrays, since every agent starts with budget ``v``, and moves
-        every agent by its velocity (those that reach a way-point are put
-        on it before their position is read again); later passes gather
-        the agents that reached a way-point.  Those whose
+        Each pass takes the agents with budget left.  The first moves every
+        agent by its velocity and tests the agents whose countdown has run
+        out for a way-point within ``v`` (those that reach one are put on it
+        before their position is read again); later passes take the agents
+        that reached a way-point.  Those whose
         way-point lies beyond their budget move along their heading and are
         done; the rest jump to the way-point, spend the distance, and start
         their next leg: the second leg after an elbow, a fresh trip after an
         arrival (destination x, destination y and path coin, drawn in that
         order from the agent's own substream).  An agent whose budget runs out
         exactly at a way-point stops there, already facing its new
-        direction.  Way-point events go to ``recorder`` for the agents it
-        watches.
+        direction.  Every agent tested gets a fresh countdown.  Way-point
+        events go to ``recorder`` for the agents it watches.
         """
         v, L = self.params.v, self.params.L
         if v > 0.0:
-            # the first pass has every agent, each with budget v
-            pos = self.pos
-            dist = np.abs(
-                np.where(
-                    self.heading & 1,  # 0 east/west, 1 north/south
-                    self.turn[:, 1] - pos[:, 1],
-                    self.turn[:, 0] - pos[:, 0],
-                )
-            )
-            idx = np.flatnonzero(dist <= v)
-            budget = v - dist[idx]
-            pos += self.vel
-            np.clip(pos, 0.0, L, out=pos)
+            pos, dest, turn = _rows(self.pos), _rows(self.dest), _rows(self.turn)
+            # the first pass has every agent, each with budget v; only those
+            # whose countdown has run out can be within v of a way-point
+            due = (self._left <= 0).nonzero()[0]
+            self._left -= 1
+            gap = _gap(turn[due] - pos[due], self.heading[due])
+            near = gap <= v
+            idx, budget = due[near], v - gap[near]
+            self.pos += self.vel
+            np.clip(self.pos, 0.0, L, out=self.pos)
             for _ in range(ROLLOVER_CAP):
                 if idx.size == 0:
                     break
-                at = self.turn[idx]  # on the second leg this is the destination
+                at = turn[idx]  # on the second leg this is the destination
                 arrive = self.leg[idx] == _SECOND
-                dest = self.dest[idx]
+                goal = dest[idx]
                 vertical = np.zeros(idx.size, dtype=bool)
                 if arrive.any():
                     draws = pcg64_random3(self.pcg, idx[arrive])
-                    dest[arrive] = draws[:, :2] * L
+                    goal[arrive] = _rows(np.multiply(draws[:, :2], L, order="C"))
                     vertical[arrive] = draws[:, 2] < 0.5
-                turn, leg, heading_after = _trips(at, dest, vertical)
-                self.pos[idx] = at
-                self.dest[idx] = dest
-                self.turn[idx] = turn
+                new_turn, leg, heading = _trips(_pairs(at), _pairs(goal), vertical)
+                new_turn = _rows(new_turn)
+                pos[idx] = at
+                dest[idx] = goal
+                turn[idx] = new_turn
                 self.leg[idx] = leg
-                self.heading[idx] = heading_after
-                self.vel[idx] = np.take(HEADING_VECTORS * v, heading_after, axis=0)
+                self.heading[idx] = heading
+                _rows(self.vel)[idx] = self._velocity[heading]
                 if recorder is not None:
                     times = self.step_count + (v - budget) / v
                     for k in np.flatnonzero(np.isin(idx, recorder.watched)).tolist():
                         kind = ARRIVAL if arrive[k] else TURN
-                        x, y = float(at[k, 0]), float(at[k, 1])
-                        after = Heading(int(heading_after[k]))
+                        x, y = float(at[k].real), float(at[k].imag)
+                        after = Heading(int(heading[k]))
                         event = TripEvent(kind, float(times[k]), x, y, after)
                         recorder.record(int(idx[k]), [event])
                 left = budget > 0.0
                 idx, budget = idx[left], budget[left]
                 if idx.size == 0:
                     break
-                heading = self.heading[idx]
-                axis = heading & 1  # 0 east/west, 1 north/south
-                dist = np.abs(self.turn[idx, axis] - self.pos[idx, axis])
-                far = dist > budget
-                go = idx[far]
-                self.pos[go] = np.clip(
-                    self.pos[go] + HEADING_VECTORS[heading[far]] * budget[far, None],
-                    0.0,
-                    L,
-                )
+                at, heading = at[left], heading[left]
+                gap = _gap(new_turn[left] - at, heading)
+                far = gap > budget
+                moved = _pairs(at[far] + _UNIT[heading[far]] * budget[far])
+                pos[idx[far]] = _rows(np.clip(moved, 0.0, L, out=moved))
                 near = ~far
-                idx, budget = idx[near], budget[near] - dist[near]
+                idx, budget = idx[near], budget[near] - gap[near]
             else:
                 raise RuntimeError("way-point rollover cap exceeded within one step")
+            # a fresh count for every agent tested, from where the step left it
+            self._left[due] = self._countdown(due)
         self.step_count += 1
         if recorder is not None:
             recorder.horizon = float(self.step_count)

@@ -474,6 +474,94 @@ class TestPopulation:
         assert pop.step_count == 1
 
 
+def step_positions_beside_oracle(pop, states, rngs, steps):
+    """Step ``pop`` beside the oracle for ``steps`` steps; positions must
+    match bit for bit after every step and whole states at the end."""
+    p = pop.params
+    for k in range(steps):
+        pop.step()
+        for i in range(p.n):
+            states[i], _ = step_agent(states[i], rngs[i], p.v, p.L, k)
+        want = np.array([s.position for s in states])
+        assert np.array_equal(pop.pos.view(np.uint64), want.view(np.uint64)), k
+    assert [state_of(pop, i) for i in range(p.n)] == states
+
+
+def heading_gaps(pop):
+    """Each agent's distance to its way-point along its heading."""
+    gap = np.abs(pop.turn - pop.pos)
+    return np.where(pop.heading & 1, gap[:, 1], gap[:, 0])
+
+
+class TestWaypointCountdown:
+    """An agent gets the exact way-point test only once its countdown of
+    steps certainly far from the way-point has run out."""
+
+    @pytest.mark.parametrize("v", [0.1, 0.3])
+    def test_rounding_allowance_at_k_steps_from_a_waypoint(self, v):
+        # agents fl(k v) and one ulp either side of it from their way-point,
+        # on coordinates of several magnitudes, heading along either axis
+        # toward the middle of a wide arena.  k v is inexact at these v, and
+        # the k sums of pos + vel round by up to half an ulp of the
+        # coordinate each, so a countdown of exactly ceil(gap / v) - 1 steps
+        # skips the step on which some of them are within v
+        L = 1000.0
+        states = []
+        for k in (1, 2, 3, 7, 50, 400):
+            for x in (0.7, 3.3, 77.7, 512.25, 999.1):
+                sign = 1.0 if x < L / 2 else -1.0
+                t0 = x + sign * (k * v)
+                for t in (np.nextafter(t0, -np.inf), t0, np.nextafter(t0, np.inf)):
+                    if not 0.0 <= t <= L:
+                        continue
+                    y = L - x
+                    states.append(build_trip((x, y), (t, y), False))  # east-west
+                    states.append(build_trip((y, x), (y, t), True))  # north-south
+                    states.append(build_trip((x, y), (t, y + 1.5), False))  # elbow
+        assert {s.heading for s in states} == set(Heading)
+        p = params(n=len(states), L=L, v=v, seed=2)
+        pop = from_states(p, states)
+        rngs = [derive_substream(p.seed, i) for i in range(p.n)]
+        step_positions_beside_oracle(pop, states, rngs, 404)
+
+    def test_agents_off_the_arena_match_scalar_oracle(self):
+        # positions and way-points outside [0, L], several v away: the first
+        # clip moves such an agent by more than v toward its way-point
+        L, v = 10.0, 0.25
+        states = [
+            build_trip((-3.0, 4.0), (6.0, 4.0), False),
+            build_trip((13.0, 4.0), (2.0, 4.0), False),
+            build_trip((5.0, -2.0), (5.0, 7.0), True),
+            build_trip((-5.0, 3.0), (2.0, 8.0), True),  # elbow off the arena
+            build_trip((4.0, 3.0), (-5.0, 6.0), False),  # an elbow and a goal off it
+            build_trip((4.0, 3.0), (7.0, 12.0), True),
+        ]
+        p = params(n=len(states), L=L, v=v, seed=3)
+        pop = from_states(p, states)
+        rngs = [derive_substream(p.seed, i) for i in range(p.n)]
+        step_positions_beside_oracle(pop, states, rngs, 120)
+
+    def test_warmup_clock_reset_matches_scalar_oracle(self):
+        # init_population(WARMUP) sets step_count back to 0 after warmup; at
+        # v = L/4000 the countdowns set during warmup run for thousands of
+        # steps and many expire in the steps that follow
+        p = params(n=120, L=40.0, v=0.01, seed=4)
+        pop = init_population(p, WARMUP, warmup_steps=300)
+        states, rngs = oracle_init(p, WARMUP, warmup_steps=300)
+        assert pop.step_count == 0
+        assert heading_gaps(pop).max() > 1000 * p.v
+        step_beside_oracle(pop, states, rngs, 400)
+
+    def test_step_count_reset_mid_run_matches_scalar_oracle(self):
+        p = params(n=150, L=40.0, v=0.01, seed=5)
+        pop = init_population(p, APPROX_STATIONARY)
+        states, rngs = oracle_init(p, APPROX_STATIONARY)
+        assert heading_gaps(pop).max() > 1000 * p.v
+        step_beside_oracle(pop, states, rngs, 200)
+        pop.step_count = 0
+        step_beside_oracle(pop, states, rngs, 300)
+
+
 class TestPopulationInput:
     @pytest.mark.parametrize(
         "name, shape",
