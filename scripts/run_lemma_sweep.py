@@ -8,10 +8,10 @@ one summary row per setting.
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
+from mrwpflood.cli import write_json
 from mrwpflood.experiments import lemma_sweep
 
 
@@ -30,9 +30,7 @@ def main() -> int:
         turn_windows=args.turn_windows,
         seed=args.seed,
     )
-    args.output.write_text(
-        json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
-    )
+    write_json(args.output, report.to_json_dict())
 
     header = (
         f"{'setting':<18} {'m':>3} {'|CZ|':>5} {'suburb':>6} "

@@ -8,9 +8,9 @@ constant.  Mirrors `mrwpflood scaling` but exercises the library API.
 """
 
 import argparse
-import json
 from pathlib import Path
 
+from mrwpflood.cli import write_json
 from mrwpflood.experiments import scaling_experiment
 
 
@@ -27,9 +27,7 @@ def main() -> None:
         replicas=args.replicas,
         seed=args.seed,
     )
-    args.output.write_text(
-        json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
-    )
+    write_json(args.output, report.to_json_dict())
 
     header = f"{'n':>6} {'rule':<10} {'median T':>9} {'range':>12} {'T/bound':>10}"
     print(header)

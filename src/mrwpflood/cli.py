@@ -161,6 +161,8 @@ def _metadata(config: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def _fmt(value) -> str:
+    if isinstance(value, bool):
+        return str(int(value))
     if isinstance(value, float):
         return repr(value)
     if value is None:
@@ -174,6 +176,10 @@ def write_json(path: Path, payload: dict) -> None:
     )
 
 
+def write_result(path: Path, config: dict, result: dict) -> None:
+    write_json(path, {**_metadata(config), "result": result})
+
+
 def write_csv(path: Path, meta: dict, header: list[str], rows: list[list]) -> None:
     lines = [f"# {key}={_fmt(value)}" for key, value in sorted(meta.items())]
     lines.append(",".join(header))
@@ -182,11 +188,7 @@ def write_csv(path: Path, meta: dict, header: list[str], rows: list[list]) -> No
 
 
 def _csv_meta(config: dict) -> dict:
-    return {
-        "artifact_version": __version__,
-        "rng_algorithm": RNG_ALGORITHM_ID,
-        "config": json.dumps(config, sort_keys=True),
-    }
+    return {**_metadata(config), "config": json.dumps(config, sort_keys=True)}
 
 
 def _svg_meta_comment(config: dict) -> str:
@@ -218,31 +220,24 @@ def cmd_simulate(args, config: dict) -> int:
     out = _out_dir(args)
     population = init_population(params, config["init"], config["warmup_steps"])
     watched = list(range(min(args.agents, params.n)))
-    rows: list[list] = []
-    for agent in watched:
-        rows.append(
+
+    def snapshot(step: int) -> list[list]:
+        return [
             [
-                0,
+                step,
                 agent,
                 float(population.pos[agent, 0]),
                 float(population.pos[agent, 1]),
                 Heading(int(population.heading[agent])).name,
                 Leg(int(population.leg[agent])).name,
             ]
-        )
+            for agent in watched
+        ]
+
+    rows = snapshot(0)
     for step in range(1, args.steps + 1):
         population.step()
-        for agent in watched:
-            rows.append(
-                [
-                    step,
-                    agent,
-                    float(population.pos[agent, 0]),
-                    float(population.pos[agent, 1]),
-                    Heading(int(population.heading[agent])).name,
-                    Leg(int(population.leg[agent])).name,
-                ]
-            )
+        rows += snapshot(step)
     path = out / "trajectories.csv"
     write_csv(
         path,
@@ -267,9 +262,7 @@ def cmd_flood(args, config: dict) -> int:
         check_stability=args.check_stability,
         collect_progress=True,
     )
-    payload = _metadata(config)
-    payload["result"] = record.to_json_dict()
-    write_json(out / "flood_summary.json", payload)
+    write_result(out / "flood_summary.json", config, record.to_json_dict())
     write_csv(
         out / "flood_progress.csv",
         _csv_meta(config),
@@ -286,9 +279,7 @@ def cmd_zones(args, config: dict) -> int:
     params = resolve_params(config)
     out = _out_dir(args)
     zone_map = build_zone_map(params)
-    payload = _metadata(config)
-    payload["result"] = zone_map.to_dict()
-    write_json(out / "zones.json", payload)
+    write_result(out / "zones.json", config, zone_map.to_json_dict())
     (out / "zones.csv").write_text(
         f"# {json.dumps(_csv_meta(config), sort_keys=True)}\n"
         + zone_map_to_csv(zone_map),
@@ -316,11 +307,9 @@ def cmd_validate_stationary(args, config: dict) -> int:
         warmup_steps=config["warmup_steps"],
         compare_approx=not args.skip_approx,
     )
-    payload = _metadata(config)
-    payload["result"] = report.to_json_dict()
-    payload["result"]["tv_limit"] = args.tv_limit
-    payload["result"]["init_tv_limit"] = args.init_tv_limit
-    write_json(out / "stationarity.json", payload)
+    result = report.to_json_dict()
+    result.update(tv_limit=args.tv_limit, init_tv_limit=args.init_tv_limit)
+    write_result(out / "stationarity.json", config, result)
     ok = report.tv_model <= args.tv_limit and (
         report.tv_init is None or report.tv_init <= args.init_tv_limit
     )
@@ -338,8 +327,7 @@ def cmd_expansion_check(args, config: dict) -> int:
     out = _out_dir(args)
     zone_map = build_zone_map(params)
     report = check_expansion(zone_map, mode=args.mode, samples=args.samples)
-    payload = _metadata(config)
-    payload["result"] = {
+    result = {
         "cz_size": report.cz_size,
         "mode": report.mode,
         "subsets_checked": report.subsets_checked,
@@ -349,7 +337,7 @@ def cmd_expansion_check(args, config: dict) -> int:
             None if report.witness is None else np.argwhere(report.witness).tolist()
         ),
     }
-    write_json(out / "expansion.json", payload)
+    write_result(out / "expansion.json", config, result)
     _say(
         args,
         f"wrote {out / 'expansion.json'} ({report.subsets_checked} subsets, "
@@ -371,48 +359,30 @@ def cmd_lemma_sweep(args, config: dict) -> int:
         include_turns=not args.skip_turns,
         seed=int(config["seed"]),
     )
-    payload = _metadata(config)
-    payload["result"] = report.to_json_dict()
-    write_json(out / "lemma_sweep.json", payload)
-    rows = [
-        [
-            s.name,
-            s.params.n,
-            s.params.R,
-            s.m,
-            s.cz_size,
-            s.suburb_size,
-            int(s.coverage_ok),
-            s.expansion_checked,
-            s.expansion_violations,
-            s.suburb_violations,
-            int(s.density_checked),
-            s.density_violations,
-            s.turn_windows,
-            s.turn_violations,
-        ]
-        for s in report.settings
+    result = report.to_json_dict()
+    write_result(out / "lemma_sweep.json", config, result)
+    header = [
+        "name",
+        "n",
+        "R",
+        "m",
+        "cz_size",
+        "suburb_size",
+        "coverage_ok",
+        "expansion_checked",
+        "expansion_violations",
+        "suburb_violations",
+        "density_checked",
+        "density_violations",
+        "turn_windows",
+        "turn_violations",
     ]
+    rows = [{**s["params"], **s} for s in result["settings"]]
     write_csv(
         out / "lemma_sweep.csv",
         _csv_meta(config),
-        [
-            "name",
-            "n",
-            "R",
-            "m",
-            "cz_size",
-            "suburb_size",
-            "coverage_ok",
-            "expansion_checked",
-            "expansion_violations",
-            "suburb_violations",
-            "density_checked",
-            "density_violations",
-            "turn_windows",
-            "turn_violations",
-        ],
-        rows,
+        header,
+        [[row[key] for key in header] for row in rows],
     )
     _say(
         args,
@@ -434,9 +404,7 @@ def cmd_scaling(args, config: dict) -> int:
         init_mode=config["init"],
         seed=int(config["seed"]),
     )
-    payload = _metadata(config)
-    payload["result"] = report.to_json_dict()
-    write_json(out / "scaling.json", payload)
+    write_result(out / "scaling.json", config, report.to_json_dict())
     header = [
         "n",
         "L",
@@ -460,9 +428,7 @@ def cmd_scaling(args, config: dict) -> int:
     runs_dir = out / "runs"
     runs_dir.mkdir(exist_ok=True)
     for k, record in enumerate(report.runs):
-        run_payload = _metadata(config)
-        run_payload["result"] = record.to_json_dict()
-        write_json(runs_dir / f"run_{k:04d}.json", run_payload)
+        write_result(runs_dir / f"run_{k:04d}.json", config, record.to_json_dict())
     _say(
         args,
         f"wrote {out / 'scaling.csv'} (C={report.max_ratio:.4g}, "
@@ -489,9 +455,7 @@ def cmd_lower_bound(args, config: dict) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    payload = _metadata(config)
-    payload["result"] = report.to_json_dict()
-    write_json(out / "lower_bound.json", payload)
+    write_result(out / "lower_bound.json", config, report.to_json_dict())
     _say(
         args,
         f"wrote {out / 'lower_bound.json'} (P={report.probability:.4f}, "

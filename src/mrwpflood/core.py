@@ -20,7 +20,7 @@ Conventions fixed here once and relied on everywhere else:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -49,6 +49,32 @@ class Point(NamedTuple):
 
     x: float
     y: float
+
+
+def json_dict(report) -> dict:
+    """JSON form of a dataclass: its fields, less the names in the class's
+    ``JSON_SKIP``, plus the attributes named in its ``JSON_EXTRA``.
+
+    Values convert recursively: a nested dataclass becomes its own
+    ``json_dict``, a dict keeps its keys, a tuple or list becomes a list,
+    and a non-finite float becomes ``None``.
+    """
+    skip = getattr(report, "JSON_SKIP", ())
+    names = [f.name for f in fields(report) if f.name not in skip]
+    names += getattr(report, "JSON_EXTRA", ())
+    return {name: _json_value(getattr(report, name)) for name in names}
+
+
+def _json_value(value):
+    if is_dataclass(value):
+        return json_dict(value)
+    if isinstance(value, dict):
+        return {key: _json_value(item) for key, item in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_json_value(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 @dataclass(frozen=True)
@@ -103,22 +129,7 @@ class WorldParams:
         """Largest speed the envelope allows: R / c2."""
         return self.R / self.c2
 
-    @property
-    def assumptions_hold(self) -> bool:
-        return self.R >= self.radius_threshold and self.v <= self.speed_limit
-
-    def to_dict(self) -> dict:
-        """Plain-dict form used when embedding the config in output files."""
-        return {
-            "n": self.n,
-            "L": self.L,
-            "R": self.R,
-            "v": self.v,
-            "seed": self.seed,
-            "c1": self.c1,
-            "c2": self.c2,
-            "eta": self.eta,
-        }
+    to_json_dict = json_dict
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .core import (
     WorldParams,
     derive_substream,
     entropy_words,
+    json_dict,
     seedseq_words,
     substream_states,
 )
@@ -172,18 +173,8 @@ class TurnReport:
     def fraction(self) -> float:
         return self.violations / self.windows if self.windows else 0.0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "params": self.params.to_dict(),
-            "windows": self.windows,
-            "violations": self.violations,
-            "fraction": self.fraction,
-            "tau_min": self.tau_min,
-            "tau_max": self.tau_max,
-            "horizon": self.horizon,
-            "max_turns": self.max_turns,
-            "max_ratio": self.max_ratio,
-        }
+    JSON_EXTRA = ("fraction",)
+    to_json_dict = json_dict
 
 
 def turn_bound(params: WorldParams, tau: int) -> float:
@@ -327,40 +318,15 @@ class LemmaSweepReport:
             and self.turn_fraction <= 0.01
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "eta_override": self.eta_override,
-            "suburb_scale": self.suburb_scale,
-            "seed": self.seed,
-            "deterministic_violations": self.deterministic_violations,
-            "density_violations": self.density_violations,
-            "turn_windows": self.turn_windows,
-            "turn_violations": self.turn_violations,
-            "turn_fraction": self.turn_fraction,
-            "ok": self.ok,
-            "settings": [
-                {
-                    "name": s.name,
-                    "params": s.params.to_dict(),
-                    "m": s.m,
-                    "cz_size": s.cz_size,
-                    "suburb_size": s.suburb_size,
-                    "coverage_ok": s.coverage_ok,
-                    "coverage_rows": s.coverage_rows,
-                    "coverage_columns": s.coverage_columns,
-                    "expansion_checked": s.expansion_checked,
-                    "expansion_violations": s.expansion_violations,
-                    "suburb_violations": s.suburb_violations,
-                    "suburb_worst": s.suburb_worst,
-                    "suburb_allowance": s.suburb_allowance,
-                    "density_checked": s.density_checked,
-                    "density_violations": s.density_violations,
-                    "turn_windows": s.turn_windows,
-                    "turn_violations": s.turn_violations,
-                }
-                for s in self.settings
-            ],
-        }
+    JSON_EXTRA = (
+        "deterministic_violations",
+        "density_violations",
+        "turn_windows",
+        "turn_violations",
+        "turn_fraction",
+        "ok",
+    )
+    to_json_dict = json_dict
 
 
 def lemma_sweep(
@@ -423,7 +389,7 @@ def lemma_sweep(
                 params=params,
                 m=zone_map.m,
                 cz_size=zone_map.cz_size,
-                suburb_size=zone_map.m**2 - zone_map.cz_size,
+                suburb_size=zone_map.suburb_size,
                 coverage_ok=coverage.ok,
                 coverage_rows=coverage.rows_with_central,
                 coverage_columns=coverage.columns_with_central,
@@ -467,20 +433,8 @@ class ScalingReport:
     slopes: dict[str, float]  # per rule: d log(ratio) / d log(n)
     spread_constant: float  # worst cz_spread_time / (L/R) over in_cz runs
 
-    def to_json_dict(self) -> dict:
-        return {
-            "scales": list(self.scales),
-            "replicas": self.replicas,
-            "c1": self.c1,
-            "constants": list(self.constants),
-            "source_rules": list(self.source_rules),
-            "init_mode": self.init_mode,
-            "seed": self.seed,
-            "rows": self.rows,
-            "max_ratio": self.max_ratio,
-            "slopes": self.slopes,
-            "spread_constant": self.spread_constant,
-        }
+    JSON_SKIP = ("runs",)
+    to_json_dict = json_dict
 
 
 def scaling_experiment(
@@ -627,22 +581,8 @@ class LowerBoundReport:
     def all_satisfied(self) -> bool:
         return self.conditional_satisfied == self.floods
 
-    def to_json_dict(self) -> dict:
-        return {
-            "params": self.params.to_dict(),
-            "d": self.d,
-            "trials": self.trials,
-            "hits": self.hits,
-            "probability": self.probability,
-            "f_occupied": self.f_occupied,
-            "annulus_empty": self.annulus_empty,
-            "floods": self.floods,
-            "threshold": self.threshold,
-            "conditional_times": self.conditional_times,
-            "conditional_satisfied": self.conditional_satisfied,
-            "all_satisfied": self.all_satisfied,
-            "max_steps": self.max_steps,
-        }
+    JSON_EXTRA = ("probability", "all_satisfied")
+    to_json_dict = json_dict
 
 
 def lower_bound_params(
@@ -771,16 +711,8 @@ class StationarityReport:
     histogram_warmup: np.ndarray = field(repr=False)
     histogram_approx: np.ndarray | None = field(repr=False)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "params": self.params.to_dict(),
-            "bins": self.bins,
-            "snapshots": self.snapshots,
-            "spacing": self.spacing,
-            "warmup_steps": self.warmup_steps,
-            "tv_model": self.tv_model,
-            "tv_init": self.tv_init,
-        }
+    JSON_SKIP = ("histogram_warmup", "histogram_approx")
+    to_json_dict = json_dict
 
 
 def stationarity_report(

@@ -37,6 +37,7 @@ from .core import (
     WorldParams,
     check_assumptions,
     derive_substream,
+    json_dict,
 )
 from .mobility import APPROX_STATIONARY, Population, init_population
 from .zones import ZoneMap, build_zone_map, cz_neighborhood, grid_index
@@ -392,7 +393,6 @@ class DensityMonitor:
     eta: float
     n: int
     violations: int = 0
-    worst_count: int | None = None
 
     @property
     def floor(self) -> float:
@@ -410,9 +410,6 @@ class DensityMonitor:
         )
         counts = np.bincount(i[in_core] * z.m + j[in_core], minlength=z.m * z.m)
         core_counts = counts[z.central.reshape(-1)]
-        low = int(core_counts.min()) if core_counts.size else 0
-        if self.worst_count is None or low < self.worst_count:
-            self.worst_count = low
         bad = int((core_counts < self.floor).sum())
         self.violations += bad
         return bad
@@ -457,30 +454,9 @@ class RunRecord:
     violations: dict[str, int]
     progress: list[tuple[int, int, int, int]]  # (step, informed, cz cells, suburb)
 
-    def to_json_dict(self) -> dict:
-        bound = self.theoretical_bound
-        return {
-            "params": self.params.to_dict(),
-            "init_mode": self.init_mode,
-            "warmup_steps": self.warmup_steps,
-            "source_rule": self.source_rule,
-            "source_agent": self.source_agent,
-            "flooding_time": self.flooding_time,
-            "timed_out": self.timed_out,
-            "cz_spread_time": self.cz_spread_time,
-            "theoretical_bound": bound if math.isfinite(bound) else None,
-            "bound_constants": list(self.bound_constants),
-            "assumptions": {
-                "radius_ok": self.assumptions.radius_ok,
-                "speed_ok": self.assumptions.speed_ok,
-                "radius_slack": self.assumptions.radius_slack,
-                "speed_slack": self.assumptions.speed_slack,
-            },
-            "max_steps": self.max_steps,
-            "violations": dict(self.violations),
-            "progress": [list(row) for row in self.progress],
-            "rng_algorithm": RNG_ALGORITHM_ID,
-        }
+    JSON_EXTRA = ("rng_algorithm",)
+    rng_algorithm = RNG_ALGORITHM_ID
+    to_json_dict = json_dict
 
 
 def suburb_reach(zone_map: ZoneMap) -> float:

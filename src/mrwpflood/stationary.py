@@ -177,17 +177,6 @@ class DestinationLaw:
     density_se: float
     cross: CrossMasses
 
-    def quadrant_masses(self) -> tuple[float, float, float, float]:
-        """(south-west, north-west, north-east, south-east) masses."""
-        x0, y0 = self.origin
-        L = self.L
-        return (
-            self.density_sw * x0 * y0,
-            self.density_nw * x0 * (L - y0),
-            self.density_ne * (L - x0) * (L - y0),
-            self.density_se * (L - x0) * y0,
-        )
-
 
 def destination_law(origin: Point | tuple[float, float], L: float) -> DestinationLaw:
     """Destination law from ``origin``; rejects the four arena corners.

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import WorldParams
+from .core import WorldParams, json_dict
 from .stationary import grid_cell_masses
 
 Cell = tuple[int, int]
@@ -98,19 +98,17 @@ class ZoneMap:
             grid_index(positions[:, 1], self.ell, self.m),
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "L": self.L,
-            "R": self.R,
-            "m": self.m,
-            "ell": self.ell,
-            "prob_threshold": self.prob_threshold,
-            "cz_size": self.cz_size,
-            "suburb_size": self.m * self.m - self.cz_size,
-            "extended_suburb_size": int(self.extended_suburb.sum()),
-            "suburb_diameter": self.suburb_diameter,
-        }
+    @property
+    def suburb_size(self) -> int:
+        return self.m * self.m - self.cz_size
+
+    @property
+    def extended_suburb_size(self) -> int:
+        return int(self.extended_suburb.sum())
+
+    JSON_SKIP = ("probs", "central", "extended_suburb")
+    JSON_EXTRA = ("cz_size", "suburb_size", "extended_suburb_size")
+    to_json_dict = json_dict
 
 
 def cell_side_bracket(L: float, R: float) -> tuple[float, float]:

@@ -214,10 +214,23 @@ def sample_destination(
     return Point(float(dest[0, 0]), float(dest[0, 1]))
 
 
+def quadrant_masses(law) -> tuple[float, float, float, float]:
+    """(south-west, north-west, north-east, south-east) masses of a
+    ``DestinationLaw``."""
+    x0, y0 = law.origin
+    L = law.L
+    return (
+        law.density_sw * x0 * y0,
+        law.density_nw * x0 * (L - y0),
+        law.density_ne * (L - x0) * (L - y0),
+        law.density_se * (L - x0) * y0,
+    )
+
+
 def total_mass(law) -> float:
     """Total probability of a ``DestinationLaw``: its four quadrant masses
     and its cross segments."""
-    return sum(law.quadrant_masses()) + law.cross.total
+    return sum(quadrant_masses(law)) + law.cross.total
 
 
 def brute_force_pairs(positions: np.ndarray, radius: float) -> np.ndarray:

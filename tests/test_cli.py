@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, determinism, config plumbing, exits."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -301,3 +302,93 @@ class TestDeterminism:
         assert pa["result"]["source_agent"] != pb["result"]["source_agent"] or (
             pa["result"]["flooding_time"] != pb["result"]["flooding_time"]
         )
+
+
+# (arguments, exit code, sha256 of every file written) at the default
+# config (n = 2000, seed 0).  The files embed the package version, so a
+# version bump changes every pin; so does a change that alters an RNG
+# stream, a sampler or an artifact's format on purpose, which updates these
+# pins and says so in CHANGES.md.  validate-stationary exits 1 by design:
+# 20 snapshots are too few for its total-variation limit.
+PINNED_ARTIFACTS = [
+    (
+        ["zones"],
+        0,
+        {
+            "zones.csv": "1afb64399e5b3931335f42056226e8f220a40efe9155d19cdaf615afecf160b2",
+            "zones.json": "ccd74e95c5de8734177ddb20f7bf75222cb27530186eac3fdd3ea789fd7d23bc",
+            "zones.svg": "bc2a11ee2413e75be7950658cc841507d0c4f77f4715ac9e96acf41984e14c63",
+        },
+    ),
+    (
+        ["flood"],
+        0,
+        {
+            "flood_progress.csv": "f526658bcba0a05078b8c41a6f837a21ba33ec3c098c5b52c8bed7330a6ca123",
+            "flood_summary.json": "7316bb44bf5e52af9996ad82d89ba6548efef86996dfb380984932c80c671116",
+        },
+    ),
+    (
+        ["simulate"],
+        0,
+        {
+            "trajectories.csv": "88eeff4da37927fce4d93790e7d50f93056c95849ff3da8ad7849e6e78425fd1",
+        },
+    ),
+    (
+        ["expansion-check"],
+        0,
+        {
+            "expansion.json": "68719247492e8f7ee0b9c9f593e9edd35d883e6e88c3fd764cc22802d304db88",
+        },
+    ),
+    (
+        ["scaling", "--scales", "1000", "--replicas", "2"],
+        0,
+        {
+            "runs/run_0000.json": "615d278dedcee64d740993679f54fa256f17b1a92d333cfe5fd284c2a8eaa680",
+            "runs/run_0001.json": "8738c9306e0a379ec632cbfba796ac5175c8f1ab7451928abe1c4d1bfb94c799",
+            "runs/run_0002.json": "93329a51fc5ae28051a4bf0f66523a7cffcce31e393a200275177ccf55186893",
+            "runs/run_0003.json": "db7bb7366a6dbe762af5bd10ee769abc79049b72d10276133d62ffa919a10ec8",
+            "scaling.csv": "d4e249342582b08667e629c0cf40dda97ebe231053efb323e93f12edd7cb71fb",
+            "scaling.json": "bf39a5bb2343d67ab4462391a7f0fd253dcd95acf84cc5dc7196fdb920d6a98e",
+        },
+    ),
+    (
+        ["lower-bound", "--trials", "200", "--flood-cap", "3"],
+        0,
+        {
+            "lower_bound.json": "29a8e9af1aee197307d47d4815565b1bcd47dee65bd5f95b41620c57be000e18",
+        },
+    ),
+    (
+        ["lemma-sweep", "--skip-expansion", "--skip-density"],
+        0,
+        {
+            "lemma_sweep.csv": "89eab5954ef0e1781ea1dee6f4e5bc82f32643c27c8f25ac9b96193f915f80f2",
+            "lemma_sweep.json": "3041c69895b5ef07d1a9533ce46a474f77504942b8508256e607411440842cd9",
+        },
+    ),
+    (
+        ["validate-stationary", "--snapshots", "20"],
+        1,
+        {
+            "stationarity.json": "a4dac9e18614469978db1209d4e1787d6f4ee4d76b8365ea9751968a79e71d97",
+        },
+    ),
+]
+
+
+def test_artifacts_match_pinned_digests(tmp_path):
+    mismatches = []
+    for k, (argv, want_code, want_files) in enumerate(PINNED_ARTIFACTS):
+        out = tmp_path / str(k)
+        code = run_cli(*argv, "--output-dir", str(out), "-q")
+        files = {
+            str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.rglob("*"))
+            if path.is_file()
+        }
+        if (code, files) != (want_code, want_files):
+            mismatches.append((argv, code, files))
+    assert mismatches == []

@@ -1,6 +1,8 @@
 """Parameter validation, envelope checks and RNG substream derivation."""
 
+import json
 import math
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,6 +28,8 @@ from mrwpflood.core import (
     substream_states,
 )
 from mrwpflood.experiments import derived_seed, lower_bound_params
+from mrwpflood.flooding import run_flood
+from mrwpflood.zones import build_zone_map
 
 
 def make(n=100, L=10.0, R=2.0, v=0.1, **kw):
@@ -78,7 +82,7 @@ class TestWorldParams:
 
     def test_to_dict_round_trip(self):
         p = make(seed=42)
-        d = p.to_dict()
+        d = p.to_json_dict()
         assert WorldParams(**d) == p
         assert set(d) == {"n", "L", "R", "v", "seed", "c1", "c2", "eta"}
 
@@ -91,6 +95,105 @@ class TestWorldParams:
         assert p.eta == 0.02
 
 
+@dataclass
+class _Inner:
+    x: float
+
+    JSON_EXTRA = ("double",)
+
+    @property
+    def double(self) -> float:
+        return 2.0 * self.x
+
+
+@dataclass
+class _Outer:
+    inner: _Inner
+    pair: tuple
+    table: dict
+    hidden: np.ndarray
+
+    JSON_SKIP = ("hidden",)
+
+
+class TestJsonDict:
+    def test_converts_values_and_honours_skip_and_extra(self):
+        report = _Outer(
+            inner=_Inner(1.5),
+            pair=(math.inf, 2),
+            table={"a": math.nan, "b": [(1, -math.inf)]},
+            hidden=np.zeros(3),
+        )
+        got = core.json_dict(report)
+        assert got == {
+            "inner": {"x": 1.5, "double": 3.0},
+            "pair": [None, 2],
+            "table": {"a": None, "b": [[1, None]]},
+        }
+        json.dumps(got, allow_nan=False)  # strict JSON: no NaN or Infinity
+
+    def test_every_report_keeps_its_keys(self):
+        # key sets of each artifact's JSON, including the nested ones
+        p = experiments.make_params(400, seed=3)
+        record = run_flood(p).to_json_dict()
+        sweep = experiments.lemma_sweep(
+            settings=[p],
+            include_expansion=False,
+            include_density=False,
+            include_turns=False,
+        ).to_json_dict()
+        got = {
+            "WorldParams": p.to_json_dict(),
+            "ZoneMap": build_zone_map(p).to_json_dict(),
+            "RunRecord": record,
+            "RunRecord.assumptions": record["assumptions"],
+            "TurnReport": experiments.turn_statistics(p, windows=20).to_json_dict(),
+            "ScalingReport": experiments.scaling_experiment(
+                scales=(400,), replicas=1
+            ).to_json_dict(),
+            "LowerBoundReport": experiments.lower_bound_experiment(
+                *lower_bound_params(400), trials=20, flood_cap=1
+            ).to_json_dict(),
+            "StationarityReport": experiments.stationarity_report(
+                p, bins=4, snapshots=2
+            ).to_json_dict(),
+            "LemmaSweepReport": sweep,
+            "LemmaSweepReport.settings[0]": sweep["settings"][0],
+        }
+        params = "L R c1 c2 eta n seed v"
+        want = {
+            "WorldParams": params,
+            "ZoneMap": "L R cz_size ell extended_suburb_size m n prob_threshold "
+            "suburb_diameter suburb_size",
+            "RunRecord": "assumptions bound_constants cz_spread_time flooding_time "
+            "init_mode max_steps params progress rng_algorithm source_agent "
+            "source_rule theoretical_bound timed_out violations warmup_steps",
+            "RunRecord.assumptions": "radius_ok radius_slack speed_ok speed_slack",
+            "TurnReport": "fraction horizon max_ratio max_turns params tau_max "
+            "tau_min violations windows",
+            "ScalingReport": "c1 constants init_mode max_ratio replicas rows scales "
+            "seed slopes source_rules spread_constant",
+            "LowerBoundReport": "all_satisfied annulus_empty conditional_satisfied "
+            "conditional_times d f_occupied floods hits max_steps params "
+            "probability threshold trials",
+            "StationarityReport": "bins params snapshots spacing tv_init tv_model "
+            "warmup_steps",
+            "LemmaSweepReport": "density_violations deterministic_violations "
+            "eta_override ok seed settings suburb_scale turn_fraction "
+            "turn_violations turn_windows",
+            "LemmaSweepReport.settings[0]": "coverage_columns coverage_ok "
+            "coverage_rows cz_size density_checked density_violations "
+            "expansion_checked expansion_violations m name params "
+            "suburb_allowance suburb_size suburb_violations suburb_worst "
+            "turn_violations turn_windows",
+        }
+        assert {name: sorted(d) for name, d in got.items()} == {
+            name: keys.split() for name, keys in want.items()
+        }
+        assert sorted(got["RunRecord"]["params"]) == params.split()
+        assert got["RunRecord"]["rng_algorithm"] == core.RNG_ALGORITHM_ID
+
+
 class TestAssumptions:
     def test_both_hold_just_above_threshold(self):
         n, L = 10_000, 100.0
@@ -100,7 +203,7 @@ class TestAssumptions:
         assert rep.radius_ok and rep.speed_ok and rep.all_ok
         assert rep.radius_slack > 0
         assert rep.speed_slack == 0.0
-        assert p.assumptions_hold
+        assert check_assumptions(p).all_ok
 
     def test_half_threshold_radius_fails(self):
         n, L = 10_000, 100.0
@@ -110,7 +213,7 @@ class TestAssumptions:
         assert not rep.radius_ok
         assert rep.radius_slack < 0
         assert not rep.all_ok
-        assert not p.assumptions_hold
+        assert not check_assumptions(p).all_ok
 
     def test_zero_speed_always_speed_ok(self):
         p = make(v=0.0)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mrwpflood.core import SPEED_ENVELOPE_DEFAULT, WorldParams
+from mrwpflood.core import SPEED_ENVELOPE_DEFAULT, WorldParams, check_assumptions
 from mrwpflood.experiments import (
     admissible_tau_range,
     default_sweep,
@@ -39,7 +39,7 @@ class TestHelpers:
         assert p.L == 50.0
         assert p.R == pytest.approx(2.5 * 50.0 * math.sqrt(math.log(2500) / 2500))
         assert p.v == pytest.approx(p.R / SPEED_ENVELOPE_DEFAULT)
-        assert p.assumptions_hold
+        assert check_assumptions(p).all_ok
 
     def test_make_params_multiplier(self):
         a = make_params(1000)
@@ -98,7 +98,7 @@ class TestDefaultSweep:
         sweep = default_sweep()
         assert len(sweep) == 20
         # all settings respect the operating envelopes
-        assert all(p.assumptions_hold for p in sweep)
+        assert all(check_assumptions(p).all_ok for p in sweep)
         # both sparse (eta = 0) and dense (eta > 0) settings are present
         assert any(p.eta == 0.0 for p in sweep)
         assert any(p.eta > 0.0 for p in sweep)

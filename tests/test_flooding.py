@@ -865,7 +865,6 @@ class TestDensityMonitor:
         cx, cy = cell_center(z, mid)
         mon = DensityMonitor(z, eta=0.1, n=100)
         bad = mon.observe(np.array([[cx, cy]]))
-        assert mon.worst_count == 0
         # every central cell except mid has an empty core
         assert bad == z.cz_size - 1
 

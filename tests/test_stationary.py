@@ -26,7 +26,12 @@ from mrwpflood.stationary import (
     spatial_density,
 )
 import oracle
-from oracle import sample_destination, sample_stationary_position, total_mass
+from oracle import (
+    quadrant_masses,
+    sample_destination,
+    sample_stationary_position,
+    total_mass,
+)
 
 # strategy: positive arena sides away from degenerate float extremes
 sides = st.floats(min_value=0.1, max_value=1e4)
@@ -342,7 +347,7 @@ class TestDestinationSampler:
             law.cross.north,
             law.cross.west,
             law.cross.east,
-            *law.quadrant_masses(),
+            *quadrant_masses(law),
         ]
         counts = np.bincount(cats, minlength=8)
         for k in range(8):

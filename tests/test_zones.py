@@ -222,7 +222,7 @@ class TestBuildZoneMap:
 
     def test_to_dict_fields(self):
         z = build_zone_map(world(n=500))
-        d = z.to_dict()
+        d = z.to_json_dict()
         assert d["m"] == z.m and d["cz_size"] == z.cz_size
         assert d["suburb_diameter"] == pytest.approx(
             1.5 * z.L**3 * math.log(z.n) / (z.ell**2 * z.n)
