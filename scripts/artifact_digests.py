@@ -36,7 +36,9 @@ covers the corner trials at a seed of two 32-bit words: `lower-bound
 every trial's seed and stream from a seed whose high word is 1.  One covers
 slow agents: `simulate --set v=0.005 --steps 3000 --agents 20` steps agents
 whose legs last thousands of steps, so their way-point countdowns run long
-and expire mid-run.
+and expire mid-run.  One covers a long warm-up: `flood --set init=warmup
+--set v=0.05 --set max_steps=50` warms up for 8945 steps, one block whose
+countdowns run to hundreds of steps.
 """
 
 import hashlib
@@ -60,6 +62,10 @@ COMMANDS = [
     ("flood-stability", ["flood", "--check-stability"]),
     ("flood-stability-eta0", ["flood", "--check-stability", "--set", "eta=0"]),
     ("flood-warmup", ["flood", "--set", "init=warmup"]),
+    (
+        "flood-warmup-slow",
+        ["flood", "--set", "init=warmup", "--set", "v=0.05", "--set", "max_steps=50"],
+    ),
     ("flood-suburb", ["flood", "--source", "in_suburb"]),
     ("flood-in-cz-32k", ["flood", "--source", "in_cz", "--set", "n=32000"]),
     ("flood-fast", ["flood", "--set", "R=2", "--set", "v=9"]),

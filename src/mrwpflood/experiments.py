@@ -213,8 +213,7 @@ def turn_statistics(
     population = init_population(params, APPROX_STATIONARY)
     recorder = TrajectoryRecorder(range(watched))
     recorder.mark_start(population)
-    for _ in range(horizon):
-        population.step(recorder=recorder)
+    population.advance(horizon, recorder=recorder)
     trajectories = [
         recorder.trajectory(a, params.v, params.L) for a in range(watched)
     ]

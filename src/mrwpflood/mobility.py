@@ -16,16 +16,19 @@ agent by its cached velocity, but gives the exact way-point test only to
 the agents whose countdown has run out: each tested agent counts the
 coming steps on which it certainly stays more than ``v`` from its
 way-point, with an allowance for the rounding of repeated ``pos += vel``
-(:meth:`Population._countdown`).  So beyond ``pos += vel``, its clip and
-one int16 decrement an agent, a step costs in proportion to the agents
-that reach a way-point, about ``3 v / L`` of them.  The way-point passes
-gather and scatter state rows as items of 1-D complex views
-(:func:`_rows`).  Each agent draws trip randomness from its own ``(seed,
-agent id)`` substream, so the result equals stepping each agent alone, in
-any order, bit for bit.  The PCG64 states of all agents are held in one
-array and advanced in array passes; they draw exactly what
-``derive_substream(seed, agent id)`` draws, with no ``Generator`` built for
-any agent.
+(:meth:`Population._countdown`).  So beyond ``pos += vel`` and one int16
+decrement an agent, a step costs in proportion to the agents that reach a
+way-point, about ``3 v / L`` of them.  A block of many steps
+(:meth:`Population.advance`) goes further and runs the way-point passes
+once per round, not once per step: each round tests every agent due in
+the block at its own step, and plain ``pos += vel`` carries it to its next
+test, bit for bit as single steps would.  The way-point passes gather and
+scatter state rows as items of 1-D complex views (:func:`_rows`).  Each
+agent draws trip randomness from its own ``(seed, agent id)`` substream,
+so the result equals stepping each agent alone, in any order, bit for bit.
+The PCG64 states of all agents are held in one array and advanced in array
+passes; they draw exactly what ``derive_substream(seed, agent id)`` draws,
+with no ``Generator`` built for any agent.
 """
 
 from __future__ import annotations
@@ -336,7 +339,21 @@ class Population:
     every step in which it was tested: the number of coming steps that it
     certainly starts more than ``v`` from its way-point.  Each step counts
     it down; the count does not depend on ``step_count``, which callers
-    reset.  The state arrays must change only through :meth:`step`.
+    reset.  The state arrays change only through :meth:`advance`.
+
+    ``__init__`` also records whether every coordinate of ``pos``, ``turn``
+    and ``dest`` lies in [0, L] (``-0.0`` counts as inside, and a clip
+    keeps it).  Stepping keeps that so, and such a population skips the
+    clips of its plain moves, which then change nothing:
+
+    - a plain move ``pos + vel`` is made only by an agent whose way-point
+      the first pass finds, or its countdown certainly puts, more than
+      ``v`` away; rounding is monotone, so a computed distance above the
+      float ``v`` is a true one above it, and ``pos + vel`` rounds to a
+      point between ``pos`` and ``turn``;
+    - new destinations are draws in [0, 1) times ``L``;
+    - a new ``turn`` combines coordinates of the way-point reached and of
+      the destination.
     """
 
     def __init__(
@@ -368,12 +385,15 @@ class Population:
         self.pcg = pcg64_states(substream_seeds(params.seed, np.arange(n)))
         self.step_count = 0
         self._velocity = _rows(HEADING_VECTORS * params.v)  # vel per heading
-        self._left = self._countdown(slice(None))
+        self._in_arena = all(
+            a.min() >= 0.0 and a.max() <= params.L for a in (self.pos, self.turn, self.dest)
+        )
+        self._left = self._countdown(slice(None), _rows(self.pos))
 
-    def _countdown(self, rows) -> np.ndarray:
-        """How many coming steps the agents ``rows`` certainly begin more
-        than ``v`` from their way-point, as int16 (zero for none, at most
-        ``_COUNT_CAP``).
+    def _countdown(self, rows, here: np.ndarray) -> np.ndarray:
+        """How many coming steps the agents ``rows``, at the complex
+        positions ``here``, certainly begin more than ``v`` from their
+        way-point, as int16 (zero for none, at most ``_COUNT_CAP``).
 
         ``j`` steps ahead an agent has added its velocity ``j`` times to a
         coordinate in [0, L]; each sum rounds by at most ``2**-53 L``, and
@@ -386,85 +406,184 @@ class Population:
         further along the heading than where the agent will be.
         """
         v, L = self.params.v, self.params.L
-        here = np.clip(_pairs(_rows(self.pos)[rows]), 0.0, L)
-        gap = _gap(_rows(self.turn)[rows] - _rows(here), self.heading[rows])
+        if not self._in_arena:
+            here = _rows(np.clip(_pairs(here), 0.0, L))
+        gap = _gap(_rows(self.turn)[rows] - here, self.heading[rows])
         count = np.ceil((gap * (1.0 - _SLACK) - v * (1.0 + _SLACK)) / (v + L * _SLACK))
         return np.clip(count, 0.0, _COUNT_CAP, out=count).astype(np.int16)
 
-    def step(self, recorder: TrajectoryRecorder | None = None) -> None:
-        """Advance every agent by one step of path budget ``v``.
+    def _glide(self, xy: np.ndarray, vel: np.ndarray) -> None:
+        """``xy += vel`` in place, kept in the arena by a clip unless the
+        population lies in it."""
+        xy += vel
+        if not self._in_arena:
+            np.clip(xy, 0.0, self.params.L, out=xy)
 
-        Each pass takes the agents with budget left.  The first moves every
+    def step(self, recorder: TrajectoryRecorder | None = None) -> None:
+        """Advance every agent by one step: ``advance(1, recorder)``."""
+        self.advance(1, recorder)
+
+    def advance(self, steps: int, recorder: TrajectoryRecorder | None = None) -> None:
+        """Advance every agent by ``steps`` steps of path budget ``v`` each,
+        bit for bit as ``steps`` single steps, recorder events included.
+
+        A step runs passes, one per way-point depth.  The first moves every
         agent by its velocity and tests the agents whose countdown has run
-        out for a way-point within ``v`` (those that reach one are put on it
-        before their position is read again); later passes take the agents
-        that reached a way-point.  Those whose
-        way-point lies beyond their budget move along their heading and are
-        done; the rest jump to the way-point, spend the distance, and start
-        their next leg: the second leg after an elbow, a fresh trip after an
-        arrival (destination x, destination y and path coin, drawn in that
-        order from the agent's own substream).  An agent whose budget runs out
-        exactly at a way-point stops there, already facing its new
-        direction.  Every agent tested gets a fresh countdown.  Way-point
-        events go to ``recorder`` for the agents it watches.
+        out for a way-point within ``v``; later passes take the agents that
+        reached one (:meth:`_waypoints`).  Every agent tested gets a fresh
+        countdown.  Way-point events go to ``recorder`` for the agents it
+        watches.
+
+        A block of steps runs in rounds.  Round one runs its first step so,
+        then ``pos += vel`` on the whole arrays once for each further step,
+        saving each agent's position before the step on which its countdown
+        runs out.  Each later round takes every agent left with a test in
+        the block, each at its own step, tests them all at once, and moves
+        each by ``pos += vel`` up to its next test or the end of the block
+        (:meth:`_rounds`).
         """
-        v, L = self.params.v, self.params.L
+        if steps < 0:
+            raise ValueError(f"steps must be >= 0, got {steps}")
+        if steps == 0:
+            return
+        v = self.params.v
         if v > 0.0:
-            pos, dest, turn = _rows(self.pos), _rows(self.dest), _rows(self.turn)
+            pos, turn = _rows(self.pos), _rows(self.turn)
             # the first pass has every agent, each with budget v; only those
             # whose countdown has run out can be within v of a way-point
-            due = (self._left <= 0).nonzero()[0]
-            self._left -= 1
+            if steps == 1:
+                due = (self._left <= 0).nonzero()[0]
+            else:
+                # every agent tested in the block, first on block step _left
+                early = (self._left < steps).nonzero()[0]
+                first = self._left[early]
+                due, later = early[first == 0], first > 0
             gap = _gap(turn[due] - pos[due], self.heading[due])
             near = gap <= v
-            idx, budget = due[near], v - gap[near]
-            self.pos += self.vel
-            np.clip(self.pos, 0.0, L, out=self.pos)
-            for _ in range(ROLLOVER_CAP):
-                if idx.size == 0:
-                    break
-                at = turn[idx]  # on the second leg this is the destination
-                arrive = self.leg[idx] == _SECOND
-                goal = dest[idx]
-                vertical = np.zeros(idx.size, dtype=bool)
-                if arrive.any():
-                    draws = pcg64_random3(self.pcg, idx[arrive])
-                    goal[arrive] = _rows(np.multiply(draws[:, :2], L, order="C"))
-                    vertical[arrive] = draws[:, 2] < 0.5
-                new_turn, leg, heading = _trips(_pairs(at), _pairs(goal), vertical)
-                new_turn = _rows(new_turn)
-                pos[idx] = at
-                dest[idx] = goal
-                turn[idx] = new_turn
-                self.leg[idx] = leg
-                self.heading[idx] = heading
-                _rows(self.vel)[idx] = self._velocity[heading]
-                if recorder is not None:
-                    times = self.step_count + (v - budget) / v
-                    for k in np.flatnonzero(np.isin(idx, recorder.watched)).tolist():
-                        kind = ARRIVAL if arrive[k] else TURN
-                        x, y = float(at[k].real), float(at[k].imag)
-                        after = Heading(int(heading[k]))
-                        event = TripEvent(kind, float(times[k]), x, y, after)
-                        recorder.record(int(idx[k]), [event])
-                left = budget > 0.0
-                idx, budget = idx[left], budget[left]
-                if idx.size == 0:
-                    break
-                at, heading = at[left], heading[left]
-                gap = _gap(new_turn[left] - at, heading)
-                far = gap > budget
-                moved = _pairs(at[far] + _UNIT[heading[far]] * budget[far])
-                pos[idx[far]] = _rows(np.clip(moved, 0.0, L, out=moved))
-                near = ~far
-                idx, budget = idx[near], budget[near] - gap[near]
+            self._left -= min(steps, _COUNT_CAP)
+            self._glide(self.pos, self.vel)
+            self._waypoints(due[near], v - gap[near], self.step_count, recorder)
+            fresh = self._countdown(due, pos[due])
+            if steps == 1:
+                self._left[due] = fresh
             else:
-                raise RuntimeError("way-point rollover cap exceeded within one step")
-            # a fresh count for every agent tested, from where the step left it
-            self._left[due] = self._countdown(due)
-        self.step_count += 1
+                self._rounds(steps, recorder, early[later], first[later], due, fresh)
+        self.step_count += steps
         if recorder is not None:
             recorder.horizon = float(self.step_count)
+
+    def _rounds(self, steps, recorder, rows, when, due, fresh) -> None:
+        """Steps 1 to ``steps - 1`` of a block whose step 0 has run: the
+        agents ``rows`` are first tested on block steps ``when``, and the
+        agents ``due``, tested on step 0, have the countdowns ``fresh``."""
+        v = self.params.v
+        pos, turn, vel = _rows(self.pos), _rows(self.turn), _rows(self.vel)
+        nxt = fresh.astype(np.int64) + 1  # block step of the next test
+        done = nxt >= steps
+        self._left[due[done]] = nxt[done] - steps
+        rows = np.concatenate([rows, due[~done]])
+        when = np.concatenate([when, nxt[~done]])
+        order = np.argsort(when)
+        rows, when = rows[order], when[order]
+        # round one: the whole arrays glide from one distinct test step to
+        # the next, and the rows tested on it save where they stand there
+        steps_at, lo = np.unique(when, return_index=True)
+        hi = np.append(lo[1:], rows.size)
+        here = np.empty(rows.size, dtype=complex)
+        j = 1
+        for at, a, b in zip(steps_at.tolist(), lo.tolist(), hi.tolist()):
+            for _ in range(at - j):
+                self._glide(self.pos, self.vel)
+            here[a:b] = pos[rows[a:b]]
+            j = at
+        for _ in range(steps - j):
+            self._glide(self.pos, self.vel)
+        # event rounds: one test of each agent left, whatever its step
+        while rows.size:
+            gap = _gap(turn[rows] - here, self.heading[rows])
+            near = gap <= v
+            self._glide(_pairs(here), _pairs(vel[rows]))
+            pos[rows] = here
+            clock = self.step_count + when[near]
+            self._waypoints(rows[near], v - gap[near], clock, recorder)
+            here = pos[rows]
+            fresh = self._countdown(rows, here)
+            nxt = when + 1 + fresh
+            moves = np.minimum(nxt, steps) - when - 1
+            order = np.argsort(-moves)
+            rows, when, here, fresh, nxt, moves = (
+                a[order] for a in (rows, when, here, fresh, nxt, moves)
+            )
+            # plain moves up to each agent's next test or the block's end,
+            # over the prefix of the agents with moves left
+            xy, step_vel = _pairs(here), _pairs(vel[rows])
+            for m in np.searchsorted(-moves, -np.arange(moves[0])).tolist():
+                self._glide(xy[:m], step_vel[:m])
+            done = nxt >= steps
+            pos[rows[done]] = here[done]
+            self._left[rows[done]] = fresh[done] - moves[done]
+            rows, when, here = rows[~done], nxt[~done], here[~done]
+
+    def _waypoints(self, idx, budget, clock, recorder) -> None:
+        """The passes after the first, for the agents ``idx`` that reach
+        their way-point with ``budget`` of their step left, on step
+        ``clock`` (one for all, or one per agent).
+
+        Each pass puts its agents on their way-point, where they start their
+        next leg: the second leg after an elbow, a fresh trip after an
+        arrival (destination x, destination y and path coin, drawn in that
+        order from the agent's own substream).  Those whose next way-point
+        lies beyond their budget move along their heading and are done; the
+        rest jump to it, spend the distance, and go on to the next pass.  An
+        agent whose budget runs out exactly at a way-point stops there,
+        already facing its new direction.
+        """
+        v, L = self.params.v, self.params.L
+        pos, dest, turn = _rows(self.pos), _rows(self.dest), _rows(self.turn)
+        for _ in range(ROLLOVER_CAP):
+            if idx.size == 0:
+                return
+            at = turn[idx]  # on the second leg this is the destination
+            arrive = self.leg[idx] == _SECOND
+            goal = dest[idx]
+            vertical = np.zeros(idx.size, dtype=bool)
+            if arrive.any():
+                draws = pcg64_random3(self.pcg, idx[arrive])
+                goal[arrive] = _rows(np.multiply(draws[:, :2], L, order="C"))
+                vertical[arrive] = draws[:, 2] < 0.5
+            new_turn, leg, heading = _trips(_pairs(at), _pairs(goal), vertical)
+            new_turn = _rows(new_turn)
+            pos[idx] = at
+            dest[idx] = goal
+            turn[idx] = new_turn
+            self.leg[idx] = leg
+            self.heading[idx] = heading
+            _rows(self.vel)[idx] = self._velocity[heading]
+            if recorder is not None:
+                times = clock + (v - budget) / v
+                for k in np.flatnonzero(np.isin(idx, recorder.watched)).tolist():
+                    kind = ARRIVAL if arrive[k] else TURN
+                    x, y = float(at[k].real), float(at[k].imag)
+                    after = Heading(int(heading[k]))
+                    event = TripEvent(kind, float(times[k]), x, y, after)
+                    recorder.record(int(idx[k]), [event])
+            left = budget > 0.0
+            idx, budget, clock = idx[left], budget[left], _keep(clock, left)
+            if idx.size == 0:
+                return
+            at, heading = at[left], heading[left]
+            gap = _gap(new_turn[left] - at, heading)
+            far = gap > budget
+            moved = _pairs(at[far] + _UNIT[heading[far]] * budget[far])
+            pos[idx[far]] = _rows(np.clip(moved, 0.0, L, out=moved))
+            near = ~far
+            idx, budget, clock = idx[near], budget[near] - gap[near], _keep(clock, near)
+        raise RuntimeError("way-point rollover cap exceeded within one step")
+
+
+def _keep(clock, mask: np.ndarray):
+    """The rows ``mask`` of a per-agent step index; one for all is kept."""
+    return clock[mask] if isinstance(clock, np.ndarray) else clock
 
 
 def init_population(
@@ -499,8 +618,7 @@ def init_population(
         draws = init_rng.random((n, 3))  # per agent: destination x, y, coin
         dest = draws[:, :2] * L
         population = Population(params, pos, dest, *_trips(pos, dest, draws[:, 2] < 0.5))
-        for _ in range(warmup_steps):
-            population.step()
+        population.advance(warmup_steps)
         population.step_count = 0
         return population
     if mode == APPROX_STATIONARY:
@@ -530,8 +648,13 @@ def position_histogram(
     """Pooled normalised ``bins x bins`` histogram over periodic snapshots.
 
     Takes the current positions, then advances ``spacing`` steps between
-    each of the remaining ``snapshots - 1`` snapshots.
+    each of the remaining ``snapshots - 1`` snapshots, one :meth:`step`
+    call each.
     """
+    if snapshots < 1:
+        raise ValueError(f"snapshots must be >= 1, got {snapshots}")
+    if spacing < 0:
+        raise ValueError(f"spacing must be >= 0, got {spacing}")
     L = population.params.L
     counts = np.zeros((bins, bins), dtype=np.int64)
     edges = np.linspace(0.0, L, bins + 1)

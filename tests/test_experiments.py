@@ -321,3 +321,8 @@ class TestStationarity:
         p = replace(make_params(400), v=0.0)
         with pytest.raises(ValueError):
             stationarity_report(p, bins=5, snapshots=5)
+
+    def test_no_snapshot_rejected(self):
+        # no snapshot would pool an empty histogram into NaN distances
+        with pytest.raises(ValueError, match="snapshots"):
+            stationarity_report(make_params(400), bins=5, snapshots=0)

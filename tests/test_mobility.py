@@ -348,6 +348,68 @@ def step_beside_oracle(pop, states, rngs, steps):
     return most
 
 
+def edge_states(L, v):
+    """Agents on the arena edges (and at -0.0), heading along, into and away
+    from them, with their next way-point exactly ``v`` away or one ulp
+    further."""
+    edges = [
+        (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (0.0, L), (L, 0.0), (L, L),
+        (-0.0, 5.0), (0.0, 3.7), (L, 5.0), (5.0, -0.0), (6.1, 0.0), (5.0, L),
+        (L - v, L), (0.0, v),
+    ]
+    states = []
+    for x, y in edges:
+        for heading in Heading:
+            step = mobility.HEADING_VECTORS[heading]
+            for d in (v, np.nextafter(v, np.inf)):
+                way = (x + step[0] * d, y + step[1] * d)
+                states.append(build_trip((x, y), way, False))
+                elbow = (way[0] + step[1] * 1.5, way[1] + step[0] * 1.5)
+                states.append(build_trip((x, y), elbow, heading & 1 == 1))
+    return states
+
+
+def rounding_states(L, v):
+    """Agents fl(k v) and one ulp either side of it from their way-point,
+    on coordinates of several magnitudes, heading along either axis toward
+    the middle of an arena of side ``L``."""
+    states = []
+    for k in (1, 2, 3, 7, 50, 400):
+        for x in (0.7, 3.3, 77.7, 512.25, 999.1):
+            sign = 1.0 if x < L / 2 else -1.0
+            t0 = x + sign * (k * v)
+            for t in (np.nextafter(t0, -np.inf), t0, np.nextafter(t0, np.inf)):
+                if not 0.0 <= t <= L:
+                    continue
+                y = L - x
+                states.append(build_trip((x, y), (t, y), False))  # east-west
+                states.append(build_trip((y, x), (y, t), True))  # north-south
+                states.append(build_trip((x, y), (t, y + 1.5), False))  # elbow
+    return states
+
+
+def lattice_states(p):
+    """First trips between points of the integer lattice on [0, 10]^2, one
+    in 50 of zero length."""
+    rng = np.random.default_rng(p.seed)
+    ends = rng.integers(0, 11, (p.n, 4)).astype(float)
+    ends[::50, 2:] = ends[::50, :2]
+    return [
+        build_trip(ends[i, :2], ends[i, 2:], bool(rng.random() < 0.5))
+        for i in range(p.n)
+    ]
+
+
+OFF_ARENA_STATES = [
+    build_trip((-3.0, 4.0), (6.0, 4.0), False),
+    build_trip((13.0, 4.0), (2.0, 4.0), False),
+    build_trip((5.0, -2.0), (5.0, 7.0), True),
+    build_trip((-5.0, 3.0), (2.0, 8.0), True),  # elbow off the arena
+    build_trip((4.0, 3.0), (-5.0, 6.0), False),  # an elbow and a goal off it
+    build_trip((4.0, 3.0), (7.0, 12.0), True),
+]
+
+
 class TestPopulation:
     def test_round_trip_states(self):
         p = params(n=3)
@@ -402,13 +464,7 @@ class TestPopulation:
         # arrivals fall exactly at the end of a step's budget, many legs
         # share a coordinate, and some trips have zero length
         p = params(n=300, L=10.0, v=0.25, seed=6)
-        rng = np.random.default_rng(6)
-        ends = rng.integers(0, 11, (p.n, 4)).astype(float)
-        ends[::50, 2:] = ends[::50, :2]
-        states = [
-            build_trip(ends[i, :2], ends[i, 2:], bool(rng.random() < 0.5))
-            for i in range(p.n)
-        ]
+        states = lattice_states(p)
         pop = from_states(p, states)
         rngs = [derive_substream(p.seed, i) for i in range(p.n)]
         step_beside_oracle(pop, states, rngs, 40)
@@ -421,20 +477,7 @@ class TestPopulation:
         # positions must equal the oracle's bit for bit after every step,
         # so a changed sign of zero or a last-ulp change shows
         L = 10.0
-        edges = [
-            (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (0.0, L), (L, 0.0), (L, L),
-            (-0.0, 5.0), (0.0, 3.7), (L, 5.0), (5.0, -0.0), (6.1, 0.0), (5.0, L),
-            (L - v, L), (0.0, v),
-        ]
-        states = []
-        for x, y in edges:
-            for heading in Heading:
-                step = mobility.HEADING_VECTORS[heading]
-                for d in (v, np.nextafter(v, np.inf)):
-                    way = (x + step[0] * d, y + step[1] * d)
-                    states.append(build_trip((x, y), way, False))
-                    elbow = (way[0] + step[1] * 1.5, way[1] + step[0] * 1.5)
-                    states.append(build_trip((x, y), elbow, heading & 1 == 1))
+        states = edge_states(L, v)
         assert {s.heading for s in states} == set(Heading)
         p = params(n=len(states), L=L, v=v, seed=9)
         pop = from_states(p, states)
@@ -506,18 +549,7 @@ class TestWaypointCountdown:
         # coordinate each, so a countdown of exactly ceil(gap / v) - 1 steps
         # skips the step on which some of them are within v
         L = 1000.0
-        states = []
-        for k in (1, 2, 3, 7, 50, 400):
-            for x in (0.7, 3.3, 77.7, 512.25, 999.1):
-                sign = 1.0 if x < L / 2 else -1.0
-                t0 = x + sign * (k * v)
-                for t in (np.nextafter(t0, -np.inf), t0, np.nextafter(t0, np.inf)):
-                    if not 0.0 <= t <= L:
-                        continue
-                    y = L - x
-                    states.append(build_trip((x, y), (t, y), False))  # east-west
-                    states.append(build_trip((y, x), (y, t), True))  # north-south
-                    states.append(build_trip((x, y), (t, y + 1.5), False))  # elbow
+        states = rounding_states(L, v)
         assert {s.heading for s in states} == set(Heading)
         p = params(n=len(states), L=L, v=v, seed=2)
         pop = from_states(p, states)
@@ -528,14 +560,7 @@ class TestWaypointCountdown:
         # positions and way-points outside [0, L], several v away: the first
         # clip moves such an agent by more than v toward its way-point
         L, v = 10.0, 0.25
-        states = [
-            build_trip((-3.0, 4.0), (6.0, 4.0), False),
-            build_trip((13.0, 4.0), (2.0, 4.0), False),
-            build_trip((5.0, -2.0), (5.0, 7.0), True),
-            build_trip((-5.0, 3.0), (2.0, 8.0), True),  # elbow off the arena
-            build_trip((4.0, 3.0), (-5.0, 6.0), False),  # an elbow and a goal off it
-            build_trip((4.0, 3.0), (7.0, 12.0), True),
-        ]
+        states = list(OFF_ARENA_STATES)
         p = params(n=len(states), L=L, v=v, seed=3)
         pop = from_states(p, states)
         rngs = [derive_substream(p.seed, i) for i in range(p.n)]
@@ -560,6 +585,124 @@ class TestWaypointCountdown:
         step_beside_oracle(pop, states, rngs, 200)
         pop.step_count = 0
         step_beside_oracle(pop, states, rngs, 300)
+
+
+def advance_worlds():
+    """(name, factory) of every world the block engine is checked on; each
+    factory builds the same population on every call."""
+    worlds = []
+    for case in ORACLE_CASES:
+        n, L, v, _, mode = case
+        warmup = {"warmup_steps": 20} if mode == WARMUP else {}
+        p = params(n=n, L=L, v=v, seed=5)
+        worlds.append(
+            (oracle_case_id(case), lambda p=p, m=mode, w=warmup: init_population(p, m, **w))
+        )
+    for v in (0.25, 0.3):
+        p = params(n=len(edge_states(10.0, v)), v=v, seed=9)
+        worlds.append((f"edges-{v}", lambda p=p: from_states(p, edge_states(p.L, p.v))))
+    for v in (0.1, 0.3):
+        p = params(n=len(rounding_states(1000.0, v)), L=1000.0, v=v, seed=2)
+        worlds.append((f"rounding-{v}", lambda p=p: from_states(p, rounding_states(p.L, p.v))))
+    p = params(n=len(OFF_ARENA_STATES), seed=3)
+    worlds.append(("off-arena", lambda p=p: from_states(p, OFF_ARENA_STATES)))
+    p = params(n=300, seed=6)
+    worlds.append(("lattice", lambda p=p: from_states(p, lattice_states(p))))
+    # v = L/4000: countdowns of thousands of steps, many expiring in a block
+    p = params(n=120, L=40.0, v=0.01, seed=4)
+    worlds.append(("slow-warmup", lambda p=p: init_population(p, WARMUP, warmup_steps=300)))
+    p = params(n=150, L=40.0, v=0.01, seed=5)
+    worlds.append(("slow", lambda p=p: init_population(p, APPROX_STATIONARY)))
+    return worlds
+
+
+ADVANCE_WORLDS = advance_worlds()
+ENGINE_STATE = ("pos", "dest", "turn", "leg", "heading", "vel", "pcg", "_left")
+
+
+def assert_same_engine_state(a, b, rec_a, rec_b, label):
+    for name in ENGINE_STATE:
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (label, name)
+    assert a.step_count == b.step_count, label
+    assert rec_a._events == rec_b._events, label
+    assert rec_a.horizon == rec_b.horizon, label
+
+
+class TestAdvance:
+    """``advance(k)`` must leave exactly the state of ``k`` calls of
+    ``step()``, byte for byte, recorder events and horizon included."""
+
+    @pytest.mark.parametrize(
+        "build", [w[1] for w in ADVANCE_WORLDS], ids=[w[0] for w in ADVANCE_WORLDS]
+    )
+    def test_block_matches_single_steps(self, build):
+        # blocks run back to back, so later ones start mid-run with
+        # countdowns of every length
+        a, b = build(), build()
+        watched = range(0, a.params.n, max(3, a.params.n // 10))
+        rec_a, rec_b = TrajectoryRecorder(watched), TrajectoryRecorder(watched)
+        rec_a.mark_start(a)
+        rec_b.mark_start(b)
+        for k in (0, 1, 2, 13, 63, 630):
+            a.advance(k, recorder=rec_a)
+            for _ in range(k):
+                b.step(recorder=rec_b)
+            assert_same_engine_state(a, b, rec_a, rec_b, k)
+        assert sum(map(len, rec_a._events.values())) > 0
+
+    def test_block_after_a_clock_reset(self):
+        # recorder times count from step_count, whatever callers set it to
+        build = dict(ADVANCE_WORLDS)["slow"]
+        a, b = build(), build()
+        a.advance(500)
+        b.advance(500)
+        a.step_count = b.step_count = 7
+        rec_a, rec_b = TrajectoryRecorder(range(150)), TrajectoryRecorder(range(150))
+        a.advance(900, recorder=rec_a)
+        for _ in range(900):
+            b.step(recorder=rec_b)
+        assert_same_engine_state(a, b, rec_a, rec_b, "reset")
+        assert sum(map(len, rec_a._events.values())) > 0
+
+    def test_block_longer_than_the_longest_countdown(self):
+        # at v = L/10**5 countdowns reach the int16 cap, and a block of
+        # more steps than the cap holds still counts every one down
+        p = params(n=4, L=40.0, v=0.0004, seed=1)
+        a, b = init_population(p, APPROX_STATIONARY), init_population(p, APPROX_STATIONARY)
+        assert a._left.max() == np.iinfo(np.int16).max
+        rec_a, rec_b = TrajectoryRecorder(range(4)), TrajectoryRecorder(range(4))
+        a.advance(40_000, recorder=rec_a)
+        for _ in range(40_000):
+            b.step(recorder=rec_b)
+        assert_same_engine_state(a, b, rec_a, rec_b, "cap")
+        assert sum(map(len, rec_a._events.values())) > 0
+
+    def test_zero_speed_only_counts_time(self):
+        pop = init_population(params(n=5, v=0.0), APPROX_STATIONARY)
+        before = {name: getattr(pop, name).copy() for name in ENGINE_STATE}
+        rec = TrajectoryRecorder(range(5))
+        rec.mark_start(pop)
+        pop.advance(40, recorder=rec)
+        for name, value in before.items():
+            assert np.array_equal(getattr(pop, name), value), name
+        assert pop.step_count == 40 and rec.horizon == 40.0
+        assert all(events == [] for events in rec._events.values())
+
+    def test_negative_steps_rejected(self):
+        pop = init_population(params(n=5), APPROX_STATIONARY)
+        pos = pop.pos.copy()
+        with pytest.raises(ValueError, match="steps"):
+            pop.advance(-1)
+        assert np.array_equal(pop.pos, pos) and pop.step_count == 0
+
+    def test_rollover_cap_raises_within_a_block(self, monkeypatch):
+        # nobody is near a way-point at block step 0; the agent reaches its
+        # elbow with budget left some steps later, in a later round
+        pop = from_states(params(n=2), [build_trip((1.0, 1.0), (3.6, 6.0), False)] * 2)
+        monkeypatch.setattr(mobility, "ROLLOVER_CAP", 1)
+        pop.advance(1)
+        with pytest.raises(RuntimeError, match="rollover cap"):
+            pop.advance(40)
 
 
 class TestPopulationInput:
@@ -795,3 +938,13 @@ class TestHistogram:
         assert h.shape == (5, 5)
         assert h.sum() == pytest.approx(1.0)
         assert pop.step_count == 4  # (snapshots - 1) * spacing steps taken
+
+    def test_no_snapshot_rejected(self):
+        pop = init_population(params(n=50, seed=14), APPROX_STATIONARY)
+        with pytest.raises(ValueError, match="snapshots"):
+            position_histogram(pop, bins=5, snapshots=0, spacing=2)
+
+    def test_negative_spacing_rejected(self):
+        pop = init_population(params(n=50, seed=14), APPROX_STATIONARY)
+        with pytest.raises(ValueError, match="spacing"):
+            position_histogram(pop, bins=5, snapshots=3, spacing=-1)
