@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Render the stationary-density heatmap, a destination-law figure, and the
-zone map for one network size as standalone SVG files."""
+"""Render the stationary-density heatmap and the zone map for one network
+size as standalone SVG files.  The destination-law figure comes from
+`mrwpflood heatmap`."""
 
 import argparse
 from pathlib import Path

@@ -41,7 +41,6 @@ from .experiments import (
     make_params,
     scaling_experiment,
     stationarity_report,
-    theoretical_bound,
     turn_statistics,
 )
 from .flooding import (
@@ -50,6 +49,7 @@ from .flooding import (
     RunRecord,
     density_monitor,
     flood_step,
+    flood_time_budget,
     run_flood,
 )
 from .mobility import (
@@ -104,13 +104,13 @@ __all__ = [
     "make_params",
     "scaling_experiment",
     "stationarity_report",
-    "theoretical_bound",
     "turn_statistics",
     "FloodState",
     "NeighborIndex",
     "RunRecord",
     "density_monitor",
     "flood_step",
+    "flood_time_budget",
     "run_flood",
     "AgentTrajectory",
     "Heading",

@@ -79,6 +79,22 @@ def _parse_value(raw: str):
         return raw
 
 
+def _set_config(config: dict, key: str, value) -> None:
+    """Set one top-level config key; ``constants`` takes an object whose
+    every key names a known constant."""
+    if key not in config:
+        raise ConfigError(f"unknown config key {key!r}")
+    if key != "constants":
+        config[key] = value
+        return
+    if not isinstance(value, dict):
+        raise ConfigError("'constants' must be a JSON object")
+    for name, constant in value.items():
+        if name not in config["constants"]:
+            raise ConfigError(f"unknown constant {name!r}")
+        config["constants"][name] = constant
+
+
 def load_config(path: str | None, overrides: list[str]) -> dict:
     """Resolve the configuration: defaults, then file, then overrides."""
     config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
@@ -93,31 +109,17 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         for key, value in loaded.items():
-            if key == "constants":
-                if not isinstance(value, dict):
-                    raise ConfigError("'constants' must be a JSON object")
-                for ckey, cval in value.items():
-                    if ckey not in config["constants"]:
-                        raise ConfigError(f"unknown constant {ckey!r}")
-                    config["constants"][ckey] = cval
-            elif key in config:
-                config[key] = value
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
+            _set_config(config, key, value)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
         key, raw = item.split("=", 1)
         value = _parse_value(raw)
-        if key.startswith("constants."):
-            ckey = key[len("constants."):]
-            if ckey not in config["constants"]:
-                raise ConfigError(f"unknown constant {ckey!r}")
-            config["constants"][ckey] = value
-        elif key in config and key != "constants":
-            config[key] = value
-        else:
+        if key == "constants":
             raise ConfigError(f"unknown config key {key!r}")
+        if key.startswith("constants."):
+            key, value = "constants", {key[len("constants."):]: value}
+        _set_config(config, key, value)
     return config
 
 

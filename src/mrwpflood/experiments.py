@@ -1,8 +1,8 @@
 """Scenario runners turning the model's guarantees into measurements.
 
 Provides the standard arena scaling (``L = sqrt(n)`` with the radius set
-relative to its admissibility threshold), the flooding-time budget with its
-precondition, replica-seeded scaling experiments against that budget, the
+relative to its admissibility threshold), replica-seeded scaling
+experiments against the flooding-time budget (``flood_time_budget``), the
 corner-event lower-bound construction, batch lemma sweeps (zone structure,
 core density, turn counts), and stationarity validation by pooled
 histograms.
@@ -51,7 +51,6 @@ from .mobility import (
 )
 from .stationary import grid_cell_masses, sample_stationary_positions
 from .zones import (
-    ZoneMap,
     build_zone_map,
     check_expansion,
     check_suburb_diameter,
@@ -84,24 +83,6 @@ def make_params(
     if v is None:
         v = R / SPEED_ENVELOPE_DEFAULT
     return WorldParams(n=n, L=L, R=R, v=v, seed=seed, c1=c1, eta=eta)
-
-
-def theoretical_bound(
-    params: WorldParams,
-    zone_map: ZoneMap | None = None,
-    constants: tuple[float, float] = DEFAULT_BOUND_CONSTANTS,
-) -> float:
-    """Flooding-time budget ``a L / R + b S / v`` (suburb term dropped when
-    the suburb is empty).  Rejects immobile agents with a nonempty suburb,
-    for whom flooding need not terminate at all."""
-    if zone_map is None:
-        zone_map = build_zone_map(params)
-    budget = flood_time_budget(params, zone_map, constants)
-    if not math.isfinite(budget):
-        raise ValueError(
-            "time budget undefined: immobile agents with a nonempty suburb"
-        )
-    return budget
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
@@ -444,7 +425,6 @@ def scaling_experiment(
     source_rules: Sequence[str] = (SOURCE_IN_CZ, SOURCE_IN_SUBURB),
     init_mode: str = APPROX_STATIONARY,
     seed: int = 0,
-    collect_progress: bool = False,
 ) -> ScalingReport:
     """Seeded flooding runs across arena scales.
 
@@ -463,7 +443,7 @@ def scaling_experiment(
     for si, n in enumerate(scales):
         base = make_params(n, c1=c1, eta=0.0)
         zone_map = build_zone_map(base)
-        budget = theoretical_bound(base, zone_map, constants)
+        budget = flood_time_budget(base, zone_map, constants)
         for ri, rule in enumerate(source_rules):
             times: list[int] = []
             spreads: list[int] = []
@@ -479,7 +459,6 @@ def scaling_experiment(
                             init_mode=init_mode,
                             zone_map=zone_map,
                             bound_constants=constants,
-                            collect_progress=collect_progress,
                         )
                         break
                     except SourcePlacementError:
@@ -594,11 +573,8 @@ def lower_bound_params(
     its surrounding annulus so the corner event keeps a workable
     probability at finite ``n``.
     """
-    L = math.sqrt(n)
-    d = d_factor * L / n ** (1.0 / 3.0)
-    R = 0.9 * d
-    v = R / SPEED_ENVELOPE_DEFAULT
-    return WorldParams(n=n, L=L, R=R, v=v, seed=seed, c1=2.5, eta=0.0), d
+    d = d_factor * math.sqrt(n) / n ** (1.0 / 3.0)
+    return make_params(n, R=0.9 * d, seed=seed), d
 
 
 def lower_bound_experiment(

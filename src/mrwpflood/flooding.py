@@ -459,27 +459,21 @@ class RunRecord:
     to_json_dict = json_dict
 
 
-def suburb_reach(zone_map: ZoneMap) -> float:
-    """Travel-distance term of the time budget: the reference suburb
-    diameter when suburb cells exist, zero when the central zone covers the
-    whole grid."""
-    return 0.0 if zone_map.suburb_empty else zone_map.suburb_diameter
-
-
 def flood_time_budget(
     params: WorldParams,
     zone_map: ZoneMap,
     constants: tuple[float, float] = DEFAULT_BOUND_CONSTANTS,
 ) -> float:
-    """``a L / R + b S / v`` with the suburb term dropped when the suburb is
-    empty; infinite for immobile agents with a nonempty suburb."""
+    """``a L / R + b S / v``, ``S`` the suburb diameter, with the suburb term
+    dropped when the suburb is empty; infinite for immobile agents with a
+    nonempty suburb, for whom flooding need not terminate at all."""
     a, b = constants
-    reach = suburb_reach(zone_map)
-    if reach == 0.0:
-        return a * params.L / params.R
+    budget = a * params.L / params.R
+    if zone_map.suburb_empty:
+        return budget
     if params.v == 0.0:
         return math.inf
-    return a * params.L / params.R + b * reach / params.v
+    return budget + b * zone_map.suburb_diameter / params.v
 
 
 def default_max_steps(
@@ -585,42 +579,28 @@ def run_flood(
     stability_violations = 0
     progress: list[tuple[int, int, int, int]] = []
     cz_spread_time: int | None = None
-    cells, suburb_inf = informed_cells(population, state, zone_map)
-    cell_count = int(cells.sum())
-    if cell_count == zone_map.cz_size:
-        cz_spread_time = 0
-    if collect_progress:
-        progress.append((0, state.informed_count, cell_count, suburb_inf))
     prev_guard = False
-    if monitor is not None:
-        prev_guard = monitor.observe(population.pos) == 0
-    prev_cells = cells
-    flooding_time: int | None = 0 if state.all_informed else None
-    while flooding_time is None and state.step < max_steps:
-        flood_step(population, state)
-        guard = False
-        if monitor is not None:
-            guard = monitor.observe(population.pos) == 0
-        need_cells = (
-            collect_progress or check_stability or cz_spread_time is None
-        )
-        if need_cells:
+    while True:
+        # observe time zero, then the state after each step
+        guard = monitor is not None and monitor.observe(population.pos) == 0
+        if collect_progress or check_stability or cz_spread_time is None:
             cells, suburb_inf = informed_cells(population, state, zone_map)
             cell_count = int(cells.sum())
             if cz_spread_time is None and cell_count == zone_map.cz_size:
                 cz_spread_time = state.step
-            if check_stability and prev_guard:
+            if prev_guard:
                 required = cz_neighborhood(prev_cells, zone_map)
                 stability_violations += int((required & ~cells).sum())
             prev_cells = cells
         prev_guard = guard
         if collect_progress:
             progress.append((state.step, state.informed_count, cell_count, suburb_inf))
-        if on_step is not None:
+        if on_step is not None and state.step > 0:
             on_step(population, state)
-        if state.all_informed:
-            flooding_time = state.step
-    timed_out = flooding_time is None
+        if state.all_informed or state.step >= max_steps:
+            break
+        flood_step(population, state)
+    flooding_time = state.step if state.all_informed else None
     if flooding_time is not None:
         floor = frontier_floor(params, d_far - params.R)
         if flooding_time < floor:
@@ -639,7 +619,7 @@ def run_flood(
         source_rule=source_rule,
         source_agent=source,
         flooding_time=flooding_time,
-        timed_out=timed_out,
+        timed_out=flooding_time is None,
         cz_spread_time=cz_spread_time,
         theoretical_bound=flood_time_budget(params, zone_map, bound_constants),
         bound_constants=bound_constants,

@@ -296,6 +296,10 @@ class TrajectoryRecorder:
         self.watched = sorted(set(agents))
         self._events: dict[int, list[TripEvent]] = {a: [] for a in self.watched}
         self._start: dict[int, tuple[float, float, Heading]] = {}
+        # watched agents as a row mask, false from one past the last on:
+        # ``np.take(rows, idx, mode="clip")`` reads it for any agent ids
+        self.rows = np.zeros(max([-1, *self.watched]) + 2, dtype=bool)
+        self.rows[[a for a in self.watched if a >= 0]] = True
         self.horizon = 0.0
 
     def mark_start(self, population: "Population") -> None:
@@ -561,7 +565,7 @@ class Population:
             _rows(self.vel)[idx] = self._velocity[heading]
             if recorder is not None:
                 times = clock + (v - budget) / v
-                for k in np.flatnonzero(np.isin(idx, recorder.watched)).tolist():
+                for k in np.flatnonzero(np.take(recorder.rows, idx, mode="clip")).tolist():
                     kind = ARRIVAL if arrive[k] else TURN
                     x, y = float(at[k].real), float(at[k].imag)
                     after = Heading(int(heading[k]))
@@ -643,7 +647,6 @@ def position_histogram(
     bins: int,
     snapshots: int,
     spacing: int,
-    recorder: TrajectoryRecorder | None = None,
 ) -> np.ndarray:
     """Pooled normalised ``bins x bins`` histogram over periodic snapshots.
 
@@ -661,7 +664,7 @@ def position_histogram(
     for snap in range(snapshots):
         if snap > 0:
             for _ in range(spacing):
-                population.step(recorder=recorder)
+                population.step()
         h, _, _ = np.histogram2d(
             population.pos[:, 0], population.pos[:, 1], bins=[edges, edges]
         )

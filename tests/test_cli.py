@@ -77,6 +77,18 @@ class TestExitCodes:
         path.write_text(json.dumps({"radius": 3}))
         assert run_cli("zones", "--config", str(path), "-q") == 2
 
+    def test_non_object_constants_in_config_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "constants.json"
+        path.write_text(json.dumps({"constants": [18.0]}))
+        assert run_cli("zones", "--config", str(path), "-q") == 2
+        assert "'constants' must be a JSON object" in capsys.readouterr().err
+
+    def test_unknown_constant_in_config_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "constants.json"
+        path.write_text(json.dumps({"constants": {"a": 9.0, "zz": 1}}))
+        assert run_cli("zones", "--config", str(path), "-q") == 2
+        assert "unknown constant 'zz'" in capsys.readouterr().err
+
     def test_unknown_source_rule_exit_2(self, tmp_path, capsys):
         code = run_cli(
             "flood", "--source", "bogus", "--output-dir", str(tmp_path), "-q", *SMALL
@@ -326,6 +338,14 @@ PINNED_ARTIFACTS = [
         {
             "flood_progress.csv": "f526658bcba0a05078b8c41a6f837a21ba33ec3c098c5b52c8bed7330a6ca123",
             "flood_summary.json": "7316bb44bf5e52af9996ad82d89ba6548efef86996dfb380984932c80c671116",
+        },
+    ),
+    (
+        ["flood", "--check-stability", "--set", "eta=0"],
+        1,  # eta = 0 checks every step: 10 stability violations at seed 0
+        {
+            "flood_progress.csv": "75b809a2bbd2ac85cd7901ef4fa94bc7809827a93a40d832c7352a70a51aa58b",
+            "flood_summary.json": "ae61cf3146079100c6d64f5d22805fbe206660692d7d6897ebbd017d04871ee8",
         },
     ),
     (

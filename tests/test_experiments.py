@@ -17,12 +17,11 @@ from mrwpflood.experiments import (
     make_params,
     scaling_experiment,
     stationarity_report,
-    theoretical_bound,
     total_variation,
     turn_bound,
     turn_statistics,
 )
-from mrwpflood.flooding import run_flood
+from mrwpflood.flooding import flood_time_budget, run_flood
 from mrwpflood.stationary import grid_cell_masses
 from mrwpflood.zones import build_zone_map
 import oracle
@@ -61,36 +60,40 @@ class TestHelpers:
 
 
 class TestTheoreticalBound:
+    """``flood_time_budget``, the budget a flood record reports."""
+
     def test_matches_flood_record(self):
         p = make_params(500)
         rec = run_flood(p, source_rule="in_cz")
-        assert rec.theoretical_bound == pytest.approx(theoretical_bound(p))
+        assert rec.theoretical_bound == flood_time_budget(p, build_zone_map(p))
 
     def test_suburb_empty_is_pure_radius_term(self):
         p = make_params(1000, radius_multiplier=2.0)
         z = build_zone_map(p)
         assert z.suburb_empty
-        assert theoretical_bound(p, z) == pytest.approx(18.0 * p.L / p.R)
+        assert flood_time_budget(p, z) == pytest.approx(18.0 * p.L / p.R)
 
     def test_larger_n_shrinks_relative_travel_term(self):
         # S / L = (3/2) L^2 ln n / (ell^2 n) falls as n grows at L = sqrt(n)
         def travel_share(n):
             p = make_params(n)
-            z = build_zone_map(p)
-            return (theoretical_bound(p, z) - 18.0 * p.L / p.R) / theoretical_bound(p, z)
+            budget = flood_time_budget(p, build_zone_map(p))
+            return (budget - 18.0 * p.L / p.R) / budget
 
         assert travel_share(4000) < travel_share(1000)
 
-    def test_immobile_with_suburb_raises(self):
+    def test_immobile_with_suburb_is_infinite(self):
+        # flooding need not terminate, so no finite budget exists
         p = replace(make_params(1000), v=0.0)
-        with pytest.raises(ValueError):
-            theoretical_bound(p)
+        z = build_zone_map(p)
+        assert not z.suburb_empty
+        assert flood_time_budget(p, z) == math.inf
 
     def test_custom_constants_scale_terms(self):
         p = make_params(1000)
         z = build_zone_map(p)
-        double = theoretical_bound(p, z, constants=(36.0, 1200.0))
-        assert double == pytest.approx(2.0 * theoretical_bound(p, z))
+        double = flood_time_budget(p, z, constants=(36.0, 1200.0))
+        assert double == pytest.approx(2.0 * flood_time_budget(p, z))
 
 
 class TestDefaultSweep:

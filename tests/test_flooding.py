@@ -23,7 +23,6 @@ from mrwpflood.flooding import (
     frontier_floor,
     informed_cells,
     run_flood,
-    suburb_reach,
 )
 from mrwpflood.mobility import (
     APPROX_STATIONARY,
@@ -889,9 +888,7 @@ class TestBudgets:
         z = build_zone_map(p)
         assert not z.suburb_empty
         a, b = 18.0, 600.0
-        expected = a * p.L / p.R + b * z.suburb_diameter / p.v
-        assert flood_time_budget(p, z) == pytest.approx(expected)
-        assert suburb_reach(z) == z.suburb_diameter
+        assert flood_time_budget(p, z) == a * p.L / p.R + b * z.suburb_diameter / p.v
 
     def test_budget_suburb_empty_drops_travel_term(self):
         n = 2000
@@ -900,8 +897,7 @@ class TestBudgets:
         p = WorldParams(n=n, L=L, R=R, v=0.1)
         z = build_zone_map(p)
         assert z.suburb_empty
-        assert flood_time_budget(p, z) == pytest.approx(18.0 * L / R)
-        assert suburb_reach(z) == 0.0
+        assert flood_time_budget(p, z) == 18.0 * L / R
 
     def test_budget_immobile_with_suburb_is_infinite(self):
         p = world(n=1000, v=0.0)
@@ -1087,6 +1083,46 @@ class TestRunFlood:
         rec = run_flood(p, population=pop, source_rule="agent:0")
         assert rec.flooding_time is not None
         assert not np.array_equal(pop.pos, start)  # stepped in place
+
+    def test_observers_leave_the_flood_unchanged(self):
+        # progress rows and the stability monitor only observe: with each on
+        # or off, the record differs only in those two fields
+        p = make_params(1000, eta=0.0, seed=3)
+        z = build_zone_map(p)
+        records = {}
+        for progress in (False, True):
+            for stability in (False, True):
+                rec = run_flood(
+                    p,
+                    source_rule="in_cz",
+                    zone_map=z,
+                    collect_progress=progress,
+                    check_stability=stability,
+                )
+                records[progress, stability] = rec.to_json_dict()
+        full = records[True, True]
+        assert len(full["progress"]) == full["flooding_time"] + 1
+        assert full["violations"]["stability"] > 0
+        for rec in records.values():
+            assert {**rec, "progress": None, "violations": None} == {
+                **full, "progress": None, "violations": None
+            }
+        # max_steps = 0 observes time zero only, and no step is taken
+        seen = []
+        zero = run_flood(
+            p,
+            source_rule="in_cz",
+            zone_map=z,
+            max_steps=0,
+            collect_progress=True,
+            check_stability=True,
+            on_step=lambda pop, st: seen.append(st.step),
+        )
+        assert zero.timed_out and zero.flooding_time is None
+        assert zero.progress == [tuple(full["progress"][0])]
+        assert zero.progress[0][:2] == (0, 1)
+        assert zero.violations == {"core_occupancy": 0, "stability": 0}
+        assert seen == []
 
     def test_on_step_callback_sees_every_step(self):
         p = world(n=200, seed=30)
