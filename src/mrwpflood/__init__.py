@@ -8,7 +8,7 @@ The package is organised bottom-up:
 - :mod:`mrwpflood.stationary` — exact stationary position and destination
   laws, their samplers, and a quadrature oracle;
 - :mod:`mrwpflood.mobility` — the kinematic engine, population stepping,
-  trajectory recording, and turn statistics;
+  and way-point event recording;
 - :mod:`mrwpflood.zones` — the cell grid, central/suburb classification,
   and structural checkers;
 - :mod:`mrwpflood.flooding` — neighbour index, synchronous flooding,
@@ -53,13 +53,10 @@ from .flooding import (
     run_flood,
 )
 from .mobility import (
-    AgentTrajectory,
     Heading,
     Leg,
     Population,
     TripEvent,
-    TurnWindowStats,
-    count_turns,
     init_population,
 )
 from .stationary import (
@@ -112,13 +109,10 @@ __all__ = [
     "flood_step",
     "flood_time_budget",
     "run_flood",
-    "AgentTrajectory",
     "Heading",
     "Leg",
     "Population",
     "TripEvent",
-    "TurnWindowStats",
-    "count_turns",
     "init_population",
     "CrossMasses",
     "DestinationLaw",

@@ -36,7 +36,7 @@ from .experiments import (
     stationarity_report,
 )
 from .flooding import SOURCE_RANDOM, SourcePlacementError, run_flood
-from .mobility import APPROX_STATIONARY, WARMUP, Heading, Leg, init_population
+from .mobility import APPROX_STATIONARY, Heading, Leg, init_population
 from .stationary import destination_law, spatial_density
 from .zones import (
     build_zone_map,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,8 +44,9 @@ from .flooding import (
 from .mobility import (
     APPROX_STATIONARY,
     WARMUP,
+    Heading,
     TrajectoryRecorder,
-    count_turns,
+    TripEvent,
     init_population,
     position_histogram,
 )
@@ -177,6 +178,29 @@ def admissible_tau_range(params: WorldParams) -> tuple[int, int]:
     return tau_min, tau_max
 
 
+def _turn_counter(
+    start_heading: Heading, events: Sequence[TripEvent]
+) -> Callable[[int, int], int]:
+    """The direction changes of one agent's event log in a window
+    ``(t, t + tau]``, as a function of ``(t, tau)``.
+
+    An event is a change when its ``heading_after`` differs from the
+    heading before it (``start_heading`` for the first): every elbow, and
+    each arrival whose fresh trip departs in a different direction.  The
+    count of a window is the running count at its end less that at its
+    start, each found by a binary search of the event times.
+    """
+    times = np.array([e.time for e in events])
+    headings = np.array([start_heading, *(e.heading_after for e in events)])
+    changes = np.concatenate(([0], np.cumsum(headings[1:] != headings[:-1])))
+
+    def count(t: int, tau: int) -> int:
+        i0, i1 = np.searchsorted(times, (t, t + tau), side="right")
+        return int(changes[i1] - changes[i0])
+
+    return count
+
+
 def turn_statistics(
     params: WorldParams,
     windows: int = 10_000,
@@ -192,11 +216,10 @@ def turn_statistics(
     horizon = 4 * tau_max
     watched = min(agents, params.n)
     population = init_population(params, APPROX_STATIONARY)
-    recorder = TrajectoryRecorder(range(watched))
-    recorder.mark_start(population)
+    recorder = TrajectoryRecorder(population, range(watched))
     population.advance(horizon, recorder=recorder)
-    trajectories = [
-        recorder.trajectory(a, params.v, params.L) for a in range(watched)
+    counters = [
+        _turn_counter(recorder.start[a][2], recorder.events[a]) for a in range(watched)
     ]
     rng = derive_substream(seed, MONITOR_STREAM_INDEX)
     violations = 0
@@ -206,12 +229,12 @@ def turn_statistics(
         a = int(rng.integers(watched))
         tau = int(rng.integers(tau_min, tau_max + 1))
         t = int(rng.integers(0, horizon - tau + 1))
-        stats = count_turns(trajectories[a], t, tau, agent=a)
+        turns = counters[a](t, tau)
         bound = turn_bound(params, tau)
-        ratio = stats.turns / bound
-        max_turns = max(max_turns, stats.turns)
+        ratio = turns / bound
+        max_turns = max(max_turns, turns)
         max_ratio = max(max_ratio, ratio)
-        if stats.turns > bound:
+        if turns > bound:
             violations += 1
     return TurnReport(
         params=params,

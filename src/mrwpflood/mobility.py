@@ -42,7 +42,6 @@ import numpy as np
 
 from .core import (
     INIT_STREAM_INDEX,
-    Point,
     WorldParams,
     derive_substream,
     pcg64_random3,
@@ -162,168 +161,34 @@ _COUNT_CAP = np.iinfo(np.int16).max
 
 
 # ---------------------------------------------------------------------------
-# trajectory recording and turn-count statistics
+# way-point event recording
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AgentTrajectory:
-    """Event log of one agent, sufficient to reconstruct its polyline.
-
-    Between consecutive events the agent moves in a straight axis-aligned
-    line at speed ``v``, so positions at arbitrary (fractional) times follow
-    from the last event at or before that time.
-    """
-
-    v: float
-    L: float
-    start: tuple[float, float]
-    start_heading: Heading
-    events: list[TripEvent]
-    horizon: float  # latest time covered by the log
-
-    def _anchor(self, t: float) -> tuple[float, float, float, Heading]:
-        """(time, x, y, heading) of the last event at or before t."""
-        lo, hi = 0, len(self.events)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.events[mid].time <= t:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == 0:
-            return 0.0, self.start[0], self.start[1], self.start_heading
-        ev = self.events[lo - 1]
-        return ev.time, ev.x, ev.y, ev.heading_after
-
-    def position_at(self, t: float) -> Point:
-        if t < 0 or t > self.horizon:
-            raise ValueError(f"time {t} outside the logged horizon {self.horizon}")
-        t0, x, y, heading = self._anchor(t)
-        vec = HEADING_VECTORS[heading]
-        d = self.v * (t - t0)
-        return Point(x + vec[0] * d, y + vec[1] * d)
-
-    def pieces_in(self, t0: float, t1: float) -> list[tuple[Heading, float]]:
-        """Constant-heading travel pieces covering (t0, t1], merged when the
-        heading does not change across an event."""
-        if t1 <= t0:
-            return []
-        if t0 < 0 or t1 > self.horizon:
-            raise ValueError("window outside the logged horizon")
-        _, _, _, heading = self._anchor(t0)
-        times = [t0]
-        headings = [heading]
-        for ev in self.events:
-            if t0 < ev.time < t1:
-                times.append(ev.time)
-                headings.append(ev.heading_after)
-        times.append(t1)
-        pieces: list[tuple[Heading, float]] = []
-        for k in range(len(headings)):
-            length = self.v * (times[k + 1] - times[k])
-            if pieces and pieces[-1][0] == headings[k]:
-                pieces[-1] = (headings[k], pieces[-1][1] + length)
-            elif length > 0:
-                pieces.append((headings[k], length))
-        return pieces
-
-    def turns_in(self, t0: float, t1: float) -> int:
-        """Direction changes in (t0, t1]: every elbow way-point, plus each
-        arrival whose fresh trip departs in a different direction."""
-        if t0 < 0 or t1 > self.horizon:
-            raise ValueError("window outside the logged horizon")
-        count = 0
-        _, _, _, prev = self._anchor(t0)
-        for ev in self.events:
-            if t0 < ev.time <= t1:
-                if ev.heading_after != prev:
-                    count += 1
-                prev = ev.heading_after
-            elif ev.time > t1:
-                break
-        return count
-
-
-@dataclass(frozen=True)
-class TurnWindowStats:
-    """Turn count and longest centre-ward segment in one agent window."""
-
-    agent: int
-    t: int
-    tau: int
-    turns: int
-    longest_good_segment: float
-
-
-def count_turns(
-    traj: AgentTrajectory, t: int, tau: int, agent: int = 0
-) -> TurnWindowStats:
-    """Turn statistics of one agent over the window (t, t+tau].
-
-    A travel piece counts as centre-ward ("good") when it moves toward the
-    centre half of the arena as judged from the window-start position:
-    increasing x (resp. y) for an agent starting in the west (resp. south)
-    half, decreasing for the other halves.  The longest good piece is the
-    maximal merged single-direction run.
-    """
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
-    t0, t1 = float(t), float(t + tau)
-    start = traj.position_at(t0)
-    east_good = start.x <= traj.L / 2
-    north_good = start.y <= traj.L / 2
-    good_headings = {
-        Heading.EAST if east_good else Heading.WEST,
-        Heading.NORTH if north_good else Heading.SOUTH,
-    }
-    longest = 0.0
-    for heading, length in traj.pieces_in(t0, t1):
-        if heading in good_headings:
-            longest = max(longest, length)
-    return TurnWindowStats(
-        agent=agent,
-        t=t,
-        tau=tau,
-        turns=traj.turns_in(t0, t1),
-        longest_good_segment=longest,
-    )
-
-
 class TrajectoryRecorder:
-    """Collects way-point events for a chosen subset of agents."""
+    """Way-point events of chosen agents of a population, from its state at
+    construction on.
 
-    def __init__(self, agents: Iterable[int]):
-        self.watched = sorted(set(agents))
-        self._events: dict[int, list[TripEvent]] = {a: [] for a in self.watched}
-        self._start: dict[int, tuple[float, float, Heading]] = {}
-        # watched agents as a row mask, false from one past the last on:
-        # ``np.take(rows, idx, mode="clip")`` reads it for any agent ids
-        self.rows = np.zeros(max([-1, *self.watched]) + 2, dtype=bool)
-        self.rows[[a for a in self.watched if a >= 0]] = True
+    ``start`` holds each watched agent's ``(x, y, heading)`` at
+    construction, and ``events`` its :class:`TripEvent` list, in time order,
+    which stepping with this recorder extends.  ``horizon`` is the
+    population's ``step_count`` after its latest step with the recorder.
+    """
+
+    def __init__(self, population: Population, agents: Iterable[int]):
+        n = population.params.n
+        watched = sorted(set(agents))
+        for a in watched:
+            if not 0 <= a < n:
+                raise ValueError(f"agent id {a} outside [0, {n})")
+        pos, heading = population.pos, population.heading
+        self.start = {
+            a: (float(pos[a, 0]), float(pos[a, 1]), Heading(int(heading[a])))
+            for a in watched
+        }
+        self.events: dict[int, list[TripEvent]] = {a: [] for a in watched}
+        self.rows = np.zeros(n, dtype=bool)  # watched agents as a row mask
+        self.rows[watched] = True
         self.horizon = 0.0
-
-    def mark_start(self, population: "Population") -> None:
-        for a in self.watched:
-            self._start[a] = (
-                float(population.pos[a, 0]),
-                float(population.pos[a, 1]),
-                Heading(int(population.heading[a])),
-            )
-
-    def record(self, agent: int, events: list[TripEvent]) -> None:
-        if agent in self._events:
-            self._events[agent].extend(events)
-
-    def trajectory(self, agent: int, v: float, L: float) -> AgentTrajectory:
-        x, y, heading = self._start[agent]
-        return AgentTrajectory(
-            v=v,
-            L=L,
-            start=(x, y),
-            start_heading=heading,
-            events=self._events[agent],
-            horizon=self.horizon,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -565,12 +430,12 @@ class Population:
             _rows(self.vel)[idx] = self._velocity[heading]
             if recorder is not None:
                 times = clock + (v - budget) / v
-                for k in np.flatnonzero(np.take(recorder.rows, idx, mode="clip")).tolist():
+                for k in np.flatnonzero(recorder.rows[idx]).tolist():
                     kind = ARRIVAL if arrive[k] else TURN
                     x, y = float(at[k].real), float(at[k].imag)
                     after = Heading(int(heading[k]))
                     event = TripEvent(kind, float(times[k]), x, y, after)
-                    recorder.record(int(idx[k]), [event])
+                    recorder.events[int(idx[k])].append(event)
             left = budget > 0.0
             idx, budget, clock = idx[left], budget[left], _keep(clock, left)
             if idx.size == 0:

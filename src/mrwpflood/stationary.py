@@ -29,7 +29,6 @@ The four corners of the square make W = 0 and are rejected as origins.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -9,8 +9,11 @@ batch) and :func:`lower_bound_experiment` (two seed sequences and a fresh
 generator per trial) are the direct forms of the package's sampler and
 corner-trial loop, which must draw and report exactly what they do, and
 :func:`informed_cells` (marking the cells of the uninformed agents) that of
-the flood's progress row.  The other helpers are single-point or all-pairs
-forms of array code in the package.
+the flood's progress row.  :class:`AgentTrajectory` replays one agent's
+recorded way-point events (:func:`trajectory` builds it from a recorder),
+and :func:`count_turns`, which walks a window's events one by one, is the
+oracle of the count by binary search in ``turn_statistics``.  The other
+helpers are single-point or all-pairs forms of array code in the package.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from mrwpflood.mobility import (
     Heading,
     Leg,
     Population,
+    TrajectoryRecorder,
     TripEvent,
 )
 from mrwpflood.stationary import (
@@ -186,6 +190,150 @@ def state_of(population: Population, i: int) -> AgentState:
         leg=Leg(int(population.leg[i])),
         heading=Heading(int(population.heading[i])),
         turn_point=Point(*population.turn[i]),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the trajectory replay
+# ---------------------------------------------------------------------------
+
+@dataclass
+class AgentTrajectory:
+    """Event log of one agent, sufficient to reconstruct its polyline.
+
+    Between consecutive events the agent moves in a straight axis-aligned
+    line at speed ``v``, so positions at arbitrary (fractional) times follow
+    from the last event at or before that time.
+    """
+
+    v: float
+    L: float
+    start: tuple[float, float]
+    start_heading: Heading
+    events: list[TripEvent]
+    horizon: float  # latest time covered by the log
+
+    def _anchor(self, t: float) -> tuple[float, float, float, Heading]:
+        """(time, x, y, heading) of the last event at or before t."""
+        lo, hi = 0, len(self.events)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.events[mid].time <= t:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo == 0:
+            return 0.0, self.start[0], self.start[1], self.start_heading
+        ev = self.events[lo - 1]
+        return ev.time, ev.x, ev.y, ev.heading_after
+
+    def position_at(self, t: float) -> Point:
+        if t < 0 or t > self.horizon:
+            raise ValueError(f"time {t} outside the logged horizon {self.horizon}")
+        t0, x, y, heading = self._anchor(t)
+        vec = HEADING_VECTORS[heading]
+        d = self.v * (t - t0)
+        return Point(x + vec[0] * d, y + vec[1] * d)
+
+    def pieces_in(self, t0: float, t1: float) -> list[tuple[Heading, float]]:
+        """Constant-heading travel pieces covering (t0, t1], merged when the
+        heading does not change across an event."""
+        if t1 <= t0:
+            return []
+        if t0 < 0 or t1 > self.horizon:
+            raise ValueError("window outside the logged horizon")
+        _, _, _, heading = self._anchor(t0)
+        times = [t0]
+        headings = [heading]
+        for ev in self.events:
+            if t0 < ev.time < t1:
+                times.append(ev.time)
+                headings.append(ev.heading_after)
+        times.append(t1)
+        pieces: list[tuple[Heading, float]] = []
+        for k in range(len(headings)):
+            length = self.v * (times[k + 1] - times[k])
+            if pieces and pieces[-1][0] == headings[k]:
+                pieces[-1] = (headings[k], pieces[-1][1] + length)
+            elif length > 0:
+                pieces.append((headings[k], length))
+        return pieces
+
+    def turns_in(self, t0: float, t1: float) -> int:
+        """Direction changes in (t0, t1]: every elbow way-point, plus each
+        arrival whose fresh trip departs in a different direction."""
+        if t0 < 0 or t1 > self.horizon:
+            raise ValueError("window outside the logged horizon")
+        count = 0
+        _, _, _, prev = self._anchor(t0)
+        for ev in self.events:
+            if t0 < ev.time <= t1:
+                if ev.heading_after != prev:
+                    count += 1
+                prev = ev.heading_after
+            elif ev.time > t1:
+                break
+        return count
+
+
+@dataclass(frozen=True)
+class TurnWindowStats:
+    """Turn count and longest centre-ward segment in one agent window."""
+
+    agent: int
+    t: int
+    tau: int
+    turns: int
+    longest_good_segment: float
+
+
+def count_turns(
+    traj: AgentTrajectory, t: int, tau: int, agent: int = 0
+) -> TurnWindowStats:
+    """Turn statistics of one agent over the window (t, t+tau].
+
+    A travel piece counts as centre-ward ("good") when it moves toward the
+    centre half of the arena as judged from the window-start position:
+    increasing x (resp. y) for an agent starting in the west (resp. south)
+    half, decreasing for the other halves.  The longest good piece is the
+    maximal merged single-direction run.
+    """
+    if tau < 1:
+        raise ValueError("tau must be >= 1")
+    t0, t1 = float(t), float(t + tau)
+    start = traj.position_at(t0)
+    east_good = start.x <= traj.L / 2
+    north_good = start.y <= traj.L / 2
+    good_headings = {
+        Heading.EAST if east_good else Heading.WEST,
+        Heading.NORTH if north_good else Heading.SOUTH,
+    }
+    longest = 0.0
+    for heading, length in traj.pieces_in(t0, t1):
+        if heading in good_headings:
+            longest = max(longest, length)
+    return TurnWindowStats(
+        agent=agent,
+        t=t,
+        tau=tau,
+        turns=traj.turns_in(t0, t1),
+        longest_good_segment=longest,
+    )
+
+
+
+def trajectory(
+    recorder: TrajectoryRecorder, agent: int, v: float, L: float
+) -> AgentTrajectory:
+    """The replayable log of one agent watched by ``recorder``."""
+    x, y, heading = recorder.start[agent]
+    return AgentTrajectory(
+        v=v,
+        L=L,
+        start=(x, y),
+        start_heading=heading,
+        events=recorder.events[agent],
+        horizon=recorder.horizon,
     )
 
 

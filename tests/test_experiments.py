@@ -8,6 +8,7 @@ import pytest
 
 from mrwpflood.core import SPEED_ENVELOPE_DEFAULT, WorldParams, check_assumptions
 from mrwpflood.experiments import (
+    _turn_counter,
     admissible_tau_range,
     default_sweep,
     derived_seed,
@@ -22,6 +23,7 @@ from mrwpflood.experiments import (
     turn_statistics,
 )
 from mrwpflood.flooding import flood_time_budget, run_flood
+from mrwpflood.mobility import APPROX_STATIONARY, TrajectoryRecorder, init_population
 from mrwpflood.stationary import grid_cell_masses
 from mrwpflood.zones import build_zone_map
 import oracle
@@ -151,6 +153,38 @@ class TestTurnBound:
         a = turn_statistics(p, windows=100, agents=5)
         b = turn_statistics(p, windows=100, agents=5)
         assert a.violations == b.violations and a.max_ratio == b.max_ratio
+
+
+class TestTurnCounter:
+    """``turn_statistics``' count by binary search against the event-by-event
+    replay (``oracle.count_turns``), on every window of integer start and
+    length up to 15 (``tau_max`` at the cap) of recorded runs at the speed
+    cap and at 4 and 20 times it."""
+
+    @pytest.mark.parametrize("speedup", [1, 4, 20])
+    def test_matches_replay_on_every_window(self, speedup):
+        p = make_params(2000)
+        p = replace(p, v=speedup * p.v)
+        horizon = 60
+        pop = init_population(p, APPROX_STATIONARY)
+        rec = TrajectoryRecorder(pop, range(0, p.n, 40))
+        pop.advance(horizon, recorder=rec)
+        kept = most = 0
+        for a, events in rec.events.items():
+            count = _turn_counter(rec.start[a][2], events)
+            traj = oracle.trajectory(rec, a, p.v, p.L)
+            for tau in range(1, 16):
+                for t in range(horizon - tau + 1):
+                    want = oracle.count_turns(traj, t, tau).turns
+                    assert count(t, tau) == want, (a, t, tau)
+            headings = [rec.start[a][2], *(e.heading_after for e in events)]
+            kept += sum(h == g for h, g in zip(headings, headings[1:]))
+            per_step = np.bincount(np.floor([e.time for e in events]).astype(int))
+            most = max(most, per_step.max(initial=0))
+        # the worlds hold events that keep their heading, and at 20 times
+        # the cap, steps with several way-points
+        assert kept > 0
+        assert most >= (2 if speedup == 20 else 1)
 
 
 class TestLemmaSweep:

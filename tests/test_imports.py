@@ -1,0 +1,74 @@
+"""Every module-level import of the package is read.
+
+The project has no linter, so this is its unused-import check.  In each
+module of ``src/mrwpflood`` but ``__init__.py`` (whose imports are its
+exports), every name that a module-level import binds must be read
+somewhere in the module.  A name read only in an annotation, quoted or not,
+counts as read.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mrwpflood"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name bound by a module-level import, with the import's line."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def read_names(tree: ast.AST) -> set[str]:
+    """Every name the tree reads, the names in quoted annotations included."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for annotation in filter(None, annotations):
+            for part in ast.walk(annotation):
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    names |= read_names(ast.parse(part.value, mode="eval"))
+    return names
+
+
+def test_the_scan_covers_the_package():
+    assert {"cli.py", "core.py", "mobility.py"} <= {p.name for p in MODULES}
+
+
+def test_the_scan_sees_reads_in_code_and_annotations():
+    tree = ast.parse(
+        "import math\nimport os.path\nfrom typing import Iterable as It\n"
+        "from a import B, C, D\n"
+        "def f(x: 'B') -> C:\n    return os.path.join(math.pi)\n"
+    )
+    assert set(imported_names(tree)) == {"math", "os", "It", "B", "C", "D"}
+    assert set(imported_names(tree)) - read_names(tree) == {"It", "D"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_import_is_read(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unused = {
+        f"{name} (line {line})"
+        for name, line in imported_names(tree).items()
+        if name not in read_names(tree)
+    }
+    assert not unused, f"{path.name} imports names it never reads: {sorted(unused)}"

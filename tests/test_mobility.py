@@ -8,20 +8,18 @@ from hypothesis import given, settings, strategies as st
 
 from mrwpflood import mobility
 from mrwpflood.core import INIT_STREAM_INDEX, Point, WorldParams, derive_substream
-from mrwpflood.experiments import make_params, total_variation
+from mrwpflood.experiments import _turn_counter, make_params, total_variation
 from mrwpflood.mobility import (
     APPROX_STATIONARY,
     ARRIVAL,
     TURN,
     WARMUP,
-    AgentTrajectory,
     Heading,
     Leg,
     Population,
     TrajectoryRecorder,
     TripEvent,
     _trips,
-    count_turns,
     init_population,
     position_histogram,
 )
@@ -30,7 +28,16 @@ from mrwpflood.stationary import (
     sample_destinations,
     sample_stationary_positions,
 )
-from oracle import build_trip, from_states, new_trip, state_of, step_agent
+from oracle import (
+    AgentTrajectory,
+    build_trip,
+    count_turns,
+    from_states,
+    new_trip,
+    state_of,
+    step_agent,
+    trajectory,
+)
 
 
 def params(n=10, L=10.0, R=2.0, v=0.25, seed=0, **kw):
@@ -272,6 +279,20 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             count_turns(self.straight(), t=0, tau=0)
 
+    def test_binary_search_count_matches_replay(self):
+        # no events; events exactly on window ends (the zigzag's integer
+        # times); an arrival that keeps its heading
+        arrival = AgentTrajectory(
+            v=1.0, L=10.0, start=(1.0, 1.0), start_heading=Heading.EAST,
+            events=[TripEvent(ARRIVAL, 1.0, 2.0, 1.0, Heading.EAST)], horizon=3.0,
+        )
+        for traj in (self.straight(), self.zigzag(), arrival):
+            count = _turn_counter(traj.start_heading, traj.events)
+            horizon = int(traj.horizon)
+            for t in range(horizon):
+                for tau in range(1, horizon - t + 1):
+                    assert count(t, tau) == count_turns(traj, t, tau).turns, (t, tau)
+
 
 def oracle_init(p, mode, warmup_steps=None):
     """The per-agent oracle of ``init_population``: the same ``init_rng``
@@ -329,9 +350,8 @@ def step_beside_oracle(pop, states, rngs, steps):
     oracle's, in order.  Returns the most events one agent crossed in one
     step."""
     p = pop.params
-    rec = TrajectoryRecorder(range(0, p.n, 3))
-    rec.mark_start(pop)
-    logs = {a: [] for a in rec.watched}
+    rec = TrajectoryRecorder(pop, range(0, p.n, 3))
+    logs = {a: [] for a in rec.events}
     most = 0
     for k in range(steps):
         pop.step(recorder=rec)
@@ -343,7 +363,7 @@ def step_beside_oracle(pop, states, rngs, steps):
         assert [state_of(pop, i) for i in range(p.n)] == states, k
         assert_velocity_cached(pop)
     for a, events in logs.items():
-        assert rec.trajectory(a, p.v, p.L).events == events, a
+        assert rec.events[a] == events, a
     assert sum(map(len, logs.values())) > 0
     return most
 
@@ -624,7 +644,7 @@ def assert_same_engine_state(a, b, rec_a, rec_b, label):
     for name in ENGINE_STATE:
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (label, name)
     assert a.step_count == b.step_count, label
-    assert rec_a._events == rec_b._events, label
+    assert rec_a.events == rec_b.events, label
     assert rec_a.horizon == rec_b.horizon, label
 
 
@@ -640,15 +660,13 @@ class TestAdvance:
         # countdowns of every length
         a, b = build(), build()
         watched = range(0, a.params.n, max(3, a.params.n // 10))
-        rec_a, rec_b = TrajectoryRecorder(watched), TrajectoryRecorder(watched)
-        rec_a.mark_start(a)
-        rec_b.mark_start(b)
+        rec_a, rec_b = TrajectoryRecorder(a, watched), TrajectoryRecorder(b, watched)
         for k in (0, 1, 2, 13, 63, 630):
             a.advance(k, recorder=rec_a)
             for _ in range(k):
                 b.step(recorder=rec_b)
             assert_same_engine_state(a, b, rec_a, rec_b, k)
-        assert sum(map(len, rec_a._events.values())) > 0
+        assert sum(map(len, rec_a.events.values())) > 0
 
     def test_block_after_a_clock_reset(self):
         # recorder times count from step_count, whatever callers set it to
@@ -657,12 +675,12 @@ class TestAdvance:
         a.advance(500)
         b.advance(500)
         a.step_count = b.step_count = 7
-        rec_a, rec_b = TrajectoryRecorder(range(150)), TrajectoryRecorder(range(150))
+        rec_a, rec_b = TrajectoryRecorder(a, range(150)), TrajectoryRecorder(b, range(150))
         a.advance(900, recorder=rec_a)
         for _ in range(900):
             b.step(recorder=rec_b)
         assert_same_engine_state(a, b, rec_a, rec_b, "reset")
-        assert sum(map(len, rec_a._events.values())) > 0
+        assert sum(map(len, rec_a.events.values())) > 0
 
     def test_block_longer_than_the_longest_countdown(self):
         # at v = L/10**5 countdowns reach the int16 cap, and a block of
@@ -670,23 +688,22 @@ class TestAdvance:
         p = params(n=4, L=40.0, v=0.0004, seed=1)
         a, b = init_population(p, APPROX_STATIONARY), init_population(p, APPROX_STATIONARY)
         assert a._left.max() == np.iinfo(np.int16).max
-        rec_a, rec_b = TrajectoryRecorder(range(4)), TrajectoryRecorder(range(4))
+        rec_a, rec_b = TrajectoryRecorder(a, range(4)), TrajectoryRecorder(b, range(4))
         a.advance(40_000, recorder=rec_a)
         for _ in range(40_000):
             b.step(recorder=rec_b)
         assert_same_engine_state(a, b, rec_a, rec_b, "cap")
-        assert sum(map(len, rec_a._events.values())) > 0
+        assert sum(map(len, rec_a.events.values())) > 0
 
     def test_zero_speed_only_counts_time(self):
         pop = init_population(params(n=5, v=0.0), APPROX_STATIONARY)
         before = {name: getattr(pop, name).copy() for name in ENGINE_STATE}
-        rec = TrajectoryRecorder(range(5))
-        rec.mark_start(pop)
+        rec = TrajectoryRecorder(pop, range(5))
         pop.advance(40, recorder=rec)
         for name, value in before.items():
             assert np.array_equal(getattr(pop, name), value), name
         assert pop.step_count == 40 and rec.horizon == 40.0
-        assert all(events == [] for events in rec._events.values())
+        assert all(events == [] for events in rec.events.values())
 
     def test_negative_steps_rejected(self):
         pop = init_population(params(n=5), APPROX_STATIONARY)
@@ -746,17 +763,11 @@ class TestArraySubstreams:
         monkeypatch.setattr(np.random, "Generator", counting_generator)
         pop = init_population(make_params(200_000))
         assert len(built) == 1  # the initialiser's own stream, no agent's
-        rec = TrajectoryRecorder(range(pop.params.n))
-        rec.mark_start(pop)
+        rec = TrajectoryRecorder(pop, range(pop.params.n))
         for _ in range(3):
             pop.step(recorder=rec)
         arrived = {
-            a
-            for a in rec.watched
-            if any(
-                e.kind == ARRIVAL
-                for e in rec.trajectory(a, pop.params.v, pop.params.L).events
-            )
+            a for a, events in rec.events.items() if any(e.kind == ARRIVAL for e in events)
         }
         assert len(arrived) > 100  # agents drew fresh trips ...
         assert len(built) == 1  # ... from their array-held states
@@ -873,11 +884,10 @@ class TestInitialWaypointRate:
         # 6% (7 se) low.
         n, L, v, steps = 30_000, 10.0, 0.2, 8
         pop = init_population(params(n=n, L=L, v=v, seed=1), APPROX_STATIONARY)
-        rec = TrajectoryRecorder(range(n))
-        rec.mark_start(pop)
+        rec = TrajectoryRecorder(pop, range(n))
         for _ in range(steps):
             pop.step(recorder=rec)
-        count = sum(len(rec.trajectory(a, v, L).events) for a in range(n))
+        count = sum(len(rec.events[a]) for a in range(n))
         expected = 3.0 * v / L * n * steps
         assert abs(count - expected) <= 4.0 * math.sqrt(expected), count / expected
 
@@ -902,28 +912,32 @@ class TestRecorder:
     def test_only_watched_agents_recorded(self):
         p = params(n=10, v=2.0, seed=12)
         pop = init_population(p, APPROX_STATIONARY)
-        rec = TrajectoryRecorder([2, 5])
-        rec.mark_start(pop)
+        rec = TrajectoryRecorder(pop, [2, 5])
         for _ in range(30):
             pop.step(recorder=rec)
         assert rec.horizon == 30.0
-        traj = rec.trajectory(2, p.v, p.L)
+        traj = trajectory(rec, 2, p.v, p.L)
         assert traj.horizon == 30.0
         with pytest.raises(KeyError):
-            rec.trajectory(3, p.v, p.L)
+            trajectory(rec, 3, p.v, p.L)
+
+    @pytest.mark.parametrize("agent", [-1, 10])
+    def test_agent_ids_outside_the_population_rejected(self, agent):
+        pop = init_population(params(n=10, seed=12), APPROX_STATIONARY)
+        with pytest.raises(ValueError, match=f"agent id {agent} outside"):
+            TrajectoryRecorder(pop, [2, agent])
 
     def test_trajectory_replays_positions(self):
         # the recorded event log must reproduce the stepped positions
         p = params(n=4, v=0.7, seed=13)
         pop = init_population(p, APPROX_STATIONARY)
-        rec = TrajectoryRecorder(range(4))
-        rec.mark_start(pop)
+        rec = TrajectoryRecorder(pop, range(4))
         snapshots = [pop.pos.copy()]
         for _ in range(40):
             pop.step(recorder=rec)
             snapshots.append(pop.pos.copy())
         for agent in range(4):
-            traj = rec.trajectory(agent, p.v, p.L)
+            traj = trajectory(rec, agent, p.v, p.L)
             for t, snap in enumerate(snapshots):
                 pt = traj.position_at(float(t))
                 assert pt.x == pytest.approx(snap[agent, 0], abs=1e-9)
