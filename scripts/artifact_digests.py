@@ -36,7 +36,12 @@ covers the corner trials at a seed of two 32-bit words: `lower-bound
 every trial's seed and stream from a seed whose high word is 1.  One covers
 slow agents: `simulate --set v=0.005 --steps 3000 --agents 20` steps agents
 whose legs last thousands of steps, so their way-point countdowns run long
-and expire mid-run.  One covers a long warm-up: `flood --set init=warmup
+and expire mid-run.  One covers agents that meet several way-points a
+step: `simulate --set v=9 --steps 200 --agents 50` (about 0.6 s) moves
+each agent a fifth of the arena side a step, and pins the per-step
+positions, headings and legs of the 50 dumped agents, which take an elbow
+and its destination, or an arrival and the elbow of the fresh trip, in
+about 860 of their 10 000 steps, and three or four way-points in about 140.  One covers a long warm-up: `flood --set init=warmup
 --set v=0.05 --set max_steps=50` warms up for 8945 steps, one block whose
 countdowns run to hundreds of steps.
 """
@@ -57,6 +62,10 @@ COMMANDS = [
     (
         "simulate-slow",
         ["simulate", "--set", "v=0.005", "--steps", "3000", "--agents", "20"],
+    ),
+    (
+        "simulate-fast",
+        ["simulate", "--set", "v=9", "--steps", "200", "--agents", "50"],
     ),
     ("flood", ["flood"]),
     ("flood-stability", ["flood", "--check-stability"]),

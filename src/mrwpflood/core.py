@@ -290,9 +290,13 @@ _STEP3 = _limb_matrix([_jump(1), _jump(2), _jump(3)])
 
 def _advance(x: np.ndarray, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """High and low words of ``A * s + C * inc mod 2**128`` for each pair of
-    ``matrix`` (axis 0) and each ``[s | inc][hi | lo]`` row of ``x`` (axis 1)."""
+    ``matrix`` (axis 0) and each ``[s | inc][hi | lo]`` row of ``x`` (axis 1).
+
+    The product is taken as ``matrix @ limbs.T``, so it comes out ordered
+    by chunk, pair and row, and every shift and add below runs on
+    contiguous rows."""
     limbs = x.astype("<u8", copy=False).view("<u2").reshape(len(x), 16)
-    d = (limbs @ matrix.T).T.astype(np.uint64, order="C").reshape(4, -1, len(x))
+    d = (matrix @ limbs.T).astype(np.uint64).reshape(4, -1, len(x))
     carry = (d[0] >> _U32) + d[1]  # (d_0 + d_1 * 2**32) >> 32
     return (carry >> _U32) + d[2] + (d[3] << _U32), d[0] + (d[1] << _U32)
 
@@ -319,6 +323,15 @@ def pcg64_states(words: np.ndarray) -> np.ndarray:
     return states
 
 
+def pcg64_items(states: np.ndarray) -> np.ndarray:
+    """The C-contiguous PCG64 ``states`` as a 1-D array of 32-byte items,
+    one per generator, sharing their memory: numpy gathers and scatters
+    such items several times faster than rows of the 3-D array."""
+    if not states.flags.c_contiguous:
+        raise ValueError("PCG64 states must be C-contiguous")
+    return states.reshape(len(states), 4).view("V32")[:, 0]
+
+
 def pcg64_random3(states: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Three uniform doubles from each generator ``states[rows]``, as an
     ``(len(rows), 3)`` array, and advance those states by three steps.
@@ -327,13 +340,10 @@ def pcg64_random3(states: np.ndarray, rows: np.ndarray) -> np.ndarray:
     same state: the next three states come from one jump each, ``a**k * s
     + (1 + ... + a**(k-1)) * inc``; each is output as ``rotr64(hi ^ lo, hi
     >> 58)``, whose top 53 bits times 2**-53 give the double.  ``rows``
-    must not repeat a row.  ``states`` must be C-contiguous: its rows are
-    gathered and scattered as single 32-byte items of a 1-D view, which
-    numpy copies several times faster than rows of a 3-D array.
+    must not repeat a row.  ``states`` is the ``(m, 2, 2)`` state array or
+    its :func:`pcg64_items` view, which a caller drawing often builds once.
     """
-    if not states.flags.c_contiguous:
-        raise ValueError("pcg64_random3 needs C-contiguous states")
-    items = states.reshape(len(states), 4).view("V32")[:, 0]
+    items = states if states.ndim == 1 else pcg64_items(states)
     picked = items[rows]
     x = picked.view(np.uint64).reshape(-1, 2, 2)
     hi, lo = _advance(x, _STEP3)

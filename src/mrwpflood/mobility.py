@@ -8,9 +8,12 @@ the leftover budget is spent in the new direction within the same step, and
 on arrival a fresh trip starts immediately.
 
 The :class:`Population` engine keeps all agents in arrays and steps them
-in array passes, one pass per way-point depth: agents whose next way-point
-lies beyond their remaining budget move and are done, the rest jump to the
-way-point and start their next leg by one trip rule (:func:`_trips`).  The
+in array passes: agents whose next way-point lies beyond their remaining
+budget move and are done, the rest jump to the way-point and start their
+next leg by one trip rule (:func:`_trips`).  A way-point pass also takes
+the way-point after: the destination of an elbow's second leg, and the
+elbow of a fresh trip, when the budget reaches them, so a further pass
+runs only for an agent that meets more way-points in one step.  The
 first pass, in which every agent has the whole budget ``v``, moves every
 agent by its cached velocity, but gives the exact way-point test only to
 the agents whose countdown has run out: each tested agent counts the
@@ -23,9 +26,10 @@ way-point, about ``3 v / L`` of them.  A block of many steps
 once per round, not once per step: each round tests every agent due in
 the block at its own step, and plain ``pos += vel`` carries it to its next
 test, bit for bit as single steps would.  The way-point passes gather and
-scatter state rows as items of 1-D complex views (:func:`_rows`).  Each
-agent draws trip randomness from its own ``(seed, agent id)`` substream,
-so the result equals stepping each agent alone, in any order, bit for bit.
+scatter state rows as items of 1-D complex views (:func:`_rows`), built
+once with the population.  Each agent draws trip randomness from its own
+``(seed, agent id)`` substream, so the result equals stepping each agent
+alone, in any order, bit for bit.
 The PCG64 states of all agents are held in one array and advanced in array
 passes; they draw exactly what ``derive_substream(seed, agent id)`` draws,
 with no ``Generator`` built for any agent.
@@ -44,13 +48,15 @@ from .core import (
     INIT_STREAM_INDEX,
     WorldParams,
     derive_substream,
+    pcg64_items,
     pcg64_random3,
     pcg64_states,
     substream_seeds,
 )
 from .stationary import sample_destinations, sample_stationary_positions
 
-#: Hard cap on way-point events processed for one agent within one step.
+#: Hard cap on the way-point passes of one step (each pass takes up to
+#: three way-points of an agent), not on its events.
 ROLLOVER_CAP = 10_000
 
 WARMUP = "warmup"
@@ -170,8 +176,7 @@ class TrajectoryRecorder:
 
     ``start`` holds each watched agent's ``(x, y, heading)`` at
     construction, and ``events`` its :class:`TripEvent` list, in time order,
-    which stepping with this recorder extends.  ``horizon`` is the
-    population's ``step_count`` after its latest step with the recorder.
+    which stepping with this recorder extends.
     """
 
     def __init__(self, population: Population, agents: Iterable[int]):
@@ -188,7 +193,6 @@ class TrajectoryRecorder:
         self.events: dict[int, list[TripEvent]] = {a: [] for a in watched}
         self.rows = np.zeros(n, dtype=bool)  # watched agents as a row mask
         self.rows[watched] = True
-        self.horizon = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +257,16 @@ class Population:
         self.vel = np.take(HEADING_VECTORS * params.v, self.heading, axis=0)
         self.pcg = pcg64_states(substream_seeds(params.seed, np.arange(n)))
         self.step_count = 0
+        # one item per agent, sharing memory with the arrays above
+        self._pos, self._dest, self._turn, self._vel = map(
+            _rows, (self.pos, self.dest, self.turn, self.vel)
+        )
+        self._pcg = pcg64_items(self.pcg)
         self._velocity = _rows(HEADING_VECTORS * params.v)  # vel per heading
         self._in_arena = all(
             a.min() >= 0.0 and a.max() <= params.L for a in (self.pos, self.turn, self.dest)
         )
-        self._left = self._countdown(slice(None), _rows(self.pos))
+        self._left = self._countdown(slice(None), self._pos)
 
     def _countdown(self, rows, here: np.ndarray) -> np.ndarray:
         """How many coming steps the agents ``rows``, at the complex
@@ -277,7 +286,7 @@ class Population:
         v, L = self.params.v, self.params.L
         if not self._in_arena:
             here = _rows(np.clip(_pairs(here), 0.0, L))
-        gap = _gap(_rows(self.turn)[rows] - here, self.heading[rows])
+        gap = _gap(self._turn[rows] - here, self.heading[rows])
         count = np.ceil((gap * (1.0 - _SLACK) - v * (1.0 + _SLACK)) / (v + L * _SLACK))
         return np.clip(count, 0.0, _COUNT_CAP, out=count).astype(np.int16)
 
@@ -296,12 +305,12 @@ class Population:
         """Advance every agent by ``steps`` steps of path budget ``v`` each,
         bit for bit as ``steps`` single steps, recorder events included.
 
-        A step runs passes, one per way-point depth.  The first moves every
-        agent by its velocity and tests the agents whose countdown has run
-        out for a way-point within ``v``; later passes take the agents that
-        reached one (:meth:`_waypoints`).  Every agent tested gets a fresh
-        countdown.  Way-point events go to ``recorder`` for the agents it
-        watches.
+        A step runs passes.  The first moves every agent by its velocity
+        and tests the agents whose countdown has run out for a way-point
+        within ``v``; the way-point passes take the agents that reached one,
+        and the way-points that follow it within the step
+        (:meth:`_waypoints`).  Every agent tested gets a fresh countdown.
+        Way-point events go to ``recorder`` for the agents it watches.
 
         A block of steps runs in rounds.  Round one runs its first step so,
         then ``pos += vel`` on the whole arrays once for each further step,
@@ -317,7 +326,7 @@ class Population:
             return
         v = self.params.v
         if v > 0.0:
-            pos, turn = _rows(self.pos), _rows(self.turn)
+            pos, turn = self._pos, self._turn
             # the first pass has every agent, each with budget v; only those
             # whose countdown has run out can be within v of a way-point
             if steps == 1:
@@ -338,15 +347,13 @@ class Population:
             else:
                 self._rounds(steps, recorder, early[later], first[later], due, fresh)
         self.step_count += steps
-        if recorder is not None:
-            recorder.horizon = float(self.step_count)
 
     def _rounds(self, steps, recorder, rows, when, due, fresh) -> None:
         """Steps 1 to ``steps - 1`` of a block whose step 0 has run: the
         agents ``rows`` are first tested on block steps ``when``, and the
         agents ``due``, tested on step 0, have the countdowns ``fresh``."""
         v = self.params.v
-        pos, turn, vel = _rows(self.pos), _rows(self.turn), _rows(self.vel)
+        pos, turn, vel = self._pos, self._turn, self._vel
         nxt = fresh.astype(np.int64) + 1  # block step of the next test
         done = nxt >= steps
         self._left[due[done]] = nxt[done] - steps
@@ -401,53 +408,102 @@ class Population:
         Each pass puts its agents on their way-point, where they start their
         next leg: the second leg after an elbow, a fresh trip after an
         arrival (destination x, destination y and path coin, drawn in that
-        order from the agent's own substream).  Those whose next way-point
-        lies beyond their budget move along their heading and are done; the
-        rest jump to it, spend the distance, and go on to the next pass.  An
-        agent whose budget runs out exactly at a way-point stops there,
-        already facing its new direction.
+        order from the agent's own substream).  It also takes the next
+        way-point of the two common chains: before the draw, an elbow whose
+        second leg ends within its budget goes on to its destination and
+        arrives in this pass; after it, an agent whose new first leg ends
+        within its budget turns at that elbow by the same trip rule.  Those
+        whose next way-point then lies beyond their budget move along their
+        heading and are done; the rest jump to it, spend the distance, and
+        go on to the next pass.  An agent whose budget runs out exactly at
+        a way-point stops there, already facing its new direction.
         """
         v, L = self.params.v, self.params.L
-        pos, dest, turn = _rows(self.pos), _rows(self.dest), _rows(self.turn)
+        pos, dest, turn = self._pos, self._dest, self._turn
         for _ in range(ROLLOVER_CAP):
             if idx.size == 0:
                 return
             at = turn[idx]  # on the second leg this is the destination
             arrive = self.leg[idx] == _SECOND
             goal = dest[idx]
+            # an elbow (``> arrive``: not on its second leg) whose second
+            # leg lies along one axis and ends strictly within the budget
+            # arrives in this pass; one ending exactly on it stops there in
+            # the next
+            second = goal - at
+            length = abs(second)  # exact for a leg along one axis
+            chain = (length < budget) > arrive
+            if chain.any():
+                chain &= (second.real == 0.0) | (second.imag == 0.0)
+                if recorder is not None:
+                    elbows = _trips(_pairs(at[chain]), _pairs(goal[chain]), False)
+                    _record(recorder, idx[chain], at[chain], elbows[2],
+                            _keep(clock, chain) + (v - budget[chain]) / v)
+                at[chain] = goal[chain]
+                budget[chain] -= length[chain]
+                arrive |= chain
             vertical = np.zeros(idx.size, dtype=bool)
             if arrive.any():
-                draws = pcg64_random3(self.pcg, idx[arrive])
+                draws = pcg64_random3(self._pcg, idx[arrive])
                 goal[arrive] = _rows(np.multiply(draws[:, :2], L, order="C"))
                 vertical[arrive] = draws[:, 2] < 0.5
             new_turn, leg, heading = _trips(_pairs(at), _pairs(goal), vertical)
             new_turn = _rows(new_turn)
-            pos[idx] = at
+            if recorder is not None:
+                _record(recorder, idx, at, heading, clock + (v - budget) / v, arrive)
+            gap = _gap(new_turn - at, heading)
+            near = gap <= budget
+            if near.any():
+                # an agent on a new first leg that ends within its budget
+                # turns at its elbow in this pass
+                elbow = near & (budget > 0.0) & (leg != _SECOND)
+                if elbow.any():
+                    budget[elbow] -= gap[elbow]
+                    at[elbow] = new_turn[elbow]
+                    turned = _trips(_pairs(at[elbow]), _pairs(goal[elbow]), False)
+                    new_turn[elbow] = _rows(turned[0])
+                    leg[elbow], heading[elbow] = turned[1], turned[2]
+                    if recorder is not None:
+                        _record(recorder, idx[elbow], at[elbow], turned[2],
+                                _keep(clock, elbow) + (v - budget[elbow]) / v)
+                    gap[elbow] = _gap(new_turn[elbow] - at[elbow], turned[2])
             dest[idx] = goal
             turn[idx] = new_turn
             self.leg[idx] = leg
             self.heading[idx] = heading
-            _rows(self.vel)[idx] = self._velocity[heading]
-            if recorder is not None:
-                times = clock + (v - budget) / v
-                for k in np.flatnonzero(recorder.rows[idx]).tolist():
-                    kind = ARRIVAL if arrive[k] else TURN
-                    x, y = float(at[k].real), float(at[k].imag)
-                    after = Heading(int(heading[k]))
-                    event = TripEvent(kind, float(times[k]), x, y, after)
-                    recorder.events[int(idx[k])].append(event)
-            left = budget > 0.0
-            idx, budget, clock = idx[left], budget[left], _keep(clock, left)
-            if idx.size == 0:
-                return
-            at, heading = at[left], heading[left]
-            gap = _gap(new_turn[left] - at, heading)
+            self._vel[idx] = self._velocity[heading]
             far = gap > budget
-            moved = _pairs(at[far] + _UNIT[heading[far]] * budget[far])
-            pos[idx[far]] = _rows(np.clip(moved, 0.0, L, out=moved))
-            near = ~far
+            if far.all() and budget.all():
+                # everyone has budget left and moves along its new leg
+                pos[idx] = _rows(_moved(at, heading, budget, L))
+                return
+            pos[idx] = at
+            left = budget > 0.0
+            move = far & left
+            pos[idx[move]] = _rows(_moved(at[move], heading[move], budget[move], L))
+            near = left > far  # budget left, and the next way-point within it
             idx, budget, clock = idx[near], budget[near] - gap[near], _keep(clock, near)
-        raise RuntimeError("way-point rollover cap exceeded within one step")
+        if idx.size:
+            raise RuntimeError("way-point rollover cap exceeded within one step")
+
+
+def _moved(at: np.ndarray, heading: np.ndarray, budget: np.ndarray, L: float) -> np.ndarray:
+    """The ``(m, 2)`` points ``budget`` along ``heading`` from the complex
+    points ``at``, clipped to the arena."""
+    moved = _pairs(at + _UNIT[heading] * budget)
+    return np.clip(moved, 0.0, L, out=moved)
+
+
+def _record(recorder, idx, at, heading, times, arrive=None) -> None:
+    """Append a :class:`TripEvent` for each agent ``idx`` that ``recorder``
+    watches: at the complex point ``at``, leaving with ``heading`` at time
+    ``times``, an arrival where ``arrive`` is true and a turn elsewhere (all
+    turns without it)."""
+    for k in np.flatnonzero(recorder.rows[idx]).tolist():
+        kind = ARRIVAL if arrive is not None and arrive[k] else TURN
+        x, y = float(at[k].real), float(at[k].imag)
+        event = TripEvent(kind, float(times[k]), x, y, Heading(int(heading[k])))
+        recorder.events[int(idx[k])].append(event)
 
 
 def _keep(clock, mask: np.ndarray):

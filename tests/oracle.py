@@ -10,10 +10,11 @@ generator per trial) are the direct forms of the package's sampler and
 corner-trial loop, which must draw and report exactly what they do, and
 :func:`informed_cells` (marking the cells of the uninformed agents) that of
 the flood's progress row.  :class:`AgentTrajectory` replays one agent's
-recorded way-point events (:func:`trajectory` builds it from a recorder),
-and :func:`count_turns`, which walks a window's events one by one, is the
-oracle of the count by binary search in ``turn_statistics``.  The other
-helpers are single-point or all-pairs forms of array code in the package.
+recorded way-point events (:func:`trajectory` builds it from a population
+and its recorder), and :func:`count_turns`, which walks a window's events
+one by one, is the oracle of the count by binary search in
+``turn_statistics``.  The other helpers are single-point or all-pairs forms
+of array code in the package.
 """
 
 from __future__ import annotations
@@ -323,17 +324,18 @@ def count_turns(
 
 
 def trajectory(
-    recorder: TrajectoryRecorder, agent: int, v: float, L: float
+    population: Population, recorder: TrajectoryRecorder, agent: int
 ) -> AgentTrajectory:
-    """The replayable log of one agent watched by ``recorder``."""
+    """The replayable log of one agent of ``population`` watched by
+    ``recorder``, up to the population's ``step_count``."""
     x, y, heading = recorder.start[agent]
     return AgentTrajectory(
-        v=v,
-        L=L,
+        v=population.params.v,
+        L=population.params.L,
         start=(x, y),
         start_heading=heading,
         events=recorder.events[agent],
-        horizon=recorder.horizon,
+        horizon=float(population.step_count),
     )
 
 

@@ -172,7 +172,7 @@ class TestTurnCounter:
         kept = most = 0
         for a, events in rec.events.items():
             count = _turn_counter(rec.start[a][2], events)
-            traj = oracle.trajectory(rec, a, p.v, p.L)
+            traj = oracle.trajectory(pop, rec, a)
             for tau in range(1, 16):
                 for t in range(horizon - tau + 1):
                     want = oracle.count_turns(traj, t, tau).turns
