@@ -32,7 +32,9 @@ RNG_ALGORITHM_ID = "numpy-pcg64-seedseq(seed,index)"
 #: Default speed-envelope constant: v must not exceed R divided by this.
 SPEED_ENVELOPE_DEFAULT = 3.0 * (1.0 + math.sqrt(5.0))
 
-#: Default radius-envelope constant in R >= c1 * L * sqrt(log n / n).
+#: Default radius-envelope constant in R >= c1 * L * sqrt(log n / n), the
+#: ``WorldParams`` default; ``make_params``, the CLI config and the README
+#: use 2.5.
 RADIUS_ENVELOPE_DEFAULT = 200.0
 
 # Reserved substream indices.  Agents use their own id (0 .. n-1); all

@@ -7,7 +7,11 @@ ball, measured on the post-move snapshot).  Flooding time is the first step
 at which everyone is informed.
 
 Each step's neighbour index holds the senders only, the agents informed
-before the step; the uninformed ones are its queries.  The exchange works on
+before the step; its queries are the uninformed agents the message can have
+reached.  An agent informed at step ``s`` started within ``s (R + 2v)`` of
+the source, which ``flood_step`` checks from each agent's starting distance
+when the population lies in the arena ``[0, L]^2`` (so ``run_flood``'s
+``on_step`` must not move the agents).  The exchange works on
 one lattice, the index's own cells: bucket columns just wider than ``R``,
 cut into square cells, whose size is fixed by the world (n, L, R) and not by
 how many agents are informed.  Two stencils of cell offsets are fixed per
@@ -46,6 +50,13 @@ DEFAULT_BOUND_CONSTANTS = (18.0, 600.0)
 FALLBACK_MAX_STEPS = 10_000_000
 # Most (query, candidate) pairs a NeighborIndex query holds at once.
 _PAIR_CHUNK = 1 << 21
+# Most band-table entries (``nb * ny``) per indexed agent; past it
+# ``_pairs`` finds band ranges by binary search in place of the table.
+_TABLE_PER_AGENT = 1
+# Slack of the reach filter, relative to its bound and to L, as
+# ``mobility._SLACK``: far above the rounding of the moves, the distances and
+# the bound.
+_REACH_SLACK = 2.0**-40
 # Most cells a side of the lattice of ``any_within`` (4 MB a mask); past it
 # every query point is searched.
 _CELL_SIDES = 1 << 11
@@ -89,22 +100,32 @@ def _stencils(radius: float, cell: float) -> tuple[tuple[int, ...], tuple[int, .
     return possible, tuple(w for w in certain if w >= 0)
 
 
-def _dilate(cells: np.ndarray, pitch: int, widths: tuple[int, ...]) -> np.ndarray:
-    """A flat lattice mask, cell ``(x, y)`` at ``x * pitch + y``, grown by a
-    stencil of ``_stencils``: ``(x, y)`` is set when ``cells`` holds ``(x +
-    a, y + d)`` with ``|a| <= widths[|d|]``.  From the last row in, the mask
-    is grown along x to the row's width and ORed in shifted by ``d``; each
-    run of ``pitch`` ends in more empty cells than the stencil has rows."""
-    grown = np.zeros_like(cells)
+@functools.lru_cache(maxsize=256)
+def _growth(stencils: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int, int], ...]:
+    """(width, stencil, row) for every row of every stencil, by width: the
+    order in which ``_dilate`` grows one run along x for all of them."""
+    plan = ((w, s, d) for s, rows in enumerate(stencils) for d, w in enumerate(rows))
+    return tuple(sorted(plan))
+
+
+def _dilate(cells: np.ndarray, pitch: int, *stencils: tuple[int, ...]) -> list[np.ndarray]:
+    """A flat lattice mask, cell ``(x, y)`` at ``x * pitch + y``, grown by
+    each of the stencils of ``_stencils``: ``(x, y)`` is set in the mask of
+    stencil ``widths`` when ``cells`` holds ``(x + a, y + d)`` with ``|a| <=
+    widths[|d|]``.  One run is grown along x, width by width, and each
+    stencil's row ``d`` ORs it in shifted by ``d`` once the run has that
+    row's width; so stencils grown together share the growth along x.  Each
+    run of ``pitch`` ends in more empty cells than a stencil has rows."""
+    grown = [np.zeros_like(cells) for _ in stencils]
     run, width = cells, 0
-    for d in reversed(range(len(widths))):
-        for width in range(width + 1, widths[d] + 1):
+    for w, s, d in _growth(stencils):
+        for width in range(width + 1, w + 1):
             wider = run.copy()
             wider[pitch:] |= run[:-pitch]
             wider[:-pitch] |= run[pitch:]
             run = wider
-        grown[d:] |= run[: run.size - d]
-        grown[: grown.size - d] |= run[d:]
+        grown[s][d:] |= run[: run.size - d]
+        grown[s][: run.size - d] |= run[d:]
     return grown
 
 
@@ -121,16 +142,22 @@ class NeighborIndex:
     the same or adjacent columns and at most ``k`` sub-rows apart, so in the
     same bucket or in 8-neighbour ones.  Coordinates map to columns and
     sub-rows by ``zones.grid_index`` (truncation, clipped into the grid).
-    Agents are sorted by the code ``column * ny + sub-row``, so each
-    column's sub-rows have consecutive codes.  ``k`` (at most
-    ``_SUB_ROWS``) is the largest that keeps every code below 2^16 where one
-    can: numpy's stable sort of 16-bit keys is a radix sort, in the same
-    order.
+    Each agent has the code ``column * ny + sub-row``, so each column's
+    sub-rows have consecutive codes.  ``k`` (at most ``_SUB_ROWS``) is the
+    largest that keeps every code below 2^16 where one can: numpy's stable
+    sort of 16-bit keys is a radix sort, in the same order.
 
     A query searches, in each of the three columns around a point, only the
     sub-rows that can hold an agent within the radius (``_pairs``): about
     5.5 R^2 at ``k = 8``, against 9 R^2 for a 3 x 3 bucket block, in chunks
-    of at most ``_PAIR_CHUNK`` pairs whatever the population size.
+    of at most ``_PAIR_CHUNK`` pairs whatever the population size.  The
+    agents are sorted by code (``order``) on the first such band search, and
+    not at all by an index that needs none.  A band's agents are a range of
+    that order.  Where the ``nb * ny`` codes are no more than the agents
+    searched, the ranges are read from a table of where each code ends (a
+    cumulative ``bincount``); otherwise they are found by binary search in
+    the sorted codes, which costs less than a table far larger than the
+    index.
 
     ``any_within`` decides most points on a lattice of ``lattice`` square
     cells a side: each column cut into ``j`` sub-columns, the sub-rows
@@ -160,10 +187,7 @@ class NeighborIndex:
         self.height = self.side / self.k
         col, row = self._columns(positions[:, 0]), self._rows(positions[:, 1])
         self.codes = col * self.ny + row
-        wide = self.nb * self.ny > 1 << 16
-        key = self.codes if wide else self.codes.astype(np.uint16)
-        self.order = np.argsort(key, kind="stable")
-        self.sorted_codes = self.codes[self.order]
+        self._order = None
         n = len(positions) if n is None else n
         most = min(_LATTICE_SPAN * math.sqrt(n), _CELL_SIDES)
         divisors = [j for j in range(1, min(self.k, _SUB_COLUMNS) + 1) if self.k % j == 0]
@@ -175,10 +199,20 @@ class NeighborIndex:
         self.cells = None
         if self.lattice <= _CELL_SIDES:
             sub = col if self.j == 1 else self._sub_columns(positions[:, 0])
-            self.cells = sub * self.pitch + row // (self.k // self.j)
+            self.cells = sub * self.pitch + self._lattice_rows(row)
         self.inside = None
         if positions.size and not (positions.min() >= 0.0 and positions.max() <= L):
             self.inside = self._in_arena(positions)
+
+    @property
+    def order(self) -> np.ndarray:
+        """The agents by code, stably, sorted on first use; the keys are
+        16-bit wherever the codes fit."""
+        if self._order is None:
+            wide = self.nb * self.ny > 1 << 16
+            key = self.codes if wide else self.codes.astype(np.uint16)
+            self._order = np.argsort(key, kind="stable")
+        return self._order
 
     def _columns(self, x: np.ndarray) -> np.ndarray:
         return grid_index(x, self.side, self.nb)
@@ -188,6 +222,9 @@ class NeighborIndex:
 
     def _sub_columns(self, x: np.ndarray) -> np.ndarray:
         return grid_index(x, self.cell, self.lattice)
+
+    def _lattice_rows(self, row: np.ndarray) -> np.ndarray:
+        return row if self.j == self.k else row // (self.k // self.j)
 
     def _pairs(self, pts: np.ndarray, mask: np.ndarray, radius: float):
         """Yield (query index, candidate agent index) arrays pairing each
@@ -203,10 +240,11 @@ class NeighborIndex:
         column's near edge only.  ``g`` is shrunk and the radius grown by
         the relative ``_BAND_MARGIN``, which exceeds the rounding of the
         gaps, square roots and row bounds."""
-        members, codes = self.order, self.sorted_codes
-        if not mask.all():  # an index of the senders masks every agent
-            keep = mask[self.order]
-            members, codes = members[keep], codes[keep]
+        if len(pts) == 0:
+            return
+        every = mask.all()  # an index of the senders masks every agent
+        order = self.order
+        members = order if every else order[mask[order]]
         # gap to the column on the left, to the own column, to the right
         x, y = pts[:, 0], pts[:, 1:]
         col = self._columns(x)
@@ -215,11 +253,25 @@ class NeighborIndex:
         gap *= 1.0 - _BAND_MARGIN
         reach = (radius * (1.0 + _BAND_MARGIN)) ** 2 - gap * gap
         half = np.sqrt(np.maximum(reach, 0.0))
-        # Columns off the grid give code ranges below 0 or at least
-        # nb * ny, which hold no code.
         first = (col[:, None] + np.arange(-1, 2)) * self.ny
-        lo = np.searchsorted(codes, first + self._rows(y - half), side="left")
-        hi = np.searchsorted(codes, first + self._rows(y + half), side="right")
+        low, high = first + self._rows(y - half), first + self._rows(y + half)
+        size = self.nb * self.ny
+        if size <= _TABLE_PER_AGENT * len(members):
+            # table[c + ny] agents have a code below c; the columns off the
+            # grid, codes in [-ny, 0) and [size, size + ny), read 0 and all
+            table = np.zeros(size + 2 * self.ny + 1, dtype=np.intp)
+            np.cumsum(
+                np.bincount(self.codes if every else self.codes[mask], minlength=size),
+                out=table[self.ny + 1 : size + self.ny + 1],
+            )
+            table[size + self.ny + 1 :] = len(members)
+            lo, hi = table[low + self.ny], table[high + self.ny + 1]
+        else:
+            # columns off the grid give code ranges below 0 or at least
+            # size, which hold no code
+            codes = self.codes[members]
+            lo = np.searchsorted(codes, low, side="left")
+            hi = np.searchsorted(codes, high, side="right")
         counts = np.where(reach >= 0.0, hi - lo, 0).ravel()
         live = np.flatnonzero(counts)
         query, counts = live // 3, counts[live]
@@ -261,7 +313,7 @@ class NeighborIndex:
     def _held(self, mask: np.ndarray) -> np.ndarray:
         """Flat lattice mask of the cells holding an agent with ``mask``."""
         held = np.zeros(self.lattice * self.pitch, dtype=bool)
-        held[self.cells[mask]] = True
+        held[self.cells if mask.all() else self.cells[mask]] = True
         return held
 
     def _marks(
@@ -274,15 +326,17 @@ class NeighborIndex:
         exceeds the rounding of the cell bounds.  Clipping a point into the
         lattice never widens its gap to a cell, so the possible dilation
         misses no hit.  The certain one takes only agents and points in the
-        arena, which ``grid_index`` puts into the cells they lie in.  Every
-        certain mark is a possible one."""
+        arena, which ``grid_index`` puts into the cells they lie in, so
+        with every agent in the arena both stencils grow the same cells, in
+        one ``_dilate``.  Every certain mark is a possible one."""
         possible_rows, certain_rows = _stencils(radius, self.cell)
         held = self._held(mask)
-        near = _dilate(held, self.pitch, possible_rows)
-        if self.inside is not None:
-            held = self._held(mask & self.inside)
-        sure = _dilate(held, self.pitch, certain_rows)
-        rows = self._rows(pts[:, 1]) // (self.k // self.j)
+        if self.inside is None:
+            near, sure = _dilate(held, self.pitch, possible_rows, certain_rows)
+        else:
+            (near,) = _dilate(held, self.pitch, possible_rows)
+            (sure,) = _dilate(self._held(mask & self.inside), self.pitch, certain_rows)
+        rows = self._lattice_rows(self._rows(pts[:, 1]))
         cell = self._sub_columns(pts[:, 0]) * self.pitch + rows
         possible = near[cell]
         kept = np.flatnonzero(possible)
@@ -322,11 +376,15 @@ class NeighborIndex:
 
 @dataclass
 class FloodState:
-    """Mutable per-run flooding state."""
+    """Mutable per-run flooding state.
+
+    ``reach`` holds each agent's distance from the source at time zero, or
+    ``None`` for no reach filter (``flood_step``)."""
 
     informed: np.ndarray  # bool per agent
     step: int
     source: int
+    reach: np.ndarray | None = None
 
     @property
     def informed_count(self) -> int:
@@ -340,15 +398,35 @@ class FloodState:
 def flood_step(population: Population, state: FloodState) -> None:
     """One protocol step: move everyone, then synchronously inform every
     uninformed agent within the radius of an informed one.  The neighbour
-    index holds the informed agents only, on the world's lattice."""
+    index holds the informed agents only, on the world's lattice.
+
+    With ``state.reach`` set, only the agents that started within ``step *
+    (R + 2v)`` of the source are queried, the bound grown by the relative
+    and L-relative ``_REACH_SLACK``.  No other agent can be informed: the
+    informed agents move at most ``v`` a step and inform up to ``R`` beyond
+    themselves, so after ``s`` steps they lie within ``s (R + v)`` of the
+    source's start, and an agent informed at step ``s`` has itself moved at
+    most ``s v`` since time zero.  That needs every move to be a path of
+    length ``v``, which holds for a population whose positions, way-points
+    and destinations lie in the arena: it is never clipped.  ``reach`` is
+    dropped once every agent is within it."""
     population.step()
     state.step += 1
     if state.all_informed:
         return
     p = population.params
+    waiting = ~state.informed
+    if state.reach is not None:
+        hop = p.R + 2.0 * p.v
+        within = state.reach <= state.step * (hop + (hop + p.L) * _REACH_SLACK)
+        if within.all():  # and so at every later step
+            state.reach = None
+        waiting &= within
+    targets = np.flatnonzero(waiting)
+    if targets.size == 0:
+        return
     senders = np.take(population.pos, np.flatnonzero(state.informed), axis=0)
     index = NeighborIndex(senders, p.L, p.R, p.n)
-    targets = np.flatnonzero(~state.informed)
     pts = np.take(population.pos, targets, axis=0)
     hit = index.any_within(pts, np.ones(len(senders), dtype=bool), p.R)
     state.informed[targets[hit]] = True
@@ -559,6 +637,15 @@ def run_flood(
     counts stability violations: whenever the density condition held at a
     step, every fully-informed central cell and its central neighbours must
     be fully informed at the next step.
+
+    ``on_step(population, state)`` sees the state after each step; it must
+    not move the agents.  When the population's positions, way-points and
+    destinations lie in the arena, the state carries each agent's distance
+    from the source at time zero, and each step queries only the agents
+    within reach (``flood_step``).  A flood that completes in fewer steps
+    than ``frontier_floor`` allows for the farthest agent raises
+    ``RuntimeError``; the reach bound is stronger, so this guards only
+    populations off the arena.
     """
     if zone_map is None:
         zone_map = build_zone_map(params)
@@ -570,9 +657,12 @@ def run_flood(
         max_steps = default_max_steps(params, zone_map, bound_constants)
     informed = np.zeros(params.n, dtype=bool)
     informed[source] = True
-    state = FloodState(informed=informed, step=0, source=source)
     gaps = population.pos - population.pos[source]
-    d_far = float(np.sqrt((gaps**2).sum(axis=1)).max())
+    reach = np.sqrt((gaps**2).sum(axis=1))
+    d_far = float(reach.max())
+    if not population._in_arena:  # a clip can move an agent more than v
+        reach = None
+    state = FloodState(informed=informed, step=0, source=source, reach=reach)
     monitor = (
         DensityMonitor(zone_map, params.eta, params.n) if check_stability else None
     )

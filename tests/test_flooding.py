@@ -9,7 +9,7 @@ import pytest
 
 from mrwpflood import flooding
 from mrwpflood.core import WorldParams, derive_substream
-from mrwpflood.experiments import make_params
+from mrwpflood.experiments import lower_bound_params, make_params
 from mrwpflood.flooding import (
     DensityMonitor,
     FloodState,
@@ -387,6 +387,53 @@ class TestCertainHits:
         assert index.any_within(index.positions, mask, 0.0).tolist() == [True, False]
 
 
+def brute_force_dilation(cells, pitch, widths):
+    """Reference for ``_dilate`` on the cells ``(x, y)`` with ``y`` below
+    the number of x-rows ``side``: every held cell ``(x + a, y + d)`` marks
+    ``(x, y)``, offset by offset."""
+    held = cells.reshape(-1, pitch)
+    side = len(held)
+    out = np.zeros((side, side), dtype=bool)
+    for x, y in np.argwhere(held[:, :side]).tolist():
+        for d, width in enumerate(widths):
+            for a in range(-width, width + 1):
+                for dy in (d, -d):
+                    if 0 <= x - a < side and 0 <= y - dy < side:
+                        out[x - a, y - dy] = True
+    return out
+
+
+class TestDilation:
+    def test_shared_growth_matches_separate_dilations(self):
+        # one growth along x for both stencils gives what two dilations and
+        # the offset-by-offset reference give, the empty certain stencil at
+        # one cell per bucket included
+        empty = 0
+        for trial in range(60):
+            rng = derive_substream(113, trial)
+            j = int(rng.choice([1, 2, 4, 8]))
+            cell = 1.0 / j
+            radius = float(rng.uniform(0.5, 1.0))
+            possible, certain = flooding._stencils(radius, cell)
+            side = int(rng.integers(1, 20))
+            pitch = side + len(possible)  # empty cells end each run
+            grid = np.zeros((side, pitch), dtype=bool)
+            grid[:, :side] = rng.random((side, side)) < rng.choice([0.02, 0.2, 0.7])
+            cells = grid.reshape(-1)
+            near, sure = flooding._dilate(cells, pitch, possible, certain)
+            (alone,) = flooding._dilate(cells, pitch, possible)
+            assert np.array_equal(near, alone), trial
+            (alone,) = flooding._dilate(cells, pitch, certain)
+            assert np.array_equal(sure, alone), trial
+            # the cells past y = side only pad the runs
+            for grown, widths in ((near, possible), (sure, certain)):
+                want = brute_force_dilation(cells, pitch, widths)
+                assert np.array_equal(grown.reshape(side, pitch)[:, :side], want), trial
+            empty += certain == ()
+            assert certain != () or not sure.any(), trial
+        assert 0 < empty < 60
+
+
 class TestLattice:
     @pytest.mark.parametrize("n", [2000, 32_000, 128_000, 10**6])
     def test_lattice_is_order_n(self, n):
@@ -529,6 +576,24 @@ class TestCandidateBand:
         # neighbour, a search of the whole block 2.5
         assert pairs < 2.0 * close
 
+    def test_band_table_matches_the_binary_search(self, monkeypatch):
+        # the code-end table and the binary search give the same band
+        # ranges, so the same pairs in the same order: on clipped edge
+        # columns, query points off the grid and masked indexes alike
+        branches = set()
+        for case, (pts, L, R, queries, mask, radius) in enumerate(band_cases()):
+            index = NeighborIndex(pts, L, R)
+            members = int(mask.sum())
+            branches.add(index.nb * index.ny <= flooding._TABLE_PER_AGENT * members)
+            got = {}
+            for per_agent in (0, 1 << 40):  # never and always the table
+                monkeypatch.setattr(flooding, "_TABLE_PER_AGENT", per_agent)
+                chunks = list(index._pairs(queries, mask, radius))
+                got[per_agent] = [np.concatenate(c) for c in zip(*chunks)] or [[], []]
+            table, search = got[1 << 40], got[0]
+            assert all(np.array_equal(a, b) for a, b in zip(table, search)), case
+        assert branches == {True, False}
+
     def test_any_within_without_block_filter(self):
         # more than _CELL_SIDES buckets a side: no lattice, so neither the
         # possible (block) filter nor certain hits, and every point is
@@ -563,7 +628,7 @@ class TestBucketOrder:
                 assert code == col * index.ny + row
             want = np.argsort(index.codes.astype(np.int64), kind="stable")
             assert np.array_equal(index.order, want), (L, R)
-            assert np.array_equal(index.sorted_codes, index.codes[want])
+            assert (np.diff(index.codes[index.order]) >= 0).all()
             seen.add(index.nb * index.ny <= 1 << 16)
         assert seen == {True, False}
 
@@ -1136,3 +1201,188 @@ class TestRunFlood:
         assert rec.init_mode == WARMUP
         assert rec.warmup_steps == 30
         assert not rec.timed_out
+
+
+def walkers(params, agents):
+    """A population of agents each walking toward one way-point: ``(pos,
+    heading, way-point, destination)``, on its first leg when the way-point
+    is not the destination."""
+    pos, heading, turn, dest = (np.array(a, dtype=float) for a in zip(*agents))
+    leg = np.where((turn == dest).all(axis=1), Leg.SECOND, Leg.FIRST)
+    return Population(params, pos, dest, turn, leg, heading.astype(int))
+
+
+def unfiltered(monkeypatch):
+    """Make every later ``run_flood`` query all uninformed agents."""
+
+    class Unfiltered(FloodState):
+        def __init__(self, **fields):
+            super().__init__(**{**fields, "reach": None})
+
+    monkeypatch.setattr(flooding, "FloodState", Unfiltered)
+
+
+def exchange_checker(p):
+    """An ``on_step`` hook that checks each step's informed set against the
+    brute-force exchange, and a list of (step, whether the reach filter is
+    still on) it fills."""
+    before = np.zeros(p.n, dtype=bool)
+    checked = []
+
+    def on_step(pop, state):
+        if not checked:
+            before[state.source] = True
+        want = before.copy()
+        want[~before] = brute_force_any_within(pop.pos, pop.pos[~before], before, p.R)
+        assert np.array_equal(state.informed, want), state.step
+        before[:] = state.informed
+        checked.append((state.step, state.reach is not None))
+
+    return on_step, checked
+
+
+def counting_queries(monkeypatch):
+    """Count the query points of every later ``any_within`` call into the
+    returned list."""
+    queried = []
+    real = NeighborIndex.any_within
+
+    def counted(index, pts, mask, radius):
+        queried.append(len(pts))
+        return real(index, pts, mask, radius)
+
+    monkeypatch.setattr(NeighborIndex, "any_within", counted)
+    return queried
+
+
+class TestReachFilter:
+    E, N, W = Heading.EAST, Heading.NORTH, Heading.WEST
+
+    @pytest.mark.parametrize(
+        "x0, R, v, above",
+        [(4.0, 2.0, 0.5, False), (14.151, 0.835, 0.127, True), (25.003, 1.523, 0.169, True)],
+    )
+    def test_head_on_pair_at_the_bound(self, x0, R, v, above):
+        # two agents R + 2v apart walk head-on and close to R in one step.
+        # In the last two worlds the starting distance rounds to above the
+        # float R + 2v, while the step still closes it to within R: only
+        # the slack keeps the target
+        p = WorldParams(n=2, L=64.0, R=R, v=v)
+        agents = [
+            ((x0, 5.0), self.E, (60.0, 5.0), (60.0, 5.0)),
+            ((x0 + (R + 2.0 * v), 5.0), self.W, (1.0, 5.0), (1.0, 5.0)),
+        ]
+        pop = walkers(p, agents)
+        gap = float(np.sqrt(((pop.pos[1] - pop.pos[0]) ** 2).sum()))
+        assert gap == R + 2.0 * v or (above and gap > R + 2.0 * v)
+        rec = run_flood(p, source_rule="agent:0", population=pop, max_steps=3)
+        assert rec.flooding_time == 1
+
+    @pytest.mark.parametrize("s", [2, 4])
+    def test_relay_chain_at_the_bound(self, s):
+        # relay t walks north and reaches its elbow at step t, R + v beyond
+        # where relay t - 1 reached its own, just as relay t - 1, turned
+        # east, comes within R of it.  So the frontier advances R + v a
+        # step, and the target, walking west from s (R + 2v) away, is
+        # informed at step s.  All coordinates are exact in binary.
+        R, v, y = 2.0, 0.5, 8.0
+        p = WorldParams(n=s + 1, L=64.0, R=R, v=v)
+        agents = [((4.0, y), self.E, (60.0, y), (60.0, y))]
+        for t in range(1, s):
+            x = 4.0 + t * (R + v)
+            agents.append(((x, y - t * v), self.N, (x, y), (60.0, y)))
+        agents.append(((4.0 + s * (R + 2.0 * v), y), self.W, (1.0, y), (1.0, y)))
+        on_step, checked = exchange_checker(p)
+        rec = run_flood(
+            p,
+            source_rule="agent:0",
+            population=walkers(p, agents),
+            max_steps=s + 2,
+            collect_progress=True,
+            on_step=on_step,
+        )
+        assert rec.flooding_time == s
+        assert [row[1] for row in rec.progress] == list(range(1, s + 1)) + [s + 1]
+        # the filter is on until step s brings every agent within reach
+        assert checked == [(t, t < s) for t in range(1, s + 1)]
+
+    def test_agents_off_the_arena_get_every_target(self, monkeypatch):
+        # a clip moves the agent at x = -40 onto the edge in one step, next
+        # to the source: it is informed at step 1, 41 away from where it
+        # started, so the filter must stay off, and every uninformed agent
+        # is queried at every step
+        p = WorldParams(n=3, L=64.0, R=2.0, v=0.5)
+        agents = [
+            ((1.0, 5.0), self.E, (60.0, 5.0), (60.0, 5.0)),
+            ((-40.0, 5.0), self.E, (60.0, 5.0), (60.0, 5.0)),
+            ((30.0, 40.0), self.W, (1.0, 40.0), (1.0, 40.0)),
+        ]
+        queried = counting_queries(monkeypatch)
+        on_step, checked = exchange_checker(p)
+        rec = run_flood(
+            p,
+            source_rule="agent:0",
+            population=walkers(p, agents),
+            max_steps=4,
+            collect_progress=True,
+            on_step=on_step,
+        )
+        assert [row[1] for row in rec.progress] == [1, 2, 2, 2, 2]
+        assert queried == [2, 1, 1, 1]
+        assert checked == [(t, False) for t in range(1, 5)]
+
+    def test_random_world_off_the_arena_matches_brute_force(self):
+        p = make_params(600, seed=5)
+        stationary = init_population(p, APPROX_STATIONARY)
+        pos = stationary.pos.copy()
+        pos[:12] = pos[:12] * 1.2 - 0.1 * p.L  # some land off the arena
+        assert not (pos.min() >= 0.0 and pos.max() <= p.L)
+        args = (stationary.dest, stationary.turn, stationary.leg, stationary.heading)
+        on_step, checked = exchange_checker(p)
+        rec = run_flood(
+            p, source_rule="agent:0", population=Population(p, pos, *args), on_step=on_step
+        )
+        assert rec.flooding_time == len(checked) > 1
+        assert checked == [(t, False) for t in range(1, rec.flooding_time + 1)]
+
+
+def filter_worlds():
+    """(params, source rule) of the worlds the reach filter must not change:
+    cap speed, an eighth of it, and the lower-bound corner world."""
+    for seed in range(3):
+        p = make_params(2000, seed=seed)
+        yield pytest.param(p, "in_cz", id=f"cap-{seed}")
+        yield pytest.param(dataclasses.replace(p, v=p.v / 8), "random", id=f"v8-{seed}")
+    for seed in range(2):
+        p = lower_bound_params(2000, seed=seed)[0]
+        yield pytest.param(p, "random", id=f"corner-{seed}")
+
+
+class TestReachFilterRuns:
+    @pytest.mark.parametrize("p, rule", filter_worlds())
+    def test_filter_on_and_off_give_the_same_record(self, monkeypatch, p, rule):
+        # the same record, progress included, with the filter on and forced
+        # off; every step of the filtered run informs exactly whom brute
+        # force does, and the filter drops targets on some steps
+        z = build_zone_map(p)
+        records, queries = {}, {}
+        check, checked = exchange_checker(p)
+        for key in ("on", "off"):
+            queried = counting_queries(monkeypatch)
+            on_step = check if key == "on" else None
+            if key == "off":
+                unfiltered(monkeypatch)
+            rec = run_flood(
+                p,
+                source_rule=rule,
+                zone_map=z,
+                population=init_population(p, APPROX_STATIONARY),
+                collect_progress=True,
+                on_step=on_step,
+            )
+            records[key], queries[key] = rec.to_json_dict(), sum(queried)
+            monkeypatch.undo()
+        assert records["on"] == records["off"]
+        assert records["on"]["flooding_time"] == len(checked)
+        assert checked[0] == (1, True)
+        assert queries["on"] < queries["off"]
