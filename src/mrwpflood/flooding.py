@@ -10,11 +10,10 @@ Each step's neighbour index holds the senders only, the agents informed
 before the step; its queries are the uninformed agents the message can have
 reached.  An agent informed at step ``s`` started within ``s (R + 2v)`` of
 the source, which ``flood_step`` checks from each agent's starting distance
-when the population lies in the arena ``[0, L]^2`` (so ``run_flood``'s
-``on_step`` must not move the agents).  The exchange works on
-one lattice, the index's own cells: bucket columns just wider than ``R``,
-cut into square cells, whose size is fixed by the world (n, L, R) and not by
-how many agents are informed.  Two stencils of cell offsets are fixed per
+(so ``run_flood``'s ``on_step`` must not move the agents).  The exchange
+works on one lattice, the index's own cells: bucket columns just wider than
+``R``, cut into square cells, whose size is fixed by the world (n, L, R) and
+not by how many agents are informed.  Two stencils of cell offsets are fixed per
 query radius: the *possible* one holds the offsets whose nearest points can
 lie within the radius, the *certain* one those whose farthest points do.  An
 agent outside the possible dilation of the senders' cells is a miss without
@@ -379,7 +378,7 @@ class FloodState:
     """Mutable per-run flooding state.
 
     ``reach`` holds each agent's distance from the source at time zero, or
-    ``None`` for no reach filter (``flood_step``)."""
+    ``None`` for no reach filter (``flood_step``); ``run_flood`` sets it."""
 
     informed: np.ndarray  # bool per agent
     step: int
@@ -406,10 +405,9 @@ def flood_step(population: Population, state: FloodState) -> None:
     informed agents move at most ``v`` a step and inform up to ``R`` beyond
     themselves, so after ``s`` steps they lie within ``s (R + v)`` of the
     source's start, and an agent informed at step ``s`` has itself moved at
-    most ``s v`` since time zero.  That needs every move to be a path of
-    length ``v``, which holds for a population whose positions, way-points
-    and destinations lie in the arena: it is never clipped.  ``reach`` is
-    dropped once every agent is within it."""
+    most ``s v`` since time zero: every move is a path of length ``v``
+    (:class:`~mrwpflood.mobility.Population`).  ``reach`` is dropped once
+    every agent is within it."""
     population.step()
     state.step += 1
     if state.all_informed:
@@ -639,13 +637,12 @@ def run_flood(
     be fully informed at the next step.
 
     ``on_step(population, state)`` sees the state after each step; it must
-    not move the agents.  When the population's positions, way-points and
-    destinations lie in the arena, the state carries each agent's distance
-    from the source at time zero, and each step queries only the agents
-    within reach (``flood_step``).  A flood that completes in fewer steps
-    than ``frontier_floor`` allows for the farthest agent raises
-    ``RuntimeError``; the reach bound is stronger, so this guards only
-    populations off the arena.
+    not move the agents.  The state carries each agent's distance from the
+    source at time zero, and each step queries only the agents within reach
+    (``flood_step``).  A flood that completes in fewer steps than
+    ``frontier_floor`` allows for the farthest agent raises
+    ``RuntimeError``; the reach bound is stronger, so this detects a broken
+    reach filter or exchange.
     """
     if zone_map is None:
         zone_map = build_zone_map(params)
@@ -660,8 +657,6 @@ def run_flood(
     gaps = population.pos - population.pos[source]
     reach = np.sqrt((gaps**2).sum(axis=1))
     d_far = float(reach.max())
-    if not population._in_arena:  # a clip can move an agent more than v
-        reach = None
     state = FloodState(informed=informed, step=0, source=source, reach=reach)
     monitor = (
         DensityMonitor(zone_map, params.eta, params.n) if check_stability else None

@@ -214,19 +214,16 @@ class Population:
     it down; the count does not depend on ``step_count``, which callers
     reset.  The state arrays change only through :meth:`advance`.
 
-    ``__init__`` also records whether every coordinate of ``pos``, ``turn``
-    and ``dest`` lies in [0, L] (``-0.0`` counts as inside, and a clip
-    keeps it).  Stepping keeps that so, and such a population skips the
-    clips of its plain moves, which then change nothing:
-
-    - a plain move ``pos + vel`` is made only by an agent whose way-point
-      the first pass finds, or its countdown certainly puts, more than
-      ``v`` away; rounding is monotone, so a computed distance above the
-      float ``v`` is a true one above it, and ``pos + vel`` rounds to a
-      point between ``pos`` and ``turn``;
-    - new destinations are draws in [0, 1) times ``L``;
-    - a new ``turn`` combines coordinates of the way-point reached and of
-      the destination.
+    ``__init__`` accepts only states that trips (:func:`_trips`) and
+    stepping make, and raises ``ValueError`` for any other
+    (:meth:`_check_states`): each agent lies in the arena ``[0, L]^2``, on
+    a leg of one of the two axis-aligned paths to its destination, and not
+    past that leg's way-point along its heading.  Stepping keeps that so
+    without a clip.  A plain move ``pos + vel`` is made only by an agent
+    whose way-point the first pass finds, or its countdown certainly puts,
+    more than ``v`` away; rounding is monotone, so ``pos + vel`` rounds to
+    a point between ``pos`` and ``turn``.  New destinations are draws in
+    [0, 1) times ``L``.
     """
 
     def __init__(
@@ -254,6 +251,7 @@ class Population:
         self.turn = np.ascontiguousarray(turn, dtype=float)
         self.leg = np.ascontiguousarray(leg, dtype=np.int8)
         self.heading = np.ascontiguousarray(heading, dtype=np.int8)
+        self._check_states()
         self.vel = np.take(HEADING_VECTORS * params.v, self.heading, axis=0)
         self.pcg = pcg64_states(substream_seeds(params.seed, np.arange(n)))
         self.step_count = 0
@@ -263,10 +261,31 @@ class Population:
         )
         self._pcg = pcg64_items(self.pcg)
         self._velocity = _rows(HEADING_VECTORS * params.v)  # vel per heading
-        self._in_arena = all(
-            a.min() >= 0.0 and a.max() <= params.L for a in (self.pos, self.turn, self.dest)
-        )
         self._left = self._countdown(slice(None), self._pos)
+
+    def _check_states(self) -> None:
+        """Raise ``ValueError`` unless every agent is in a state that trips
+        and stepping make (the class docstring), in O(n)."""
+        L, leg, heading = self.params.L, self.leg, self.heading
+        # a NaN fails both comparisons
+        if not all(a.min() >= 0.0 and a.max() <= L for a in (self.pos, self.turn, self.dest)):
+            raise ValueError("pos, turn and dest must lie in [0, L]^2")
+        if leg.min() < 0 or leg.max() > _SECOND or heading.min() < 0 or heading.max() > _SOUTH:
+            raise ValueError("leg must be 0 or 1 and heading 0 to 3")
+        # differences turned so that the heading points along +1: the real
+        # part is the signed distance along the heading, the imaginary part
+        # the offset across it, both exact; and a difference of finite
+        # floats is zero, or of a sign, exactly when the true one is
+        back = _UNIT.conj()[heading]
+        ahead = (_rows(self.turn) - _rows(self.pos)) * back
+        goal = (_rows(self.dest) - _rows(self.turn)) * back
+        if goal.real.any() or ((goal.imag == 0.0) != leg.view(bool)).any():
+            raise ValueError(
+                "turn must be dest on the second leg, and on the first an elbow "
+                "that shares with dest only its coordinate along the heading"
+            )
+        if ahead.imag.any() or ahead.real.min() < 0.0:
+            raise ValueError("pos must lie on its leg, not past turn along the heading")
 
     def _countdown(self, rows, here: np.ndarray) -> np.ndarray:
         """How many coming steps the agents ``rows``, at the complex
@@ -279,23 +298,12 @@ class Population:
         So that distance exceeds ``v`` while ``gap - v - j (v + 2**-53 L)``
         does, up to relative errors of order ``2**-53``, which ``_SLACK``
         covers many times over, the rounding of this formula included.  The
-        count is the number of such ``j = 0, 1, ...``.  A position off the
-        arena counts from the edge the next clip puts it on, which is no
-        further along the heading than where the agent will be.
+        count is the number of such ``j = 0, 1, ...``.
         """
         v, L = self.params.v, self.params.L
-        if not self._in_arena:
-            here = _rows(np.clip(_pairs(here), 0.0, L))
         gap = _gap(self._turn[rows] - here, self.heading[rows])
         count = np.ceil((gap * (1.0 - _SLACK) - v * (1.0 + _SLACK)) / (v + L * _SLACK))
         return np.clip(count, 0.0, _COUNT_CAP, out=count).astype(np.int16)
-
-    def _glide(self, xy: np.ndarray, vel: np.ndarray) -> None:
-        """``xy += vel`` in place, kept in the arena by a clip unless the
-        population lies in it."""
-        xy += vel
-        if not self._in_arena:
-            np.clip(xy, 0.0, self.params.L, out=xy)
 
     def step(self, recorder: TrajectoryRecorder | None = None) -> None:
         """Advance every agent by one step: ``advance(1, recorder)``."""
@@ -339,7 +347,7 @@ class Population:
             gap = _gap(turn[due] - pos[due], self.heading[due])
             near = gap <= v
             self._left -= min(steps, _COUNT_CAP)
-            self._glide(self.pos, self.vel)
+            self.pos += self.vel
             self._waypoints(due[near], v - gap[near], self.step_count, recorder)
             fresh = self._countdown(due, pos[due])
             if steps == 1:
@@ -369,16 +377,16 @@ class Population:
         j = 1
         for at, a, b in zip(steps_at.tolist(), lo.tolist(), hi.tolist()):
             for _ in range(at - j):
-                self._glide(self.pos, self.vel)
+                self.pos += self.vel
             here[a:b] = pos[rows[a:b]]
             j = at
         for _ in range(steps - j):
-            self._glide(self.pos, self.vel)
+            self.pos += self.vel
         # event rounds: one test of each agent left, whatever its step
         while rows.size:
             gap = _gap(turn[rows] - here, self.heading[rows])
             near = gap <= v
-            self._glide(_pairs(here), _pairs(vel[rows]))
+            here += vel[rows]
             pos[rows] = here
             clock = self.step_count + when[near]
             self._waypoints(rows[near], v - gap[near], clock, recorder)
@@ -392,9 +400,9 @@ class Population:
             )
             # plain moves up to each agent's next test or the block's end,
             # over the prefix of the agents with moves left
-            xy, step_vel = _pairs(here), _pairs(vel[rows])
+            step_vel = vel[rows]
             for m in np.searchsorted(-moves, -np.arange(moves[0])).tolist():
-                self._glide(xy[:m], step_vel[:m])
+                here[:m] += step_vel[:m]
             done = nxt >= steps
             pos[rows[done]] = here[done]
             self._left[rows[done]] = fresh[done] - moves[done]
@@ -475,23 +483,16 @@ class Population:
             far = gap > budget
             if far.all() and budget.all():
                 # everyone has budget left and moves along its new leg
-                pos[idx] = _rows(_moved(at, heading, budget, L))
+                pos[idx] = at + _UNIT[heading] * budget
                 return
             pos[idx] = at
             left = budget > 0.0
             move = far & left
-            pos[idx[move]] = _rows(_moved(at[move], heading[move], budget[move], L))
+            pos[idx[move]] = at[move] + _UNIT[heading[move]] * budget[move]
             near = left > far  # budget left, and the next way-point within it
             idx, budget, clock = idx[near], budget[near] - gap[near], _keep(clock, near)
         if idx.size:
             raise RuntimeError("way-point rollover cap exceeded within one step")
-
-
-def _moved(at: np.ndarray, heading: np.ndarray, budget: np.ndarray, L: float) -> np.ndarray:
-    """The ``(m, 2)`` points ``budget`` along ``heading`` from the complex
-    points ``at``, clipped to the arena."""
-    moved = _pairs(at + _UNIT[heading] * budget)
-    return np.clip(moved, 0.0, L, out=moved)
 
 
 def _record(recorder, idx, at, heading, times, arrive=None) -> None:

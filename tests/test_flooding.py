@@ -1306,44 +1306,25 @@ class TestReachFilter:
         # the filter is on until step s brings every agent within reach
         assert checked == [(t, t < s) for t in range(1, s + 1)]
 
-    def test_agents_off_the_arena_get_every_target(self, monkeypatch):
-        # a clip moves the agent at x = -40 onto the edge in one step, next
-        # to the source: it is informed at step 1, 41 away from where it
-        # started, so the filter must stay off, and every uninformed agent
-        # is queried at every step
+    def test_populations_off_the_arena_rejected(self):
+        # the filter needs every move to be a path of length v, which holds
+        # for every population that can be built; one with agents off the
+        # arena, where that would fail, cannot be built
         p = WorldParams(n=3, L=64.0, R=2.0, v=0.5)
         agents = [
             ((1.0, 5.0), self.E, (60.0, 5.0), (60.0, 5.0)),
             ((-40.0, 5.0), self.E, (60.0, 5.0), (60.0, 5.0)),
             ((30.0, 40.0), self.W, (1.0, 40.0), (1.0, 40.0)),
         ]
-        queried = counting_queries(monkeypatch)
-        on_step, checked = exchange_checker(p)
-        rec = run_flood(
-            p,
-            source_rule="agent:0",
-            population=walkers(p, agents),
-            max_steps=4,
-            collect_progress=True,
-            on_step=on_step,
-        )
-        assert [row[1] for row in rec.progress] == [1, 2, 2, 2, 2]
-        assert queried == [2, 1, 1, 1]
-        assert checked == [(t, False) for t in range(1, 5)]
-
-    def test_random_world_off_the_arena_matches_brute_force(self):
+        with pytest.raises(ValueError, match="lie in"):
+            walkers(p, agents)
         p = make_params(600, seed=5)
         stationary = init_population(p, APPROX_STATIONARY)
         pos = stationary.pos.copy()
         pos[:12] = pos[:12] * 1.2 - 0.1 * p.L  # some land off the arena
-        assert not (pos.min() >= 0.0 and pos.max() <= p.L)
         args = (stationary.dest, stationary.turn, stationary.leg, stationary.heading)
-        on_step, checked = exchange_checker(p)
-        rec = run_flood(
-            p, source_rule="agent:0", population=Population(p, pos, *args), on_step=on_step
-        )
-        assert rec.flooding_time == len(checked) > 1
-        assert checked == [(t, False) for t in range(1, rec.flooding_time + 1)]
+        with pytest.raises(ValueError, match="lie in"):
+            Population(p, pos, *args)
 
 
 def filter_worlds():

@@ -1,10 +1,13 @@
-"""Every module-level import of the package is read.
+"""Every module-level import of the package is read, and no module uses
+another object's private attributes.
 
-The project has no linter, so this is its unused-import check.  In each
-module of ``src/mrwpflood`` but ``__init__.py`` (whose imports are its
-exports), every name that a module-level import binds must be read
-somewhere in the module.  A name read only in an annotation, quoted or not,
-counts as read.
+The project has no linter, so these are its checks.  In each module of
+``src/mrwpflood`` but ``__init__.py`` (whose imports are its exports),
+every name that a module-level import binds must be read somewhere in the
+module.  A name read only in an annotation, quoted or not, counts as read.
+In every module, an attribute whose name starts with an underscore (not a
+dunder) is used only on ``self`` or ``cls``: a policy known to one class
+stays behind it.
 """
 
 import ast
@@ -14,6 +17,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mrwpflood"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -72,3 +76,34 @@ def test_every_import_is_read(path):
         if name not in read_names(tree)
     }
     assert not unused, f"{path.name} imports names it never reads: {sorted(unused)}"
+
+
+def private_uses(tree: ast.AST) -> list[str]:
+    """Each use of an underscore attribute on anything but ``self`` or
+    ``cls``, as ``"name._attr (line N)"``."""
+    uses = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute) or not node.attr.startswith("_"):
+            continue
+        if node.attr.endswith("__"):
+            continue  # a dunder is public protocol
+        owner = node.value
+        if isinstance(owner, ast.Name) and owner.id in ("self", "cls"):
+            continue
+        uses.append(f"{ast.unparse(owner)}.{node.attr} (line {node.lineno})")
+    return uses
+
+
+def test_the_private_scan_sees_uses_on_other_objects():
+    tree = ast.parse(
+        "class A:\n    def f(self, other):\n"
+        "        self._x = cls._y = other.__len__\n"
+        "        return other._z + g()._w + self.__private\n"
+    )
+    assert private_uses(tree) == ["other._z (line 4)", "g()._w (line 4)"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.name for p in ALL_MODULES])
+def test_no_private_attribute_of_another_object(path):
+    uses = private_uses(ast.parse(path.read_text(), filename=str(path)))
+    assert not uses, f"{path.name} uses private attributes of other objects: {uses}"

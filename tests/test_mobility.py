@@ -370,22 +370,30 @@ def step_beside_oracle(pop, states, rngs, steps):
 
 
 def edge_states(L, v):
-    """Agents on the arena edges (and at -0.0), heading along, into and away
-    from them, with their next way-point exactly ``v`` away or one ulp
-    further."""
+    """Agents on the arena edges (and at -0.0), heading along them and into
+    the arena, with their next way-point exactly ``v`` away or one ulp
+    further, on a trip that ends there or turns there into the arena."""
     edges = [
         (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (0.0, L), (L, 0.0), (L, L),
         (-0.0, 5.0), (0.0, 3.7), (L, 5.0), (5.0, -0.0), (6.1, 0.0), (5.0, L),
         (L - v, L), (0.0, v),
     ]
+
+    def inside(point):
+        return all(0.0 <= c <= L for c in point)
+
     states = []
     for x, y in edges:
         for heading in Heading:
             step = mobility.HEADING_VECTORS[heading]
             for d in (v, np.nextafter(v, np.inf)):
                 way = (x + step[0] * d, y + step[1] * d)
+                if not inside(way):
+                    continue
                 states.append(build_trip((x, y), way, False))
                 elbow = (way[0] + step[1] * 1.5, way[1] + step[0] * 1.5)
+                if not inside(elbow):
+                    elbow = (way[0] - step[1] * 1.5, way[1] - step[0] * 1.5)
                 states.append(build_trip((x, y), elbow, heading & 1 == 1))
     return states
 
@@ -405,7 +413,9 @@ def rounding_states(L, v):
                 y = L - x
                 states.append(build_trip((x, y), (t, y), False))  # east-west
                 states.append(build_trip((y, x), (y, t), True))  # north-south
-                states.append(build_trip((x, y), (t, y + 1.5), False))  # elbow
+                # an elbow, turning into the arena
+                elbow_y = y + 1.5 if y < L / 2 else y - 1.5
+                states.append(build_trip((x, y), (t, elbow_y), False))
     return states
 
 
@@ -419,16 +429,6 @@ def lattice_states(p):
         build_trip(ends[i, :2], ends[i, 2:], bool(rng.random() < 0.5))
         for i in range(p.n)
     ]
-
-
-OFF_ARENA_STATES = [
-    build_trip((-3.0, 4.0), (6.0, 4.0), False),
-    build_trip((13.0, 4.0), (2.0, 4.0), False),
-    build_trip((5.0, -2.0), (5.0, 7.0), True),
-    build_trip((-5.0, 3.0), (2.0, 8.0), True),  # elbow off the arena
-    build_trip((4.0, 3.0), (-5.0, 6.0), False),  # an elbow and a goal off it
-    build_trip((4.0, 3.0), (7.0, 12.0), True),
-]
 
 
 class TestPopulation:
@@ -577,16 +577,6 @@ class TestWaypointCountdown:
         rngs = [derive_substream(p.seed, i) for i in range(p.n)]
         step_positions_beside_oracle(pop, states, rngs, 404)
 
-    def test_agents_off_the_arena_match_scalar_oracle(self):
-        # positions and way-points outside [0, L], several v away: the first
-        # clip moves such an agent by more than v toward its way-point
-        L, v = 10.0, 0.25
-        states = list(OFF_ARENA_STATES)
-        p = params(n=len(states), L=L, v=v, seed=3)
-        pop = from_states(p, states)
-        rngs = [derive_substream(p.seed, i) for i in range(p.n)]
-        step_positions_beside_oracle(pop, states, rngs, 120)
-
     def test_warmup_clock_reset_matches_scalar_oracle(self):
         # init_population(WARMUP) sets step_count back to 0 after warmup; at
         # v = L/4000 the countdowns set during warmup run for thousands of
@@ -625,8 +615,6 @@ def advance_worlds():
     for v in (0.1, 0.3):
         p = params(n=len(rounding_states(1000.0, v)), L=1000.0, v=v, seed=2)
         worlds.append((f"rounding-{v}", lambda p=p: from_states(p, rounding_states(p.L, p.v))))
-    p = params(n=len(OFF_ARENA_STATES), seed=3)
-    worlds.append(("off-arena", lambda p=p: from_states(p, OFF_ARENA_STATES)))
     p = params(n=300, seed=6)
     worlds.append(("lattice", lambda p=p: from_states(p, lattice_states(p))))
     # v = L/4000: countdowns of thousands of steps, many expiring in a block
@@ -639,6 +627,12 @@ def advance_worlds():
 
 ADVANCE_WORLDS = advance_worlds()
 ENGINE_STATE = ("pos", "dest", "turn", "leg", "heading", "vel", "pcg", "_left")
+
+
+def assert_reachable(pop):
+    """``pop`` holds states that trips make: its own constructor accepts
+    them."""
+    Population(pop.params, pop.pos, pop.dest, pop.turn, pop.leg, pop.heading)
 
 
 def assert_same_engine_state(a, b, rec_a, rec_b, label):
@@ -666,7 +660,19 @@ class TestAdvance:
             for _ in range(k):
                 b.step(recorder=rec_b)
             assert_same_engine_state(a, b, rec_a, rec_b, k)
+            assert_reachable(a)
         assert sum(map(len, rec_a.events.values())) > 0
+
+    def test_sparse_slow_world_keeps_states_a_trip_makes(self):
+        # the engine never makes a state its own constructor refuses: in a
+        # sparse world at v/64, countdowns run for thousands of steps
+        v = make_params(2000, c1=0.5).v / 64
+        pop = init_population(make_params(2000, c1=0.5, v=v, seed=7), APPROX_STATIONARY)
+        dest = pop.dest.copy()
+        for k in (1, 2, 13, 63, 630, 4000):
+            pop.advance(k)
+            assert_reachable(pop)
+        assert (pop.dest != dest).any(axis=1).sum() > 100
 
     def test_block_after_a_clock_reset(self):
         # recorder times count from step_count, whatever callers set it to
@@ -713,18 +719,19 @@ class TestAdvance:
         assert np.array_equal(pop.pos, pos) and pop.step_count == 0
 
     def test_rollover_cap_raises_within_a_block(self, monkeypatch):
-        # nobody is near a way-point at block step 0; on block step 7, in a
-        # later round, the agent reaches an elbow off its destination's row
-        # and column with budget left for the elbow of the path on from
-        # there and for its destination: the arrival needs a second pass
-        off_row = AgentState(
-            Point(1.0, 1.0), Point(3.15, 1.05), Leg.FIRST, Heading.EAST, Point(3.05, 1.0)
-        )
-        pop = from_states(params(n=2), [off_row] * 2)
+        # the ARRIVAL_THEN_ELBOW agent of TestWaypointChains, moved back
+        # along its leg by v: nobody is near a way-point at block step 0;
+        # on block step 1, in a later round, the agents kept arrive with
+        # budget left for the elbow of their fresh trip and for its
+        # destination, and that arrival needs a second pass
+        p = params(n=64, v=4.0, seed=21)
+        start = build_trip((2.0, 0.0), (2.0, 4.5), True)
+        states = quiet_unless(p, [start] * p.n, {(ARRIVAL, TURN, ARRIVAL)}, step=1)
+        assert any(s != QUIET for s in states)
+        pop = from_states(p, states)
         monkeypatch.setattr(mobility, "ROLLOVER_CAP", 1)
-        pop.advance(1)
         with pytest.raises(RuntimeError, match="rollover cap"):
-            pop.advance(40)
+            pop.advance(2)
 
 
 #: An agent far from its way-point: it only moves on the first step at any
@@ -742,6 +749,16 @@ def oracle_step(p, states, rngs=None, k=0):
 
 def kinds(events):
     return tuple(e.kind for e in events)
+
+
+def quiet_unless(p, states, keep, step=0):
+    """``states`` with every agent whose oracle events on step ``step`` are
+    not in ``keep`` replaced by :data:`QUIET`."""
+    rngs = [derive_substream(p.seed, i) for i in range(p.n)]
+    now = states
+    for k in range(step + 1):
+        now, events = zip(*oracle_step(p, now, rngs, k))
+    return [s if kinds(e) in keep else QUIET for s, e in zip(states, events)]
 
 
 def assert_step_matches_oracle(pop, want):
@@ -841,40 +858,13 @@ class TestWaypointChains:
         assert_step_matches_oracle(from_states(p, states), want)
 
     def test_turn_off_its_destinations_row_and_column(self):
-        # the engine starts the path from such an elbow by the trip rule,
-        # horizontal leg first: east to (2.5, 1), then north; the oracle's
-        # elbow rule covers only the turns build_trip makes, so the step is
-        # checked against the rule by hand, then the in-family state it
-        # leaves against the oracle.  The chain test must not take the
-        # elbow's straight-line distance to its destination, 1.25, for a
-        # second leg that ends within the budget of 1.5
+        # no trip turns at such an elbow, and the engine and the oracle
+        # would leave it differently, so the population refuses it
         off_row = AgentState(
             Point(1.0, 1.0), Point(2.5, 1.75), Leg.FIRST, Heading.EAST, Point(1.5, 1.0)
         )
-        p = params(n=4, v=2.0, seed=25)
-        pop = from_states(p, [off_row] * p.n)
-        after = AgentState(
-            Point(2.5, 1.5), Point(2.5, 1.75), Leg.SECOND, Heading.NORTH, Point(2.5, 1.75)
-        )
-        events = [
-            TripEvent(TURN, 0.25, 1.5, 1.0, Heading.EAST),
-            TripEvent(TURN, 0.75, 2.5, 1.0, Heading.NORTH),
-        ]
-        assert_step_matches_oracle(pop, [(after, events)] * p.n)
-        states = [after] * p.n
-        rngs = [derive_substream(p.seed, i) for i in range(p.n)]
-        for k in range(1, 6):
-            want = oracle_step(p, states, rngs, k)
-            assert_step_matches_oracle(pop, want)
-            states = [s for s, _ in want]
-
-    def quiet_unless(self, p, states, keep):
-        """``states`` with every agent whose oracle events in the first step
-        are not in ``keep`` replaced by :data:`QUIET`."""
-        return [
-            s if kinds(events) in keep else QUIET
-            for s, (_, events) in zip(states, oracle_step(p, states))
-        ]
+        with pytest.raises(ValueError, match="turn must"):
+            from_states(params(n=4, v=2.0, seed=25), [off_row] * 4)
 
     @pytest.mark.parametrize(
         "case, keep",
@@ -886,7 +876,7 @@ class TestWaypointChains:
     )
     def test_one_pass_takes_each_chain(self, monkeypatch, case, keep):
         p, states = self.chain_world(case)
-        states = self.quiet_unless(p, states, keep)
+        states = quiet_unless(p, states, keep)
         want = oracle_step(p, states)
         assert {kinds(e) for _, e in want} - {()} == keep
         monkeypatch.setattr(mobility, "ROLLOVER_CAP", 1)
@@ -894,7 +884,7 @@ class TestWaypointChains:
 
     def test_a_third_waypoint_needs_a_second_pass(self, monkeypatch):
         p, states = self.chain_world(self.ARRIVAL_THEN_ELBOW)
-        states = self.quiet_unless(p, states, {(ARRIVAL, TURN, ARRIVAL)})
+        states = quiet_unless(p, states, {(ARRIVAL, TURN, ARRIVAL)})
         assert any(s != QUIET for s in states)
         pop = from_states(p, states)
         monkeypatch.setattr(mobility, "ROLLOVER_CAP", 1)
@@ -902,7 +892,53 @@ class TestWaypointChains:
             pop.step()
 
 
+OFF_ARENA_STATES = [
+    build_trip((-3.0, 4.0), (6.0, 4.0), False),
+    build_trip((13.0, 4.0), (2.0, 4.0), False),
+    build_trip((5.0, -2.0), (5.0, 7.0), True),
+    build_trip((-5.0, 3.0), (2.0, 8.0), True),  # elbow off the arena
+    build_trip((4.0, 3.0), (-5.0, 6.0), False),  # an elbow and a goal off it
+    build_trip((4.0, 3.0), (7.0, 12.0), True),
+    build_trip((4.0, math.nan), (7.0, 8.0), True),
+]
+
+
 class TestPopulationInput:
+    """``Population`` accepts only the states that trips and stepping make;
+    each case puts one agent in another state beside one that is fine."""
+
+    E, N, W = Heading.EAST, Heading.NORTH, Heading.WEST
+    FIRST, SECOND = Leg
+
+    def test_agents_off_the_arena_rejected(self):
+        fine = build_trip((1.0, 1.0), (2.0, 3.0), True)
+        for state in OFF_ARENA_STATES:
+            with pytest.raises(ValueError, match=r"lie in \[0, L\]\^2"):
+                from_states(params(n=2), [fine, state])
+
+    @pytest.mark.parametrize(
+        "pos, dest, leg, heading, turn, match",
+        [
+            ((1.0, 1.0), (1.0, 5.0), 2, N, (1.0, 5.0), "leg must"),
+            ((1.0, 1.0), (1.0, 5.0), SECOND, 4, (1.0, 5.0), "heading 0 to 3"),
+            ((1.0, 1.0), (1.0, 5.0), SECOND, N, (1.0, 3.0), "turn must"),
+            ((1.0, 1.0), (4.0, 1.0), FIRST, E, (4.0, 1.0), "turn must"),
+            ((1.0, 1.0), (1.75, 2.5), FIRST, N, (1.0, 1.5), "turn must"),
+            ((1.0, 2.0), (4.0, 5.0), FIRST, E, (4.0, 1.0), "pos must"),
+            # past its elbow: walking west, it would leave the arena
+            ((5.0, 5.0), (7.0, 8.0), FIRST, W, (7.0, 5.0), "pos must"),
+        ],
+        ids=[
+            "leg-2", "heading-4", "second-leg-short-of-dest", "elbow-on-dest",
+            "elbow-off-the-row-and-column", "off-its-leg", "past-its-waypoint",
+        ],
+    )
+    def test_state_no_trip_makes_rejected(self, pos, dest, leg, heading, turn, match):
+        fine = build_trip((1.0, 1.0), (2.0, 3.0), True)
+        state = AgentState(Point(*pos), Point(*dest), leg, heading, Point(*turn))
+        with pytest.raises(ValueError, match=match):
+            from_states(params(n=2), [fine, state])
+
     @pytest.mark.parametrize(
         "name, shape",
         [
@@ -922,7 +958,7 @@ class TestPopulationInput:
             "pos": np.ones((6, 2)),
             "dest": np.ones((6, 2)),
             "turn": np.ones((6, 2)),
-            "leg": np.zeros(6, dtype=np.int8),
+            "leg": np.ones(6, dtype=np.int8),  # a zero-length trip
             "heading": np.zeros(6, dtype=np.int8),
         }
         Population(p, **arrays)
