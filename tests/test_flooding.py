@@ -1306,9 +1306,9 @@ class TestReachFilter:
         # the filter is on until step s brings every agent within reach
         assert checked == [(t, t < s) for t in range(1, s + 1)]
 
-    def test_populations_off_the_arena_rejected(self):
+    def test_agents_off_the_arena_get_every_target(self):
         # the filter needs every move to be a path of length v, which holds
-        # for every population that can be built; one with agents off the
+        # for every population that can be built; one with an agent off the
         # arena, where that would fail, cannot be built
         p = WorldParams(n=3, L=64.0, R=2.0, v=0.5)
         agents = [
@@ -1318,10 +1318,13 @@ class TestReachFilter:
         ]
         with pytest.raises(ValueError, match="lie in"):
             walkers(p, agents)
+
+    def test_random_world_off_the_arena_matches_brute_force(self):
         p = make_params(600, seed=5)
         stationary = init_population(p, APPROX_STATIONARY)
         pos = stationary.pos.copy()
         pos[:12] = pos[:12] * 1.2 - 0.1 * p.L  # some land off the arena
+        assert not (pos.min() >= 0.0 and pos.max() <= p.L)
         args = (stationary.dest, stationary.turn, stationary.leg, stationary.heading)
         with pytest.raises(ValueError, match="lie in"):
             Population(p, pos, *args)

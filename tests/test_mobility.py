@@ -431,6 +431,17 @@ def lattice_states(p):
     ]
 
 
+OFF_ARENA_STATES = [
+    build_trip((-3.0, 4.0), (6.0, 4.0), False),
+    build_trip((13.0, 4.0), (2.0, 4.0), False),
+    build_trip((5.0, -2.0), (5.0, 7.0), True),
+    build_trip((-5.0, 3.0), (2.0, 8.0), True),  # elbow off the arena
+    build_trip((4.0, 3.0), (-5.0, 6.0), False),  # an elbow and a goal off it
+    build_trip((4.0, 3.0), (7.0, 12.0), True),
+    build_trip((4.0, math.nan), (7.0, 8.0), True),
+]
+
+
 class TestPopulation:
     def test_round_trip_states(self):
         p = params(n=3)
@@ -577,6 +588,15 @@ class TestWaypointCountdown:
         rngs = [derive_substream(p.seed, i) for i in range(p.n)]
         step_positions_beside_oracle(pop, states, rngs, 404)
 
+    def test_agents_off_the_arena_match_scalar_oracle(self):
+        # the scalar oracle clips positions and way-points outside [0, L];
+        # the engine has no clips, so it must refuse such agents outright
+        # rather than step them apart from the oracle
+        fine = build_trip((1.0, 1.0), (2.0, 3.0), True)
+        for state in OFF_ARENA_STATES:
+            with pytest.raises(ValueError, match=r"lie in \[0, L\]\^2"):
+                from_states(params(n=2), [fine, state])
+
     def test_warmup_clock_reset_matches_scalar_oracle(self):
         # init_population(WARMUP) sets step_count back to 0 after warmup; at
         # v = L/4000 the countdowns set during warmup run for thousands of
@@ -626,6 +646,11 @@ def advance_worlds():
 
 
 ADVANCE_WORLDS = advance_worlds()
+
+
+def off_arena_world():
+    return from_states(params(n=len(OFF_ARENA_STATES), seed=3), OFF_ARENA_STATES)
+
 ENGINE_STATE = ("pos", "dest", "turn", "leg", "heading", "vel", "pcg", "_left")
 
 
@@ -647,9 +672,16 @@ class TestAdvance:
     ``step()``, byte for byte, recorder events included."""
 
     @pytest.mark.parametrize(
-        "build", [w[1] for w in ADVANCE_WORLDS], ids=[w[0] for w in ADVANCE_WORLDS]
+        "build",
+        [w[1] for w in ADVANCE_WORLDS] + [off_arena_world],
+        ids=[w[0] for w in ADVANCE_WORLDS] + ["off-arena"],
     )
     def test_block_matches_single_steps(self, build):
+        if build is off_arena_world:
+            # no block starts off the arena: such a world cannot be built
+            with pytest.raises(ValueError, match=r"lie in \[0, L\]\^2"):
+                build()
+            return
         # blocks run back to back, so later ones start mid-run with
         # countdowns of every length
         a, b = build(), build()
@@ -892,29 +924,12 @@ class TestWaypointChains:
             pop.step()
 
 
-OFF_ARENA_STATES = [
-    build_trip((-3.0, 4.0), (6.0, 4.0), False),
-    build_trip((13.0, 4.0), (2.0, 4.0), False),
-    build_trip((5.0, -2.0), (5.0, 7.0), True),
-    build_trip((-5.0, 3.0), (2.0, 8.0), True),  # elbow off the arena
-    build_trip((4.0, 3.0), (-5.0, 6.0), False),  # an elbow and a goal off it
-    build_trip((4.0, 3.0), (7.0, 12.0), True),
-    build_trip((4.0, math.nan), (7.0, 8.0), True),
-]
-
-
 class TestPopulationInput:
     """``Population`` accepts only the states that trips and stepping make;
     each case puts one agent in another state beside one that is fine."""
 
     E, N, W = Heading.EAST, Heading.NORTH, Heading.WEST
     FIRST, SECOND = Leg
-
-    def test_agents_off_the_arena_rejected(self):
-        fine = build_trip((1.0, 1.0), (2.0, 3.0), True)
-        for state in OFF_ARENA_STATES:
-            with pytest.raises(ValueError, match=r"lie in \[0, L\]\^2"):
-                from_states(params(n=2), [fine, state])
 
     @pytest.mark.parametrize(
         "pos, dest, leg, heading, turn, match",
