@@ -387,7 +387,7 @@ class FloodState:
 
     @property
     def informed_count(self) -> int:
-        return int(self.informed.sum())
+        return int(np.count_nonzero(self.informed))
 
     @property
     def all_informed(self) -> bool:
@@ -420,10 +420,10 @@ def flood_step(population: Population, state: FloodState) -> None:
         if within.all():  # and so at every later step
             state.reach = None
         waiting &= within
-    targets = np.flatnonzero(waiting)
+    targets = waiting.nonzero()[0]
     if targets.size == 0:
         return
-    senders = np.take(population.pos, np.flatnonzero(state.informed), axis=0)
+    senders = np.take(population.pos, state.informed.nonzero()[0], axis=0)
     index = NeighborIndex(senders, p.L, p.R, p.n)
     pts = np.take(population.pos, targets, axis=0)
     hit = index.any_within(pts, np.ones(len(senders), dtype=bool), p.R)
@@ -655,7 +655,8 @@ def run_flood(
     informed = np.zeros(params.n, dtype=bool)
     informed[source] = True
     gaps = population.pos - population.pos[source]
-    reach = np.sqrt((gaps**2).sum(axis=1))
+    reach = gaps[:, 0] * gaps[:, 0] + gaps[:, 1] * gaps[:, 1]
+    np.sqrt(reach, out=reach)
     d_far = float(reach.max())
     state = FloodState(informed=informed, step=0, source=source, reach=reach)
     monitor = (

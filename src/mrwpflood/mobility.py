@@ -15,7 +15,7 @@ the way-point after: the destination of an elbow's second leg, and the
 elbow of a fresh trip, when the budget reaches them, so a further pass
 runs only for an agent that meets more way-points in one step.  The
 first pass, in which every agent has the whole budget ``v``, moves every
-agent by its cached velocity, but gives the exact way-point test only to
+agent by its cached velocity, but tests ``abs(turn - pos) <= v`` only for
 the agents whose countdown has run out: each tested agent counts the
 coming steps on which it certainly stays more than ``v`` from its
 way-point, with an allowance for the rounding of repeated ``pos += vel``
@@ -103,6 +103,12 @@ class TripEvent:
     heading_after: Heading
 
 
+def _heading(leg: np.ndarray) -> np.ndarray:
+    """Heading of each complex leg along one axis (east for zero length)."""
+    north_south = np.where(leg.imag > 0.0, _NORTH, _SOUTH)
+    return np.where(leg.imag != 0.0, north_south, np.where(leg.real >= 0.0, _EAST, _WEST))
+
+
 def _trips(
     pos: np.ndarray, dest: np.ndarray, vertical: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -114,21 +120,13 @@ def _trips(
     destination equal to the position gives a zero-length trip, heading
     east, that completes on the next step.
     """
-    dx = dest[:, 0] - pos[:, 0]
-    dy = dest[:, 1] - pos[:, 1]
-    single = (dx == 0.0) | (dy == 0.0)
-    north_south = np.where(single, dy != 0.0, vertical)
-    heading = np.where(
-        north_south,
-        np.where(dy > 0.0, _NORTH, _SOUTH),
-        np.where(dx >= 0.0, _EAST, _WEST),
-    )
+    single = (dest[:, 0] == pos[:, 0]) | (dest[:, 1] == pos[:, 1])
     # a single-leg trip turns at its destination, never at a -0.0 of pos
     turn = dest.copy()
     np.copyto(turn[:, 0], pos[:, 0], where=vertical & ~single)
     np.copyto(turn[:, 1], pos[:, 1], where=~(vertical | single))
     leg = single.astype(np.int8)  # Leg.SECOND is 1, Leg.FIRST 0
-    return turn, leg, heading
+    return turn, leg, _heading(_rows(turn - pos))  # of the first leg
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -148,12 +146,6 @@ def _pairs(c: np.ndarray) -> np.ndarray:
 # a complex product with a real factor is that factor times each column,
 # bit for bit, signed zeros included
 _UNIT = _rows(HEADING_VECTORS)
-
-
-def _gap(turn_gap: np.ndarray, heading: np.ndarray) -> np.ndarray:
-    """Distance to the way-point along the heading, from the complex
-    ``turn - pos``."""
-    return np.abs(np.where(heading & 1, turn_gap.imag, turn_gap.real))
 
 
 #: Relative allowance of the way-point countdown for rounding
@@ -217,13 +209,16 @@ class Population:
     ``__init__`` accepts only states that trips (:func:`_trips`) and
     stepping make, and raises ``ValueError`` for any other
     (:meth:`_check_states`): each agent lies in the arena ``[0, L]^2``, on
-    a leg of one of the two axis-aligned paths to its destination, and not
-    past that leg's way-point along its heading.  Stepping keeps that so
-    without a clip.  A plain move ``pos + vel`` is made only by an agent
-    whose way-point the first pass finds, or its countdown certainly puts,
-    more than ``v`` away; rounding is monotone, so ``pos + vel`` rounds to
-    a point between ``pos`` and ``turn``.  New destinations are draws in
-    [0, 1) times ``L``.
+    a leg of one of the two axis-aligned paths to its destination, not
+    past that leg's way-point along its heading, and exactly 0 across it.
+    So ``abs(turn - pos)``, as ``hypot(x, 0)`` is ``|x|``, is the exact
+    distance to the way-point, and a second leg lies along one axis.
+    Stepping keeps that so without a clip: ``pos += vel`` adds an exact 0
+    across the heading, and so does a move ``at + _UNIT[h] * budget`` from
+    a way-point.  A plain move is made only by an agent whose way-point
+    the first pass finds, or its countdown certainly puts, more than ``v``
+    away; rounding is monotone, so ``pos + vel`` rounds to a point between
+    ``pos`` and ``turn``.  New destinations are draws in [0, 1) times ``L``.
     """
 
     def __init__(
@@ -249,8 +244,7 @@ class Population:
         self.pos = np.ascontiguousarray(pos, dtype=float)
         self.dest = np.ascontiguousarray(dest, dtype=float)
         self.turn = np.ascontiguousarray(turn, dtype=float)
-        self.leg = np.ascontiguousarray(leg, dtype=np.int8)
-        self.heading = np.ascontiguousarray(heading, dtype=np.int8)
+        self.leg, self.heading = _codes(leg, _SECOND), _codes(heading, _SOUTH)
         self._check_states()
         self.vel = np.take(HEADING_VECTORS * params.v, self.heading, axis=0)
         self.pcg = pcg64_states(substream_seeds(params.seed, np.arange(n)))
@@ -270,8 +264,6 @@ class Population:
         # a NaN fails both comparisons
         if not all(a.min() >= 0.0 and a.max() <= L for a in (self.pos, self.turn, self.dest)):
             raise ValueError("pos, turn and dest must lie in [0, L]^2")
-        if leg.min() < 0 or leg.max() > _SECOND or heading.min() < 0 or heading.max() > _SOUTH:
-            raise ValueError("leg must be 0 or 1 and heading 0 to 3")
         # differences turned so that the heading points along +1: the real
         # part is the signed distance along the heading, the imaginary part
         # the offset across it, both exact; and a difference of finite
@@ -294,16 +286,17 @@ class Population:
 
         ``j`` steps ahead an agent has added its velocity ``j`` times to a
         coordinate in [0, L]; each sum rounds by at most ``2**-53 L``, and
-        the distance the first pass then computes by a relative ``2**-53``.
-        So that distance exceeds ``v`` while ``gap - v - j (v + 2**-53 L)``
+        the distance ``abs(turn - pos)`` then by a relative ``2**-53``.  So
+        that distance exceeds ``v`` while ``gap - v - j (v + 2**-53 L)``
         does, up to relative errors of order ``2**-53``, which ``_SLACK``
         covers many times over, the rounding of this formula included.  The
         count is the number of such ``j = 0, 1, ...``.
         """
         v, L = self.params.v, self.params.L
-        gap = _gap(self._turn[rows] - here, self.heading[rows])
+        gap = abs(self._turn[rows] - here)
         count = np.ceil((gap * (1.0 - _SLACK) - v * (1.0 + _SLACK)) / (v + L * _SLACK))
-        return np.clip(count, 0.0, _COUNT_CAP, out=count).astype(np.int16)
+        np.maximum(count, 0.0, out=count)
+        return np.minimum(count, _COUNT_CAP, out=count).astype(np.int16)
 
     def step(self, recorder: TrajectoryRecorder | None = None) -> None:
         """Advance every agent by one step: ``advance(1, recorder)``."""
@@ -334,7 +327,6 @@ class Population:
             return
         v = self.params.v
         if v > 0.0:
-            pos, turn = self._pos, self._turn
             # the first pass has every agent, each with budget v; only those
             # whose countdown has run out can be within v of a way-point
             if steps == 1:
@@ -344,12 +336,12 @@ class Population:
                 early = (self._left < steps).nonzero()[0]
                 first = self._left[early]
                 due, later = early[first == 0], first > 0
-            gap = _gap(turn[due] - pos[due], self.heading[due])
+            gap = abs(self._turn[due] - self._pos[due])
             near = gap <= v
             self._left -= min(steps, _COUNT_CAP)
             self.pos += self.vel
             self._waypoints(due[near], v - gap[near], self.step_count, recorder)
-            fresh = self._countdown(due, pos[due])
+            fresh = self._countdown(due, self._pos[due])
             if steps == 1:
                 self._left[due] = fresh
             else:
@@ -384,7 +376,7 @@ class Population:
             self.pos += self.vel
         # event rounds: one test of each agent left, whatever its step
         while rows.size:
-            gap = _gap(turn[rows] - here, self.heading[rows])
+            gap = abs(turn[rows] - here)
             near = gap <= v
             here += vel[rows]
             pos[rows] = here
@@ -420,11 +412,12 @@ class Population:
         way-point of the two common chains: before the draw, an elbow whose
         second leg ends within its budget goes on to its destination and
         arrives in this pass; after it, an agent whose new first leg ends
-        within its budget turns at that elbow by the same trip rule.  Those
-        whose next way-point then lies beyond their budget move along their
-        heading and are done; the rest jump to it, spend the distance, and
-        go on to the next pass.  An agent whose budget runs out exactly at
-        a way-point stops there, already facing its new direction.
+        within its budget turns at that elbow onto its second leg
+        (:func:`_heading`).  Those whose next way-point then lies beyond
+        their budget move along their heading and are done; the rest jump
+        to it, spend the distance, and go on to the next pass.  An agent
+        whose budget runs out exactly at a way-point stops there, already
+        facing its new direction.
         """
         v, L = self.params.v, self.params.L
         pos, dest, turn = self._pos, self._dest, self._turn
@@ -435,23 +428,20 @@ class Population:
             arrive = self.leg[idx] == _SECOND
             goal = dest[idx]
             # an elbow (``> arrive``: not on its second leg) whose second
-            # leg lies along one axis and ends strictly within the budget
-            # arrives in this pass; one ending exactly on it stops there in
-            # the next
+            # leg ends strictly within the budget arrives in this pass; one
+            # ending exactly on it stops there in the next
             second = goal - at
-            length = abs(second)  # exact for a leg along one axis
+            length = abs(second)  # exact: the leg lies along one axis
             chain = (length < budget) > arrive
-            if chain.any():
-                chain &= (second.real == 0.0) | (second.imag == 0.0)
+            if np.count_nonzero(chain):
                 if recorder is not None:
-                    elbows = _trips(_pairs(at[chain]), _pairs(goal[chain]), False)
-                    _record(recorder, idx[chain], at[chain], elbows[2],
+                    _record(recorder, idx[chain], at[chain], _heading(second[chain]),
                             _keep(clock, chain) + (v - budget[chain]) / v)
                 at[chain] = goal[chain]
                 budget[chain] -= length[chain]
                 arrive |= chain
             vertical = np.zeros(idx.size, dtype=bool)
-            if arrive.any():
+            if np.count_nonzero(arrive):
                 draws = pcg64_random3(self._pcg, idx[arrive])
                 goal[arrive] = _rows(np.multiply(draws[:, :2], L, order="C"))
                 vertical[arrive] = draws[:, 2] < 0.5
@@ -459,40 +449,49 @@ class Population:
             new_turn = _rows(new_turn)
             if recorder is not None:
                 _record(recorder, idx, at, heading, clock + (v - budget) / v, arrive)
-            gap = _gap(new_turn - at, heading)
-            near = gap <= budget
-            if near.any():
-                # an agent on a new first leg that ends within its budget
-                # turns at its elbow in this pass
-                elbow = near & (budget > 0.0) & (leg != _SECOND)
-                if elbow.any():
-                    budget[elbow] -= gap[elbow]
-                    at[elbow] = new_turn[elbow]
-                    turned = _trips(_pairs(at[elbow]), _pairs(goal[elbow]), False)
-                    new_turn[elbow] = _rows(turned[0])
-                    leg[elbow], heading[elbow] = turned[1], turned[2]
-                    if recorder is not None:
-                        _record(recorder, idx[elbow], at[elbow], turned[2],
-                                _keep(clock, elbow) + (v - budget[elbow]) / v)
-                    gap[elbow] = _gap(new_turn[elbow] - at[elbow], turned[2])
+            gap = abs(new_turn - at)
+            # an agent on a new first leg that ends within its budget turns
+            # at its elbow in this pass, onto the second leg
+            elbow = (gap <= budget) & (budget > 0.0) & (leg != _SECOND)
+            if np.count_nonzero(elbow):
+                budget[elbow] -= gap[elbow]
+                at[elbow] = corner = new_turn[elbow]
+                second = goal[elbow] - corner
+                new_turn[elbow] = goal[elbow]
+                leg[elbow] = _SECOND
+                heading[elbow] = turned = _heading(second)
+                gap[elbow] = abs(second)
+                if recorder is not None:
+                    _record(recorder, idx[elbow], corner, turned,
+                            _keep(clock, elbow) + (v - budget[elbow]) / v)
             dest[idx] = goal
             turn[idx] = new_turn
             self.leg[idx] = leg
             self.heading[idx] = heading
             self._vel[idx] = self._velocity[heading]
             far = gap > budget
-            if far.all() and budget.all():
+            left = budget > 0.0
+            move = far & left
+            if np.count_nonzero(move) == idx.size:
                 # everyone has budget left and moves along its new leg
                 pos[idx] = at + _UNIT[heading] * budget
                 return
             pos[idx] = at
-            left = budget > 0.0
-            move = far & left
             pos[idx[move]] = at[move] + _UNIT[heading[move]] * budget[move]
             near = left > far  # budget left, and the next way-point within it
             idx, budget, clock = idx[near], budget[near] - gap[near], _keep(clock, near)
         if idx.size:
             raise RuntimeError("way-point rollover cap exceeded within one step")
+
+
+def _codes(given, top: int) -> np.ndarray:
+    """``given`` as int8, checked first, as the cast wraps 257 to 1 and
+    truncates 0.5 to 0: ``ValueError`` unless integers in [0, top]."""
+    given = np.asarray(given)  # a NaN fails both comparisons
+    codes = given.astype(np.int8) if given.min() >= 0 and given.max() <= top else None
+    if codes is None or not np.array_equal(codes, given):
+        raise ValueError("leg must be 0 or 1 and heading 0 to 3")
+    return codes
 
 
 def _record(recorder, idx, at, heading, times, arrive=None) -> None:

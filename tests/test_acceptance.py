@@ -247,9 +247,15 @@ def test_criterion_08_main_bound(scaling):
     )
 
 
-def test_criterion_09_lower_bound():
+@pytest.fixture(scope="module")
+def corner_report():
+    """Criterion 09's corner experiment, run once for both of its tests."""
     params, d = lower_bound_params(n=2000)
-    rep = lower_bound_experiment(params, d, trials=10_000)
+    return lower_bound_experiment(params, d, trials=10_000)
+
+
+def test_criterion_09_lower_bound(corner_report):
+    rep = corner_report
     ok = rep.probability >= 0.01 and rep.floods > 0 and rep.all_satisfied
     report(
         9,
@@ -258,6 +264,35 @@ def test_criterion_09_lower_bound():
         f"P(B)={rep.probability:.4f} >= 0.01 over {rep.trials} draws; "
         f"{rep.conditional_satisfied}/{rep.floods} conditional floods "
         f"at or above threshold {rep.threshold:.2f}",
+    )
+
+
+def test_criterion_09_corner_probabilities(corner_report):
+    # each trial draws n i.i.d. stationary positions, so each count is
+    # binomial over the trials, with its probability from the exact masses
+    # e of E = [0, 3d]^2 and f of F = [0, d]^2
+    rep = corner_report
+    n, L, d = rep.params.n, rep.params.L, rep.d
+    e = cell_probability(0.0, 0.0, 3.0 * d, L)
+    f = cell_probability(0.0, 0.0, d, L)
+    a = e - f  # the annulus E - F
+    laws = {
+        "hits": (1.0 - a) ** n - (1.0 - e) ** n,
+        "f_occupied": 1.0 - (1.0 - f) ** n,
+        "annulus_empty": (1.0 - a) ** n,
+    }
+    z = {
+        name: (getattr(rep, name) - rep.trials * p) / math.sqrt(rep.trials * p * (1.0 - p))
+        for name, p in laws.items()
+    }
+    report(
+        9,
+        "corner probabilities",
+        all(abs(v) <= 4.0 for v in z.values()),
+        ", ".join(
+            f"{name} {getattr(rep, name)}/{rep.trials} vs {laws[name]:.4f} (z {z[name]:+.2f})"
+            for name in laws
+        ),
     )
 
 

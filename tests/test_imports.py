@@ -1,13 +1,16 @@
-"""Every module-level import of the package is read, and no module uses
-another object's private attributes.
+"""Every module-level import of the package is read, every private
+module-level name is read, and no module uses another object's private
+attributes.
 
 The project has no linter, so these are its checks.  In each module of
 ``src/mrwpflood`` but ``__init__.py`` (whose imports are its exports),
 every name that a module-level import binds must be read somewhere in the
 module.  A name read only in an annotation, quoted or not, counts as read.
-In every module, an attribute whose name starts with an underscore (not a
-dunder) is used only on ``self`` or ``cls``: a policy known to one class
-stays behind it.
+In every module, each underscore name (not a dunder) that a module-level
+definition or assignment binds must be read somewhere in the package: a
+helper left behind by its last caller fails.  In every module, an
+attribute whose name starts with an underscore (not a dunder) is used
+only on ``self`` or ``cls``: a policy known to one class stays behind it.
 """
 
 import ast
@@ -76,6 +79,50 @@ def test_every_import_is_read(path):
         if name not in read_names(tree)
     }
     assert not unused, f"{path.name} imports names it never reads: {sorted(unused)}"
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each underscore name (not a dunder) bound by a module-level
+    definition or assignment, with its line."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                bound[name] = node.lineno
+    return bound
+
+
+@pytest.fixture(scope="module")
+def package_reads() -> set[str]:
+    """Every name that some module of the package reads."""
+    return set().union(*(read_names(ast.parse(p.read_text())) for p in ALL_MODULES))
+
+
+def test_the_definition_scan_sees_functions_classes_and_assignments():
+    tree = ast.parse(
+        "import _a\ndef _f(): pass\nclass _C: pass\n_x, (_y, z) = 1, (2, 3)\n"
+        "_t: int = 4\n__all__ = []\ndef g():\n    _local = 5\n"
+    )
+    assert private_definitions(tree) == {"_f": 2, "_C": 3, "_x": 4, "_y": 4, "_t": 5}
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.name for p in ALL_MODULES])
+def test_every_private_module_name_is_read(path, package_reads):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unread = {
+        f"{name} (line {line})"
+        for name, line in private_definitions(tree).items()
+        if name not in package_reads
+    }
+    assert not unread, f"{path.name} defines private names nothing reads: {sorted(unread)}"
 
 
 def private_uses(tree: ast.AST) -> list[str]:

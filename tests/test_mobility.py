@@ -954,6 +954,26 @@ class TestPopulationInput:
         with pytest.raises(ValueError, match=match):
             from_states(params(n=2), [fine, state])
 
+    def test_codes_that_wrap_in_the_cast_rejected(self):
+        # as int8, 257 and 256 read as leg SECOND, heading EAST: a state a
+        # trip makes
+        p = params(n=1, R=1.0, v=0.5)
+        with pytest.raises(ValueError, match="leg must"):
+            Population(p, [[1.0, 1.0]], [[4.0, 1.0]], [[4.0, 1.0]], np.array([257]), np.array([256]))
+
+    @pytest.mark.parametrize(
+        "leg, heading",
+        [(0.5, 0), (-256, 0), (0, 0.9)],
+        ids=["leg-0.5", "leg-minus-256", "heading-0.9"],
+    )
+    def test_codes_that_are_not_small_integers_rejected(self, leg, heading):
+        # each casts to leg FIRST, heading EAST, which this state has
+        p = params(n=1, R=1.0, v=0.5)
+        pos, dest, turn = [[1.0, 1.0]], [[4.0, 3.0]], [[4.0, 1.0]]
+        Population(p, pos, dest, turn, np.array([0]), np.array([0]))
+        with pytest.raises(ValueError, match="leg must"):
+            Population(p, pos, dest, turn, np.array([leg]), np.array([heading]))
+
     @pytest.mark.parametrize(
         "name, shape",
         [
