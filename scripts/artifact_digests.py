@@ -43,7 +43,12 @@ positions, headings and legs of the 50 dumped agents, which take an elbow
 and its destination, or an arrival and the elbow of the fresh trip, in
 about 860 of their 10 000 steps, and three or four way-points in about 140.  One covers a long warm-up: `flood --set init=warmup
 --set v=0.05 --set max_steps=50` warms up for 8945 steps, one block whose
-countdowns run to hundreds of steps.
+countdowns run to hundreds of steps.  One covers an empty central zone:
+`expansion-check --set n=200 --set R=0.5` has |CZ| = 0, so no subset is
+checked and its worst margin, infinite, is written as `null`.  One covers
+a lower-bound world with one value set: `lower-bound --trials 200
+--flood-cap 2 --set v=0.05` keeps the corner scenario's L and R = 0.9 d
+and moves its agents at v = 0.05.
 """
 
 import hashlib
@@ -93,6 +98,10 @@ COMMANDS = [
     ("validate-stationary", ["validate-stationary", "--snapshots", "20"]),
     ("zones", ["zones"]),
     ("expansion-check", ["expansion-check"]),
+    (
+        "expansion-check-empty-cz",
+        ["expansion-check", "--set", "n=200", "--set", "R=0.5"],
+    ),
     ("lemma-sweep", ["lemma-sweep", "--skip-expansion", "--skip-density"]),
     ("scaling", ["scaling", "--scales", "1000", "--replicas", "2"]),
     ("lower-bound", ["lower-bound", "--trials", "200", "--flood-cap", "3"]),
@@ -102,6 +111,10 @@ COMMANDS = [
             "lower-bound", "--trials", "1000", "--flood-cap", "2",
             "--set", "seed=4294967297",
         ],
+    ),
+    (
+        "lower-bound-v",
+        ["lower-bound", "--trials", "200", "--flood-cap", "2", "--set", "v=0.05"],
     ),
     ("heatmap", ["heatmap"]),
     ("heatmap-origin", ["heatmap", "--origin", "2,7", "--bins", "30"]),

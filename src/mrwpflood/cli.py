@@ -9,7 +9,9 @@ into the output directory (``--output-dir`` flag, else the
 
 Every output embeds the resolved config, the seed, the RNG algorithm
 identifier, and the artifact version; no wall-clock data is written, so
-identical configurations produce byte-identical files.
+identical configurations produce byte-identical files.  Every JSON
+artifact goes through ``core.json_value``, so a non-finite float is written
+as ``null``.
 
 Exit codes: 0 success, 1 validation or violation failure, 2 configuration
 error.
@@ -22,12 +24,13 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .core import RNG_ALGORITHM_ID, SPEED_ENVELOPE_DEFAULT, WorldParams
+from .core import RNG_ALGORITHM_ID, SPEED_ENVELOPE_DEFAULT, WorldParams, json_value
 from .experiments import (
     lemma_sweep,
     lower_bound_experiment,
@@ -172,17 +175,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_json(path: Path, payload: dict) -> None:
+def write_result(path: Path, config: dict, result) -> None:
+    """Write ``result`` (a report or a dict) under ``"result"``, beside the
+    metadata, converted by ``json_value``."""
+    payload = json_value({**_metadata(config), "result": result})
     path.write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n",
+        encoding="utf-8",
     )
 
 
-def write_result(path: Path, config: dict, result: dict) -> None:
-    write_json(path, {**_metadata(config), "result": result})
-
-
-def write_csv(path: Path, meta: dict, header: list[str], rows: list[list]) -> None:
+def write_csv(path: Path, config: dict, header: list[str], rows: list[list]) -> None:
+    meta = _csv_meta(config)
     lines = [f"# {key}={_fmt(value)}" for key, value in sorted(meta.items())]
     lines.append(",".join(header))
     lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
@@ -241,12 +245,7 @@ def cmd_simulate(args, config: dict) -> int:
         population.step()
         rows += snapshot(step)
     path = out / "trajectories.csv"
-    write_csv(
-        path,
-        _csv_meta(config),
-        ["step", "agent", "x", "y", "heading", "leg"],
-        rows,
-    )
+    write_csv(path, config, ["step", "agent", "x", "y", "heading", "leg"], rows)
     _say(args, f"wrote {path} ({len(watched)} agents, {args.steps} steps)")
     return 0
 
@@ -264,10 +263,10 @@ def cmd_flood(args, config: dict) -> int:
         check_stability=args.check_stability,
         collect_progress=True,
     )
-    write_result(out / "flood_summary.json", config, record.to_json_dict())
+    write_result(out / "flood_summary.json", config, record)
     write_csv(
         out / "flood_progress.csv",
-        _csv_meta(config),
+        config,
         ["step", "informed_count", "cz_cells_informed", "suburb_informed_count"],
         [list(row) for row in record.progress],
     )
@@ -281,7 +280,7 @@ def cmd_zones(args, config: dict) -> int:
     params = resolve_params(config)
     out = _out_dir(args)
     zone_map = build_zone_map(params)
-    write_result(out / "zones.json", config, zone_map.to_json_dict())
+    write_result(out / "zones.json", config, zone_map)
     (out / "zones.csv").write_text(
         f"# {json.dumps(_csv_meta(config), sort_keys=True)}\n"
         + zone_map_to_csv(zone_map),
@@ -329,23 +328,16 @@ def cmd_expansion_check(args, config: dict) -> int:
     out = _out_dir(args)
     zone_map = build_zone_map(params)
     report = check_expansion(zone_map, mode=args.mode, samples=args.samples)
-    result = {
-        "cz_size": report.cz_size,
-        "mode": report.mode,
-        "subsets_checked": report.subsets_checked,
-        "violations": report.violations,
-        "worst_margin": report.worst_margin,
-        "witness": (
-            None if report.witness is None else np.argwhere(report.witness).tolist()
-        ),
-    }
+    witness = report.witness
+    result = report.to_json_dict()
+    result["witness"] = None if witness is None else np.argwhere(witness).tolist()
     write_result(out / "expansion.json", config, result)
     _say(
         args,
         f"wrote {out / 'expansion.json'} ({report.subsets_checked} subsets, "
         f"{report.violations} violations)",
     )
-    return 0 if report.violations == 0 else 1
+    return 0 if report.ok else 1
 
 
 def cmd_lemma_sweep(args, config: dict) -> int:
@@ -382,7 +374,7 @@ def cmd_lemma_sweep(args, config: dict) -> int:
     rows = [{**s["params"], **s} for s in result["settings"]]
     write_csv(
         out / "lemma_sweep.csv",
-        _csv_meta(config),
+        config,
         header,
         [[row[key] for key in header] for row in rows],
     )
@@ -406,31 +398,13 @@ def cmd_scaling(args, config: dict) -> int:
         init_mode=config["init"],
         seed=int(config["seed"]),
     )
-    write_result(out / "scaling.json", config, report.to_json_dict())
-    header = [
-        "n",
-        "L",
-        "R",
-        "v",
-        "rule",
-        "replicas",
-        "median_time",
-        "min_time",
-        "max_time",
-        "median_spread",
-        "bound",
-        "ratio",
-    ]
-    write_csv(
-        out / "scaling.csv",
-        _csv_meta(config),
-        header,
-        [[row[key] for key in header] for row in report.rows],
-    )
+    write_result(out / "scaling.json", config, report)
+    rows = [list(row.values()) for row in report.rows]
+    write_csv(out / "scaling.csv", config, list(report.rows[0]), rows)
     runs_dir = out / "runs"
     runs_dir.mkdir(exist_ok=True)
     for k, record in enumerate(report.runs):
-        write_result(runs_dir / f"run_{k:04d}.json", config, record.to_json_dict())
+        write_result(runs_dir / f"run_{k:04d}.json", config, record)
     _say(
         args,
         f"wrote {out / 'scaling.csv'} (C={report.max_ratio:.4g}, "
@@ -440,24 +414,30 @@ def cmd_scaling(args, config: dict) -> int:
 
 
 def cmd_lower_bound(args, config: dict) -> int:
+    """The corner scenario of ``lower_bound_params``; each of L, R and v
+    that the config sets replaces the scenario's value, and an unset v is
+    the cap ``R / c2`` of the resulting radius."""
     out = _out_dir(args)
-    n = int(config["n"])
-    seed = int(config["seed"])
-    scenario, d = lower_bound_params(n, d_factor=args.d_factor, seed=seed)
-    if config["R"] is not None or config["v"] is not None:
-        params = resolve_params(config)
-    else:
-        params = scenario
+    try:
+        scenario, d = lower_bound_params(
+            int(config["n"]), d_factor=args.d_factor, seed=int(config["seed"])
+        )
+        R = scenario.R if config["R"] is None else float(config["R"])
+        params = replace(
+            scenario,
+            L=scenario.L if config["L"] is None else float(config["L"]),
+            R=R,
+            v=R / scenario.c2 if config["v"] is None else float(config["v"]),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid configuration value: {exc}") from exc
     try:
         report = lower_bound_experiment(
-            params,
-            d,
-            trials=args.trials,
-            flood_cap=args.flood_cap,
+            params, d, trials=args.trials, flood_cap=args.flood_cap
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    write_result(out / "lower_bound.json", config, report.to_json_dict())
+    write_result(out / "lower_bound.json", config, report)
     _say(
         args,
         f"wrote {out / 'lower_bound.json'} (P={report.probability:.4f}, "

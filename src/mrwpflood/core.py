@@ -55,25 +55,24 @@ class Point(NamedTuple):
 
 def json_dict(report) -> dict:
     """JSON form of a dataclass: its fields, less the names in the class's
-    ``JSON_SKIP``, plus the attributes named in its ``JSON_EXTRA``.
-
-    Values convert recursively: a nested dataclass becomes its own
-    ``json_dict``, a dict keeps its keys, a tuple or list becomes a list,
-    and a non-finite float becomes ``None``.
-    """
+    ``JSON_SKIP``, plus the attributes named in its ``JSON_EXTRA``, each
+    converted by :func:`json_value`."""
     skip = getattr(report, "JSON_SKIP", ())
     names = [f.name for f in fields(report) if f.name not in skip]
     names += getattr(report, "JSON_EXTRA", ())
-    return {name: _json_value(getattr(report, name)) for name in names}
+    return {name: json_value(getattr(report, name)) for name in names}
 
 
-def _json_value(value):
+def json_value(value):
+    """JSON form of a value, recursively: a dataclass becomes its own
+    ``json_dict``, a dict keeps its keys, a tuple or list becomes a list,
+    and a non-finite float becomes ``None``."""
     if is_dataclass(value):
         return json_dict(value)
     if isinstance(value, dict):
-        return {key: _json_value(item) for key, item in value.items()}
+        return {key: json_value(item) for key, item in value.items()}
     if isinstance(value, (tuple, list)):
-        return [_json_value(item) for item in value]
+        return [json_value(item) for item in value]
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value

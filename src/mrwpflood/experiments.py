@@ -440,19 +440,23 @@ class ScalingReport:
     to_json_dict = json_dict
 
 
+# Source rules of every scaling scale, in run order.
+SCALING_SOURCE_RULES = (SOURCE_IN_CZ, SOURCE_IN_SUBURB)
+
+
 def scaling_experiment(
     scales: Sequence[int] = (1000, 2000, 4000),
     replicas: int = 20,
     c1: float = 2.5,
     constants: tuple[float, float] = DEFAULT_BOUND_CONSTANTS,
-    source_rules: Sequence[str] = (SOURCE_IN_CZ, SOURCE_IN_SUBURB),
     init_mode: str = APPROX_STATIONARY,
     seed: int = 0,
 ) -> ScalingReport:
     """Seeded flooding runs across arena scales.
 
     Each scale uses ``L = sqrt(n)`` with the radius at its admissibility
-    threshold and the speed at its cap.  Every (scale, replica, rule) gets
+    threshold and the speed at its cap, and runs each rule of
+    ``SCALING_SOURCE_RULES``.  Every (scale, replica, rule) gets
     its own derived seed; a zone-placement failure (no agent in the
     requested zone) retries with a fresh derived seed.
     """
@@ -461,13 +465,13 @@ def scaling_experiment(
     max_ratio = 0.0
     spread_constant = 0.0
     ratio_by_rule: dict[str, list[tuple[int, float]]] = {
-        rule: [] for rule in source_rules
+        rule: [] for rule in SCALING_SOURCE_RULES
     }
     for si, n in enumerate(scales):
         base = make_params(n, c1=c1, eta=0.0)
         zone_map = build_zone_map(base)
         budget = flood_time_budget(base, zone_map, constants)
-        for ri, rule in enumerate(source_rules):
+        for ri, rule in enumerate(SCALING_SOURCE_RULES):
             times: list[int] = []
             spreads: list[int] = []
             for r in range(replicas):
@@ -537,7 +541,7 @@ def scaling_experiment(
         replicas=replicas,
         c1=c1,
         constants=tuple(constants),
-        source_rules=tuple(source_rules),
+        source_rules=SCALING_SOURCE_RULES,
         init_mode=init_mode,
         seed=seed,
         runs=runs,
@@ -600,12 +604,15 @@ def lower_bound_params(
     return make_params(n, R=0.9 * d, seed=seed), d
 
 
+# A conditional flood's step cap, in multiples of the travel-time floor.
+MAX_FLOOD_FACTOR = 4.0
+
+
 def lower_bound_experiment(
     params: WorldParams,
     d: float,
     trials: int = 10_000,
     seed: int | None = None,
-    max_flood_factor: float = 4.0,
     flood_cap: int | None = None,
 ) -> LowerBoundReport:
     """Estimate the corner-event probability and verify the travel-time
@@ -615,7 +622,7 @@ def lower_bound_experiment(
     stream the flood initialiser uses, so the tested positions are exactly
     the flood's starting positions).  When the event holds and the randomly
     chosen source is outside ``F``, the flood runs with a step cap of
-    ``max_flood_factor`` times the floor ``(2d - R)/(2v)``; hitting the cap
+    ``MAX_FLOOD_FACTOR`` times the floor ``(2d - R)/(2v)``; hitting the cap
     counts as satisfying the floor (the time is censored, not unknown).
     The zone map depends only on ``(n, L, R)``, so it is built once per
     experiment and shared by every flood.
@@ -629,7 +636,7 @@ def lower_bound_experiment(
     if seed is None:
         seed = params.seed
     threshold = (2.0 * d - params.R) / (2.0 * params.v)
-    max_steps = math.ceil(max_flood_factor * threshold) + 1
+    max_steps = math.ceil(MAX_FLOOD_FACTOR * threshold) + 1
     zone_map = build_zone_map(params)
     hits = f_occupied = annulus_empty = floods = satisfied = 0
     conditional_times: list[int] = []
@@ -714,7 +721,7 @@ class StationarityReport:
 
 
 def stationarity_report(
-    params: WorldParams | None = None,
+    params: WorldParams,
     bins: int = 20,
     snapshots: int = 200,
     spacing: int | None = None,
@@ -724,8 +731,6 @@ def stationarity_report(
     """Pool position histograms of a warmed-up population (and optionally of
     the ``approx-stationary`` initialiser) and measure total-variation
     distances."""
-    if params is None:
-        params = make_params(2000)
     if params.v <= 0.0:
         raise ValueError("stationarity validation needs moving agents")
     if warmup_steps is None:

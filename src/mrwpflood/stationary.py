@@ -273,36 +273,27 @@ def _category_masses(x0, y0, L: float):
     )
 
 
+# Side of each category's destination from the origin, per axis: -1 below
+# (u c), +1 above (c + u (L - c)), 0 on the origin's coordinate (c).
+_X_SIDE = np.array([0, 0, -1, 1, -1, -1, 1, 1])
+_Y_SIDE = np.array([-1, 1, 0, 0, -1, 1, 1, -1])
+
+
+def _place(c: np.ndarray, side: np.ndarray, u: np.ndarray, L: float) -> np.ndarray:
+    """One destination coordinate per agent from its origin coordinate
+    ``c``, its side code and a uniform ``u``."""
+    return np.where(side < 0, u * c, np.where(side > 0, c + u * (L - c), c))
+
+
 def _place_destinations(
     origins: np.ndarray, cats: np.ndarray, u1: np.ndarray, u2: np.ndarray, L: float
 ) -> np.ndarray:
-    """Map category draws plus two uniforms per agent to destination points."""
-    x0 = origins[:, 0]
-    y0 = origins[:, 1]
-    dest = np.empty_like(origins)
-    dest[:, 0] = x0
-    dest[:, 1] = y0
-    sel = cats == CROSS_SOUTH
-    dest[sel, 1] = u1[sel] * y0[sel]
-    sel = cats == CROSS_NORTH
-    dest[sel, 1] = y0[sel] + u1[sel] * (L - y0[sel])
-    sel = cats == CROSS_WEST
-    dest[sel, 0] = u1[sel] * x0[sel]
-    sel = cats == CROSS_EAST
-    dest[sel, 0] = x0[sel] + u1[sel] * (L - x0[sel])
-    sel = cats == QUAD_SW
-    dest[sel, 0] = u1[sel] * x0[sel]
-    dest[sel, 1] = u2[sel] * y0[sel]
-    sel = cats == QUAD_NW
-    dest[sel, 0] = u1[sel] * x0[sel]
-    dest[sel, 1] = y0[sel] + u2[sel] * (L - y0[sel])
-    sel = cats == QUAD_NE
-    dest[sel, 0] = x0[sel] + u1[sel] * (L - x0[sel])
-    dest[sel, 1] = y0[sel] + u2[sel] * (L - y0[sel])
-    sel = cats == QUAD_SE
-    dest[sel, 0] = x0[sel] + u1[sel] * (L - x0[sel])
-    dest[sel, 1] = u2[sel] * y0[sel]
-    return dest
+    """Map category draws plus two uniforms per agent to destination points:
+    x is placed by ``u1``, and y by ``u1`` on a cross arm and ``u2`` in a
+    quadrant."""
+    x = _place(origins[:, 0], _X_SIDE[cats], u1, L)
+    y = _place(origins[:, 1], _Y_SIDE[cats], np.where(cats < QUAD_SW, u1, u2), L)
+    return np.stack([x, y], axis=1)
 
 
 def sample_destinations(

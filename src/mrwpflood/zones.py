@@ -240,6 +240,9 @@ class ExpansionReport:
     def ok(self) -> bool:
         return self.violations == 0
 
+    JSON_SKIP = ("witness",)
+    to_json_dict = json_dict
+
 
 EXHAUSTIVE_LIMIT = 20
 # Subsets one margin evaluation holds at once.

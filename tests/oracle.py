@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from mrwpflood.core import INIT_STREAM_INDEX, Point, WorldParams, derive_substream
-from mrwpflood.experiments import LowerBoundReport, derived_seed
+from mrwpflood.experiments import MAX_FLOOD_FACTOR, LowerBoundReport, derived_seed
 from mrwpflood.flooding import SOURCE_RANDOM, run_flood
 from mrwpflood.mobility import (
     APPROX_STATIONARY,
@@ -485,7 +485,6 @@ def lower_bound_experiment(
     d: float,
     trials: int = 10_000,
     seed: int | None = None,
-    max_flood_factor: float = 4.0,
     flood_cap: int | None = None,
 ) -> LowerBoundReport:
     """``experiments.lower_bound_experiment`` trial by trial: each trial's
@@ -494,7 +493,7 @@ def lower_bound_experiment(
     if seed is None:
         seed = params.seed
     threshold = (2.0 * d - params.R) / (2.0 * params.v)
-    max_steps = math.ceil(max_flood_factor * threshold) + 1
+    max_steps = math.ceil(MAX_FLOOD_FACTOR * threshold) + 1
     zone_map = build_zone_map(params)
     hits = f_occupied = annulus_empty = floods = satisfied = 0
     conditional_times: list[int] = []

@@ -9,12 +9,22 @@ import pytest
 
 from mrwpflood import __version__
 from mrwpflood.cli import DEFAULT_CONFIG, load_config, main, resolve_params
+from mrwpflood.experiments import lower_bound_params
 
 SMALL = ["--set", "n=400", "--set", "seed=3"]
 
 
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+def read_json(path):
+    """``path`` parsed as strict JSON: ``NaN`` and ``Infinity`` raise."""
+
+    def reject(name):
+        raise ValueError(f"{path} holds {name}, which is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 class TestConfigPlumbing:
@@ -151,7 +161,7 @@ class TestOutputRouting:
 class TestArtifacts:
     def test_zones_files(self, tmp_path):
         assert run_cli("zones", "--output-dir", str(tmp_path), "-q", *SMALL) == 0
-        payload = json.loads((tmp_path / "zones.json").read_text())
+        payload = read_json(tmp_path / "zones.json")
         assert payload["artifact_version"] == __version__
         assert payload["config"]["n"] == 400
         assert "rng_algorithm" in payload
@@ -183,7 +193,7 @@ class TestArtifacts:
     def test_flood_summary_and_progress(self, tmp_path):
         code = run_cli("flood", "--output-dir", str(tmp_path), "-q", *SMALL)
         assert code == 0
-        payload = json.loads((tmp_path / "flood_summary.json").read_text())
+        payload = read_json(tmp_path / "flood_summary.json")
         result = payload["result"]
         assert result["flooding_time"] >= 1
         assert result["timed_out"] is False
@@ -206,9 +216,16 @@ class TestArtifacts:
             "R=30",
         )
         assert code == 0
-        payload = json.loads((tmp_path / "expansion.json").read_text())
+        payload = read_json(tmp_path / "expansion.json")
         assert payload["result"]["mode"] == "exhaustive"
         assert payload["result"]["violations"] == 0
+
+    def test_expansion_check_empty_central_zone(self, tmp_path):
+        argv = ["--set", "n=200", "--set", "R=0.5", "--output-dir", str(tmp_path)]
+        assert run_cli("expansion-check", "-q", *argv) == 0
+        result = read_json(tmp_path / "expansion.json")["result"]
+        assert result["cz_size"] == 0 and result["subsets_checked"] == 0
+        assert result["worst_margin"] is None and result["witness"] is None
 
     def test_heatmap_files(self, tmp_path):
         code = run_cli(
@@ -233,9 +250,26 @@ class TestArtifacts:
             "n=1000",
         )
         assert code == 0
-        payload = json.loads((tmp_path / "lower_bound.json").read_text())
+        payload = read_json(tmp_path / "lower_bound.json")
         assert payload["result"]["trials"] == 100
         assert payload["result"]["floods"] == 0
+
+    def test_lower_bound_set_speed_keeps_the_scenario_radius(self, tmp_path):
+        argv = ["--trials", "200", "--flood-cap", "2", "--set", "v=0.05"]
+        assert run_cli("lower-bound", *argv, "--output-dir", str(tmp_path), "-q") == 0
+        params = read_json(tmp_path / "lower_bound.json")["result"]["params"]
+        scenario, d = lower_bound_params(2000)
+        assert params["R"] == 0.9 * d and params["L"] == scenario.L
+        assert params["v"] == 0.05
+
+    def test_lower_bound_set_side_is_the_world_side(self, tmp_path):
+        argv = ["--trials", "100", "--flood-cap", "0", "--set", "n=1000"]
+        argv += ["--set", "L=40", "--output-dir", str(tmp_path), "-q"]
+        assert run_cli("lower-bound", *argv) == 0
+        params = read_json(tmp_path / "lower_bound.json")["result"]["params"]
+        scenario, _ = lower_bound_params(1000)
+        assert params["L"] == 40
+        assert params["R"] == scenario.R and params["v"] == scenario.v
 
     def test_scaling_artifacts(self, tmp_path):
         code = run_cli(
@@ -252,6 +286,8 @@ class TestArtifacts:
         assert (tmp_path / "scaling.csv").exists()
         runs = sorted((tmp_path / "runs").glob("run_*.json"))
         assert len(runs) == 4  # 2 replicas x 2 source rules
+        for path in [tmp_path / "scaling.json", *runs]:
+            read_json(path)
 
     def test_validate_stationary_exit_codes(self, tmp_path):
         base = [
@@ -268,7 +304,7 @@ class TestArtifacts:
         ]
         assert run_cli(*base, "--tv-limit", "1.0") == 0
         assert run_cli(*base, "--tv-limit", "1e-9") == 1
-        payload = json.loads((tmp_path / "stationarity.json").read_text())
+        payload = read_json(tmp_path / "stationarity.json")
         assert payload["result"]["tv_init"] is None
 
     def test_lemma_sweep_negative_control_exit_1(self, tmp_path):
@@ -283,7 +319,7 @@ class TestArtifacts:
             "-q",
         )
         assert code == 1
-        payload = json.loads((tmp_path / "lemma_sweep.json").read_text())
+        payload = read_json(tmp_path / "lemma_sweep.json")
         assert payload["result"]["ok"] is False
         assert run_cli("lemma-sweep", *skips, "--output-dir", str(tmp_path), "-q") == 0
 
@@ -309,8 +345,8 @@ class TestDeterminism:
         run_cli(
             "flood", "--output-dir", str(b), "-q", "--set", "n=400", "--set", "seed=1"
         )
-        pa = json.loads((a / "flood_summary.json").read_text())
-        pb = json.loads((b / "flood_summary.json").read_text())
+        pa = read_json(a / "flood_summary.json")
+        pb = read_json(b / "flood_summary.json")
         assert pa["result"]["source_agent"] != pb["result"]["source_agent"] or (
             pa["result"]["flooding_time"] != pb["result"]["flooding_time"]
         )

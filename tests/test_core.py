@@ -29,7 +29,7 @@ from mrwpflood.core import (
 )
 from mrwpflood.experiments import derived_seed, lower_bound_params
 from mrwpflood.flooding import run_flood
-from mrwpflood.zones import build_zone_map
+from mrwpflood.zones import build_zone_map, check_expansion
 
 
 def make(n=100, L=10.0, R=2.0, v=0.1, **kw):
@@ -158,6 +158,9 @@ class TestJsonDict:
                 p, bins=4, snapshots=2
             ).to_json_dict(),
             "LemmaSweepReport": sweep,
+            "ExpansionReport": check_expansion(
+                build_zone_map(p), samples=100
+            ).to_json_dict(),
             "LemmaSweepReport.settings[0]": sweep["settings"][0],
         }
         params = "L R c1 c2 eta n seed v"
@@ -181,6 +184,8 @@ class TestJsonDict:
             "LemmaSweepReport": "density_violations deterministic_violations "
             "eta_override ok seed settings suburb_scale turn_fraction "
             "turn_violations turn_windows",
+            "ExpansionReport": "cz_size mode subsets_checked violations "
+            "worst_margin",
             "LemmaSweepReport.settings[0]": "coverage_columns coverage_ok "
             "coverage_rows cz_size density_checked density_violations "
             "expansion_checked expansion_violations m name params "
