@@ -48,7 +48,12 @@ countdowns run to hundreds of steps.  One covers an empty central zone:
 checked and its worst margin, infinite, is written as `null`.  One covers
 a lower-bound world with one value set: `lower-bound --trials 200
 --flood-cap 2 --set v=0.05` keeps the corner scenario's L and R = 0.9 d
-and moves its agents at v = 0.05.
+and moves its agents at v = 0.05.  Two more, appended last, cover the
+rest of the lower-bound world: `lower-bound-side` (`--set n=1000 --set
+L=40`) scales the corner side with the set side, d = 0.23 * 40 / 10, and
+`lower-bound-constants` (`--set constants.c1=3 --set constants.c2=20
+--set eta=0.5`) carries the config's constants into the world, with
+v = R / 20.
 """
 
 import hashlib
@@ -118,6 +123,20 @@ COMMANDS = [
     ),
     ("heatmap", ["heatmap"]),
     ("heatmap-origin", ["heatmap", "--origin", "2,7", "--bins", "30"]),
+    (
+        "lower-bound-side",
+        [
+            "lower-bound", "--trials", "200", "--flood-cap", "2",
+            "--set", "n=1000", "--set", "L=40",
+        ],
+    ),
+    (
+        "lower-bound-constants",
+        [
+            "lower-bound", "--trials", "200", "--flood-cap", "2",
+            "--set", "constants.c1=3", "--set", "constants.c2=20", "--set", "eta=0.5",
+        ],
+    ),
 ]
 
 

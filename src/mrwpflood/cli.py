@@ -21,10 +21,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,13 +30,20 @@ import numpy as np
 from . import __version__
 from .core import RNG_ALGORITHM_ID, SPEED_ENVELOPE_DEFAULT, WorldParams, json_value
 from .experiments import (
+    SCENARIO_C1,
     lemma_sweep,
     lower_bound_experiment,
     lower_bound_params,
+    make_params,
     scaling_experiment,
     stationarity_report,
 )
-from .flooding import SOURCE_RANDOM, SourcePlacementError, run_flood
+from .flooding import (
+    DEFAULT_BOUND_CONSTANTS,
+    SOURCE_RANDOM,
+    SourcePlacementError,
+    run_flood,
+)
 from .mobility import APPROX_STATIONARY, Heading, Leg, init_population
 from .stationary import destination_law, spatial_density
 from .zones import (
@@ -62,7 +67,12 @@ DEFAULT_CONFIG: dict = {
     "init": APPROX_STATIONARY,
     "warmup_steps": None,
     "eta": 0.02,
-    "constants": {"a": 18.0, "b": 600.0, "c1": 2.5, "c2": SPEED_ENVELOPE_DEFAULT},
+    "constants": {
+        "a": DEFAULT_BOUND_CONSTANTS[0],
+        "b": DEFAULT_BOUND_CONSTANTS[1],
+        "c1": SCENARIO_C1,
+        "c2": SPEED_ENVELOPE_DEFAULT,
+    },
     "max_steps": None,
 }
 
@@ -126,25 +136,34 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     return config
 
 
-def resolve_params(config: dict) -> WorldParams:
-    """Fill derived defaults and build the world parameters."""
+def config_integer(config: dict, key: str) -> int:
+    """The config's integer ``key``; a boolean or a fractional number is a
+    ``ConfigError``."""
+    value = config[key]
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def world_values(config: dict) -> dict:
+    """The config's typed world values, the keyword arguments of
+    ``make_params``: n, L, R, v (None where unset), c1, c2, eta and seed."""
     try:
-        n = int(config["n"])
-        constants = config["constants"]
-        c1 = float(constants["c1"])
-        c2 = float(constants["c2"])
-        eta = float(config["eta"])
-        seed = int(config["seed"])
-        L = float(config["L"]) if config["L"] is not None else math.sqrt(n)
-        if config["R"] is not None:
-            R = float(config["R"])
-        else:
-            R = c1 * L * math.sqrt(math.log(n) / n) if n > 1 else L
-        v = float(config["v"]) if config["v"] is not None else R / c2
-    except (TypeError, ValueError, KeyError) as exc:
+        values = {key: config_integer(config, key) for key in ("n", "seed")}
+        for key in ("L", "R", "v"):
+            values[key] = None if config[key] is None else float(config[key])
+        for key in ("c1", "c2"):
+            values[key] = float(config["constants"][key])
+        values["eta"] = float(config["eta"])
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid configuration value: {exc}") from exc
+    return values
+
+
+def resolve_params(config: dict) -> WorldParams:
+    """The config's world: ``make_params`` of its world values."""
     try:
-        return WorldParams(n=n, L=L, R=R, v=v, seed=seed, c1=c1, c2=c2, eta=eta)
+        return make_params(**world_values(config))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -351,7 +370,7 @@ def cmd_lemma_sweep(args, config: dict) -> int:
         include_expansion=not args.skip_expansion,
         include_density=not args.skip_density,
         include_turns=not args.skip_turns,
-        seed=int(config["seed"]),
+        seed=config_integer(config, "seed"),
     )
     result = report.to_json_dict()
     write_result(out / "lemma_sweep.json", config, result)
@@ -389,14 +408,15 @@ def cmd_lemma_sweep(args, config: dict) -> int:
 
 
 def cmd_scaling(args, config: dict) -> int:
+    """n, L, R and v follow ``--scales``; c1, c2, eta and seed the config."""
+    world = world_values(config)
     out = _out_dir(args)
     report = scaling_experiment(
         scales=args.scales,
         replicas=args.replicas,
-        c1=float(config["constants"]["c1"]),
         constants=bound_constants(config),
         init_mode=config["init"],
-        seed=int(config["seed"]),
+        **{key: world[key] for key in ("c1", "c2", "eta", "seed")},
     )
     write_result(out / "scaling.json", config, report)
     rows = [list(row.values()) for row in report.rows]
@@ -414,24 +434,11 @@ def cmd_scaling(args, config: dict) -> int:
 
 
 def cmd_lower_bound(args, config: dict) -> int:
-    """The corner scenario of ``lower_bound_params``; each of L, R and v
-    that the config sets replaces the scenario's value, and an unset v is
-    the cap ``R / c2`` of the resulting radius."""
+    """The corner scenario of ``lower_bound_params`` in the config's world:
+    its corner side scales with L, and an unset R is 0.9 of it."""
     out = _out_dir(args)
     try:
-        scenario, d = lower_bound_params(
-            int(config["n"]), d_factor=args.d_factor, seed=int(config["seed"])
-        )
-        R = scenario.R if config["R"] is None else float(config["R"])
-        params = replace(
-            scenario,
-            L=scenario.L if config["L"] is None else float(config["L"]),
-            R=R,
-            v=R / scenario.c2 if config["v"] is None else float(config["v"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid configuration value: {exc}") from exc
-    try:
+        params, d = lower_bound_params(d_factor=args.d_factor, **world_values(config))
         report = lower_bound_experiment(
             params, d, trials=args.trials, flood_cap=args.flood_cap
         )

@@ -33,8 +33,7 @@ RNG_ALGORITHM_ID = "numpy-pcg64-seedseq(seed,index)"
 SPEED_ENVELOPE_DEFAULT = 3.0 * (1.0 + math.sqrt(5.0))
 
 #: Default radius-envelope constant in R >= c1 * L * sqrt(log n / n), the
-#: ``WorldParams`` default; ``make_params``, the CLI config and the README
-#: use 2.5.
+#: ``WorldParams`` default; the scenarios use ``experiments.SCENARIO_C1``.
 RADIUS_ENVELOPE_DEFAULT = 200.0
 
 # Reserved substream indices.  Agents use their own id (0 .. n-1); all
@@ -88,8 +87,8 @@ class WorldParams:
     v       constant agent speed per step (>= 0)
     seed    64-bit seed from which every substream is derived
     c1      radius-envelope constant: R >= c1 * L * sqrt(log n / n).  The
-            default, RADIUS_ENVELOPE_DEFAULT = 200, is not the 2.5 that
-            make_params, the CLI config and the README use; a bare
+            default, RADIUS_ENVELOPE_DEFAULT = 200, is not the
+            experiments.SCENARIO_C1 = 2.5 of make_params and the CLI; a bare
             WorldParams at those radii reports radius_ok False, so
             run_flood caps it at FALLBACK_MAX_STEPS.  Pass c1 to match.
     c2      speed-envelope constant: v <= R / c2
@@ -109,6 +108,9 @@ class WorldParams:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        for name in ("c1", "c2", "eta", "L", "R", "v"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.L > 0:
             raise ValueError(f"L must be positive, got {self.L}")
         if not self.R > 0:

@@ -59,6 +59,11 @@ from .zones import (
 )
 
 
+#: The radius-envelope constant of ``make_params``, ``scaling_experiment``
+#: and the CLI config (``WorldParams`` defaults to a stricter 200).
+SCENARIO_C1 = 2.5
+
+
 def derived_seed(*entropy: int) -> int:
     """Deterministic 64-bit seed from an integer tuple."""
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
@@ -66,24 +71,27 @@ def derived_seed(*entropy: int) -> int:
 
 def make_params(
     n: int,
-    c1: float = 2.5,
+    c1: float = SCENARIO_C1,
     radius_multiplier: float = 1.0,
     R: float | None = None,
     v: float | None = None,
     eta: float = 0.0,
     seed: int = 0,
+    L: float | None = None,
+    c2: float = SPEED_ENVELOPE_DEFAULT,
 ) -> WorldParams:
-    """Scenario parameters at the standard arena scaling ``L = sqrt(n)``.
+    """The world of every scenario and CLI subcommand.
 
-    The radius defaults to ``radius_multiplier`` times the admissibility
-    threshold ``c1 L sqrt(ln(n)/n)`` and the speed to its cap ``R / c2``.
+    The side defaults to ``sqrt(n)``, the radius to ``radius_multiplier``
+    times the admissibility threshold ``c1 L sqrt(ln(n)/n)`` (``L`` at
+    ``n = 1``), and the speed to its cap ``R / c2``.
     """
-    L = math.sqrt(n)
+    L = math.sqrt(n) if L is None else L
     if R is None:
-        R = radius_multiplier * c1 * L * math.sqrt(math.log(n) / n)
+        R = radius_multiplier * c1 * L * math.sqrt(math.log(n) / n) if n > 1 else L
     if v is None:
-        v = R / SPEED_ENVELOPE_DEFAULT
-    return WorldParams(n=n, L=L, R=R, v=v, seed=seed, c1=c1, eta=eta)
+        v = R / c2
+    return WorldParams(n=n, L=L, R=R, v=v, seed=seed, c1=c1, c2=c2, eta=eta)
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
@@ -447,18 +455,19 @@ SCALING_SOURCE_RULES = (SOURCE_IN_CZ, SOURCE_IN_SUBURB)
 def scaling_experiment(
     scales: Sequence[int] = (1000, 2000, 4000),
     replicas: int = 20,
-    c1: float = 2.5,
+    c1: float = SCENARIO_C1,
     constants: tuple[float, float] = DEFAULT_BOUND_CONSTANTS,
     init_mode: str = APPROX_STATIONARY,
     seed: int = 0,
+    c2: float = SPEED_ENVELOPE_DEFAULT,
+    eta: float = 0.0,
 ) -> ScalingReport:
     """Seeded flooding runs across arena scales.
 
-    Each scale uses ``L = sqrt(n)`` with the radius at its admissibility
-    threshold and the speed at its cap, and runs each rule of
-    ``SCALING_SOURCE_RULES``.  Every (scale, replica, rule) gets
-    its own derived seed; a zone-placement failure (no agent in the
-    requested zone) retries with a fresh derived seed.
+    Each scale uses ``make_params(n, c1=c1, c2=c2, eta=eta)`` and runs each
+    rule of ``SCALING_SOURCE_RULES``.  Every (scale, replica, rule) gets its
+    own derived seed; a zone-placement failure (no agent in the requested
+    zone) retries with a fresh derived seed.
     """
     runs: list[RunRecord] = []
     rows: list[dict] = []
@@ -468,7 +477,7 @@ def scaling_experiment(
         rule: [] for rule in SCALING_SOURCE_RULES
     }
     for si, n in enumerate(scales):
-        base = make_params(n, c1=c1, eta=0.0)
+        base = make_params(n, c1=c1, c2=c2, eta=eta)
         zone_map = build_zone_map(base)
         budget = flood_time_budget(base, zone_map, constants)
         for ri, rule in enumerate(SCALING_SOURCE_RULES):
@@ -591,17 +600,20 @@ class LowerBoundReport:
 
 
 def lower_bound_params(
-    n: int = 2000, d_factor: float = 0.23, seed: int = 0
+    n: int = 2000, d_factor: float = 0.23, seed: int = 0,
+    L: float | None = None, R: float | None = None, **world,
 ) -> tuple[WorldParams, float]:
-    """Standard lower-bound scenario: ``d = d_factor * L / n^(1/3)`` with
-    the radius just inside ``d`` (``R = 0.9 d``) and the speed at its cap.
+    """Standard lower-bound scenario: the corner side ``d = d_factor * L /
+    n^(1/3)`` scales with the side ``L`` (default ``sqrt(n)``), ``R``
+    defaults to just inside it (``0.9 d``), and ``make_params`` takes the rest.
 
     ``d_factor`` trades the corner square's size against the emptiness of
     its surrounding annulus so the corner event keeps a workable
     probability at finite ``n``.
     """
-    d = d_factor * math.sqrt(n) / n ** (1.0 / 3.0)
-    return make_params(n, R=0.9 * d, seed=seed), d
+    d = d_factor * (math.sqrt(n) if L is None else L) / n ** (1.0 / 3.0)
+    R = 0.9 * d if R is None else R
+    return make_params(n, L=L, R=R, seed=seed, **world), d
 
 
 # A conditional flood's step cap, in multiples of the travel-time floor.

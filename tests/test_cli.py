@@ -62,10 +62,21 @@ class TestExitCodes:
             ["--set", "noequalsign"],
             ["--set", "n=0"],  # invalid world size
             ["--set", "R=-1"],
+            ["--set", "v=NaN"],  # non-finite world values
+            ["--set", "v=Infinity"],
+            ["--set", "eta=NaN"],
+            ["--set", "L=Infinity"],
+            ["--set", "constants.c2=NaN"],
+            ["--set", "n=2000.7"],  # fractional or boolean integers
+            ["--set", "n=true"],
+            ["--set", "seed=1.5"],
+            ["--set", "seed=false"],
         ],
     )
-    def test_bad_overrides_exit_2(self, tmp_path, overrides):
+    def test_bad_overrides_exit_2(self, tmp_path, capsys, overrides):
         assert run_cli("zones", "--output-dir", str(tmp_path), "-q", *overrides) == 2
+        key = overrides[-1].split("=")[0].split(".")[-1]
+        assert key in capsys.readouterr().err  # the message names the key
 
     def test_missing_config_file_exit_2(self, tmp_path):
         assert (
@@ -263,13 +274,40 @@ class TestArtifacts:
         assert params["v"] == 0.05
 
     def test_lower_bound_set_side_is_the_world_side(self, tmp_path):
+        # the corner side scales with the set side: d = 0.23 * 40 / 1000^(1/3)
         argv = ["--trials", "100", "--flood-cap", "0", "--set", "n=1000"]
         argv += ["--set", "L=40", "--output-dir", str(tmp_path), "-q"]
         assert run_cli("lower-bound", *argv) == 0
-        params = read_json(tmp_path / "lower_bound.json")["result"]["params"]
-        scenario, _ = lower_bound_params(1000)
+        result = read_json(tmp_path / "lower_bound.json")["result"]
+        params = result["params"]
         assert params["L"] == 40
-        assert params["R"] == scenario.R and params["v"] == scenario.v
+        assert result["d"] == pytest.approx(0.92, rel=1e-15)
+        assert params["R"] == 0.9 * result["d"]
+        assert params["v"] == params["R"] / DEFAULT_CONFIG["constants"]["c2"]
+
+    def test_world_constants_reach_every_world(self, tmp_path):
+        # c1 = 2: at c1 >= 2.6 the n = 500 scaling world has no suburb
+        constants = ["--set", "constants.c1=2", "--set", "constants.c2=20"]
+        constants += ["--set", "eta=0.5", "-q"]
+        commands = [
+            (["flood", *SMALL], "flood_summary.json"),
+            (
+                ["validate-stationary", "--snapshots", "10", "--skip-approx"]
+                + ["--tv-limit", "1", *SMALL],
+                "stationarity.json",
+            ),
+            (
+                ["lower-bound", "--trials", "100", "--flood-cap", "0"],
+                "lower_bound.json",
+            ),
+            (["scaling", "--scales", "500", "--replicas", "1"], "runs/run_0000.json"),
+        ]
+        for k, (argv, name) in enumerate(commands):
+            out = tmp_path / str(k)
+            assert run_cli(*argv, *constants, "--output-dir", str(out)) == 0, argv
+            params = read_json(out / name)["result"]["params"]
+            assert (params["c1"], params["c2"], params["eta"]) == (2, 20, 0.5), argv
+            assert params["v"] == params["R"] / 20, argv
 
     def test_scaling_artifacts(self, tmp_path):
         code = run_cli(
@@ -402,10 +440,10 @@ PINNED_ARTIFACTS = [
         ["scaling", "--scales", "1000", "--replicas", "2"],
         0,
         {
-            "runs/run_0000.json": "615d278dedcee64d740993679f54fa256f17b1a92d333cfe5fd284c2a8eaa680",
-            "runs/run_0001.json": "8738c9306e0a379ec632cbfba796ac5175c8f1ab7451928abe1c4d1bfb94c799",
-            "runs/run_0002.json": "93329a51fc5ae28051a4bf0f66523a7cffcce31e393a200275177ccf55186893",
-            "runs/run_0003.json": "db7bb7366a6dbe762af5bd10ee769abc79049b72d10276133d62ffa919a10ec8",
+            "runs/run_0000.json": "0da13d6882ae2f411b1084b572003989734c063c410b34391bf50fa7e59c8b57",
+            "runs/run_0001.json": "25c3d06864e93cf0d2755c0b15167316ed1318f8cc069472c574758abb6114ee",
+            "runs/run_0002.json": "16ab8329d3220d4f934dbaca2ad9d787e10cedb0f93f58a2f73b8390cbf8915d",
+            "runs/run_0003.json": "0065e70511a579e26b90d551d436b1ccf8bb9a28863148fe2a28323043ba4cbb",
             "scaling.csv": "d4e249342582b08667e629c0cf40dda97ebe231053efb323e93f12edd7cb71fb",
             "scaling.json": "bf39a5bb2343d67ab4462391a7f0fd253dcd95acf84cc5dc7196fdb920d6a98e",
         },
@@ -414,7 +452,7 @@ PINNED_ARTIFACTS = [
         ["lower-bound", "--trials", "200", "--flood-cap", "3"],
         0,
         {
-            "lower_bound.json": "29a8e9af1aee197307d47d4815565b1bcd47dee65bd5f95b41620c57be000e18",
+            "lower_bound.json": "76ad4f1cfaaea37c0ea4b85d9ca1beeca4ffdcce5a7da900f74e34f0c6c9e8ac",
         },
     ),
     (

@@ -52,6 +52,15 @@ class TestWorldParams:
             {"c1": 0.0},
             {"c2": -1.0},
             {"eta": -0.01},
+            {"L": math.nan},
+            {"L": math.inf},
+            {"R": math.inf},
+            {"v": math.nan},
+            {"v": math.inf},
+            {"c1": math.inf},
+            {"c2": math.nan},
+            {"eta": math.nan},
+            {"eta": math.inf},
         ],
     )
     def test_rejects_bad_values(self, kw):
