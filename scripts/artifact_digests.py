@@ -30,7 +30,9 @@ max_steps=300` spreads for all 300 steps (7994 of 8000 agents informed at
 seed 0), on an exchange lattice of two cells a bucket side where the
 denser commands use eight.  One covers an exchange with few senders:
 `flood --set R=0.5 --set max_steps=40` informs 25 of 2000 agents in its 40
-steps, so each step's neighbour index holds between 1 and 24 agents.  One
+steps, so each step's neighbour index holds between 1 and 24 agents; 37
+of its 40 exchanges have at most 2^15 (target, sender) pairs and are
+answered by the direct distance check, the last three on the lattice.  One
 covers the corner trials at a seed of two 32-bit words: `lower-bound
 --trials 1000 --flood-cap 2 --set seed=4294967297` (about 0.8 s) derives
 every trial's seed and stream from a seed whose high word is 1.  One covers

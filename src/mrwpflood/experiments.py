@@ -467,7 +467,9 @@ def scaling_experiment(
     Each scale uses ``make_params(n, c1=c1, c2=c2, eta=eta)`` and runs each
     rule of ``SCALING_SOURCE_RULES``.  Every (scale, replica, rule) gets its
     own derived seed; a zone-placement failure (no agent in the requested
-    zone) retries with a fresh derived seed.
+    zone) retries with a fresh derived seed.  ``SourcePlacementError`` is
+    raised before a scale's first flood when its zone map has no cell of a
+    rule's zone, and when 100 seeds in a row place no source.
     """
     runs: list[RunRecord] = []
     rows: list[dict] = []
@@ -480,6 +482,12 @@ def scaling_experiment(
         base = make_params(n, c1=c1, c2=c2, eta=eta)
         zone_map = build_zone_map(base)
         budget = flood_time_budget(base, zone_map, constants)
+        for rule in SCALING_SOURCE_RULES:
+            zone = zone_map.central if rule == SOURCE_IN_CZ else ~zone_map.central
+            if not zone.any():
+                raise SourcePlacementError(
+                    f"no cell of the zone of source rule {rule!r} at n={n}"
+                )
         for ri, rule in enumerate(SCALING_SOURCE_RULES):
             times: list[int] = []
             spreads: list[int] = []
@@ -500,7 +508,7 @@ def scaling_experiment(
                     except SourcePlacementError:
                         continue
                 else:
-                    raise RuntimeError(
+                    raise SourcePlacementError(
                         f"could not place a source with rule {rule!r} at n={n}"
                     )
                 runs.append(record)

@@ -10,18 +10,21 @@ Each step's neighbour index holds the senders only, the agents informed
 before the step; its queries are the uninformed agents the message can have
 reached.  An agent informed at step ``s`` started within ``s (R + 2v)`` of
 the source, which ``flood_step`` checks from each agent's starting distance
-(so ``run_flood``'s ``on_step`` must not move the agents).  The exchange
-works on one lattice, the index's own cells: bucket columns just wider than
-``R``, cut into square cells, whose size is fixed by the world (n, L, R) and
-not by how many agents are informed.  Two stencils of cell offsets are fixed per
-query radius: the *possible* one holds the offsets whose nearest points can
-lie within the radius, the *certain* one those whose farthest points do.  An
-agent outside the possible dilation of the senders' cells is a miss without
-a search; one in the arena and inside the certain dilation of the senders in
-the arena is a hit without a distance check.  Each other agent is paired
-only with the senders in its search band (the sub-rows of three bucket
-columns that can hold a point within ``R``), in pair chunks of a fixed size,
-so transient memory is bounded.  Answers are exact.
+(so ``run_flood``'s ``on_step`` must not move the agents).  An exchange of
+at most ``_DIRECT_PAIRS`` (query, sender) pairs, as in most steps far below
+the connectivity threshold, checks every pair by distance and grids no
+agent.  A larger one works on one lattice, the index's own cells: bucket
+columns just wider than ``R``, cut into square cells, whose size is fixed
+by the world (n, L, R) and not by how many agents are informed.  Two
+stencils of cell offsets are fixed per query radius: the *possible* one
+holds the offsets whose nearest points can lie within the radius, the
+*certain* one those whose farthest points do.  An agent outside the
+possible dilation of the senders' cells is a miss without a search; one in
+the arena and inside the certain dilation of the senders in the arena is a
+hit without a distance check.  Each other agent is paired only with the
+senders in its search band (the sub-rows of three bucket columns that can
+hold a point within ``R``), in pair chunks of a fixed size, so transient
+memory is bounded.  Answers are exact on both paths.
 """
 
 from __future__ import annotations
@@ -47,6 +50,9 @@ from .zones import ZoneMap, build_zone_map, cz_neighborhood, grid_index
 
 DEFAULT_BOUND_CONSTANTS = (18.0, 600.0)
 FALLBACK_MAX_STEPS = 10_000_000
+# Most (query point, sender) pairs ``NeighborIndex.any_within`` checks
+# directly, without the lattice (``NeighborIndex`` gives the break-even).
+_DIRECT_PAIRS = 1 << 15
 # Most (query, candidate) pairs a NeighborIndex query holds at once.
 _PAIR_CHUNK = 1 << 21
 # Most band-table entries (``nb * ny``) per indexed agent; past it
@@ -166,9 +172,19 @@ class NeighborIndex:
     side.  ``n`` is the population size the lattice is made for, by default
     the number of positions.  ``flood_step`` passes the world's ``n``, so
     its lattice is the same at every step, whatever the number of senders.
-    Each agent's cell (``cells``) is found here, and the arena mask
-    (``inside``) when an agent lies outside ``[0, L]^2``.  Answers are
-    exact.
+    Building the index sets these sizes only.  Each agent's code and cell
+    (``codes``, ``cells``) are found together on their first use, and the
+    arena mask (``inside``, ``None`` when every agent lies in ``[0,
+    L]^2``) on its first use.
+
+    A query of ``t`` points against ``s`` masked agents with ``s * t <=
+    _DIRECT_PAIRS`` skips all of this: it checks every pair by ``_close``'s
+    arithmetic, with two ``(s, t)`` float temporaries of at most 256 KB
+    each.  On the exchanges of corner-trial floods (n = 2000, 2 cores) the
+    direct check took about 3.6 ns a pair (18 us at 2-4k pairs, 120 us at
+    28-32k), while building an index and answering on its lattice took
+    140-210 us at every size: break-even near 40k pairs, above the 2^15 of
+    ``_DIRECT_PAIRS``.  Answers are exact on both paths.
     """
 
     def __init__(
@@ -184,9 +200,6 @@ class NeighborIndex:
         self.k = max(1, min(_SUB_ROWS, (1 << 16) // (self.nb * self.nb)))
         self.ny = self.k * self.nb
         self.height = self.side / self.k
-        col, row = self._columns(positions[:, 0]), self._rows(positions[:, 1])
-        self.codes = col * self.ny + row
-        self._order = None
         n = len(positions) if n is None else n
         most = min(_LATTICE_SPAN * math.sqrt(n), _CELL_SIDES)
         divisors = [j for j in range(1, min(self.k, _SUB_COLUMNS) + 1) if self.k % j == 0]
@@ -195,23 +208,43 @@ class NeighborIndex:
         self.lattice = self.j * self.nb
         # a possible stencil has at most j + 1 rows (``_stencils``)
         self.pitch = self.lattice + self.j + 1
-        self.cells = None
+
+    @functools.cached_property
+    def _grid(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """(codes, cells) of the agents, computed together on first use."""
+        x, y = self.positions[:, 0], self.positions[:, 1]
+        col, row = self._columns(x), self._rows(y)
+        cells = None
         if self.lattice <= _CELL_SIDES:
-            sub = col if self.j == 1 else self._sub_columns(positions[:, 0])
-            self.cells = sub * self.pitch + self._lattice_rows(row)
-        self.inside = None
-        if positions.size and not (positions.min() >= 0.0 and positions.max() <= L):
-            self.inside = self._in_arena(positions)
+            sub = col if self.j == 1 else self._sub_columns(x)
+            cells = sub * self.pitch + self._lattice_rows(row)
+        return col * self.ny + row, cells
 
     @property
+    def codes(self) -> np.ndarray:
+        """Each agent's bucket code, ``column * ny + sub-row``."""
+        return self._grid[0]
+
+    @property
+    def cells(self) -> np.ndarray | None:
+        """Each agent's flat lattice cell, or ``None`` for no lattice."""
+        return self._grid[1]
+
+    @functools.cached_property
+    def inside(self) -> np.ndarray | None:
+        """Whether each agent lies in ``[0, L]^2``, or ``None`` when all do."""
+        pos = self.positions
+        if pos.size and not (pos.min() >= 0.0 and pos.max() <= self.L):
+            return self._in_arena(pos)
+        return None
+
+    @functools.cached_property
     def order(self) -> np.ndarray:
         """The agents by code, stably, sorted on first use; the keys are
         16-bit wherever the codes fit."""
-        if self._order is None:
-            wide = self.nb * self.ny > 1 << 16
-            key = self.codes if wide else self.codes.astype(np.uint16)
-            self._order = np.argsort(key, kind="stable")
-        return self._order
+        wide = self.nb * self.ny > 1 << 16
+        key = self.codes if wide else self.codes.astype(np.uint16)
+        return np.argsort(key, kind="stable")
 
     def _columns(self, x: np.ndarray) -> np.ndarray:
         return grid_index(x, self.side, self.nb)
@@ -344,20 +377,38 @@ class NeighborIndex:
         certain[marked[self._in_arena(np.take(pts, marked, axis=0))]] = True
         return possible, certain
 
+    def _direct(
+        self, pts: np.ndarray, mask: np.ndarray, senders: int, radius: float
+    ) -> np.ndarray:
+        """``any_within`` by checking every point against each of the
+        ``senders`` agents with ``mask``, by ``_close``'s arithmetic."""
+        held = self.positions if senders == len(mask) else self.positions[mask]
+        # (sender, point) arrays: reduced along the senders, this ran about
+        # a quarter faster than rows of a few senders each
+        dx = held[:, 0, None] - pts[:, 0]
+        dy = held[:, 1, None] - pts[:, 1]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        return (dx <= radius * radius).any(axis=0)
+
     def any_within(
         self, pts: np.ndarray, mask: np.ndarray, radius: float
     ) -> np.ndarray:
         """For each query point, whether any agent with ``mask`` true lies
         within ``radius`` of it (closed ball).
 
-        Points outside the possible dilation (``_marks``) are misses
-        without a search, and points marked certain are hits without a
-        distance check.  Only the rest, or every point when there is no
-        lattice, are paired by their bands (``_pairs``) and checked."""
+        At most ``_DIRECT_PAIRS`` (point, agent) pairs, none or no agents
+        included, are all checked (``_direct``).  Otherwise points outside
+        the possible dilation (``_marks``) are misses without a search, and
+        points marked certain are hits without a distance check.  Only the
+        rest, or every point when there is no lattice, are paired by their
+        bands (``_pairs``) and checked."""
         self._check_radius(radius)
+        senders = int(np.count_nonzero(mask))
+        if len(pts) * senders <= _DIRECT_PAIRS:
+            return self._direct(pts, mask, senders, radius)
         out = np.zeros(pts.shape[0], dtype=bool)
-        if pts.shape[0] == 0 or not mask.any():
-            return out
         if self.cells is None:
             rest = np.arange(pts.shape[0])
         else:
@@ -439,8 +490,12 @@ def informed_cells(
     Where its ``2 m^2`` bins are no more than the agents, one ``bincount``
     of ``2 * cell + informed`` counts each cell's uninformed and informed
     agents.  In sparser worlds the bins would cost more than the agents, and
-    the cells of the uninformed agents are marked directly instead."""
+    the cells of the uninformed agents are marked directly instead.  A world
+    with no central cell needs neither: every informed agent is in the
+    suburb."""
     m = zone_map.m
+    if not zone_map.central.any():
+        return np.zeros((m, m), dtype=bool), state.informed_count
     i, j = zone_map.cell_index(population.pos)
     codes = i * m + j  # flat indexing is about twice as fast as 2-D here
     central_flat = zone_map.central.reshape(-1)

@@ -117,6 +117,15 @@ class TestExitCodes:
         assert code == 2
         assert "run error" in capsys.readouterr().err
 
+    def test_scaling_world_without_a_suburb_exit_2(self, tmp_path, capsys):
+        # at c1 = 2.6 the n = 500 world has no suburb cell for the in_suburb
+        # rule: a configuration error, not a checker's verdict (exit 1)
+        argv = ["scaling", "--scales", "500", "--replicas", "1"]
+        argv += ["--set", "constants.c1=2.6", "--output-dir", str(tmp_path), "-q"]
+        assert run_cli(*argv) == 2
+        assert "run error" in capsys.readouterr().err
+        assert not (tmp_path / "scaling.json").exists()
+
     def test_degenerate_heatmap_origin_exit_2(self, tmp_path):
         code = run_cli(
             "heatmap", "--origin", "0,0", "--output-dir", str(tmp_path), "-q", *SMALL

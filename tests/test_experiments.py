@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mrwpflood import experiments
 from mrwpflood.core import SPEED_ENVELOPE_DEFAULT, WorldParams, check_assumptions
 from mrwpflood.experiments import (
     _turn_counter,
@@ -22,7 +23,7 @@ from mrwpflood.experiments import (
     turn_bound,
     turn_statistics,
 )
-from mrwpflood.flooding import flood_time_budget, run_flood
+from mrwpflood.flooding import SourcePlacementError, flood_time_budget, run_flood
 from mrwpflood.mobility import APPROX_STATIONARY, TrajectoryRecorder, init_population
 from mrwpflood.stationary import grid_cell_masses
 from mrwpflood.zones import build_zone_map
@@ -277,6 +278,24 @@ class TestScaling:
         rep = scaling_experiment(scales=(500,), replicas=3)
         seeds = {r.params.seed for r in rep.runs}
         assert len(seeds) == 6
+
+    def test_unplaceable_source_raises_placement_error(self, monkeypatch):
+        # a world with no suburb cell fails before its first flood, and one
+        # whose 100 placement attempts all fail raises the same error
+        floods = []
+
+        def no_source(*args, **kwargs):
+            floods.append(kwargs["source_rule"])
+            raise SourcePlacementError("no agent in the zone")
+
+        monkeypatch.setattr(experiments, "run_flood", no_source)
+        assert build_zone_map(make_params(500, c1=2.6)).suburb_empty
+        with pytest.raises(SourcePlacementError, match="no cell"):
+            scaling_experiment(scales=(500,), replicas=1, c1=2.6)
+        assert floods == []
+        with pytest.raises(SourcePlacementError, match="could not place"):
+            scaling_experiment(scales=(500,), replicas=1)
+        assert floods == ["in_cz"] * 100
 
 
 class TestLowerBound:

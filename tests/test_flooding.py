@@ -83,6 +83,15 @@ def random_index_config(rng):
     return pts, L, R, queries
 
 
+def exchange_paths(monkeypatch):
+    """Force every later ``any_within`` onto each of its two paths in turn,
+    yielding the path's name: the lattice (no pair is checked directly),
+    then the direct check (more pairs than any test query has)."""
+    for path, pairs in (("lattice", 0), ("direct", 1 << 62)):
+        monkeypatch.setattr(flooding, "_DIRECT_PAIRS", pairs)
+        yield path
+
+
 class TestNeighborIndex:
     def test_matches_brute_force_on_random_configs(self):
         # the spatial index must agree with the quadratic reference at the
@@ -111,26 +120,27 @@ class TestNeighborIndex:
         with pytest.raises(ValueError):
             pairs_within(index, 2.5)
 
-    def test_radius_outside_zero_to_r_rejected(self):
+    def test_radius_outside_zero_to_r_rejected(self, monkeypatch):
         # a negative radius is no closed ball, and NaN compares false with
         # every bound; a zero radius of either sign holds the point alone
         index = NeighborIndex(np.array([[1.0, 1.0], [2.0, 1.0], [9.0, 9.0]]), 10.0, 1.5)
         mask = np.ones(3, dtype=bool)
         pts = np.array([[1.0, 1.0], [1.2, 1.0]])
-        for radius in (-1.0, math.nan, np.nextafter(1.5, math.inf)):
-            with pytest.raises(ValueError, match="outside"):
-                ball_query(index, (1.2, 1.0), radius)
-            with pytest.raises(ValueError, match="outside"):
-                index.any_within(pts, mask, radius)
-            with pytest.raises(ValueError, match="outside"):
-                index.any_within(pts[:0], mask, radius)
-            with pytest.raises(ValueError, match="outside"):
-                pairs_within(index, radius)
-        for radius in (0.0, -0.0):
-            assert ball_query(index, (1.0, 1.0), radius).tolist() == [0]
-            assert ball_query(index, (1.2, 1.0), radius).tolist() == []
-            assert index.any_within(pts, mask, radius).tolist() == [True, False]
-            assert pairs_within(index, radius).shape == (0, 2)
+        for _ in exchange_paths(monkeypatch):
+            for radius in (-1.0, math.nan, np.nextafter(1.5, math.inf)):
+                with pytest.raises(ValueError, match="outside"):
+                    ball_query(index, (1.2, 1.0), radius)
+                with pytest.raises(ValueError, match="outside"):
+                    index.any_within(pts, mask, radius)
+                with pytest.raises(ValueError, match="outside"):
+                    index.any_within(pts[:0], mask, radius)
+                with pytest.raises(ValueError, match="outside"):
+                    pairs_within(index, radius)
+            for radius in (0.0, -0.0):
+                assert ball_query(index, (1.0, 1.0), radius).tolist() == [0]
+                assert ball_query(index, (1.2, 1.0), radius).tolist() == []
+                assert index.any_within(pts, mask, radius).tolist() == [True, False]
+                assert pairs_within(index, radius).shape == (0, 2)
 
     def test_query_returns_sorted_closed_ball(self):
         pts = np.array([[1.0, 1.0], [2.0, 1.0], [9.0, 9.0], [1.0, 2.0]])
@@ -138,18 +148,33 @@ class TestNeighborIndex:
         hits = ball_query(index, (1.0, 1.0), 1.0)
         assert hits.tolist() == [0, 1, 3]
 
-    def test_any_within_masks(self):
+    def test_any_within_masks(self, monkeypatch):
         pts = np.array([[1.0, 1.0], [2.0, 1.0], [9.0, 9.0]])
         index = NeighborIndex(pts, 10.0, 1.5)
         mask = np.array([True, False, False])  # only agent 0 is a candidate
-        hit = index.any_within(np.array([[2.0, 1.0], [8.5, 9.0]]), mask, 1.5)
-        assert hit.tolist() == [True, False]
+        for path in exchange_paths(monkeypatch):
+            hit = index.any_within(np.array([[2.0, 1.0], [8.5, 9.0]]), mask, 1.5)
+            assert hit.tolist() == [True, False], path
+
+    def test_any_within_is_a_closed_ball(self, monkeypatch):
+        # (3, 4) lies exactly R = 5 from the sender, and one ulp farther in y
+        # the squared distance rounds above R^2: a hit and a miss on both
+        # paths, so a strict comparison fails
+        index = NeighborIndex(np.array([[0.0, 0.0]]), 10.0, 5.0)
+        far = np.nextafter(4.0, math.inf)
+        assert 3.0 * 3.0 + far * far > 25.0
+        pts = np.array([[3.0, 4.0], [3.0, far], [4.0, 3.0], [far, 3.0]])
+        for path in exchange_paths(monkeypatch):
+            hit = index.any_within(pts, np.ones(1, dtype=bool), 5.0)
+            assert hit.tolist() == [True, False, True, False], path
 
     def test_single_agent(self):
         index = NeighborIndex(np.array([[5.0, 5.0]]), 10.0, 2.0)
         assert pairs_within(index, 2.0).shape == (0, 2)
 
-    def test_any_within_matches_brute_force(self):
+    def test_any_within_matches_brute_force(self, monkeypatch):
+        # on both paths, with masked agents and query points off the arena
+        hits = 0
         for trial in range(200):
             rng = derive_substream(102, trial)
             pts, L, R, queries = random_index_config(rng)
@@ -160,12 +185,17 @@ class TestNeighborIndex:
                 np.ones(n, dtype=bool),
                 rng.random(n) < rng.random(),
             )
-            for mask in masks:
-                for radius in (R, 0.75 * R):
-                    for q in (queries, queries[:0]):
-                        got = index.any_within(q, mask, radius)
-                        want = brute_force_any_within(pts, q, mask, radius)
-                        assert np.array_equal(got, want), (trial, radius)
+            stray = rng.random((10, 2)) * 1.4 * L - 0.2 * L
+            queries = np.concatenate([queries, stray])
+            for path in exchange_paths(monkeypatch):
+                for mask in masks:
+                    for radius in (R, 0.75 * R):
+                        for q in (queries, queries[:0]):
+                            got = index.any_within(q, mask, radius)
+                            want = brute_force_any_within(pts, q, mask, radius)
+                            assert np.array_equal(got, want), (trial, radius, path)
+                            hits += int(want.sum())
+        assert hits > 10_000
 
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_answers_do_not_depend_on_the_pair_chunk(self, monkeypatch, chunk):
@@ -176,6 +206,7 @@ class TestNeighborIndex:
         queries = rng.random((40, 2)) * L
         mask = rng.random(150) < 0.4
         index = NeighborIndex(pts, L, R)
+        monkeypatch.setattr(flooding, "_DIRECT_PAIRS", 0)  # the lattice path
         want = (
             index.any_within(queries, mask, R),
             pairs_within(index, R),
@@ -267,7 +298,9 @@ class TestCertainHits:
             marks = index._marks(queries, mask, radius)[1]
             want = brute_force_any_within(pts, queries, mask, radius)
             assert not (marks & ~want).any(), case
-            assert np.array_equal(index.any_within(queries, mask, radius), want), case
+            for path in exchange_paths(monkeypatch):
+                got = index.any_within(queries, mask, radius)
+                assert np.array_equal(got, want), (case, path)
             if index.j > 1:
                 marked += int(marks.sum())
                 hits += int(want.sum())
@@ -371,7 +404,9 @@ class TestCertainHits:
                 assert gap <= flooding._stencils(R, cell)[1][rows]
                 assert not brute_force_any_within(index.positions, queries, mask, R).any()
                 assert not index._marks(queries, mask, R)[1].any(), (k, j, sender)
-                assert not index.any_within(queries, mask, R).any(), (k, j, sender)
+                for path in exchange_paths(monkeypatch):
+                    hit = index.any_within(queries, mask, R)
+                    assert not hit.any(), (k, j, sender, path)
 
     def test_no_grid_for_tiny_radii(self, monkeypatch):
         # six cells a bucket side (the 16-bit key allows six sub-rows), and
@@ -383,8 +418,10 @@ class TestCertainHits:
         radius = 100.0 * math.sqrt(5.0) / (flooding._CELL_SIDES + 1)
         assert flooding._stencils(radius, index.cell)[1] == ()
         assert not index._marks(index.positions, mask, radius)[1].any()
-        assert index.any_within(index.positions, mask, radius).tolist() == [True, True]
-        assert index.any_within(index.positions, mask, 0.0).tolist() == [True, False]
+        for _ in exchange_paths(monkeypatch):
+            hits = index.any_within(index.positions, mask, radius)
+            assert hits.tolist() == [True, True]
+            assert index.any_within(index.positions, mask, 0.0).tolist() == [True, False]
 
 
 def brute_force_dilation(cells, pitch, widths):
@@ -489,7 +526,9 @@ class TestLattice:
                 possible, certain = index._marks(queries, mask, radius)
                 assert not (want & ~possible).any(), (sender, radius)
                 assert not (certain & ~want).any(), (sender, radius)
-                assert np.array_equal(index.any_within(queries, mask, radius), want)
+                for path in exchange_paths(monkeypatch):
+                    got = index.any_within(queries, mask, radius)
+                    assert np.array_equal(got, want), (sender, radius, path)
                 checked += int(want.sum())
                 if j > 1:
                     assert certain.any()
@@ -510,7 +549,9 @@ class TestLattice:
             mask = rng.random(len(pts)) < rng.uniform(0.05, 1.0)
             for radius in (R, 0.75 * R, 0.0):
                 want = brute_force_any_within(pts, queries, mask, radius)
-                assert np.array_equal(index.any_within(queries, mask, radius), want)
+                for path in exchange_paths(monkeypatch):
+                    got = index.any_within(queries, mask, radius)
+                    assert np.array_equal(got, want), (trial, radius, path)
                 if index.cells is not None:
                     possible, certain = index._marks(queries, mask, radius)
                     assert not (want & ~possible).any() and not (certain & ~want).any()
@@ -594,7 +635,7 @@ class TestCandidateBand:
             assert all(np.array_equal(a, b) for a, b in zip(table, search)), case
         assert branches == {True, False}
 
-    def test_any_within_without_block_filter(self):
+    def test_any_within_without_block_filter(self, monkeypatch):
         # more than _CELL_SIDES buckets a side: no lattice, so neither the
         # possible (block) filter nor certain hits, and every point is
         # searched
@@ -607,7 +648,8 @@ class TestCandidateBand:
         mask = rng.random(3000) < 0.5
         want = brute_force_any_within(pts, queries, mask, R)
         assert want.any()
-        assert np.array_equal(index.any_within(queries, mask, R), want)
+        for path in exchange_paths(monkeypatch):
+            assert np.array_equal(index.any_within(queries, mask, R), want), path
 
 
 class TestBucketOrder:
@@ -658,7 +700,7 @@ def lattice_of(index):
 
 
 class TestSenderIndex:
-    def test_sender_index_matches_the_masked_index(self):
+    def test_sender_index_matches_the_masked_index(self, monkeypatch):
         # an index of pos[mask] queried with an all-true mask answers as an
         # index of pos queried with mask; given the population size, it has
         # the population's lattice
@@ -680,11 +722,12 @@ class TestSenderIndex:
                 assert lattice_of(sized) == lattice_of(full), trial
                 for radius in (0.0, R):
                     want = brute_force_any_within(pts, queries, mask, radius)
-                    got = full.any_within(queries, mask, radius)
-                    assert np.array_equal(got, want), (trial, radius)
-                    for index in (sized, NeighborIndex(senders, L, R)):
-                        got = index.any_within(queries, everyone, radius)
-                        assert np.array_equal(got, want), (trial, radius)
+                    for path in exchange_paths(monkeypatch):
+                        got = full.any_within(queries, mask, radius)
+                        assert np.array_equal(got, want), (trial, radius, path)
+                        for index in (sized, NeighborIndex(senders, L, R)):
+                            got = index.any_within(queries, everyone, radius)
+                            assert np.array_equal(got, want), (trial, radius, path)
                     hits += int(want.sum())
                 outside += int((full.inside is not None) and mask.any())
         assert hits > 10_000 and outside > 20
@@ -862,6 +905,29 @@ class TestInformedCells:
                 suburb += suburb_count
             assert suburb > 0
         assert counted == {True, False}
+
+    def test_world_without_central_cells(self, monkeypatch):
+        # |CZ| = 0: no cell to mark and every informed agent in the suburb,
+        # answered without finding any agent's cell
+        p = make_params(2000, c1=0.5)
+        z = build_zone_map(p)
+        assert z.cz_size == 0
+        pop = init_population(p, APPROX_STATIONARY)
+        rng = derive_substream(114, 0)
+        states = [
+            FloodState(informed=rng.random(p.n) < frac, step=0, source=0)
+            for frac in (0.0, 0.3, 1.0)
+        ]
+        wants = [oracle.informed_cells(pop, state, z) for state in states]
+
+        def no_grid(self, positions):
+            raise AssertionError("agents gridded")
+
+        monkeypatch.setattr(type(z), "cell_index", no_grid)
+        for state, (cells, suburb) in zip(states, wants):
+            got, count = informed_cells(pop, state, z)
+            assert np.array_equal(got, cells) and got.shape == (z.m, z.m)
+            assert count == suburb == state.informed_count and type(count) is int
 
 
 def set_neighborhood(cells: set, central: np.ndarray) -> set:
@@ -1342,6 +1408,18 @@ def filter_worlds():
         yield pytest.param(p, "random", id=f"corner-{seed}")
 
 
+def exchange_worlds():
+    """(params, source rule) of the worlds the exchange path must not
+    change: corner trials, a sparse flood at 1/64 of the cap speed with no
+    central cell, and cap speed."""
+    for seed in range(3):
+        p = lower_bound_params(2000, seed=seed)[0]
+        yield pytest.param(p, "random", id=f"corner-{seed}")
+    p = make_params(2000, c1=0.5)
+    yield pytest.param(dataclasses.replace(p, v=p.v / 64), "in_suburb", id="sparse-v64")
+    yield pytest.param(make_params(2000, seed=0), "in_cz", id="cap-0")
+
+
 class TestReachFilterRuns:
     @pytest.mark.parametrize("p, rule", filter_worlds())
     def test_filter_on_and_off_give_the_same_record(self, monkeypatch, p, rule):
@@ -1370,3 +1448,26 @@ class TestReachFilterRuns:
         assert records["on"]["flooding_time"] == len(checked)
         assert checked[0] == (1, True)
         assert queries["on"] < queries["off"]
+
+    @pytest.mark.parametrize("p, rule", exchange_worlds())
+    def test_direct_and_lattice_exchanges_give_the_same_record(
+        self, monkeypatch, p, rule
+    ):
+        # the same record, progress included, with every exchange answered
+        # on the lattice, every one answered directly, and each by its size
+        z = build_zone_map(p)
+        records = {}
+        for path, pairs in (("lattice", 0), ("direct", 1 << 62), ("sized", None)):
+            if pairs is not None:
+                monkeypatch.setattr(flooding, "_DIRECT_PAIRS", pairs)
+            rec = run_flood(
+                p,
+                source_rule=rule,
+                zone_map=z,
+                population=init_population(p, APPROX_STATIONARY),
+                collect_progress=True,
+            )
+            records[path] = rec
+            monkeypatch.undo()
+        assert records["lattice"] == records["direct"] == records["sized"]
+        assert len(rec.progress) == rec.flooding_time + 1 > 2
