@@ -50,12 +50,15 @@ countdowns run to hundreds of steps.  One covers an empty central zone:
 checked and its worst margin, infinite, is written as `null`.  One covers
 a lower-bound world with one value set: `lower-bound --trials 200
 --flood-cap 2 --set v=0.05` keeps the corner scenario's L and R = 0.9 d
-and moves its agents at v = 0.05.  Two more, appended last, cover the
+and moves its agents at v = 0.05.  Two more, near the end, cover the
 rest of the lower-bound world: `lower-bound-side` (`--set n=1000 --set
 L=40`) scales the corner side with the set side, d = 0.23 * 40 / 10, and
 `lower-bound-constants` (`--set constants.c1=3 --set constants.c2=20
 --set eta=0.5`) carries the config's constants into the world, with
-v = R / 20.
+v = R / 20.  The last, `lower-bound-n20` (`--trials 300 --flood-cap 1
+--set n=20`, about 0.3 s), draws each corner trial from a first batch at
+its minimum of 64 proposals (twice the 20 agents would be 40), and reads
+8 corner events and one flood, T = 25, at seed 0.
 """
 
 import hashlib
@@ -138,6 +141,10 @@ COMMANDS = [
             "lower-bound", "--trials", "200", "--flood-cap", "2",
             "--set", "constants.c1=3", "--set", "constants.c2=20", "--set", "eta=0.5",
         ],
+    ),
+    (
+        "lower-bound-n20",
+        ["lower-bound", "--trials", "300", "--flood-cap", "1", "--set", "n=20"],
     ),
 ]
 

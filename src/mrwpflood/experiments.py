@@ -50,7 +50,7 @@ from .mobility import (
     init_population,
     position_histogram,
 )
-from .stationary import grid_cell_masses, sample_stationary_positions
+from .stationary import corner_sampler, grid_cell_masses
 from .zones import (
     build_zone_map,
     check_expansion,
@@ -638,10 +638,16 @@ def lower_bound_experiment(
     """Estimate the corner-event probability and verify the travel-time
     floor on conditional floods.
 
-    Each trial draws a fresh stationary population (via the same seeded
+    Each trial places a fresh stationary population on the same seeded
     stream the flood initialiser uses, so the tested positions are exactly
-    the flood's starting positions).  When the event holds and the randomly
-    chosen source is outside ``F``, the flood runs with a step cap of
+    the flood's starting positions, but reads only its agents in ``E``
+    (``corner_sampler``): it tests the proposals of the sampler's
+    first batch up to a prefix that holds ``n`` acceptances but in a
+    vanishing fraction of streams, skips the untested proposals' draws, and
+    reads the accepted ones in ``E``; when the prefix falls short, the
+    trial rewinds its stream and places the whole population.  When the
+    event holds and the randomly chosen source is none of the agents in
+    ``F``, the flood runs with a step cap of
     ``MAX_FLOOD_FACTOR`` times the floor ``(2d - R)/(2v)``; hitting the cap
     counts as satisfying the floor (the time is censored, not unknown).
     The zone map depends only on ``(n, L, R)``, so it is built once per
@@ -666,15 +672,14 @@ def lower_bound_experiment(
     states = substream_states(trial_seeds, INIT_STREAM_INDEX)
     init_rng = np.random.Generator(np.random.PCG64(0))
     state = init_rng.bit_generator.state  # with no buffered uint32
-    for k in range(trials):
-        (s_hi, s_lo), (inc_hi, inc_lo) = states[k].tolist()
+    corner_agents = corner_sampler(params.n, params.L, 3.0 * d)
+    for k, ((s_hi, s_lo), (inc_hi, inc_lo)) in enumerate(states.tolist()):
         state["state"] = {"state": s_hi << 64 | s_lo, "inc": inc_hi << 64 | inc_lo}
         init_rng.bit_generator.state = state
-        pos = sample_stationary_positions(init_rng, params.n, params.L)
-        corner = np.maximum(pos[:, 0], pos[:, 1])  # F is corner <= d, E <= 3d
-        in_f = corner[corner <= 3.0 * d] <= d  # of the agents in E
-        some_f = bool(in_f.any())
-        empty_annulus = bool(in_f.all())  # nothing in E outside F
+        agents, pos = corner_agents(init_rng)
+        in_f = [max(xy) <= d for xy in pos.tolist()]  # of the few agents in E
+        some_f = any(in_f)
+        empty_annulus = all(in_f)  # nothing in E outside F
         f_occupied += some_f
         annulus_empty += empty_annulus
         hit = some_f and empty_annulus
@@ -690,8 +695,7 @@ def lower_bound_experiment(
             zone_map=zone_map,
             max_steps=max_steps,
         )
-        source_pos = pos[record.source_agent]
-        if source_pos[0] <= d and source_pos[1] <= d:
+        if record.source_agent in agents[in_f]:
             continue  # source inside F: the floor argument does not apply
         floods += 1
         t = record.flooding_time if not record.timed_out else max_steps

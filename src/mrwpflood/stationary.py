@@ -29,6 +29,7 @@ The four corners of the square make W = 0 and are rejected as origins.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,14 +215,71 @@ def destination_law(origin: Point | tuple[float, float], L: float) -> Destinatio
 # samplers
 # ---------------------------------------------------------------------------
 
+# Proposals tested before the rest of a batch: the mean count that holds
+# ``need`` acceptances at the acceptance ratio 2/3, 1.5 need, plus this many
+# of its standard deviations, sqrt(0.75 need).
+PREFIX_SIGMAS = 8.0
+
+
+def _batch_size(need: int) -> int:
+    """Proposals a batch draws while ``need`` positions are missing."""
+    return max(64, 2 * need)
+
+
+def _prefix(need: int, batch: int) -> int:
+    """Proposals of a ``batch`` to test first: enough to hold ``need``
+    acceptances but in a vanishing fraction of streams, at least ``need``,
+    at most the batch."""
+    mean, sd = 1.5 * need, math.sqrt(0.75 * need)
+    return min(batch, max(need, math.ceil(mean + PREFIX_SIGMAS * sd)))
+
+
+def _accept(cand, u, L: float, out, square, work) -> None:
+    """``out = u <= _density_raw(x, y, L)`` for proposals ``cand`` (scaled
+    to the arena) and their uniforms ``u`` (scaled by the peak), by the
+    same arithmetic, with no temporaries: ``square`` (shaped like ``cand``)
+    and the two rows of ``work`` (each shaped like ``u``) are scratch."""
+    a, b = work
+    np.add(cand[:, 0], cand[:, 1], out=a)
+    a *= 3.0 / L**3
+    np.multiply(cand, cand, out=square)
+    np.add(square[:, 0], square[:, 1], out=b)
+    b *= 3.0 / L**4
+    a -= b
+    np.less_equal(u, a, out=out)
+
+
+def _accepted(cand: np.ndarray, u: np.ndarray, L: float, need: int) -> np.ndarray:
+    """Indices, in order, of the accepted proposals of one batch; they
+    include the first ``need`` acceptances whenever the batch holds them.
+    Tests the first ``_prefix(need, len(u))`` proposals, and the rest only
+    when those accept fewer than ``need``."""
+    tested = _prefix(need, len(u))
+    accept = np.empty(len(u), dtype=bool)
+    square, work = np.empty_like(cand), np.empty((2, len(u)))
+    for span in (slice(0, tested), slice(tested, len(u))):
+        _accept(cand[span], u[span], L, accept[span], square[span], work[:, span])
+        kept = accept[: span.stop].nonzero()[0]
+        if len(kept) >= need:
+            break
+    return kept
+
+
 def sample_stationary_positions(
     rng: np.random.Generator, count: int, L: float
 ) -> np.ndarray:
     """Draw ``count`` i.i.d. positions from the stationary density.
 
     Rejection sampling with a uniform proposal against the peak density;
-    the expected acceptance ratio is 2/3.  Batch sizes are a deterministic
-    function of the remaining deficit, so draws are reproducible.
+    the expected acceptance ratio is 2/3.  While ``need`` positions are
+    missing, a batch draws ``max(64, 2 need)`` proposals, first all their
+    x, y pairs, then all their uniforms, and keeps its first ``need``
+    acceptances, so the draws are a deterministic function of the stream.
+    The acceptance test runs on a prefix of the batch that holds ``need``
+    acceptances but in a vanishing fraction of streams (a margin of
+    ``PREFIX_SIGMAS`` standard deviations), and on the rest of the batch
+    only when the prefix falls short.  Every batch is drawn whole, so
+    ``rng`` ends where the last batch ends.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -231,7 +289,8 @@ def sample_stationary_positions(
     cap = max(REJECTION_CAP, 10 * count)
     fmax = peak_spatial_density(L)
     while filled < count:
-        batch = max(64, 2 * (count - filled))
+        need = count - filled
+        batch = _batch_size(need)
         attempts += batch
         if attempts > cap:
             raise RuntimeError("rejection sampler exceeded its iteration cap")
@@ -239,10 +298,54 @@ def sample_stationary_positions(
         cand *= L
         u = rng.random(batch)
         u *= fmax
-        keep = np.flatnonzero(u <= _density_raw(*cand.T, L))[: count - filled]
+        keep = _accepted(cand, u, L, need)[:need]
         out[filled : filled + len(keep)] = np.take(cand, keep, axis=0)
         filled += len(keep)
     return out
+
+
+def corner_sampler(count: int, L: float, side: float):
+    """A function of a generator ``rng`` that returns the agents of
+    ``sample_stationary_positions(rng, count, L)`` in the corner square
+    ``[0, side]^2``, their indices and positions, without placing the
+    others.
+
+    It draws only what the first batch's prefix reads: the prefix's
+    proposals, then ``bit_generator.advance`` past the rest of the batch's
+    x, y pairs, then the prefix's uniforms, and not the rest.  When the
+    prefix accepts fewer than ``count``, it rewinds the stream to its entry
+    and runs the full sampler instead.  Either way ``rng`` is left at an
+    unspecified state, to be discarded (advancing also drops a buffered
+    32-bit half, which no double draw reads).  Its buffers are allocated
+    once and reused by every call.
+    """
+    batch = _batch_size(count)
+    tested = _prefix(count, batch)
+    fmax = peak_spatial_density(L)
+    cand, square = np.empty((2, tested, 2))
+    u, work = np.empty(tested), np.empty((2, tested))
+    accept = np.empty(tested, dtype=bool)
+    x, y = cand[:, 0], cand[:, 1]
+
+    def sample(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        rng.random(out=cand)
+        np.multiply(cand, L, out=cand)
+        rng.bit_generator.advance(2 * (batch - tested))
+        rng.random(out=u)
+        np.multiply(u, fmax, out=u)
+        _accept(cand, u, L, accept, square, work)
+        kept = accept.nonzero()[0]
+        if len(kept) < count:
+            rng.bit_generator.advance(-(2 * batch + tested))  # to the entry
+            pos = sample_stationary_positions(rng, count, L)
+            agents = np.flatnonzero(np.maximum(pos[:, 0], pos[:, 1]) <= side)
+            return agents, pos[agents]
+        last = kept[count - 1] + 1 if count else 0  # the proposals read
+        near = np.flatnonzero(np.maximum(x[:last], y[:last]) <= side)
+        near = near[accept[near]]
+        return np.searchsorted(kept, near), cand[near]
+
+    return sample
 
 
 # Destination categories, in the fixed order used by the samplers:
@@ -252,24 +355,22 @@ QUAD_SW, QUAD_NW, QUAD_NE, QUAD_SE = 4, 5, 6, 7
 
 
 def _category_masses(x0, y0, L: float):
-    """(k, 8) array of category masses for origins (x0, y0) (array-aware)."""
+    """The eight category masses for origins (x0, y0), in category order
+    (array-aware)."""
     w = x0 * (L - x0) + y0 * (L - y0)
     cross_den = 4.0 * w
     area_den = 4.0 * L * w
     ns = y0 * (L - y0) / cross_den
     we = x0 * (L - x0) / cross_den
-    return np.stack(
-        [
-            ns,
-            ns,
-            we,
-            we,
-            (2.0 * L - x0 - y0) / area_den * x0 * y0,
-            (L - x0 + y0) / area_den * x0 * (L - y0),
-            (x0 + y0) / area_den * (L - x0) * (L - y0),
-            (L + x0 - y0) / area_den * (L - x0) * y0,
-        ],
-        axis=-1,
+    return (
+        ns,
+        ns,
+        we,
+        we,
+        (2.0 * L - x0 - y0) / area_den * x0 * y0,
+        (L - x0 + y0) / area_den * x0 * (L - y0),
+        (x0 + y0) / area_den * (L - x0) * (L - y0),
+        (L + x0 - y0) / area_den * (L - x0) * y0,
     )
 
 
@@ -308,10 +409,17 @@ def sample_destinations(
     """
     origins = np.asarray(origins, dtype=float)
     masses = _category_masses(origins[:, 0], origins[:, 1], L)
-    cum = np.cumsum(masses, axis=-1)
-    cum /= cum[:, -1:]
+    # running sums added in category order, each divided by the total; u
+    # falls past category j when u > cum_j, never past the last (cum = 1)
+    cums = [masses[0]]
+    for mass in masses[1:]:
+        cums.append(cums[-1] + mass)
+    total = cums.pop()
     u = rng.random(len(origins))
-    cats = (u[:, None] > cum).sum(axis=1)
+    cats = np.zeros(len(origins), dtype=np.intp)
+    for cum in cums:
+        cum /= total
+        cats += u > cum
     u1 = rng.random(len(origins))
     u2 = rng.random(len(origins))
     return _place_destinations(origins, cats, u1, u2, L), cats

@@ -42,6 +42,7 @@ from mrwpflood.mobility import (
 )
 from mrwpflood.stationary import (
     REJECTION_CAP,
+    _category_masses,
     _density_raw,
     destination_law,
     peak_spatial_density,
@@ -362,6 +363,18 @@ def sample_destination(
     origins = np.asarray([origin], dtype=float)
     dest, _ = sample_destinations(origins, rng, L)
     return Point(float(dest[0, 0]), float(dest[0, 1]))
+
+
+def destination_categories(
+    origins: np.ndarray, u: np.ndarray, L: float
+) -> np.ndarray:
+    """The categories ``sample_destinations`` draws with uniforms ``u``: the
+    eight masses stacked as a ``(k, 8)`` array, its row ``cumsum`` divided by
+    the row total, and the count of running sums below ``u``."""
+    masses = np.stack(_category_masses(origins[:, 0], origins[:, 1], L), axis=-1)
+    cum = np.cumsum(masses, axis=-1)
+    cum /= cum[:, -1:]
+    return (u[:, None] > cum).sum(axis=1)
 
 
 def quadrant_masses(law) -> tuple[float, float, float, float]:

@@ -384,20 +384,18 @@ def corner_trial_streams(monkeypatch, seed, trials):
     flood records its seed."""
     streams, seeds = [], []
 
-    def sampler(rng, count, L):
+    def sampler(rng):
         state = rng.bit_generator.state
         first = rng.random(8)
         rng.random(12_000)
         streams.append((state, first, rng.random(8)))
-        pos = np.full((count, 2), L / 2)
-        pos[0] = 0.0  # alone in the corner square
-        return pos
+        return np.array([0]), np.zeros((1, 2))  # agent 0 alone in the corner
 
     def flood(params, **kwargs):
         seeds.append(params.seed)
         return SimpleNamespace(source_agent=1, flooding_time=0, timed_out=False)
 
-    monkeypatch.setattr(experiments, "sample_stationary_positions", sampler)
+    monkeypatch.setattr(experiments, "corner_sampler", lambda count, L, side: sampler)
     monkeypatch.setattr(experiments, "run_flood", flood)
     params, d = lower_bound_params(n=1000)
     report = experiments.lower_bound_experiment(params, d, trials=trials, seed=seed)

@@ -2,11 +2,12 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from mrwpflood import experiments
+from mrwpflood import experiments, flooding, stationary
 from mrwpflood.core import SPEED_ENVELOPE_DEFAULT, WorldParams, check_assumptions
 from mrwpflood.experiments import (
     _turn_counter,
@@ -298,6 +299,20 @@ class TestScaling:
         assert floods == ["in_cz"] * 100
 
 
+def record_corner_trials(monkeypatch) -> list:
+    """The list to which every corner trial of ``lower_bound_experiment``
+    appends what its sampler returned, the agents in E and their positions."""
+    tested = []
+    make_sampler = experiments.corner_sampler
+
+    def recording_sampler(count, L, side):
+        sample = make_sampler(count, L, side)
+        return lambda rng: tested.append(sample(rng)) or tested[-1]
+
+    monkeypatch.setattr(experiments, "corner_sampler", recording_sampler)
+    return tested
+
+
 class TestLowerBound:
     def test_standard_params_in_regime(self):
         params, d = lower_bound_params(n=2000)
@@ -336,16 +351,80 @@ class TestLowerBound:
             lower_bound_experiment(replace(params, v=0.0), d, trials=1)
 
     @pytest.mark.parametrize(
-        "seed, override", [(0, None), (2**32 + 1, None), (0, 4_000_000_007)]
+        "seed, override, n, fallback",
+        [
+            pytest.param(0, None, 1000, False, id="0-None"),
+            pytest.param(2**32 + 1, None, 1000, False, id="4294967297-None"),
+            pytest.param(0, 4_000_000_007, 1000, False, id="0-4000000007"),
+            # the first batch at its minimum of 64 proposals
+            pytest.param(0, None, 20, False, id="n20"),
+            # no prefix holds n acceptances: every trial places all agents
+            pytest.param(0, None, 1000, True, id="fallback"),
+        ],
     )
-    def test_matches_the_trial_by_trial_oracle(self, seed, override):
-        params, d = lower_bound_params(n=1000, seed=seed)
+    def test_matches_the_trial_by_trial_oracle(
+        self, monkeypatch, seed, override, n, fallback
+    ):
+        full_samples = []
+        if fallback:
+            full_sampler = stationary.sample_stationary_positions
+
+            def counted(*args):
+                full_samples.append(args[1])
+                return full_sampler(*args)
+
+            monkeypatch.setattr(stationary, "PREFIX_SIGMAS", -20.0)
+            monkeypatch.setattr(stationary, "sample_stationary_positions", counted)
+        params, d = lower_bound_params(n=n, seed=seed)
         got = lower_bound_experiment(params, d, trials=400, seed=override, flood_cap=2)
+        assert full_samples == ([n] * 400 if fallback else [])
         want = oracle.lower_bound_experiment(
             params, d, trials=400, seed=override, flood_cap=2
         )
         assert got.to_json_dict() == want.to_json_dict()
         assert got.floods > 0
+
+    def test_floods_start_from_the_tested_agents(self, monkeypatch):
+        # each conditional flood's starting agents in E = [0, 3d]^2 are the
+        # agents its trial tested there, indices and positions
+        params, d = lower_bound_params(n=1000)
+        tested, starts = record_corner_trials(monkeypatch), []
+        make_population = flooding.init_population
+
+        def recording_population(*args):
+            population = make_population(*args)
+            pos = population.pos
+            in_e = np.flatnonzero(np.maximum(pos[:, 0], pos[:, 1]) <= 3.0 * d)
+            starts.append((tested[-1], in_e, pos[in_e]))
+            return population
+
+        monkeypatch.setattr(flooding, "init_population", recording_population)
+        report = lower_bound_experiment(params, d, trials=400, flood_cap=2)
+        assert len(tested) == 400
+        assert len(starts) >= report.floods > 0
+        for (agents, pos), in_e, start in starts:
+            assert len(agents) > 0
+            assert np.array_equal(agents, in_e)
+            assert np.array_equal(pos.view(np.uint64), start.view(np.uint64))
+
+    @pytest.mark.parametrize("source_in_f", [True, False])
+    def test_a_source_in_f_runs_no_conditional_flood(self, monkeypatch, source_in_f):
+        # on a corner event every agent in E is in F; a flood from one of
+        # them is not counted, a flood from any other agent is
+        tested = record_corner_trials(monkeypatch)
+
+        def flood(params, **kwargs):
+            agents = tested[-1][0]
+            source = agents[0] if source_in_f else agents[-1] + 1
+            return SimpleNamespace(
+                source_agent=int(source), flooding_time=9, timed_out=False
+            )
+
+        monkeypatch.setattr(experiments, "run_flood", flood)
+        params, d = lower_bound_params(n=1000)
+        report = lower_bound_experiment(params, d, trials=400)
+        assert report.hits > 0
+        assert report.floods == (0 if source_in_f else report.hits)
 
     def test_deterministic(self):
         params, d = lower_bound_params(n=1000)

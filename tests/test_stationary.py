@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mrwpflood import stationary
 from mrwpflood.core import derive_substream
 from mrwpflood.stationary import (
     CROSS_EAST,
@@ -18,6 +19,7 @@ from mrwpflood.stationary import (
     QUAD_SW,
     cell_probability,
     cell_probability_quadrature,
+    corner_sampler,
     destination_law,
     grid_cell_masses,
     peak_spatial_density,
@@ -256,6 +258,28 @@ class TestPositionSampler:
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert rng.bit_generator.state == ref.bit_generator.state
 
+    @pytest.mark.parametrize("fallback", [False, True])
+    @pytest.mark.parametrize("count", [0, 1, 20, 33, 2000])
+    def test_corner_sampler_reads_the_sampler_positions(
+        self, monkeypatch, count, fallback
+    ):
+        # the agents in the corner square, indices and positions, that the
+        # whole sampler places on the same stream; one sampler serves all
+        # streams, and with a negative margin every prefix falls short
+        if fallback:
+            monkeypatch.setattr(stationary, "PREFIX_SIGMAS", -20.0)
+        L = math.sqrt(2000)
+        samplers = {side: corner_sampler(count, L, side) for side in (3.0, 12.0, L)}
+        for seed in range(30):
+            want = sample_stationary_positions(derive_substream(seed, 0), count, L)
+            corner = np.maximum(want[:, 0], want[:, 1])
+            for side, sample in samplers.items():
+                agents, pos = sample(derive_substream(seed, 0))
+                assert np.array_equal(agents, np.flatnonzero(corner <= side))
+                assert np.array_equal(pos.view(np.uint64), want[agents].view(np.uint64))
+        if count == 2000:
+            assert 0 < len(samplers[3.0](derive_substream(0, 0))[0]) < count
+
     def test_single_draw_matches_law_region(self):
         pt = sample_stationary_position(derive_substream(7, 4), 10.0)
         assert 0.0 <= pt.x <= 10.0 and 0.0 <= pt.y <= 10.0
@@ -327,6 +351,18 @@ class TestDestinationSampler:
         assert (dest[sel, 0] <= x0[sel]).all() and (dest[sel, 1] >= y0[sel]).all()
         sel = cats == QUAD_SE
         assert (dest[sel, 0] >= x0[sel]).all() and (dest[sel, 1] <= y0[sel]).all()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_categories_match_the_stacked_oracle(self, seed):
+        L = 10.0
+        origins = sample_stationary_positions(derive_substream(seed, 0), 2000, L)
+        origins[:4] = [[0.0, 0.0], [0.0, 5.0], [5.0, L], [L, 3.0]]  # edges, a corner
+        rng, ref = derive_substream(seed, 1), derive_substream(seed, 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _, cats = sample_destinations(origins, rng, L)
+            want = oracle.destination_categories(origins, ref.random(len(origins)), L)
+        assert cats.dtype == want.dtype
+        assert np.array_equal(cats, want)
 
     def test_single_draw_validates_origin(self):
         with pytest.raises(ValueError):
