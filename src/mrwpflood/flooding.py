@@ -24,7 +24,9 @@ the arena and inside the certain dilation of the senders in the arena is a
 hit without a distance check.  Each other agent is paired only with the
 senders in its search band (the sub-rows of three bucket columns that can
 hold a point within ``R``), in pair chunks of a fixed size, so transient
-memory is bounded.  Answers are exact on both paths.
+memory is bounded.  Both paths check a pair by one kernel, the difference
+of two 16-byte rows, and the band search ORs the checks of each band.
+Answers are exact on both paths.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .core import (
     AssumptionReport,
     WorldParams,
     check_assumptions,
+    complex_rows,
     derive_substream,
     json_dict,
 )
@@ -51,7 +54,8 @@ from .zones import ZoneMap, build_zone_map, cz_neighborhood, grid_index
 DEFAULT_BOUND_CONSTANTS = (18.0, 600.0)
 FALLBACK_MAX_STEPS = 10_000_000
 # Most (query point, sender) pairs ``NeighborIndex.any_within`` checks
-# directly, without the lattice (``NeighborIndex`` gives the break-even).
+# directly, without the lattice: below the break-even, about 40k pairs at
+# n = 2000 and more at larger n (``NeighborIndex``).
 _DIRECT_PAIRS = 1 << 15
 # Most (query, candidate) pairs a NeighborIndex query holds at once.
 _PAIR_CHUNK = 1 << 21
@@ -134,6 +138,16 @@ def _dilate(cells: np.ndarray, pitch: int, *stencils: tuple[int, ...]) -> list[n
     return grown
 
 
+def _within(diff: np.ndarray, radius: float) -> np.ndarray:
+    """Whether each complex row difference (``core.complex_rows``), of any
+    shape, lies within ``radius`` (closed ball).  The float view is squared
+    in place and each item's two halves added: ``dx*dx + dy*dy`` bit for
+    bit.  ``diff`` is overwritten."""
+    square = diff.view(np.float64)
+    square *= square
+    return diff.real + diff.imag <= radius * radius
+
+
 class NeighborIndex:
     """Bucket grid over agent positions for radius queries.
 
@@ -178,18 +192,25 @@ class NeighborIndex:
     L]^2``) on its first use.
 
     A query of ``t`` points against ``s`` masked agents with ``s * t <=
-    _DIRECT_PAIRS`` skips all of this: it checks every pair by ``_close``'s
-    arithmetic, with two ``(s, t)`` float temporaries of at most 256 KB
-    each.  On the exchanges of corner-trial floods (n = 2000, 2 cores) the
-    direct check took about 3.6 ns a pair (18 us at 2-4k pairs, 120 us at
-    28-32k), while building an index and answering on its lattice took
-    140-210 us at every size: break-even near 40k pairs, above the 2^15 of
-    ``_DIRECT_PAIRS``.  Answers are exact on both paths.
+    _DIRECT_PAIRS`` skips all of this: it checks every pair by the band
+    search's kernel (``_within``), with an ``(s, t)`` complex temporary of
+    at most 512 KB.  On the exchanges of corner-trial floods (n = 2000, 2
+    cores) the direct check took about 3.0-3.4 ns a pair (17 us at 1-4k
+    pairs, 70-80 us at 16-32k), while building an index and answering on
+    its lattice took 115-145 us at every size: break-even near 40-45k
+    pairs, above the 2^15 of ``_DIRECT_PAIRS``.  The lattice's fixed cost
+    grows with its O(n) cells (8 random senders and 250 targets: about
+    170, 220 and 325-390 us at n = 2k, 32k and 128k), and so does the
+    break-even.  Both paths
+    read positions as 16-byte rows, so the index and the queries hold
+    C-contiguous float64 copies of any other input.  Answers are exact on
+    both paths.
     """
 
     def __init__(
         self, positions: np.ndarray, L: float, R: float, n: int | None = None
     ):
+        positions = np.ascontiguousarray(positions, dtype=float)
         if positions.ndim != 2 or positions.shape[1] != 2:
             raise ValueError("positions must have shape (n, 2)")
         self.positions = positions
@@ -213,11 +234,18 @@ class NeighborIndex:
     def _grid(self) -> tuple[np.ndarray, np.ndarray | None]:
         """(codes, cells) of the agents, computed together on first use."""
         x, y = self.positions[:, 0], self.positions[:, 1]
-        col, row = self._columns(x), self._rows(y)
-        cells = None
-        if self.lattice <= _CELL_SIDES:
-            sub = col if self.j == 1 else self._sub_columns(x)
-            cells = sub * self.pitch + self._lattice_rows(row)
+        row = self._rows(y)
+        if self.lattice > _CELL_SIDES:
+            return self._columns(x) * self.ny + row, None
+        sub = self._sub_columns(x)
+        cells = sub * self.pitch + self._lattice_rows(row)
+        if self.j & (self.j - 1):
+            col = self._columns(x)
+        else:
+            # cell = side / j is exact, so x / cell is j (x / side) bit for
+            # bit, and j sub-columns, truncated and clipped, make a column
+            # (wherever x / cell truncates into an int64)
+            col = sub >> (self.j.bit_length() - 1)
         return col * self.ny + row, cells
 
     @property
@@ -259,10 +287,15 @@ class NeighborIndex:
         return row if self.j == self.k else row // (self.k // self.j)
 
     def _pairs(self, pts: np.ndarray, mask: np.ndarray, radius: float):
-        """Yield (query index, candidate agent index) arrays pairing each
-        point with every agent that has ``mask`` true in its search band,
-        at most ``_PAIR_CHUNK`` pairs at a time.  Every such agent within
-        ``radius`` of the point is among its pairs.
+        """Pair each point with every agent that has ``mask`` true in its
+        search band, at most ``_PAIR_CHUNK`` pairs at a time.  Every such
+        agent within ``radius`` of the point is among its pairs.
+
+        A slot is one point's band in one column: a range of agents by
+        code.  Each chunk yields (candidate agents, point of each of its
+        slots, where each slot starts among the candidates); a slot holds
+        at least one candidate, and one cut by a chunk's end goes on at the
+        start of the next chunk, for the same point.
 
         The band holds, for each of the point's own column and the two
         beside it, the sub-rows within ``sqrt(radius^2 - g^2)`` of the
@@ -306,7 +339,7 @@ class NeighborIndex:
             hi = np.searchsorted(codes, high, side="right")
         counts = np.where(reach >= 0.0, hi - lo, 0).ravel()
         live = np.flatnonzero(counts)
-        query, counts = live // 3, counts[live]
+        point, counts = live // 3, counts[live]
         ends = np.cumsum(counts)
         firsts = ends - counts
         # pair p of a slot whose first pair is f and whose range starts at
@@ -317,18 +350,11 @@ class NeighborIndex:
             b = min(a + _PAIR_CHUNK, total)
             s0 = int(np.searchsorted(ends, a, side="right"))
             s1 = int(np.searchsorted(ends, b - 1, side="right")) + 1
-            take = np.minimum(ends[s0:s1], b) - np.maximum(firsts[s0:s1], a)
-            slot = np.repeat(np.arange(s0, s1), take)
-            yield query[slot], members[shift[slot] + np.arange(a, b)]
-
-    def _close(
-        self, pts: np.ndarray, query: np.ndarray, cand: np.ndarray, radius: float
-    ) -> np.ndarray:
-        """Whether agent ``cand[k]`` lies within ``radius`` of point
-        ``pts[query[k]]`` (closed ball), for each pair k."""
-        dx = self.positions[:, 0][cand] - pts[:, 0][query]
-        dy = self.positions[:, 1][cand] - pts[:, 1][query]
-        return dx * dx + dy * dy <= radius * radius
+            starts = np.maximum(firsts[s0:s1], a)
+            take = np.minimum(ends[s0:s1], b) - starts
+            cand = np.repeat(shift[s0:s1], take)
+            cand += np.arange(a, b)
+            yield members[cand], point[s0:s1], starts - a
 
     def _check_radius(self, radius: float) -> None:
         """Reject a query radius outside ``[0, R]``, NaN included."""
@@ -381,16 +407,13 @@ class NeighborIndex:
         self, pts: np.ndarray, mask: np.ndarray, senders: int, radius: float
     ) -> np.ndarray:
         """``any_within`` by checking every point against each of the
-        ``senders`` agents with ``mask``, by ``_close``'s arithmetic."""
-        held = self.positions if senders == len(mask) else self.positions[mask]
-        # (sender, point) arrays: reduced along the senders, this ran about
+        ``senders`` agents with ``mask`` (``_within``)."""
+        held = complex_rows(self.positions)
+        if senders < len(mask):
+            held = held[mask]
+        # a (sender, point) array: reduced along the senders, this ran about
         # a quarter faster than rows of a few senders each
-        dx = held[:, 0, None] - pts[:, 0]
-        dy = held[:, 1, None] - pts[:, 1]
-        dx *= dx
-        dy *= dy
-        dx += dy
-        return (dx <= radius * radius).any(axis=0)
+        return _within(held[:, None] - complex_rows(pts), radius).any(axis=0)
 
     def any_within(
         self, pts: np.ndarray, mask: np.ndarray, radius: float
@@ -403,8 +426,11 @@ class NeighborIndex:
         the possible dilation (``_marks``) are misses without a search, and
         points marked certain are hits without a distance check.  Only the
         rest, or every point when there is no lattice, are paired by their
-        bands (``_pairs``) and checked."""
+        bands (``_pairs``): each pair is checked as the difference of two
+        complex rows (``_within``), and a point is a hit when any pair of
+        any of its slots is."""
         self._check_radius(radius)
+        pts = np.ascontiguousarray(pts, dtype=float)
         senders = int(np.count_nonzero(mask))
         if len(pts) * senders <= _DIRECT_PAIRS:
             return self._direct(pts, mask, senders, radius)
@@ -415,8 +441,15 @@ class NeighborIndex:
             possible, out = self._marks(pts, mask, radius)
             rest = np.flatnonzero(possible & ~out)
         left = np.take(pts, rest, axis=0)
-        for query, cand in self._pairs(left, mask, radius):
-            out[rest[query[self._close(left, query, cand, radius)]]] = True
+        rows, points = complex_rows(self.positions), complex_rows(left)
+        for cand, point, starts in self._pairs(left, mask, radius):
+            sizes = np.empty_like(starts)  # np.diff costs more on few slots
+            np.subtract(starts[1:], starts[:-1], out=sizes[:-1])
+            sizes[-1] = len(cand) - starts[-1]
+            diff = rows[cand]
+            diff -= np.repeat(points[point], sizes)
+            hit = np.logical_or.reduceat(_within(diff, radius), starts)
+            out[rest[point[hit]]] = True
         return out
 
 

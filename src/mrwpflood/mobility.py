@@ -26,10 +26,11 @@ way-point, about ``3 v / L`` of them.  A block of many steps
 once per round, not once per step: each round tests every agent due in
 the block at its own step, and plain ``pos += vel`` carries it to its next
 test, bit for bit as single steps would.  The way-point passes gather and
-scatter state rows as items of 1-D complex views (:func:`_rows`), built
-once with the population.  Each agent draws trip randomness from its own
-``(seed, agent id)`` substream, so the result equals stepping each agent
-alone, in any order, bit for bit.
+scatter state rows as items of 1-D complex views
+(:func:`~mrwpflood.core.complex_rows`), built once with the population.
+Each agent draws trip randomness from its own ``(seed, agent id)``
+substream, so the result equals stepping each agent alone, in any order,
+bit for bit.
 The PCG64 states of all agents are held in one array and advanced in array
 passes; they draw exactly what ``derive_substream(seed, agent id)`` draws,
 with no ``Generator`` built for any agent.
@@ -47,6 +48,7 @@ import numpy as np
 from .core import (
     INIT_STREAM_INDEX,
     WorldParams,
+    complex_rows,
     derive_substream,
     pcg64_items,
     pcg64_random3,
@@ -126,16 +128,7 @@ def _trips(
     np.copyto(turn[:, 0], pos[:, 0], where=vertical & ~single)
     np.copyto(turn[:, 1], pos[:, 1], where=~(vertical | single))
     leg = single.astype(np.int8)  # Leg.SECOND is 1, Leg.FIRST 0
-    return turn, leg, _heading(_rows(turn - pos))  # of the first leg
-
-
-def _rows(a: np.ndarray) -> np.ndarray:
-    """An ``(m, 2)`` float array as a 1-D complex view, one item per row.
-
-    numpy gathers and scatters 16-byte items of a 1-D array several times
-    faster than rows of a 2-D one; complex subtraction is the subtraction
-    of each column, bit for bit."""
-    return a.view(np.complex128)[:, 0]
+    return turn, leg, _heading(complex_rows(turn - pos))  # of the first leg
 
 
 def _pairs(c: np.ndarray) -> np.ndarray:
@@ -145,7 +138,7 @@ def _pairs(c: np.ndarray) -> np.ndarray:
 
 # a complex product with a real factor is that factor times each column,
 # bit for bit, signed zeros included
-_UNIT = _rows(HEADING_VECTORS)
+_UNIT = complex_rows(HEADING_VECTORS)
 
 
 #: Relative allowance of the way-point countdown for rounding
@@ -251,10 +244,10 @@ class Population:
         self.step_count = 0
         # one item per agent, sharing memory with the arrays above
         self._pos, self._dest, self._turn, self._vel = map(
-            _rows, (self.pos, self.dest, self.turn, self.vel)
+            complex_rows, (self.pos, self.dest, self.turn, self.vel)
         )
         self._pcg = pcg64_items(self.pcg)
-        self._velocity = _rows(HEADING_VECTORS * params.v)  # vel per heading
+        self._velocity = complex_rows(HEADING_VECTORS * params.v)  # vel per heading
         self._left = self._countdown(slice(None), self._pos)
 
     def _check_states(self) -> None:
@@ -269,8 +262,8 @@ class Population:
         # the offset across it, both exact; and a difference of finite
         # floats is zero, or of a sign, exactly when the true one is
         back = _UNIT.conj()[heading]
-        ahead = (_rows(self.turn) - _rows(self.pos)) * back
-        goal = (_rows(self.dest) - _rows(self.turn)) * back
+        ahead = (complex_rows(self.turn) - complex_rows(self.pos)) * back
+        goal = (complex_rows(self.dest) - complex_rows(self.turn)) * back
         if goal.real.any() or ((goal.imag == 0.0) != leg.view(bool)).any():
             raise ValueError(
                 "turn must be dest on the second leg, and on the first an elbow "
@@ -443,10 +436,10 @@ class Population:
             vertical = np.zeros(idx.size, dtype=bool)
             if np.count_nonzero(arrive):
                 draws = pcg64_random3(self._pcg, idx[arrive])
-                goal[arrive] = _rows(np.multiply(draws[:, :2], L, order="C"))
+                goal[arrive] = complex_rows(np.multiply(draws[:, :2], L, order="C"))
                 vertical[arrive] = draws[:, 2] < 0.5
             new_turn, leg, heading = _trips(_pairs(at), _pairs(goal), vertical)
-            new_turn = _rows(new_turn)
+            new_turn = complex_rows(new_turn)
             if recorder is not None:
                 _record(recorder, idx, at, heading, clock + (v - budget) / v, arrive)
             gap = abs(new_turn - at)

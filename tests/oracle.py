@@ -405,6 +405,23 @@ def brute_force_pairs(positions: np.ndarray, radius: float) -> np.ndarray:
     return np.stack([i, j], axis=1)
 
 
+def band_pairs(index, pts: np.ndarray, mask: np.ndarray, radius: float):
+    """Yield (query index, candidate agent index) arrays, one per chunk of
+    ``NeighborIndex._pairs``: each of its slots expanded into one pair per
+    candidate, the slot's point repeated."""
+    for cand, point, starts in index._pairs(pts, mask, radius):
+        yield np.repeat(point, np.diff(starts, append=len(cand))), cand
+
+
+def within(positions: np.ndarray, pts: np.ndarray, query, cand, radius: float):
+    """Whether agent ``cand[k]`` lies within ``radius`` of point
+    ``pts[query[k]]`` (closed ball), for each pair k, coordinate by
+    coordinate."""
+    dx = positions[cand, 0] - pts[query, 0]
+    dy = positions[cand, 1] - pts[query, 1]
+    return dx * dx + dy * dy <= radius * radius
+
+
 def ball_query(index, point: Sequence[float], radius: float) -> np.ndarray:
     """Sorted indices of all agents of a ``NeighborIndex`` within
     ``radius`` (closed ball) of one point, found by the index's own band
@@ -413,8 +430,8 @@ def ball_query(index, point: Sequence[float], radius: float) -> np.ndarray:
     pts = np.asarray(point, dtype=float).reshape(1, 2)
     everyone = np.ones(len(index.positions), dtype=bool)
     found = [np.empty(0, dtype=np.int64)]
-    for query, cand in index._pairs(pts, everyone, radius):
-        found.append(cand[index._close(pts, query, cand, radius)])
+    for query, cand in band_pairs(index, pts, everyone, radius):
+        found.append(cand[within(index.positions, pts, query, cand, radius)])
     return np.sort(np.concatenate(found))
 
 
@@ -423,12 +440,13 @@ def pairs_within(index, radius: float) -> np.ndarray:
     distance at most ``radius``, found by the index's own band search, in
     lexicographic order: the all-pairs form of ``NeighborIndex.any_within``."""
     index._check_radius(radius)
-    everyone = np.ones(len(index.positions), dtype=bool)
+    pos = index.positions
+    everyone = np.ones(len(pos), dtype=bool)
     found = [np.empty((0, 2), dtype=np.int64)]
-    for query, cand in index._pairs(index.positions, everyone, radius):
+    for query, cand in band_pairs(index, pos, everyone, radius):
         keep = cand > query
         query, cand = query[keep], cand[keep]
-        hit = index._close(index.positions, query, cand, radius)
+        hit = within(pos, pos, query, cand, radius)
         found.append(np.stack([query[hit], cand[hit]], axis=1))
     pairs = np.concatenate(found)
     order = np.lexsort((pairs[:, 1], pairs[:, 0]))

@@ -34,7 +34,7 @@ from mrwpflood.mobility import (
 )
 from mrwpflood.zones import build_zone_map, cz_neighborhood
 import oracle
-from oracle import ball_query, brute_force_pairs, cell_center, pairs_within
+from oracle import ball_query, band_pairs, brute_force_pairs, cell_center, pairs_within
 
 
 def world(n=500, L=None, R=None, v=None, c1=2.5, seed=0, **kw):
@@ -167,6 +167,36 @@ class TestNeighborIndex:
         for path in exchange_paths(monkeypatch):
             hit = index.any_within(pts, np.ones(1, dtype=bool), 5.0)
             assert hit.tolist() == [True, False, True, False], path
+
+    def test_any_memory_layout_of_positions_and_points(self, monkeypatch):
+        # both paths read 16-byte rows: Fortran-ordered, row-strided,
+        # column-strided and integer positions and points answer as their
+        # C-contiguous float copies do
+        rng = derive_substream(114, 0)
+        L, R = 12.0, 1.5
+        pos = rng.integers(0, 13, size=(150, 2))
+        pts = rng.integers(0, 13, size=(60, 2))
+        mask = rng.random(150) < 0.5
+
+        def layouts(a):
+            big = np.zeros((2 * len(a), 2))
+            big[::2] = a
+            wide = np.zeros((len(a), 4))
+            wide[:, ::2] = a
+            return np.asfortranarray(a, dtype=float), big[::2], wide[:, ::2], a
+
+        want = brute_force_any_within(pos.astype(float), pts.astype(float), mask, R)
+        assert 0 < want.sum() < len(pts)
+        for path in exchange_paths(monkeypatch):
+            got = NeighborIndex(pos.astype(float), L, R).any_within(
+                pts.astype(float), mask, R
+            )
+            assert np.array_equal(got, want), path
+            for held in layouts(pos):
+                index = NeighborIndex(held, L, R)
+                for queries in layouts(pts):
+                    got = index.any_within(queries, mask, R)
+                    assert np.array_equal(got, want), path
 
     def test_single_agent(self):
         index = NeighborIndex(np.array([[5.0, 5.0]]), 10.0, 2.0)
@@ -486,7 +516,9 @@ class TestLattice:
 
     def test_lattice_cells_at_build(self, monkeypatch):
         # sub-column by truncation on the cell side, sub-rows grouped k / j
-        # at a time, clipped into the lattice as the buckets are
+        # at a time, clipped into the lattice as the buckets are; and the
+        # bucket code by truncation on the bucket side, which a power-of-two
+        # j reads off the sub-column
         rng = derive_substream(111, 0)
         for k, j in RESOLUTIONS:
             at_resolution(monkeypatch, k, j)
@@ -494,10 +526,12 @@ class TestLattice:
             pts[:40] = rng.choice(lattice_edges(empty_index(12.0, 2.0)), 40)
             index = NeighborIndex(pts, 12.0, 2.0)
             assert (index.k, index.j) == (k, j)
-            for (x, y), cell in zip(pts, index.cells):
-                col = min(max(int(x / index.cell), 0), index.lattice - 1)
+            for (x, y), cell, code in zip(pts, index.cells, index.codes):
+                sub = min(max(int(x / index.cell), 0), index.lattice - 1)
+                col = min(max(int(x / index.side), 0), index.nb - 1)
                 row = min(max(int(y / index.height), 0), index.ny - 1)
-                assert cell == col * index.pitch + row // (k // j)
+                assert cell == sub * index.pitch + row // (k // j)
+                assert code == col * index.ny + row
 
     @pytest.mark.parametrize("k, j", RESOLUTIONS)
     def test_one_agent_on_the_lattice_edges(self, monkeypatch, k, j):
@@ -599,7 +633,7 @@ class TestCandidateBand:
         for case, (pts, L, R, queries, mask, radius) in enumerate(band_cases()):
             index = NeighborIndex(pts, L, R)
             got = [np.empty(0, dtype=np.int64)]
-            for query, cand in index._pairs(queries, mask, radius):
+            for query, cand in band_pairs(index, queries, mask, radius):
                 got.append(query * len(pts) + cand)
             got = np.concatenate(got)
             d = pts[None, :, :] - queries[:, None, :]
@@ -619,8 +653,8 @@ class TestCandidateBand:
 
     def test_band_table_matches_the_binary_search(self, monkeypatch):
         # the code-end table and the binary search give the same band
-        # ranges, so the same pairs in the same order: on clipped edge
-        # columns, query points off the grid and masked indexes alike
+        # ranges, so the same slots and pairs in the same order: on clipped
+        # edge columns, query points off the grid and masked indexes alike
         branches = set()
         for case, (pts, L, R, queries, mask, radius) in enumerate(band_cases()):
             index = NeighborIndex(pts, L, R)
@@ -630,7 +664,7 @@ class TestCandidateBand:
             for per_agent in (0, 1 << 40):  # never and always the table
                 monkeypatch.setattr(flooding, "_TABLE_PER_AGENT", per_agent)
                 chunks = list(index._pairs(queries, mask, radius))
-                got[per_agent] = [np.concatenate(c) for c in zip(*chunks)] or [[], []]
+                got[per_agent] = [np.concatenate(c) for c in zip(*chunks)] or [[], [], []]
             table, search = got[1 << 40], got[0]
             assert all(np.array_equal(a, b) for a, b in zip(table, search)), case
         assert branches == {True, False}
