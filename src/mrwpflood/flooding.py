@@ -138,6 +138,13 @@ def _dilate(cells: np.ndarray, pitch: int, *stencils: tuple[int, ...]) -> list[n
     return grown
 
 
+def _grid_index(coords: np.ndarray, side: float, m: int, clip: bool) -> np.ndarray:
+    """``zones.grid_index``, or without ``clip`` truncation alone, which
+    gives the same cells to coordinates whose quotients by ``side`` lie in
+    ``[0, m)``."""
+    return grid_index(coords, side, m) if clip else (coords / side).astype(np.int64)
+
+
 def _within(diff: np.ndarray, radius: float) -> np.ndarray:
     """Whether each complex row difference (``core.complex_rows``), of any
     shape, lies within ``radius`` (closed ball).  The float view is squared
@@ -161,6 +168,11 @@ class NeighborIndex:
     the same or adjacent columns and at most ``k`` sub-rows apart, so in the
     same bucket or in 8-neighbour ones.  Coordinates map to columns and
     sub-rows by ``zones.grid_index`` (truncation, clipped into the grid).
+    Where each grid reaches past the arena (``truncates``: ``L / side <
+    nb``, and alike for the sub-rows and sub-columns), the agents when all
+    lie in the arena, and the lattice's query points when one min and one
+    max put them in it, skip the clip, which moves none of them (the
+    ``zones`` rule); off-arena points and NaN take it.
     Each agent has the code ``column * ny + sub-row``, so each column's
     sub-rows have consecutive codes.  ``k`` (at most ``_SUB_ROWS``) is the
     largest that keeps every code below 2^16 where one can: numpy's stable
@@ -229,22 +241,32 @@ class NeighborIndex:
         self.lattice = self.j * self.nb
         # a possible stencil has at most j + 1 rows (``_stencils``)
         self.pitch = self.lattice + self.j + 1
+        # whether truncation alone grids [0, L] into the columns, sub-rows
+        # and sub-columns: x / side <= L / side < nb for x in [0, L], as
+        # division by a positive side is monotone
+        self.truncates = (
+            L / self.side < self.nb
+            and L / self.height < self.ny
+            and L / self.cell < self.lattice
+        )
 
     @functools.cached_property
     def _grid(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """(codes, cells) of the agents, computed together on first use."""
+        """(codes, cells) of the agents, computed together on first use,
+        by truncation alone when every agent lies in the arena."""
         x, y = self.positions[:, 0], self.positions[:, 1]
-        row = self._rows(y)
+        clip = not self.truncates or self.inside is not None
+        row = self._rows(y, clip)
         if self.lattice > _CELL_SIDES:
-            return self._columns(x) * self.ny + row, None
-        sub = self._sub_columns(x)
+            return self._columns(x, clip) * self.ny + row, None
+        sub = self._sub_columns(x, clip)
         cells = sub * self.pitch + self._lattice_rows(row)
         if self.j & (self.j - 1):
-            col = self._columns(x)
+            col = self._columns(x, clip)
         else:
             # cell = side / j is exact, so x / cell is j (x / side) bit for
-            # bit, and j sub-columns, truncated and clipped, make a column
-            # (wherever x / cell truncates into an int64)
+            # bit, and j sub-columns, truncated (and clipped) alike, make a
+            # column (wherever x / cell truncates into an int64)
             col = sub >> (self.j.bit_length() - 1)
         return col * self.ny + row, cells
 
@@ -262,9 +284,7 @@ class NeighborIndex:
     def inside(self) -> np.ndarray | None:
         """Whether each agent lies in ``[0, L]^2``, or ``None`` when all do."""
         pos = self.positions
-        if pos.size and not (pos.min() >= 0.0 and pos.max() <= self.L):
-            return self._in_arena(pos)
-        return None
+        return None if self._all_in_arena(pos) else self._in_arena(pos)
 
     @functools.cached_property
     def order(self) -> np.ndarray:
@@ -274,14 +294,14 @@ class NeighborIndex:
         key = self.codes if wide else self.codes.astype(np.uint16)
         return np.argsort(key, kind="stable")
 
-    def _columns(self, x: np.ndarray) -> np.ndarray:
-        return grid_index(x, self.side, self.nb)
+    def _columns(self, x: np.ndarray, clip: bool = True) -> np.ndarray:
+        return _grid_index(x, self.side, self.nb, clip)
 
-    def _rows(self, y: np.ndarray) -> np.ndarray:
-        return grid_index(y, self.height, self.ny)
+    def _rows(self, y: np.ndarray, clip: bool = True) -> np.ndarray:
+        return _grid_index(y, self.height, self.ny, clip)
 
-    def _sub_columns(self, x: np.ndarray) -> np.ndarray:
-        return grid_index(x, self.cell, self.lattice)
+    def _sub_columns(self, x: np.ndarray, clip: bool = True) -> np.ndarray:
+        return _grid_index(x, self.cell, self.lattice, clip)
 
     def _lattice_rows(self, row: np.ndarray) -> np.ndarray:
         return row if self.j == self.k else row // (self.k // self.j)
@@ -363,6 +383,11 @@ class NeighborIndex:
                 f"query radius {radius} is outside [0, {self.R}], the index radius"
             )
 
+    def _all_in_arena(self, pts: np.ndarray) -> bool:
+        """Whether every point lies in ``[0, L]^2``, by one min and one max
+        (NaN fails both)."""
+        return not pts.size or bool(pts.min() >= 0.0 and pts.max() <= self.L)
+
     def _in_arena(self, pts: np.ndarray) -> np.ndarray:
         """Whether each point lies in ``[0, L]^2``."""
         x, y = pts[:, 0], pts[:, 1]
@@ -386,7 +411,9 @@ class NeighborIndex:
         misses no hit.  The certain one takes only agents and points in the
         arena, which ``grid_index`` puts into the cells they lie in, so
         with every agent in the arena both stencils grow the same cells, in
-        one ``_dilate``.  Every certain mark is a possible one."""
+        one ``_dilate``; where the points are shown to lie in the arena as
+        a whole (``truncates``), they are gridded by truncation and none is
+        tested on its own.  Every certain mark is a possible one."""
         possible_rows, certain_rows = _stencils(radius, self.cell)
         held = self._held(mask)
         if self.inside is None:
@@ -394,13 +421,16 @@ class NeighborIndex:
         else:
             (near,) = _dilate(held, self.pitch, possible_rows)
             (sure,) = _dilate(self._held(mask & self.inside), self.pitch, certain_rows)
-        rows = self._lattice_rows(self._rows(pts[:, 1]))
-        cell = self._sub_columns(pts[:, 0]) * self.pitch + rows
+        clip = not (self.truncates and self._all_in_arena(pts))
+        rows = self._lattice_rows(self._rows(pts[:, 1], clip))
+        cell = self._sub_columns(pts[:, 0], clip) * self.pitch + rows
         possible = near[cell]
         kept = np.flatnonzero(possible)
         marked = kept[sure[cell[kept]]]
+        if clip:
+            marked = marked[self._in_arena(np.take(pts, marked, axis=0))]
         certain = np.zeros_like(possible)
-        certain[marked[self._in_arena(np.take(pts, marked, axis=0))]] = True
+        certain[marked] = True
         return possible, certain
 
     def _direct(
@@ -522,25 +552,38 @@ def informed_cells(
 
     Where its ``2 m^2`` bins are no more than the agents, one ``bincount``
     of ``2 * cell + informed`` counts each cell's uninformed and informed
-    agents.  In sparser worlds the bins would cost more than the agents, and
-    the cells of the uninformed agents are marked directly instead.  A world
-    with no central cell needs neither: every informed agent is in the
-    suburb."""
-    m = zone_map.m
-    if not zone_map.central.any():
+    agents.  Truncation alone puts an agent in the arena in ``[0, m]``
+    (the ``zones`` rule), on a table ``m + 1`` wide whose row and column
+    ``m``, the far edges, are folded into ``m - 1`` as the clip puts them.
+    Where one min and max find a cell outside ``[0, m]``, as off the arena
+    or for NaN, every agent is clipped by ``grid_index``.  In sparser
+    worlds the bins would cost more than the agents, and the cells of the
+    uninformed agents are marked directly instead.  A world with no central
+    cell needs neither: every informed agent is in the suburb."""
+    m, central = zone_map.m, zone_map.central
+    if not central.any():
         return np.zeros((m, m), dtype=bool), state.informed_count
-    i, j = zone_map.cell_index(population.pos)
+    pos = population.pos
+    if 2 * m * m <= len(pos):
+        cell = (pos / zone_map.ell).astype(np.int64)
+        if not (cell.min() >= 0 and cell.max() <= m):
+            cell = grid_index(pos, zone_map.ell, m)
+        w = m + 1
+        codes = cell[:, 0] * (2 * w)
+        codes += 2 * cell[:, 1]
+        codes += state.informed
+        counts = np.bincount(codes, minlength=2 * w * w).reshape(w, w, 2)
+        counts[m - 1] += counts[m]
+        counts[:, m - 1] += counts[:, m]
+        counts = counts[:m, :m]
+        return central & (counts[..., 0] == 0), int(counts[..., 1][~central].sum())
+    i, j = zone_map.cell_index(pos)
     codes = i * m + j  # flat indexing is about twice as fast as 2-D here
-    central_flat = zone_map.central.reshape(-1)
-    if 2 * m * m <= len(codes):
-        counts = np.bincount(2 * codes + state.informed, minlength=2 * m * m)
-        cells = central_flat & (counts[0::2] == 0)
-        suburb_informed = int(counts[1::2][~central_flat].sum())
-    else:
-        blocked = np.zeros(m * m, dtype=bool)
-        blocked[codes[~state.informed]] = True
-        cells = central_flat & ~blocked
-        suburb_informed = int(np.count_nonzero(~central_flat[codes] & state.informed))
+    central_flat = central.reshape(-1)
+    blocked = np.zeros(m * m, dtype=bool)
+    blocked[codes[~state.informed]] = True
+    cells = central_flat & ~blocked
+    suburb_informed = int(np.count_nonzero(~central_flat[codes] & state.informed))
     return cells.reshape(m, m), suburb_informed
 
 

@@ -12,10 +12,16 @@ The module owns the cell grid rules: the coordinate-to-cell rule
 (``grid_index``, which ``ZoneMap.cell_index`` applies with side ``ell`` on
 both axes, and the exchange's neighbour index on a lattice of its own) and
 the 4-neighbour rule (``dilate``, which ``cz_neighborhood`` keeps within
-the central zone).  Every cell set is an ``m x m`` boolean mask.  The
-module also provides the combinatorial checkers used by the analysis:
-row/column coverage of the central zone, vertex-boundary expansion of
-central subsets, and the suburb diameter bound.
+the central zone).  The clip of ``grid_index`` changes no cell of a
+coordinate in ``[0, L]`` when ``L / side`` is below the number of cells,
+since the quotient grows with the coordinate; where ``L / side`` can reach
+it, as ``L / ell`` can reach ``m``, it moves the far edge only.  So
+``flooding`` grids by truncation alone wherever one min and one max put
+its coordinates in the arena, and clips the rest.  Every cell set is an
+``m x m`` boolean mask.  The module also provides the combinatorial
+checkers used by the analysis: row/column coverage of the central zone,
+vertex-boundary expansion of central subsets, and the suburb diameter
+bound.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from mrwpflood.mobility import (
     Population,
     init_population,
 )
-from mrwpflood.zones import build_zone_map, cz_neighborhood
+from mrwpflood.zones import build_zone_map, cz_neighborhood, grid_index
 import oracle
 from oracle import ball_query, band_pairs, brute_force_pairs, cell_center, pairs_within
 
@@ -438,6 +438,34 @@ class TestCertainHits:
                     hit = index.any_within(queries, mask, R)
                     assert not hit.any(), (k, j, sender, path)
 
+    def test_queries_across_the_arena_edge(self, monkeypatch):
+        # Agents in the arena; query points within one cell outside it past
+        # one edge only, so that their max (or min) alone lies in the arena.
+        # Truncated, such a point lands in the edge cell, like a clipped
+        # one; each keeps the per-point arena test and is checked by distance.
+        L, R = 6.0, 1.0
+        for k, j in RESOLUTIONS:
+            if j == 1:
+                continue  # no certain stencil
+            at_resolution(monkeypatch, k, j)
+            rng = derive_substream(116, k * 10 + j)
+            pts = rng.random((300, 2)) * L
+            mask = np.ones(len(pts), dtype=bool)
+            index = NeighborIndex(pts, L, R)
+            depth = rng.random(1000) * index.cell
+            along = rng.random(1000) * L
+            below = np.concatenate(
+                [np.stack([-depth, along], 1), np.stack([along, -depth], 1)]
+            )
+            for queries in (below, L - below):
+                want = brute_force_any_within(pts, queries, mask, R)
+                possible, certain = index._marks(queries, mask, R)
+                assert not (want & ~possible).any(), (k, j)
+                assert not (certain & ~want).any(), (k, j)
+                for path in exchange_paths(monkeypatch):
+                    got = index.any_within(queries, mask, R)
+                    assert np.array_equal(got, want), (k, j, path)
+
     def test_no_grid_for_tiny_radii(self, monkeypatch):
         # six cells a bucket side (the 16-bit key allows six sub-rows), and
         # a radius below the diagonal of one: the certain stencil is empty
@@ -501,6 +529,24 @@ class TestDilation:
         assert 0 < empty < 60
 
 
+def clipped_grid(index, pts):
+    """Each point's flat lattice cell and bucket code by the clipped
+    formula: truncation on the cell, bucket and sub-row sides, each clipped
+    into its grid, the sub-rows grouped ``k / j`` at a time."""
+    cells, codes = [], []
+    for x, y in pts.tolist():
+        sub = min(max(int(x / index.cell), 0), index.lattice - 1)
+        col = min(max(int(x / index.side), 0), index.nb - 1)
+        row = min(max(int(y / index.height), 0), index.ny - 1)
+        cells.append(sub * index.pitch + row // (index.k // index.j))
+        codes.append(col * index.ny + row)
+    return np.array(cells), np.array(codes)
+
+
+def refuse_grid_index(*args):
+    raise AssertionError("coordinates clipped")
+
+
 class TestLattice:
     @pytest.mark.parametrize("n", [2000, 32_000, 128_000, 10**6])
     def test_lattice_is_order_n(self, n):
@@ -526,12 +572,66 @@ class TestLattice:
             pts[:40] = rng.choice(lattice_edges(empty_index(12.0, 2.0)), 40)
             index = NeighborIndex(pts, 12.0, 2.0)
             assert (index.k, index.j) == (k, j)
-            for (x, y), cell, code in zip(pts, index.cells, index.codes):
-                sub = min(max(int(x / index.cell), 0), index.lattice - 1)
-                col = min(max(int(x / index.side), 0), index.nb - 1)
-                row = min(max(int(y / index.height), 0), index.ny - 1)
-                assert cell == sub * index.pitch + row // (k // j)
-                assert code == col * index.ny + row
+            cells, codes = clipped_grid(index, pts)
+            assert np.array_equal(index.cells, cells)
+            assert np.array_equal(index.codes, codes)
+
+    def test_truncated_cells_in_the_arena(self, monkeypatch):
+        # Agents and queries in [0, L]^2 only: on the lattice edges, one ulp
+        # either side of them, at 0, at L and one ulp below L.  Every grid
+        # reaches past the arena, so they are gridded by truncation alone,
+        # into the cells of the clipped formula.
+        L, R = 12.0, 2.0
+        ticks = [0.0, np.nextafter(L, 0.0), L]
+        corners = np.stack(np.meshgrid(ticks, ticks), axis=-1).reshape(-1, 2)
+        rng = derive_substream(115, 0)
+        for k, j in RESOLUTIONS:
+            at_resolution(monkeypatch, k, j)
+            edges = lattice_edges(empty_index(L, R))
+            edges = edges[((edges >= 0.0) & (edges <= L)).all(axis=1)]
+            pts = np.concatenate([corners, rng.choice(edges, 400)])
+            queries = np.concatenate([corners, rng.choice(edges, 600)])
+            index = NeighborIndex(pts, L, R)
+            assert (index.k, index.j) == (k, j)
+            assert index.truncates and index.inside is None
+            mask = rng.random(len(pts)) < 0.5
+            with monkeypatch.context() as patch:
+                patch.setattr(flooding, "grid_index", refuse_grid_index)
+                gridded = index.cells, index.codes, index._marks(queries, mask, R)
+            cells, codes = clipped_grid(index, pts)
+            assert np.array_equal(gridded[0], cells) and np.array_equal(gridded[1], codes)
+            for radius in (R, 0.75 * R):
+                want = brute_force_any_within(pts, queries, mask, radius)
+                possible, certain = index._marks(queries, mask, radius)
+                assert not (want & ~possible).any() and not (certain & ~want).any()
+                for path in exchange_paths(monkeypatch):
+                    got = index.any_within(queries, mask, radius)
+                    assert np.array_equal(got, want), (k, j, radius, path)
+
+    def test_whole_number_of_bucket_sides(self, monkeypatch):
+        # L = 4 bucket sides exactly: x = L truncates into column nb, past
+        # the grid, so the index clips its agents and query points
+        R = 2.0
+        L = 4.0 * R * (1.0 + flooding._BAND_MARGIN)
+        rng = derive_substream(115, 1)
+        for k, j in RESOLUTIONS:
+            at_resolution(monkeypatch, k, j)
+            pts, queries = rng.random((200, 2)) * L, rng.random((300, 2)) * L
+            for a in (pts, queries):
+                a[:20, 0] = L
+                a[20:40, 1] = L
+                a[40:50] = L
+            index = NeighborIndex(pts, L, R)
+            assert L / index.side == index.nb == 4 and not index.truncates
+            cells, codes = clipped_grid(index, pts)
+            assert np.array_equal(index.cells, cells)
+            assert np.array_equal(index.codes, codes)
+            mask = rng.random(len(pts)) < 0.5
+            for radius in (R, 0.75 * R):
+                want = brute_force_any_within(pts, queries, mask, radius)
+                for path in exchange_paths(monkeypatch):
+                    got = index.any_within(queries, mask, radius)
+                    assert np.array_equal(got, want), (k, j, radius, path)
 
     @pytest.mark.parametrize("k, j", RESOLUTIONS)
     def test_one_agent_on_the_lattice_edges(self, monkeypatch, k, j):
@@ -939,6 +1039,60 @@ class TestInformedCells:
                 suburb += suburb_count
             assert suburb > 0
         assert counted == {True, False}
+
+    @pytest.mark.parametrize("c1", [1.2, 2.5])
+    def test_far_edges_fold_into_the_last_cells(self, monkeypatch, c1):
+        # Counting worlds (2 m^2 <= n) where L / ell is m: agents exactly on
+        # x = L, on y = L, on both, and one ulp either side of the interior
+        # cell edges.  Truncated, the far edges land in row and column m,
+        # which fold into the last cells; none is clipped.
+        p = make_params(2000, c1=c1, seed=2000)
+        z = build_zone_map(p)
+        assert 2 * z.m * z.m <= p.n and p.L / z.ell == z.m
+        rng = derive_substream(117, int(10 * c1))
+        pos = init_population(p, APPROX_STATIONARY).pos
+        pos[:100, 0] = p.L
+        pos[100:200, 1] = p.L
+        pos[200:210] = p.L
+        pos[210:400] = rng.choice(ulps(np.arange(1, z.m) * z.ell), (190, 2))
+        pop = static_population(p, pos)
+        edge = np.arange(p.n) < 400
+        for informed in (~edge, edge, rng.random(p.n) < 0.5):
+            state = FloodState(informed=informed, step=0, source=0)
+            want = oracle.informed_cells(pop, state, z)
+            with monkeypatch.context() as patch:
+                patch.setattr(flooding, "grid_index", refuse_grid_index)
+                cells, suburb_count = informed_cells(pop, state, z)
+            assert np.array_equal(cells, want[0]) and suburb_count == want[1]
+
+    def test_positions_off_the_arena_are_clipped(self, monkeypatch):
+        # Positions past the arena's edges, as no population holds them.
+        # Those more than a cell past it truncate out of [0, m], and every
+        # agent is clipped; those 1e-9 past it truncate into cell 0 or m,
+        # the clipped cells once folded.
+        p = make_params(2000, c1=2.5, seed=2000)
+        z = build_zone_map(p)
+        assert 2 * z.m * z.m <= p.n
+        rng = derive_substream(118, 0)
+        off = [-1e-9, -2.5 * z.ell, p.L + 1e-9, p.L + 2.5 * z.ell, 1e6]
+        clipped = []
+
+        def counted(*args):
+            clipped.append(args)
+            return grid_index(*args)
+
+        for trial in range(len(off)):
+            pos = init_population(p, APPROX_STATIONARY).pos
+            pos[rng.integers(0, p.n, 50), rng.integers(0, 2, 50)] = off[trial]
+            pop = SimpleNamespace(pos=pos)
+            for frac in (0.0, 0.5, 1.0):
+                state = FloodState(informed=rng.random(p.n) < frac, step=0, source=0)
+                want = oracle.informed_cells(pop, state, z)
+                with monkeypatch.context() as patch:
+                    patch.setattr(flooding, "grid_index", counted)
+                    cells, suburb_count = informed_cells(pop, state, z)
+                assert np.array_equal(cells, want[0]) and suburb_count == want[1]
+        assert len(clipped) == 3 * 3
 
     def test_world_without_central_cells(self, monkeypatch):
         # |CZ| = 0: no cell to mark and every informed agent in the suburb,
