@@ -55,10 +55,14 @@ rest of the lower-bound world: `lower-bound-side` (`--set n=1000 --set
 L=40`) scales the corner side with the set side, d = 0.23 * 40 / 10, and
 `lower-bound-constants` (`--set constants.c1=3 --set constants.c2=20
 --set eta=0.5`) carries the config's constants into the world, with
-v = R / 20.  The last, `lower-bound-n20` (`--trials 300 --flood-cap 1
---set n=20`, about 0.3 s), draws each corner trial from a first batch at
+v = R / 20.  Then `lower-bound-n20` (`--trials 300 --flood-cap 1
+--set n=20`, about 0.3 s) draws each corner trial from a first batch at
 its minimum of 64 proposals (twice the 20 agents would be 40), and reads
-8 corner events and one flood, T = 25, at seed 0.
+8 corner events and one flood, T = 25, at seed 0.  The last,
+`flood-cz-400` (`flood --set n=400 --set constants.c1=1.2`), counts
+central cells in a world with more zone-cell bins than agents: m = 16, so
+2 m^2 = 512 > 400, with |CZ| = 16; at seed 0 it floods in T = 9 steps and
+writes the per-step central-cell counts.
 """
 
 import hashlib
@@ -146,6 +150,7 @@ COMMANDS = [
         "lower-bound-n20",
         ["lower-bound", "--trials", "300", "--flood-cap", "1", "--set", "n=20"],
     ),
+    ("flood-cz-400", ["flood", "--set", "n=400", "--set", "constants.c1=1.2"]),
 ]
 
 

@@ -138,13 +138,6 @@ def _dilate(cells: np.ndarray, pitch: int, *stencils: tuple[int, ...]) -> list[n
     return grown
 
 
-def _grid_index(coords: np.ndarray, side: float, m: int, clip: bool) -> np.ndarray:
-    """``zones.grid_index``, or without ``clip`` truncation alone, which
-    gives the same cells to coordinates whose quotients by ``side`` lie in
-    ``[0, m)``."""
-    return grid_index(coords, side, m) if clip else (coords / side).astype(np.int64)
-
-
 def _within(diff: np.ndarray, radius: float) -> np.ndarray:
     """Whether each complex row difference (``core.complex_rows``), of any
     shape, lies within ``radius`` (closed ball).  The float view is squared
@@ -167,12 +160,8 @@ class NeighborIndex:
     exceeds ``R`` by more than rounding can, two points within ``R`` lie in
     the same or adjacent columns and at most ``k`` sub-rows apart, so in the
     same bucket or in 8-neighbour ones.  Coordinates map to columns and
-    sub-rows by ``zones.grid_index`` (truncation, clipped into the grid).
-    Where each grid reaches past the arena (``truncates``: ``L / side <
-    nb``, and alike for the sub-rows and sub-columns), the agents when all
-    lie in the arena, and the lattice's query points when one min and one
-    max put them in it, skip the clip, which moves none of them (the
-    ``zones`` rule); off-arena points and NaN take it.
+    sub-rows by ``zones.grid_index`` (truncation, clipped into the grid
+    only where some cell lies outside it).
     Each agent has the code ``column * ny + sub-row``, so each column's
     sub-rows have consecutive codes.  ``k`` (at most ``_SUB_ROWS``) is the
     largest that keeps every code below 2^16 where one can: numpy's stable
@@ -241,32 +230,22 @@ class NeighborIndex:
         self.lattice = self.j * self.nb
         # a possible stencil has at most j + 1 rows (``_stencils``)
         self.pitch = self.lattice + self.j + 1
-        # whether truncation alone grids [0, L] into the columns, sub-rows
-        # and sub-columns: x / side <= L / side < nb for x in [0, L], as
-        # division by a positive side is monotone
-        self.truncates = (
-            L / self.side < self.nb
-            and L / self.height < self.ny
-            and L / self.cell < self.lattice
-        )
 
     @functools.cached_property
     def _grid(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """(codes, cells) of the agents, computed together on first use,
-        by truncation alone when every agent lies in the arena."""
+        """(codes, cells) of the agents, computed together on first use."""
         x, y = self.positions[:, 0], self.positions[:, 1]
-        clip = not self.truncates or self.inside is not None
-        row = self._rows(y, clip)
+        row = self._rows(y)
         if self.lattice > _CELL_SIDES:
-            return self._columns(x, clip) * self.ny + row, None
-        sub = self._sub_columns(x, clip)
+            return self._columns(x) * self.ny + row, None
+        sub = self._sub_columns(x)
         cells = sub * self.pitch + self._lattice_rows(row)
         if self.j & (self.j - 1):
-            col = self._columns(x, clip)
+            col = self._columns(x)
         else:
             # cell = side / j is exact, so x / cell is j (x / side) bit for
-            # bit, and j sub-columns, truncated (and clipped) alike, make a
-            # column (wherever x / cell truncates into an int64)
+            # bit, and j sub-columns, truncated and clipped, make a column
+            # (wherever x / cell truncates into an int64)
             col = sub >> (self.j.bit_length() - 1)
         return col * self.ny + row, cells
 
@@ -294,14 +273,14 @@ class NeighborIndex:
         key = self.codes if wide else self.codes.astype(np.uint16)
         return np.argsort(key, kind="stable")
 
-    def _columns(self, x: np.ndarray, clip: bool = True) -> np.ndarray:
-        return _grid_index(x, self.side, self.nb, clip)
+    def _columns(self, x: np.ndarray) -> np.ndarray:
+        return grid_index(x, self.side, self.nb)
 
-    def _rows(self, y: np.ndarray, clip: bool = True) -> np.ndarray:
-        return _grid_index(y, self.height, self.ny, clip)
+    def _rows(self, y: np.ndarray) -> np.ndarray:
+        return grid_index(y, self.height, self.ny)
 
-    def _sub_columns(self, x: np.ndarray, clip: bool = True) -> np.ndarray:
-        return _grid_index(x, self.cell, self.lattice, clip)
+    def _sub_columns(self, x: np.ndarray) -> np.ndarray:
+        return grid_index(x, self.cell, self.lattice)
 
     def _lattice_rows(self, row: np.ndarray) -> np.ndarray:
         return row if self.j == self.k else row // (self.k // self.j)
@@ -411,9 +390,9 @@ class NeighborIndex:
         misses no hit.  The certain one takes only agents and points in the
         arena, which ``grid_index`` puts into the cells they lie in, so
         with every agent in the arena both stencils grow the same cells, in
-        one ``_dilate``; where the points are shown to lie in the arena as
-        a whole (``truncates``), they are gridded by truncation and none is
-        tested on its own.  Every certain mark is a possible one."""
+        one ``_dilate``; where one min and one max put every point in the
+        arena, no marked point is tested on its own.  Every certain mark is
+        a possible one."""
         possible_rows, certain_rows = _stencils(radius, self.cell)
         held = self._held(mask)
         if self.inside is None:
@@ -421,13 +400,12 @@ class NeighborIndex:
         else:
             (near,) = _dilate(held, self.pitch, possible_rows)
             (sure,) = _dilate(self._held(mask & self.inside), self.pitch, certain_rows)
-        clip = not (self.truncates and self._all_in_arena(pts))
-        rows = self._lattice_rows(self._rows(pts[:, 1], clip))
-        cell = self._sub_columns(pts[:, 0], clip) * self.pitch + rows
+        rows = self._lattice_rows(self._rows(pts[:, 1]))
+        cell = self._sub_columns(pts[:, 0]) * self.pitch + rows
         possible = near[cell]
         kept = np.flatnonzero(possible)
         marked = kept[sure[cell[kept]]]
-        if clip:
+        if not self._all_in_arena(pts):
             marked = marked[self._in_arena(np.take(pts, marked, axis=0))]
         certain = np.zeros_like(possible)
         certain[marked] = True
@@ -550,41 +528,23 @@ def informed_cells(
     """(m x m mask of central cells whose occupants are all informed — empty
     cells count, number of suburb agents currently informed).
 
-    Where its ``2 m^2`` bins are no more than the agents, one ``bincount``
-    of ``2 * cell + informed`` counts each cell's uninformed and informed
-    agents.  Truncation alone puts an agent in the arena in ``[0, m]``
-    (the ``zones`` rule), on a table ``m + 1`` wide whose row and column
-    ``m``, the far edges, are folded into ``m - 1`` as the clip puts them.
-    Where one min and max find a cell outside ``[0, m]``, as off the arena
-    or for NaN, every agent is clipped by ``grid_index``.  In sparser
-    worlds the bins would cost more than the agents, and the cells of the
-    uninformed agents are marked directly instead.  A world with no central
-    cell needs neither: every informed agent is in the suburb."""
+    One ``bincount`` of ``2 * cell + informed``, the cells by
+    ``grid_index`` with side ``ell``, counts each cell's uninformed and
+    informed agents.  Its ``2 m^2`` bins cost O(n) wherever there is a
+    central cell: a cell holds at most ``1.5 / m^2`` of the stationary
+    mass (the peak density is ``1.5 / L^2``), and a central one at least
+    ``(3/8) ln(n) / n``, so ``2 m^2 <= 8 n / ln(n)``, at most ``n`` from
+    ``n >= e^8``.  A world with no central cell needs no count: every
+    informed agent is in the suburb."""
     m, central = zone_map.m, zone_map.central
     if not central.any():
         return np.zeros((m, m), dtype=bool), state.informed_count
-    pos = population.pos
-    if 2 * m * m <= len(pos):
-        cell = (pos / zone_map.ell).astype(np.int64)
-        if not (cell.min() >= 0 and cell.max() <= m):
-            cell = grid_index(pos, zone_map.ell, m)
-        w = m + 1
-        codes = cell[:, 0] * (2 * w)
-        codes += 2 * cell[:, 1]
-        codes += state.informed
-        counts = np.bincount(codes, minlength=2 * w * w).reshape(w, w, 2)
-        counts[m - 1] += counts[m]
-        counts[:, m - 1] += counts[:, m]
-        counts = counts[:m, :m]
-        return central & (counts[..., 0] == 0), int(counts[..., 1][~central].sum())
-    i, j = zone_map.cell_index(pos)
-    codes = i * m + j  # flat indexing is about twice as fast as 2-D here
-    central_flat = central.reshape(-1)
-    blocked = np.zeros(m * m, dtype=bool)
-    blocked[codes[~state.informed]] = True
-    cells = central_flat & ~blocked
-    suburb_informed = int(np.count_nonzero(~central_flat[codes] & state.informed))
-    return cells.reshape(m, m), suburb_informed
+    cell = grid_index(population.pos, zone_map.ell, m)
+    codes = cell[:, 0] * (2 * m)
+    codes += 2 * cell[:, 1]
+    codes += state.informed
+    counts = np.bincount(codes, minlength=2 * m * m).reshape(m, m, 2)
+    return central & (counts[..., 0] == 0), int(counts[..., 1][~central].sum())
 
 
 # ---------------------------------------------------------------------------

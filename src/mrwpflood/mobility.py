@@ -242,13 +242,28 @@ class Population:
         self.vel = np.take(HEADING_VECTORS * params.v, self.heading, axis=0)
         self.pcg = pcg64_states(substream_seeds(params.seed, np.arange(n)))
         self.step_count = 0
-        # one item per agent, sharing memory with the arrays above
+        self._views()
+        self._velocity = complex_rows(HEADING_VECTORS * params.v)  # vel per heading
+        self._left = self._countdown(slice(None), self._pos)
+
+    _VIEWS = ("_pos", "_dest", "_turn", "_vel", "_pcg")
+
+    def _views(self) -> None:
+        """Set ``_VIEWS``: one item per agent, sharing memory with ``pos``,
+        ``dest``, ``turn``, ``vel`` and ``pcg``, so that stepping writes
+        both."""
         self._pos, self._dest, self._turn, self._vel = map(
             complex_rows, (self.pos, self.dest, self.turn, self.vel)
         )
         self._pcg = pcg64_items(self.pcg)
-        self._velocity = complex_rows(HEADING_VECTORS * params.v)  # vel per heading
-        self._left = self._countdown(slice(None), self._pos)
+
+    def __getstate__(self) -> dict:
+        # a copy or pickle would give each view memory of its own
+        return {k: v for k, v in self.__dict__.items() if k not in self._VIEWS}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._views()
 
     def _check_states(self) -> None:
         """Raise ``ValueError`` unless every agent is in a state that trips

@@ -12,13 +12,11 @@ The module owns the cell grid rules: the coordinate-to-cell rule
 (``grid_index``, which ``ZoneMap.cell_index`` applies with side ``ell`` on
 both axes, and the exchange's neighbour index on a lattice of its own) and
 the 4-neighbour rule (``dilate``, which ``cz_neighborhood`` keeps within
-the central zone).  The clip of ``grid_index`` changes no cell of a
-coordinate in ``[0, L]`` when ``L / side`` is below the number of cells,
-since the quotient grows with the coordinate; where ``L / side`` can reach
-it, as ``L / ell`` can reach ``m``, it moves the far edge only.  So
-``flooding`` grids by truncation alone wherever one min and one max put
-its coordinates in the arena, and clips the rest.  Every cell set is an
-``m x m`` boolean mask.  The module also provides the combinatorial
+the central zone).  ``grid_index`` truncates, and clips only an array
+whose truncated cells one max finds outside the grid: points off the
+arena, NaN, and the far edge where ``L / side`` reaches the number of
+cells, as ``L / ell`` can reach ``m``.  Every cell set is an ``m x m``
+boolean mask.  The module also provides the combinatorial
 checkers used by the analysis: row/column coverage of the central zone,
 vertex-boundary expansion of central subsets, and the suburb diameter
 bound.
@@ -41,9 +39,16 @@ def grid_index(coords: np.ndarray, side: float, m: int) -> np.ndarray:
     """Index of the cell holding each coordinate, on a line of ``m`` cells
     of side ``side`` starting at 0.  Coordinates are truncated by ``side``
     and clipped into ``[0, m - 1]``: the far edge maps to the last cell,
-    and coordinates outside the line to the nearest end cell."""
-    i = np.minimum((coords / side).astype(np.int64), m - 1)
-    return np.maximum(i, 0, out=i)
+    coordinates outside the line to the nearest end cell, and NaN to cell
+    0.  The clip runs only when some truncated cell lies outside ``[0, m -
+    1]``; for coordinates in ``[0, L]``, whose quotients grow with them,
+    only ``L / side >= m`` takes it."""
+    i = (coords / side).astype(np.int64)
+    # a negative cell reads as 2^63 or more unsigned: one max checks both ends
+    if i.size and i.view(np.uint64).max() >= m:
+        np.minimum(i, m - 1, out=i)
+        np.maximum(i, 0, out=i)
+    return i
 
 
 def dilate(cells: np.ndarray) -> np.ndarray:

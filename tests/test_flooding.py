@@ -9,7 +9,7 @@ import pytest
 
 from mrwpflood import flooding
 from mrwpflood.core import WorldParams, derive_substream
-from mrwpflood.experiments import lower_bound_params, make_params
+from mrwpflood.experiments import default_sweep, lower_bound_params, make_params
 from mrwpflood.flooding import (
     DensityMonitor,
     FloodState,
@@ -32,7 +32,7 @@ from mrwpflood.mobility import (
     Population,
     init_population,
 )
-from mrwpflood.zones import build_zone_map, cz_neighborhood, grid_index
+from mrwpflood.zones import build_zone_map, cz_neighborhood
 import oracle
 from oracle import ball_query, band_pairs, brute_force_pairs, cell_center, pairs_within
 
@@ -543,10 +543,6 @@ def clipped_grid(index, pts):
     return np.array(cells), np.array(codes)
 
 
-def refuse_grid_index(*args):
-    raise AssertionError("coordinates clipped")
-
-
 class TestLattice:
     @pytest.mark.parametrize("n", [2000, 32_000, 128_000, 10**6])
     def test_lattice_is_order_n(self, n):
@@ -579,8 +575,8 @@ class TestLattice:
     def test_truncated_cells_in_the_arena(self, monkeypatch):
         # Agents and queries in [0, L]^2 only: on the lattice edges, one ulp
         # either side of them, at 0, at L and one ulp below L.  Every grid
-        # reaches past the arena, so they are gridded by truncation alone,
-        # into the cells of the clipped formula.
+        # reaches past the arena, so truncation alone puts them into the
+        # cells of the clipped formula.
         L, R = 12.0, 2.0
         ticks = [0.0, np.nextafter(L, 0.0), L]
         corners = np.stack(np.meshgrid(ticks, ticks), axis=-1).reshape(-1, 2)
@@ -593,13 +589,10 @@ class TestLattice:
             queries = np.concatenate([corners, rng.choice(edges, 600)])
             index = NeighborIndex(pts, L, R)
             assert (index.k, index.j) == (k, j)
-            assert index.truncates and index.inside is None
+            assert index.inside is None
             mask = rng.random(len(pts)) < 0.5
-            with monkeypatch.context() as patch:
-                patch.setattr(flooding, "grid_index", refuse_grid_index)
-                gridded = index.cells, index.codes, index._marks(queries, mask, R)
             cells, codes = clipped_grid(index, pts)
-            assert np.array_equal(gridded[0], cells) and np.array_equal(gridded[1], codes)
+            assert np.array_equal(index.cells, cells) and np.array_equal(index.codes, codes)
             for radius in (R, 0.75 * R):
                 want = brute_force_any_within(pts, queries, mask, radius)
                 possible, certain = index._marks(queries, mask, radius)
@@ -610,7 +603,7 @@ class TestLattice:
 
     def test_whole_number_of_bucket_sides(self, monkeypatch):
         # L = 4 bucket sides exactly: x = L truncates into column nb, past
-        # the grid, so the index clips its agents and query points
+        # the grid, so grid_index clips the agents and query points
         R = 2.0
         L = 4.0 * R * (1.0 + flooding._BAND_MARGIN)
         rng = derive_substream(115, 1)
@@ -622,7 +615,7 @@ class TestLattice:
                 a[20:40, 1] = L
                 a[40:50] = L
             index = NeighborIndex(pts, L, R)
-            assert L / index.side == index.nb == 4 and not index.truncates
+            assert L / index.side == index.nb == 4
             cells, codes = clipped_grid(index, pts)
             assert np.array_equal(index.cells, cells)
             assert np.array_equal(index.codes, codes)
@@ -1018,9 +1011,8 @@ class TestInformedCells:
 
 
     def test_matches_the_marking_oracle(self):
-        # the counting pass where its 2 m^2 bins are no more than the
-        # agents, the marking pass elsewhere, both on worlds with central
-        # and suburb cells
+        # worlds with central and suburb cells, with more agents than the
+        # count's 2 m^2 bins and with fewer
         counted = set()
         for n, c1 in ((400, 1.2), (1000, 1.2), (2000, 1.2), (2000, 2.5)):
             p = make_params(n, c1=c1, seed=n)
@@ -1040,12 +1032,32 @@ class TestInformedCells:
             assert suburb > 0
         assert counted == {True, False}
 
+    def test_bins_are_order_n_wherever_a_cell_is_central(self):
+        # informed_cells counts on 2 m^2 bins in every world with a central
+        # cell: a cell holds at most 1.5 / m^2 of the stationary mass and a
+        # central one at least (3/8) ln(n) / n, so 2 m^2 <= 8 n / ln(n).
+        # A build_zone_map whose threshold is (3/16) ln(n) / n fails this.
+        worlds = [
+            make_params(n, c1=c1)
+            for n in (2, 20, 100, 400, 1000, 2000, 32_000)
+            for c1 in (0.5, 1.2, 1.5, 2.5)
+        ]
+        above = set()
+        for p in worlds + default_sweep():
+            if p.R > math.sqrt(2.0) * p.L:  # n = 2, c1 = 2.5: no cell grid
+                continue
+            z = build_zone_map(p)
+            if z.cz_size > 0:
+                assert 2 * z.m * z.m <= 8 * p.n / math.log(p.n), (p.n, p.c1, z.m)
+                above.add(2 * z.m * z.m > p.n)
+        assert above == {True, False}
+
     @pytest.mark.parametrize("c1", [1.2, 2.5])
-    def test_far_edges_fold_into_the_last_cells(self, monkeypatch, c1):
-        # Counting worlds (2 m^2 <= n) where L / ell is m: agents exactly on
-        # x = L, on y = L, on both, and one ulp either side of the interior
-        # cell edges.  Truncated, the far edges land in row and column m,
-        # which fold into the last cells; none is clipped.
+    def test_far_edges_fold_into_the_last_cells(self, c1):
+        # Worlds where L / ell is m: agents exactly on x = L, on y = L, on
+        # both, and one ulp either side of the interior cell edges.
+        # Truncated, the far edges land in row and column m, which the clip
+        # puts into the last cells.
         p = make_params(2000, c1=c1, seed=2000)
         z = build_zone_map(p)
         assert 2 * z.m * z.m <= p.n and p.L / z.ell == z.m
@@ -1060,27 +1072,18 @@ class TestInformedCells:
         for informed in (~edge, edge, rng.random(p.n) < 0.5):
             state = FloodState(informed=informed, step=0, source=0)
             want = oracle.informed_cells(pop, state, z)
-            with monkeypatch.context() as patch:
-                patch.setattr(flooding, "grid_index", refuse_grid_index)
-                cells, suburb_count = informed_cells(pop, state, z)
+            cells, suburb_count = informed_cells(pop, state, z)
             assert np.array_equal(cells, want[0]) and suburb_count == want[1]
 
-    def test_positions_off_the_arena_are_clipped(self, monkeypatch):
-        # Positions past the arena's edges, as no population holds them.
-        # Those more than a cell past it truncate out of [0, m], and every
-        # agent is clipped; those 1e-9 past it truncate into cell 0 or m,
-        # the clipped cells once folded.
+    def test_positions_off_the_arena_are_clipped(self):
+        # Positions past the arena's edges, as no population holds them:
+        # 1e-9 past it, 2.5 cells past it and at 1e6, clipped into the end
+        # cells.
         p = make_params(2000, c1=2.5, seed=2000)
         z = build_zone_map(p)
         assert 2 * z.m * z.m <= p.n
         rng = derive_substream(118, 0)
         off = [-1e-9, -2.5 * z.ell, p.L + 1e-9, p.L + 2.5 * z.ell, 1e6]
-        clipped = []
-
-        def counted(*args):
-            clipped.append(args)
-            return grid_index(*args)
-
         for trial in range(len(off)):
             pos = init_population(p, APPROX_STATIONARY).pos
             pos[rng.integers(0, p.n, 50), rng.integers(0, 2, 50)] = off[trial]
@@ -1088,11 +1091,8 @@ class TestInformedCells:
             for frac in (0.0, 0.5, 1.0):
                 state = FloodState(informed=rng.random(p.n) < frac, step=0, source=0)
                 want = oracle.informed_cells(pop, state, z)
-                with monkeypatch.context() as patch:
-                    patch.setattr(flooding, "grid_index", counted)
-                    cells, suburb_count = informed_cells(pop, state, z)
+                cells, suburb_count = informed_cells(pop, state, z)
                 assert np.array_equal(cells, want[0]) and suburb_count == want[1]
-        assert len(clipped) == 3 * 3
 
     def test_world_without_central_cells(self, monkeypatch):
         # |CZ| = 0: no cell to mark and every informed agent in the suburb,
@@ -1108,10 +1108,11 @@ class TestInformedCells:
         ]
         wants = [oracle.informed_cells(pop, state, z) for state in states]
 
-        def no_grid(self, positions):
+        def no_grid(*args):
             raise AssertionError("agents gridded")
 
         monkeypatch.setattr(type(z), "cell_index", no_grid)
+        monkeypatch.setattr(flooding, "grid_index", no_grid)
         for state, (cells, suburb) in zip(states, wants):
             got, count = informed_cells(pop, state, z)
             assert np.array_equal(got, cells) and got.shape == (z.m, z.m)

@@ -1,6 +1,8 @@
 """Trip construction, stepping kinematics, turn statistics, population engine."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -547,6 +549,37 @@ class TestPopulation:
         pop.step()
         assert np.array_equal(pop.pos, before)
         assert pop.step_count == 1
+
+    def test_copies_step_like_the_original(self):
+        # Deep copies and pickle round trips rebuild the complex and PCG
+        # item views on their own arrays: a copy whose views kept memory of
+        # their own would step ``_pos`` while ``pos`` stood still.
+        p = make_params(500, seed=3)
+        pop = init_population(p, APPROX_STATIONARY)
+        pop.step()
+        copies = {
+            "deepcopy": copy.deepcopy(pop),
+            "pickle": pickle.loads(pickle.dumps(pop)),
+        }
+        kept = {name: getattr(pop, name).copy() for name in ENGINE_STATE}
+        for how, c in copies.items():
+            for name in ("pos", "dest", "turn", "vel", "pcg"):
+                assert np.shares_memory(getattr(c, name), getattr(c, "_" + name)), how
+                assert not np.shares_memory(getattr(c, name), getattr(pop, name)), how
+            for _ in range(50):
+                c.step()
+        for name in ENGINE_STATE:
+            assert getattr(pop, name).tobytes() == kept[name].tobytes(), name
+        turned = 0
+        for _ in range(50):
+            heading = pop.heading.copy()
+            pop.step()
+            turned += int(np.count_nonzero(pop.heading != heading))
+        assert turned > 0
+        for how, c in copies.items():
+            for name in ENGINE_STATE:
+                assert getattr(c, name).tobytes() == getattr(pop, name).tobytes(), (how, name)
+            assert c.step_count == pop.step_count == 51
 
 
 def step_positions_beside_oracle(pop, states, rngs, steps):

@@ -17,6 +17,7 @@ from mrwpflood.zones import (
     check_suburb_diameter,
     core_bounds,
     cz_row_column_counts,
+    grid_index,
     grid_svg,
     manhattan_distance,
     zone_map_svg,
@@ -74,6 +75,50 @@ def loop_suburb_diameter(zone_map: ZoneMap, scale: float = 1.0):
         if far > allowance:
             violations += 1
     return allowance, (0.0 if worst == -math.inf else worst), worst_cell, violations
+
+
+def clipped_cells(coords: np.ndarray, side: float, m: int) -> np.ndarray:
+    """Reference for ``grid_index``: ``min(max(int(x / side), 0), m - 1)``
+    for each coordinate, NaN in cell 0."""
+    cells = [
+        0 if math.isnan(x) else min(max(int(x / side), 0), m - 1)
+        for x in np.ravel(coords).tolist()
+    ]
+    return np.array(cells, dtype=np.int64).reshape(np.shape(coords))
+
+
+class TestGridIndex:
+    # (L, side, m): two lines whose far edge x = L truncates to m, and one
+    # whose grid reaches past L
+    @pytest.mark.parametrize(
+        "L, side, m", [(4.0, 0.5, 8), (10.0, 10.0 / 7.0, 7), (11.0, 0.3, 40)]
+    )
+    def test_truncates_then_clips_into_the_grid(self, L, side, m):
+        # Each coordinate off the grid comes alone among coordinates in it,
+        # so that the range check must find it: a grid_index that only
+        # truncates fails every such case, one that clips only past m fails
+        # the far edge where L / side == m, and one whose check misses
+        # negative cells fails the coordinates below 0.
+        assert (L / side == m) == (L < 11.0)
+        rng = np.random.default_rng(m)
+        edges = np.arange(m + 1) * side
+        inside = np.concatenate(
+            [rng.random(40) * L, [0.0, -0.0, np.nextafter(L, 0.0)], edges,
+             np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]
+        )
+        inside = inside[(inside >= 0.0) & (inside < L)]
+        off = [
+            L, np.nextafter(L, np.inf), -1e-9, np.nextafter(0.0, -1.0), -2.5 * side,
+            -1e6, L + 1e-9, L + 2.5 * side, m * side, 1e6, np.nan,
+        ]
+        cases = [inside, np.empty(0), np.array(off)]
+        cases += [np.insert(inside, i % len(inside), x) for i, x in enumerate(off)]
+        for coords in cases:
+            for shaped in (coords, np.stack([coords, coords[::-1]], axis=-1)):
+                with np.errstate(invalid="ignore"):  # NaN to int64
+                    got = grid_index(shaped, side, m)
+                assert got.dtype == np.int64 and got.shape == shaped.shape
+                assert np.array_equal(got, clipped_cells(shaped, side, m)), coords
 
 
 class TestManhattanDistance:
