@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -1190,6 +1191,78 @@ class TestInitialWaypointRate:
             near += np.count_nonzero(np.abs(pop.turn - pop.pos).sum(axis=1) <= p.v)
             expected += 3.0 * p.v / p.L * n
         assert abs(near / expected - 1.0) <= 0.04, near / expected
+
+
+def joint_cells(pop, bins=10):
+    """Each agent's bin among ``bins**2`` position cells x 4 headings x 2
+    legs."""
+    cell = np.minimum((pop.pos / pop.params.L * bins).astype(np.int64), bins - 1)
+    return ((cell[:, 0] * bins + cell[:, 1]) * 4 + pop.heading) * 2 + pop.leg
+
+
+def two_sample_chi_square_z(a, b, bins):
+    """Standard score of the two-sample chi-square of equal-size samples of
+    the bin numbers ``a`` and ``b`` (below ``bins``), over the bins that
+    either fills."""
+    ca, cb = np.bincount(a, minlength=bins), np.bincount(b, minlength=bins)
+    filled = (ca + cb) > 0
+    df = np.count_nonzero(filled) - 1
+    chi2 = (((ca - cb) ** 2)[filled] / (ca + cb)[filled]).sum()
+    return (chi2 - df) / math.sqrt(2.0 * df)
+
+
+def vertical_first_share_z(a, b):
+    """Two-proportion z of the share of agents on a vertical first leg."""
+    def share(pop):
+        vertical = (pop.heading == Heading.NORTH) | (pop.heading == Heading.SOUTH)
+        return np.count_nonzero(vertical & (pop.leg == Leg.FIRST)) / pop.params.n
+
+    pa, pb = share(a), share(b)
+    p = (pa + pb) / 2.0
+    return (pa - pb) / math.sqrt(p * (1.0 - p) * 2.0 / a.params.n)
+
+
+def joint_law_z(pop, fresh, strips=100):
+    """The gate's standard scores of ``pop`` against ``fresh``: the joint
+    chi-square, the vertical-first share, and the chi-square of each
+    coordinate over ``strips`` strips of the side."""
+    z = [two_sample_chi_square_z(joint_cells(pop), joint_cells(fresh), 800)]
+    z.append(vertical_first_share_z(pop, fresh))
+    for axis in (0, 1):
+        a, b = (
+            np.minimum((p.pos[:, axis] / p.params.L * strips).astype(np.int64), strips - 1)
+            for p in (pop, fresh)
+        )
+        z.append(two_sample_chi_square_z(a, b, strips))
+    return z
+
+
+class TestJointLawUnderStepping:
+    def test_stepping_keeps_the_exact_joint_law(self):
+        # The exact init draws the stationary joint law of position,
+        # heading and leg, so stepping must keep it.  An init stepped 1.5
+        # and 3 mean trips (trip length 2L/3) is set against a fresh one
+        # of another seed, by four standard scores, each bounded by 4 (a
+        # one-sided false alarm of about 3e-5 per check):
+        # - a two-sample chi-square over 10 x 10 cells x 4 headings x 2
+        #   legs (799 degrees of freedom).  The position density alone
+        #   does not see the path coin; the leg does: an arrival coin of
+        #   0.52 reads about 3.4;
+        # - a two-proportion z on the share of agents on a vertical first
+        #   leg: about 6 for that coin;
+        # - a chi-square of each coordinate over 100 strips of the side.
+        #   The exact law puts about 0.5% of the agents within L/100 of an
+        #   edge; destinations drawn on [0, 0.99 L]^2 empty those strips,
+        #   which 10 x 10 cells miss (z about 2 to 3).
+        p = make_params(10**5, seed=11)
+        fresh = init_population(replace(p, seed=12), APPROX_STATIONARY)
+        pop = init_population(p, APPROX_STATIONARY)
+        block = round(1.5 * (2.0 * p.L / 3.0) / p.v)  # 1.5 mean trips
+        for _ in range(2):
+            pop.advance(block)
+            z = joint_law_z(pop, fresh)
+            assert z[0] <= 4.0 and abs(z[1]) <= 4.0, (pop.step_count, z)
+            assert max(z[2:]) <= 4.0, (pop.step_count, z)
 
 
 class TestRecorder:
