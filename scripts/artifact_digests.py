@@ -21,21 +21,23 @@ One command covers the sparse regime:
 `flood --set n=64000 --set R=0.98 --set max_steps=30` has L / R = 258, so
 its neighbour index has more than 2^16 bucket codes and sorts them by the
 int64 key (the denser commands all use the 16-bit key).  One covers fast
-agents: `flood --set R=2 --set v=9` floods in T = 6 steps at seed 0, and
+agents: `flood --set R=2 --set v=9` floods in T = 7 steps at seed 0, and
 about half the agents cross at least one way-point each step, so the
 listing covers the way-point passes after the first, whole-array mobility
 pass.  One covers slow agents far below the connectivity radius:
 `flood --set n=8000 --set R=1.5 --set v=0.02 --source in_suburb --set
-max_steps=300` spreads for all 300 steps (7994 of 8000 agents informed at
+max_steps=300` spreads for all 300 steps (7984 of 8000 agents informed at
 seed 0), on an exchange lattice of two cells a bucket side where the
 denser commands use eight.  One covers an exchange with few senders:
-`flood --set R=0.5 --set max_steps=40` informs 25 of 2000 agents in its 40
-steps, so each step's neighbour index holds between 1 and 24 agents; 37
-of its 40 exchanges have at most 2^15 (target, sender) pairs and are
-answered by the direct distance check, the last three on the lattice.  One
-covers the corner trials at a seed of two 32-bit words: `lower-bound
---trials 1000 --flood-cap 2 --set seed=4294967297` (about 0.8 s) derives
-every trial's seed and stream from a seed whose high word is 1.  One covers
+`flood --set R=0.5 --set max_steps=40` informs 11 of 2000 agents in its 40
+steps, so each step's neighbour index holds between 1 and 10 agents, and
+each of its 40 exchanges has at most 2^15 (target, sender) pairs and is
+answered by the direct distance check.  One
+covers the corner trials at a seed past 2^32: `lower-bound --trials 1000
+--flood-cap 2 --set seed=4294967297` (about 0.8 s) hashes every trial's
+seed and stream words in one array pass from a seed whose high 32 bits
+are 1, so a seed truncated to 32 bits anywhere on that path would change
+it.  One covers
 slow agents: `simulate --set v=0.005 --steps 3000 --agents 20` steps agents
 whose legs last thousands of steps, so their way-point countdowns run long
 and expire mid-run.  One covers agents that meet several way-points a
@@ -43,7 +45,7 @@ step: `simulate --set v=9 --steps 200 --agents 50` (about 0.6 s) moves
 each agent a fifth of the arena side a step, and pins the per-step
 positions, headings and legs of the 50 dumped agents, which take an elbow
 and its destination, or an arrival and the elbow of the fresh trip, in
-about 860 of their 10 000 steps, and three or four way-points in about 140.  One covers a long warm-up: `flood --set init=warmup
+about 880 of their 10 000 steps, and three or four way-points in about 130.  One covers a long warm-up: `flood --set init=warmup
 --set v=0.05 --set max_steps=50` warms up for 8945 steps, one block whose
 countdowns run to hundreds of steps.  One covers an empty central zone:
 `expansion-check --set n=200 --set R=0.5` has |CZ| = 0, so no subset is
@@ -61,7 +63,7 @@ its minimum of 64 proposals (twice the 20 agents would be 40), and reads
 8 corner events and one flood, T = 25, at seed 0.  The last,
 `flood-cz-400` (`flood --set n=400 --set constants.c1=1.2`), counts
 central cells in a world with more zone-cell bins than agents: m = 16, so
-2 m^2 = 512 > 400, with |CZ| = 16; at seed 0 it floods in T = 9 steps and
+2 m^2 = 512 > 400, with |CZ| = 16; at seed 0 it floods in T = 6 steps and
 writes the per-step central-cell counts.
 """
 

@@ -7,18 +7,17 @@ Conventions fixed here once and relied on everywhere else:
 * ``log`` means the natural logarithm in every envelope formula,
 * all arithmetic is double precision and threshold comparisons are exact
   (``>=`` / ``<=``, no epsilon fudging),
-* randomness comes from numpy PCG64 generators keyed by ``(seed, index)``
-  through :func:`derive_substream`; identical keys give identical draw
-  sequences, which is what makes reruns bit-stable and lets the array
-  stepping engine match each agent stepped alone exactly.  Each agent
-  draws from its substream without a ``Generator``: the PCG64 states
-  are seeded for all agents in one array pass (:func:`pcg64_states`) and
-  advanced in arrays (:func:`pcg64_random3`), bit for bit as
-  ``derive_substream(seed, i)`` would draw.
+* randomness comes from one keyed 64-bit hash (:func:`keyed_hash`): every
+  draw is a pure function of the seed and integer words, so reruns are
+  bit-stable.  Agent ``a``'s ``j``-th trip hashes ``(seed, a, j)``
+  (:func:`trip_draws`), so the array engine matches each agent stepped
+  alone exactly; the infrastructure streams and derived seeds are hash
+  words too (:func:`derive_substream`, :func:`derived_seed`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields, is_dataclass
 from typing import NamedTuple
@@ -27,7 +26,7 @@ import numpy as np
 
 #: Identifier of the deterministic generator construction, embedded in all
 #: output files so results can be tied to the stream definition.
-RNG_ALGORITHM_ID = "numpy-pcg64-seedseq(seed,index)"
+RNG_ALGORITHM_ID = "splitmix64-keyed(seed,counter)+numpy-pcg64"
 
 #: Default speed-envelope constant: v must not exceed R divided by this.
 SPEED_ENVELOPE_DEFAULT = 3.0 * (1.0 + math.sqrt(5.0))
@@ -36,10 +35,9 @@ SPEED_ENVELOPE_DEFAULT = 3.0 * (1.0 + math.sqrt(5.0))
 #: ``WorldParams`` default; the scenarios use ``experiments.SCENARIO_C1``.
 RADIUS_ENVELOPE_DEFAULT = 200.0
 
-# Reserved substream indices.  Agents use their own id (0 .. n-1); all
-# infrastructure draws live far above any realistic population size so the
-# two ranges can never collide.
-_RESERVED_BASE = 2**48
+# Reserved substream indices, at the top of the one-word index range, far
+# above the indices that callers take for draws of their own.
+_RESERVED_BASE = 2**32 - 2**8
 INIT_STREAM_INDEX = _RESERVED_BASE
 SOURCE_STREAM_INDEX = _RESERVED_BASE + 1
 MONITOR_STREAM_INDEX = _RESERVED_BASE + 2
@@ -176,193 +174,112 @@ def check_assumptions(p: WorldParams) -> AssumptionReport:
     )
 
 
+# The one keyed hash (:func:`keyed_hash`): SplitMix64's output function
+# (Steele, Lea and Flood, OOPSLA 2014) at a Weyl counter.  Every constant is
+# a uint64, so the arithmetic is the same under numpy 1.x casting and NEP 50.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)  # odd: the Weyl step
+_MIX = tuple(np.uint64(k) for k in (30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31))
+_U3, _U11, _U34 = np.uint64(3), np.uint64(11), np.uint64(34)
+
+# Counter layout under one seed; the top bits keep the three uses apart.
+#   agent trips      agent << 34 | 3 j + k    agent < 2**29, trip j < 2**32
+#   substream words  2**63 | index << 2 | w   index < 2**32, w = 0 .. 3
+#   derived seeds    3 * 2**62 + word         word < 2**62
+_AGENT_LIMIT = 2**29
+_SUBSTREAM = 2**63
+_DERIVED = 3 * 2**62
+_DRAW = np.arange(3, dtype=np.uint64)  # destination x, destination y, coin
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer on a uint64 array, in place: xor-shifts and
+    odd multiplies, each a bijection, so the whole is one."""
+    s1, m1, s2, m2, s3 = _MIX
+    z ^= z >> s1
+    z *= m1
+    z ^= z >> s2
+    z *= m2
+    z ^= z >> s3
+    return z
+
+
+@functools.lru_cache(maxsize=64)
+def _seed_start(seed: int) -> np.uint64:
+    return (_mix(np.array([seed % 2**64], dtype=np.uint64)) + _GAMMA)[0]
+
+
+def keyed_hash(seed, counter) -> np.ndarray:
+    """One uint64 per element of ``counter``: output number ``counter`` of
+    SplitMix64 (Steele, Lea and Flood) seeded with ``mix(seed mod 2**64)``,
+    that is ``mix(mix(seed) + GAMMA * (counter + 1))``, with ``mix`` its
+    finalizer and ``GAMMA`` its odd Weyl step.  ``seed`` is an int or a
+    uint64 array that broadcasts with ``counter``.
+
+    Under one seed, distinct counters are distinct Weyl points, as times an
+    odd ``GAMMA`` is a bijection mod 2**64, and ``mix`` is one too, so they
+    never give one value.  Mixing the seed first keeps nearby seeds from
+    walking the same points a fixed offset apart.  As in counter-based
+    generators (Salmon et al., SC'11), a draw needs its key alone.
+    """
+    if isinstance(seed, int):
+        start = _seed_start(seed)
+    else:  # the first Weyl point of each seed's generator
+        start = _mix(np.array(seed, dtype=np.uint64, ndmin=1)) + _GAMMA
+    return _mix(start + _GAMMA * np.array(counter, dtype=np.uint64, ndmin=1))
+
+
+def trip_draws(seed: int, agents, trips) -> np.ndarray:
+    """The three uniforms in [0, 1) of trip ``trips[r]`` of agent
+    ``agents[r]`` (destination x, destination y and path coin), as an
+    ``(m, 3)`` array: draw ``k`` of trip ``j`` of agent ``a`` is the top 53
+    bits times 2**-53 of the hash of counter ``a << 34 | 3 j + k``.
+
+    A trip's draws depend only on (seed, agent, trip), so agents drawn in
+    any order or grouping draw the same.  Agents lie in [0, 2**29) and
+    trips in [0, 2**32), so no two (agent, trip, draw) share a counter.
+    """
+    base = np.asarray(agents).astype(np.uint64) << _U34
+    base |= np.asarray(trips).astype(np.uint64) * _U3
+    return (keyed_hash(seed, base[:, None] + _DRAW) >> _U11) * 2.0**-53
+
+
+def derived_seed(seed: int, *words):
+    """A 64-bit seed from ``seed`` and integer words in [0, 2**62): the
+    hash chained one word at a time, ``h = keyed_hash(h, 3 * 2**62 +
+    word)`` from ``h = seed``.  An array word gives an array of seeds."""
+    h = seed
+    for word in words:
+        word = np.asarray(word)
+        if word.size and (word.min() < 0 or word.max() >= 2**62):
+            raise ValueError("derived_seed takes words in [0, 2**62)")
+        h = keyed_hash(h, word.astype(np.uint64) + np.uint64(_DERIVED))
+        h = int(h[0]) if word.ndim == 0 else h
+    return h
+
+
+def substream_words(seed, index: int) -> np.ndarray:
+    """The four hash words of substream ``(seed, index)``, for an int seed
+    as a ``(4,)`` uint64 array, for a uint64 array of seeds one row each.
+    Indices are one 32-bit word."""
+    if not 0 <= index < 2**32:
+        raise ValueError(f"substream index must be in [0, 2**32), got {index}")
+    counters = np.uint64(_SUBSTREAM | index << 2) + np.arange(4, dtype=np.uint64)
+    seeds = seed if isinstance(seed, int) else np.asarray(seed, dtype=np.uint64)[..., None]
+    return keyed_hash(seeds, counters)
+
+
+def substream_state(words) -> dict:
+    """numpy's PCG64 state whose 128-bit state is ``words[0]:words[1]``
+    (high:low) and whose increment is ``words[2]:words[3]``, made odd."""
+    s_hi, s_lo, inc_hi, inc_lo = (int(w) for w in words)
+    state = {"state": s_hi << 64 | s_lo, "inc": inc_hi << 64 | inc_lo | 1}
+    return {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+
+
 def derive_substream(seed: int, index: int) -> np.random.Generator:
-    """Deterministic, statistically independent substream for (seed, index).
-
-    Two calls with the same pair return generators producing identical draw
-    sequences; different pairs give independent draws.  Agents use their
-    own id as index, infrastructure draws use the reserved indices above.
-    """
-    if index < 0:
-        raise ValueError(f"substream index must be >= 0, got {index}")
-    entropy = (seed & 0xFFFF_FFFF_FFFF_FFFF, index)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
-
-
-# Constants of numpy's SeedSequence (numpy/random/bit_generator.pyx), which
-# seedseq_words reproduces for many entropy rows at once.
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_MASK32 = 0xFFFF_FFFF
-
-
-def entropy_words(value: int) -> list[int]:
-    """The uint32 words SeedSequence reads from a non-negative integer."""
-    if value < 0:
-        raise ValueError("expected non-negative integer")  # numpy's message
-    return [value >> s & _MASK32 for s in range(0, max(int(value).bit_length(), 1), 32)]
-
-
-def seedseq_words(entropy, n_words: int) -> np.ndarray:
-    """``SeedSequence(row).generate_state(n_words)`` for every row, as a
-    ``(rows, n_words)`` uint32 array, in whole-array uint32 arithmetic.
-    ``entropy`` lists a row's words, each a scalar or one per row."""
-    columns = (np.array(word, np.uint32, ndmin=1) for word in entropy)
-    entropy = list(np.broadcast_arrays(*columns))
-    hash_const, mult = _INIT_A, _MULT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * mult & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
-
-    pool = [hashmix(w) for w in (entropy + [0 * entropy[0]] * _POOL_SIZE)[:_POOL_SIZE]]
-    # every pool word into every other, then each word past the pool into all
-    for src in range(max(len(entropy), _POOL_SIZE)):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value = pool[src] if src < _POOL_SIZE else entropy[src]
-                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(value)
-                pool[dst] = mixed ^ (mixed >> np.uint32(16))
-    hash_const, mult = _INIT_B, _MULT_B  # generate_state hashes with these
-    words = [hashmix(pool[k % _POOL_SIZE]) for k in range(n_words)]
-    return np.stack(words, axis=1).astype("<u4", copy=False)
-
-
-def substream_seeds(seed: int, indices) -> np.ndarray:
-    """PCG64 seed words of the substream ``(seed, i)`` for each ``i`` in
-    ``indices``, as a ``(len(indices), 4)`` uint64 array.
-
-    Row ``r`` equals ``SeedSequence((seed mod 2**64, indices[r]))
-    .generate_state(4, np.uint64)``, so :func:`pcg64_states` of the row
-    draws what ``derive_substream(seed, indices[r])`` draws.  Indices must
-    lie in [0, 2**32); a larger one would add an entropy word.
-    """
-    index = np.asarray(indices).ravel()
-    if index.size and (index.min() < 0 or index.max() > _MASK32):
-        raise ValueError("substream_seeds takes indices in [0, 2**32)")
-    entropy = entropy_words(seed & 0xFFFF_FFFF_FFFF_FFFF) + [index.astype(np.uint32)]
-    return seedseq_words(entropy, 8).view("<u8").astype(np.uint64)
-
-
-def substream_states(seeds: np.ndarray, index: int) -> np.ndarray:
-    """:func:`pcg64_states` of ``derive_substream(s, index)`` for each
-    64-bit seed ``s`` of ``seeds``; a seed below 2**32 is one word, not two."""
-    low, high = np.ascontiguousarray(seeds, "<u8").view("<u4").reshape(-1, 2).T
-    words = seedseq_words([low, high, *entropy_words(index)], 8)
-    short = np.flatnonzero(high == 0)
-    words[short] = seedseq_words([low[short], *entropy_words(index)], 8)
-    return pcg64_states(words.view("<u8"))
-
-
-# numpy's PCG64 (numpy/random/src/pcg64): a 128-bit LCG, state <- a * state
-# + inc mod 2**128, whose output is a permutation (XSL-RR) of each new state.
-# Every integer constant is a uint64, so the arithmetic is the same under
-# numpy 1.x casting and under NEP 50.
-_PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
-_U1, _U11, _U32, _U58, _U63 = (np.uint64(k) for k in (1, 11, 32, 58, 63))
-_SEED_CHUNK = 2048  # rows seeded at a time, so every temporary stays in cache
-
-
-def _limb_matrix(pairs) -> np.ndarray:
-    """Matrix of the maps ``(s, inc) -> A * s + C * inc mod 2**128``, one
-    per pair ``(A, C)``, on 16-bit limbs.
-
-    A state row ``[s_hi, s_lo, inc_hi, inc_lo]`` viewed as ``<u2`` is 16
-    limbs ``x``; its limb at 128-bit position ``i`` adds ``x * (M << 16 i)``
-    for multiplier ``M``, and the 32-bit chunk ``q`` of ``M << 16 i`` is the
-    entry in row ``(q, pair)``.  So ``matrix @ x`` gives ``d_q`` with ``A *
-    s + C * inc = sum_q d_q 2**(32 q) mod 2**128``.  Entries are below
-    2**32 and limbs below 2**16, so each ``d_q`` is an integer below 2**52,
-    exact in double precision whatever the order of summation.
-    """
-    positions = (4, 5, 6, 7, 0, 1, 2, 3)  # the hi word's limbs, then the lo's
-    return np.array(
-        [
-            [(mult << 16 * i >> 32 * q) & _MASK32 for mult in pair for i in positions]
-            for q in range(4)
-            for pair in pairs
-        ],
-        dtype=np.float64,
-    )
-
-
-def _jump(k: int) -> tuple[int, int]:
-    """k LCG steps take ``s`` to ``a**k * s + (1 + a + ... + a**(k-1)) * inc``."""
-    return pow(_PCG_MULT, k, 2**128), sum(pow(_PCG_MULT, j, 2**128) for j in range(k))
-
-
-# seeding, a * (inc + initstate) + inc, is linear in (initstate, inc)
-_SEED = _limb_matrix([(_PCG_MULT, _PCG_MULT + 1)])
-_STEP3 = _limb_matrix([_jump(1), _jump(2), _jump(3)])
-
-
-def _advance(x: np.ndarray, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of ``A * s + C * inc mod 2**128`` for each pair of
-    ``matrix`` (axis 0) and each ``[s | inc][hi | lo]`` row of ``x`` (axis 1).
-
-    The product is taken as ``matrix @ limbs.T``, so it comes out ordered
-    by chunk, pair and row, and every shift and add below runs on
-    contiguous rows."""
-    limbs = x.astype("<u8", copy=False).view("<u2").reshape(len(x), 16)
-    d = (matrix @ limbs.T).astype(np.uint64).reshape(4, -1, len(x))
-    carry = (d[0] >> _U32) + d[1]  # (d_0 + d_1 * 2**32) >> 32
-    return (carry >> _U32) + d[2] + (d[3] << _U32), d[0] + (d[1] << _U32)
-
-
-def pcg64_states(words: np.ndarray) -> np.ndarray:
-    """PCG64 states seeded by rows of :func:`substream_seeds`, as an
-    ``(m, 2, 2)`` uint64 array indexed ``[row][state | inc][hi | lo]``.
-
-    This is numpy's ``pcg64_set_seed``: ``initstate = words[0]:words[1]``
-    and ``initseq = words[2]:words[3]`` (high:low), ``inc = initseq << 1 |
-    1``, and two LCG steps from state 0 with ``initstate`` added after the
-    first, which leave ``a * (inc + initstate) + inc``.
-    """
-    words = np.asarray(words, dtype=np.uint64).reshape(-1, 4)
-    states = np.empty((len(words), 2, 2), dtype=np.uint64)
-    for start in range(0, len(words), _SEED_CHUNK):
-        w = words[start : start + _SEED_CHUNK]
-        chunk = states[start : start + _SEED_CHUNK]
-        chunk[:, 0] = w[:, :2]
-        chunk[:, 1, 0] = w[:, 2] << _U1 | w[:, 3] >> _U63
-        chunk[:, 1, 1] = w[:, 3] << _U1 | _U1
-        hi, lo = _advance(chunk, _SEED)
-        chunk[:, 0, 0], chunk[:, 0, 1] = hi[0], lo[0]
-    return states
-
-
-def pcg64_items(states: np.ndarray) -> np.ndarray:
-    """The C-contiguous PCG64 ``states`` as a 1-D array of 32-byte items,
-    one per generator, sharing their memory: numpy gathers and scatters
-    such items several times faster than rows of the 3-D array."""
-    if not states.flags.c_contiguous:
-        raise ValueError("PCG64 states must be C-contiguous")
-    return states.reshape(len(states), 4).view("V32")[:, 0]
-
-
-def pcg64_random3(states: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Three uniform doubles from each generator ``states[rows]``, as an
-    ``(len(rows), 3)`` array, and advance those states by three steps.
-
-    Row ``r`` draws what ``Generator(PCG64(...)).random(3)`` draws from the
-    same state: the next three states come from one jump each, ``a**k * s
-    + (1 + ... + a**(k-1)) * inc``; each is output as ``rotr64(hi ^ lo, hi
-    >> 58)``, whose top 53 bits times 2**-53 give the double.  ``rows``
-    must not repeat a row.  ``states`` is the ``(m, 2, 2)`` state array or
-    its :func:`pcg64_items` view, which a caller drawing often builds once.
-    """
-    items = states if states.ndim == 1 else pcg64_items(states)
-    picked = items[rows]
-    x = picked.view(np.uint64).reshape(-1, 2, 2)
-    hi, lo = _advance(x, _STEP3)
-    x[:, 0, 0], x[:, 0, 1] = hi[2], lo[2]
-    items[rows] = picked
-    out = hi ^ lo
-    rot = hi >> _U58
-    out = out >> rot | out << (-rot & _U63)
-    return ((out >> _U11) * 2.0**-53).T
+    """The generator of substream ``(seed, index)``: numpy's PCG64 at the
+    :func:`substream_state` of its :func:`substream_words`.  Equal pairs
+    draw equal sequences, distinct pairs independent ones."""
+    bit_generator = np.random.PCG64(0)  # the state set next replaces all of it
+    bit_generator.state = substream_state(substream_words(seed, index))
+    return np.random.Generator(bit_generator)

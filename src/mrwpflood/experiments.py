@@ -25,10 +25,10 @@ from .core import (
     SPEED_ENVELOPE_DEFAULT,
     WorldParams,
     derive_substream,
-    entropy_words,
+    derived_seed,
     json_dict,
-    seedseq_words,
-    substream_states,
+    substream_state,
+    substream_words,
 )
 from .flooding import (
     DEFAULT_BOUND_CONSTANTS,
@@ -62,11 +62,6 @@ from .zones import (
 #: The radius-envelope constant of ``make_params``, ``scaling_experiment``
 #: and the CLI config (``WorldParams`` defaults to a stricter 200).
 SCENARIO_C1 = 2.5
-
-
-def derived_seed(*entropy: int) -> int:
-    """Deterministic 64-bit seed from an integer tuple."""
-    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
 def make_params(
@@ -666,16 +661,13 @@ def lower_bound_experiment(
     zone_map = build_zone_map(params)
     hits = f_occupied = annulus_empty = floods = satisfied = 0
     conditional_times: list[int] = []
-    # derived_seed(seed, 2, k) and its init stream's PCG64 state, for all k
-    ks = np.arange(trials, dtype=np.uint32)
-    trial_seeds = seedseq_words([*entropy_words(seed), 2, ks], 2).view("<u8")[:, 0]
-    states = substream_states(trial_seeds, INIT_STREAM_INDEX)
-    init_rng = np.random.Generator(np.random.PCG64(0))
-    state = init_rng.bit_generator.state  # with no buffered uint32
+    # derived_seed(seed, 2, k) and its init stream's state, for all k
+    trial_seeds = derived_seed(seed, 2, np.arange(trials))
+    words = substream_words(trial_seeds, INIT_STREAM_INDEX).tolist()
+    init_rng = np.random.Generator(np.random.PCG64(0))  # its state is set per trial
     corner_agents = corner_sampler(params.n, params.L, 3.0 * d)
-    for k, ((s_hi, s_lo), (inc_hi, inc_lo)) in enumerate(states.tolist()):
-        state["state"] = {"state": s_hi << 64 | s_lo, "inc": inc_hi << 64 | inc_lo}
-        init_rng.bit_generator.state = state
+    for k, row in enumerate(words):
+        init_rng.bit_generator.state = substream_state(row)
         agents, pos = corner_agents(init_rng)
         in_f = [max(xy) <= d for xy in pos.tolist()]  # of the few agents in E
         some_f = any(in_f)

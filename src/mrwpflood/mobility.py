@@ -28,12 +28,10 @@ the block at its own step, and plain ``pos += vel`` carries it to its next
 test, bit for bit as single steps would.  The way-point passes gather and
 scatter state rows as items of 1-D complex views
 (:func:`~mrwpflood.core.complex_rows`), built once with the population.
-Each agent draws trip randomness from its own ``(seed, agent id)``
-substream, so the result equals stepping each agent alone, in any order,
-bit for bit.
-The PCG64 states of all agents are held in one array and advanced in array
-passes; they draw exactly what ``derive_substream(seed, agent id)`` draws,
-with no ``Generator`` built for any agent.
+Each agent's ``j``-th trip draws its destination and path coin from the
+keyed hash of ``(seed, agent id, j)`` (:func:`~mrwpflood.core.trip_draws`),
+so an agent's only random state is its trip count, and the result equals
+stepping each agent alone, in any order, bit for bit.
 """
 
 from __future__ import annotations
@@ -46,14 +44,12 @@ from typing import Iterable
 import numpy as np
 
 from .core import (
+    _AGENT_LIMIT,
     INIT_STREAM_INDEX,
     WorldParams,
     complex_rows,
     derive_substream,
-    pcg64_items,
-    pcg64_random3,
-    pcg64_states,
-    substream_seeds,
+    trip_draws,
 )
 from .stationary import sample_destinations, sample_stationary_positions
 
@@ -185,13 +181,13 @@ class TrajectoryRecorder:
 # ---------------------------------------------------------------------------
 
 class Population:
-    """Structure-of-arrays state of all agents, random generators included.
+    """Structure-of-arrays state of all agents.
 
-    ``pcg`` holds the PCG64 state of every agent's ``(seed, agent id)``
-    substream (:func:`~mrwpflood.core.pcg64_states`), seeded for all agents
-    in one array pass; row ``i`` draws exactly what ``derive_substream(seed,
-    i)`` draws.  ``vel`` caches ``HEADING_VECTORS[heading] * v`` and is
-    written wherever a heading changes.
+    ``trips`` counts each agent's trips since construction (uint32); an
+    arrival draws trip ``trips[i]`` of agent ``i`` by
+    :func:`~mrwpflood.core.trip_draws`.  ``vel`` caches
+    ``HEADING_VECTORS[heading] * v`` and is written wherever a heading
+    changes.
 
     Each agent has a way-point countdown, set in ``__init__`` and after
     every step in which it was tested: the number of coming steps that it
@@ -224,6 +220,8 @@ class Population:
         heading: np.ndarray,
     ):
         n = params.n
+        if n > _AGENT_LIMIT:
+            raise ValueError(f"at most {_AGENT_LIMIT} agents have trip counters, got {n}")
         for name, arr, shape in (
             ("pos", pos, (n, 2)),
             ("dest", dest, (n, 2)),
@@ -240,22 +238,20 @@ class Population:
         self.leg, self.heading = _codes(leg, _SECOND), _codes(heading, _SOUTH)
         self._check_states()
         self.vel = np.take(HEADING_VECTORS * params.v, self.heading, axis=0)
-        self.pcg = pcg64_states(substream_seeds(params.seed, np.arange(n)))
+        self.trips = np.zeros(n, dtype=np.uint32)
         self.step_count = 0
         self._views()
         self._velocity = complex_rows(HEADING_VECTORS * params.v)  # vel per heading
         self._left = self._countdown(slice(None), self._pos)
 
-    _VIEWS = ("_pos", "_dest", "_turn", "_vel", "_pcg")
+    _VIEWS = ("_pos", "_dest", "_turn", "_vel")
 
     def _views(self) -> None:
         """Set ``_VIEWS``: one item per agent, sharing memory with ``pos``,
-        ``dest``, ``turn``, ``vel`` and ``pcg``, so that stepping writes
-        both."""
+        ``dest``, ``turn`` and ``vel``, so that stepping writes both."""
         self._pos, self._dest, self._turn, self._vel = map(
             complex_rows, (self.pos, self.dest, self.turn, self.vel)
         )
-        self._pcg = pcg64_items(self.pcg)
 
     def __getstate__(self) -> dict:
         # a copy or pickle would give each view memory of its own
@@ -415,13 +411,13 @@ class Population:
 
         Each pass puts its agents on their way-point, where they start their
         next leg: the second leg after an elbow, a fresh trip after an
-        arrival (destination x, destination y and path coin, drawn in that
-        order from the agent's own substream).  It also takes the next
-        way-point of the two common chains: before the draw, an elbow whose
-        second leg ends within its budget goes on to its destination and
-        arrives in this pass; after it, an agent whose new first leg ends
-        within its budget turns at that elbow onto its second leg
-        (:func:`_heading`).  Those whose next way-point then lies beyond
+        arrival (destination x, destination y and path coin: the draws of
+        the agent's next trip, :func:`~mrwpflood.core.trip_draws`).  It also
+        takes the next way-point of the two common chains: before the draw,
+        an elbow whose second leg ends within its budget goes on to its
+        destination and arrives in this pass; after it, an agent whose new
+        first leg ends within its budget turns at that elbow onto its second
+        leg (:func:`_heading`).  Those whose next way-point then lies beyond
         their budget move along their heading and are done; the rest jump
         to it, spend the distance, and go on to the next pass.  An agent
         whose budget runs out exactly at a way-point stops there, already
@@ -450,7 +446,9 @@ class Population:
                 arrive |= chain
             vertical = np.zeros(idx.size, dtype=bool)
             if np.count_nonzero(arrive):
-                draws = pcg64_random3(self._pcg, idx[arrive])
+                rows = idx[arrive]
+                draws = trip_draws(self.params.seed, rows, self.trips[rows])
+                self.trips[rows] += 1
                 goal[arrive] = complex_rows(np.multiply(draws[:, :2], L, order="C"))
                 vertical[arrive] = draws[:, 2] < 0.5
             new_turn, leg, heading = _trips(_pairs(at), _pairs(goal), vertical)

@@ -357,20 +357,19 @@ QUAD_SW, QUAD_NW, QUAD_NE, QUAD_SE = 4, 5, 6, 7
 def _category_masses(x0, y0, L: float):
     """The eight category masses for origins (x0, y0), in category order
     (array-aware)."""
-    w = x0 * (L - x0) + y0 * (L - y0)
+    lx, ly = L - x0, L - y0
+    we, ns = x0 * lx, y0 * ly
+    w = we + ns
     cross_den = 4.0 * w
     area_den = 4.0 * L * w
-    ns = y0 * (L - y0) / cross_den
-    we = x0 * (L - x0) / cross_den
+    ns /= cross_den
+    we /= cross_den
     return (
-        ns,
-        ns,
-        we,
-        we,
+        ns, ns, we, we,
         (2.0 * L - x0 - y0) / area_den * x0 * y0,
-        (L - x0 + y0) / area_den * x0 * (L - y0),
-        (x0 + y0) / area_den * (L - x0) * (L - y0),
-        (L + x0 - y0) / area_den * (L - x0) * y0,
+        (lx + y0) / area_den * x0 * ly,
+        (x0 + y0) / area_den * lx * ly,
+        (L + x0 - y0) / area_den * lx * y0,
     )
 
 
@@ -386,17 +385,6 @@ def _place(c: np.ndarray, side: np.ndarray, u: np.ndarray, L: float) -> np.ndarr
     return np.where(side < 0, u * c, np.where(side > 0, c + u * (L - c), c))
 
 
-def _place_destinations(
-    origins: np.ndarray, cats: np.ndarray, u1: np.ndarray, u2: np.ndarray, L: float
-) -> np.ndarray:
-    """Map category draws plus two uniforms per agent to destination points:
-    x is placed by ``u1``, and y by ``u1`` on a cross arm and ``u2`` in a
-    quadrant."""
-    x = _place(origins[:, 0], _X_SIDE[cats], u1, L)
-    y = _place(origins[:, 1], _Y_SIDE[cats], np.where(cats < QUAD_SW, u1, u2), L)
-    return np.stack([x, y], axis=1)
-
-
 def sample_destinations(
     origins: np.ndarray, rng: np.random.Generator, L: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -407,20 +395,24 @@ def sample_destinations(
     which is exact (Palm calculus: given a position on the second leg, the
     destination's coordinate along that leg is uniform over the part ahead).
     """
-    origins = np.asarray(origins, dtype=float)
-    masses = _category_masses(origins[:, 0], origins[:, 1], L)
+    # contiguous columns: the arithmetic below reads each of them many times
+    x0, y0 = np.asarray(origins, dtype=float).T.copy()
+    masses = _category_masses(x0, y0, L)
     # running sums added in category order, each divided by the total; u
     # falls past category j when u > cum_j, never past the last (cum = 1)
     cums = [masses[0]]
     for mass in masses[1:]:
         cums.append(cums[-1] + mass)
     total = cums.pop()
-    u = rng.random(len(origins))
-    cats = np.zeros(len(origins), dtype=np.intp)
+    u = rng.random(len(x0))
+    cats = np.zeros(len(x0), dtype=np.int8)  # counted narrow, widened once
     for cum in cums:
         cum /= total
         cats += u > cum
-    u1 = rng.random(len(origins))
-    u2 = rng.random(len(origins))
-    return _place_destinations(origins, cats, u1, u2, L), cats
+    # x is placed by u1, y by u1 on a cross arm and by u2 in a quadrant
+    u1 = rng.random(len(x0))
+    u2 = rng.random(len(x0))
+    x = _place(x0, _X_SIDE[cats], u1, L)
+    y = _place(y0, _Y_SIDE[cats], np.where(cats < QUAD_SW, u1, u2), L)
+    return np.stack([x, y], axis=1), cats.astype(np.intp)
 

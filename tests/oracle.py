@@ -2,10 +2,10 @@
 
 The per-agent trip stepper (:func:`step_agent` on one :class:`AgentState`)
 is the oracle of ``Population.step`` and ``init_population``: each agent
-stepped alone on its own ``(seed, agent id)`` substream must end every step
-in the state, and with the way-point events, that the population engine
-gives it.  :func:`sample_stationary_positions` (a boolean row mask per
-batch) and :func:`lower_bound_experiment` (two seed sequences and a fresh
+stepped alone on its own trip stream (:class:`TripStream`) must end every
+step in the state, and with the way-point events, that the population
+engine gives it.  :func:`sample_stationary_positions` (a boolean row mask
+per batch) and :func:`lower_bound_experiment` (a derived seed and a fresh
 generator per trial) are the direct forms of the package's sampler and
 corner-trial loop, which must draw and report exactly what they do, and
 :func:`informed_cells` (marking the cells of the uninformed agents) that of
@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from mrwpflood.core import INIT_STREAM_INDEX, Point, WorldParams, derive_substream
+from mrwpflood.core import INIT_STREAM_INDEX, Point, WorldParams, derive_substream, trip_draws
 from mrwpflood.experiments import MAX_FLOOD_FACTOR, LowerBoundReport, derived_seed
 from mrwpflood.flooding import SOURCE_RANDOM, run_flood
 from mrwpflood.mobility import (
@@ -107,11 +107,32 @@ def build_trip(
     return AgentState(pos, dest, Leg.FIRST, _axis_heading(dx, False), turn)
 
 
+class TripStream:
+    """One agent's trip draws under ``seed`` as a stream of uniforms, one
+    per ``random()`` call: the destination x, y and path coin of trip 0,
+    then of trip 1, and so on, each trip by ``trip_draws`` on one row."""
+
+    def __init__(self, seed: int, agent: int):
+        self.seed, self.agent, self.trips = seed, agent, 0
+        self._left: list[float] = []
+
+    def random(self) -> float:
+        if not self._left:
+            self._left = trip_draws(self.seed, [self.agent], [self.trips])[0].tolist()
+            self.trips += 1
+        return self._left.pop(0)
+
+
+def agent_streams(params: WorldParams) -> list[TripStream]:
+    """The trip stream of every agent of ``params``."""
+    return [TripStream(params.seed, i) for i in range(params.n)]
+
+
 def new_trip(
-    position: Point | tuple[float, float], rng: np.random.Generator, L: float
+    position: Point | tuple[float, float], rng, L: float
 ) -> AgentState:
     """Draw a fresh trip: uniform destination, fair coin between the two
-    Manhattan paths.  Fixed draw order: x, y, coin."""
+    Manhattan paths, from ``rng.random()`` in the order x, y, coin."""
     x = rng.random() * L
     y = rng.random() * L
     vertical_first = rng.random() < 0.5
@@ -126,7 +147,7 @@ def _distance_to_waypoint(state: AgentState) -> float:
 
 def step_agent(
     state: AgentState,
-    rng: np.random.Generator,
+    rng,
     v: float,
     L: float,
     step_index: int = 0,

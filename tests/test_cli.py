@@ -410,73 +410,73 @@ PINNED_ARTIFACTS = [
         ["zones"],
         0,
         {
-            "zones.csv": "1afb64399e5b3931335f42056226e8f220a40efe9155d19cdaf615afecf160b2",
-            "zones.json": "ccd74e95c5de8734177ddb20f7bf75222cb27530186eac3fdd3ea789fd7d23bc",
-            "zones.svg": "bc2a11ee2413e75be7950658cc841507d0c4f77f4715ac9e96acf41984e14c63",
+            "zones.csv": "0fd1cf682105bf17fe76bda1ab379e8fb8f51ffc974c164428b28fecef808236",
+            "zones.json": "8a1e0e98eae4ea246c2464d08bf58796a25327ce395ceb1b51babd1201c7d99f",
+            "zones.svg": "b873ba4dee9060b323826a08cdaac16ddba38b3b2d014563f31eba0b59033605",
         },
     ),
     (
         ["flood"],
         0,
         {
-            "flood_progress.csv": "f526658bcba0a05078b8c41a6f837a21ba33ec3c098c5b52c8bed7330a6ca123",
-            "flood_summary.json": "7316bb44bf5e52af9996ad82d89ba6548efef86996dfb380984932c80c671116",
+            "flood_progress.csv": "98b6376c4d6a1c42c52851d4f0c88416e34d349cb6574ba40da49cc92a28eb96",
+            "flood_summary.json": "33ad2832f68074c5c34a6c9a8ba9420316e1f09e8da62dfeac0e1148febabe16",
         },
     ),
     (
         ["flood", "--check-stability", "--set", "eta=0"],
-        1,  # eta = 0 checks every step: 10 stability violations at seed 0
+        1,  # eta = 0 checks every step: 8 stability violations at seed 0
         {
-            "flood_progress.csv": "75b809a2bbd2ac85cd7901ef4fa94bc7809827a93a40d832c7352a70a51aa58b",
-            "flood_summary.json": "ae61cf3146079100c6d64f5d22805fbe206660692d7d6897ebbd017d04871ee8",
+            "flood_progress.csv": "d340db8eb03f79e604c06c27962040d05dbdb7443327716b982c809a0a6dd425",
+            "flood_summary.json": "c9fb80c8e1f5131a795758b90267d06cc1391d3976929e0b53ca6253357777c8",
         },
     ),
     (
         ["simulate"],
         0,
         {
-            "trajectories.csv": "88eeff4da37927fce4d93790e7d50f93056c95849ff3da8ad7849e6e78425fd1",
+            "trajectories.csv": "70fcc87b47d903693cbf93adcfa85b19bef5136ece5e4609b839a616da41db65",
         },
     ),
     (
         ["expansion-check"],
         0,
         {
-            "expansion.json": "68719247492e8f7ee0b9c9f593e9edd35d883e6e88c3fd764cc22802d304db88",
+            "expansion.json": "fe4db6c644b651ea4785f6808b942f98582e065425fdb46ebeb5cfb26a483f75",
         },
     ),
     (
         ["scaling", "--scales", "1000", "--replicas", "2"],
         0,
         {
-            "runs/run_0000.json": "0da13d6882ae2f411b1084b572003989734c063c410b34391bf50fa7e59c8b57",
-            "runs/run_0001.json": "25c3d06864e93cf0d2755c0b15167316ed1318f8cc069472c574758abb6114ee",
-            "runs/run_0002.json": "16ab8329d3220d4f934dbaca2ad9d787e10cedb0f93f58a2f73b8390cbf8915d",
-            "runs/run_0003.json": "0065e70511a579e26b90d551d436b1ccf8bb9a28863148fe2a28323043ba4cbb",
-            "scaling.csv": "d4e249342582b08667e629c0cf40dda97ebe231053efb323e93f12edd7cb71fb",
-            "scaling.json": "bf39a5bb2343d67ab4462391a7f0fd253dcd95acf84cc5dc7196fdb920d6a98e",
+            "runs/run_0000.json": "f09aeb78a8c6f78e9a6cf37747cf1d09d139a226a9ba7ab9cbb569ee92963534",
+            "runs/run_0001.json": "4190eee569f46123e5672136cca3a56c6dc9c7a7627252c7dd4e8d3f2b5e62e7",
+            "runs/run_0002.json": "5fdce9d931488722bf86159d7ab896d219772a7c7dbd12bd3ee8c0a987d10c04",
+            "runs/run_0003.json": "aae8ec184d4f16db2e5794aa6de0252a30682fe1e2c47622e0918635efb38b84",
+            "scaling.csv": "4aaa5f6a6770dbd81a5239977811102433107c5f8927846a0bb58c292291525e",
+            "scaling.json": "fc0b5c663cc811efbbc94e1dc5e761b39f45405accec1355d88c6ded464f2c4e",
         },
     ),
     (
         ["lower-bound", "--trials", "200", "--flood-cap", "3"],
         0,
         {
-            "lower_bound.json": "76ad4f1cfaaea37c0ea4b85d9ca1beeca4ffdcce5a7da900f74e34f0c6c9e8ac",
+            "lower_bound.json": "33b974f2df7d3ef78b6c5fcd6d961e8762a808fa40b0331846ed8357a38d7b67",
         },
     ),
     (
         ["lemma-sweep", "--skip-expansion", "--skip-density"],
         0,
         {
-            "lemma_sweep.csv": "89eab5954ef0e1781ea1dee6f4e5bc82f32643c27c8f25ac9b96193f915f80f2",
-            "lemma_sweep.json": "3041c69895b5ef07d1a9533ce46a474f77504942b8508256e607411440842cd9",
+            "lemma_sweep.csv": "942c70c66f040dd8126a682498602a9c967afe9aff96c3a5310b907a0bde9852",
+            "lemma_sweep.json": "0163089961406c2ff887a9ad0549b7ad9be11248188d5b29e85404532c883c21",
         },
     ),
     (
         ["validate-stationary", "--snapshots", "20"],
         1,
         {
-            "stationarity.json": "a4dac9e18614469978db1209d4e1787d6f4ee4d76b8365ea9751968a79e71d97",
+            "stationarity.json": "cddc1343a957de6ffa1924e5fde94be2d9a6718eaf765f8cec22623fb897432b",
         },
     ),
 ]

@@ -8,7 +8,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.random.bit_generator import ISeedSequence
 
 from mrwpflood import core, experiments
 from mrwpflood.core import (
@@ -20,14 +19,12 @@ from mrwpflood.core import (
     WorldParams,
     check_assumptions,
     derive_substream,
-    entropy_words,
-    pcg64_random3,
-    pcg64_states,
-    seedseq_words,
-    substream_seeds,
-    substream_states,
+    derived_seed,
+    substream_state,
+    substream_words,
+    trip_draws,
 )
-from mrwpflood.experiments import derived_seed, lower_bound_params
+from mrwpflood.experiments import lower_bound_params
 from mrwpflood.flooding import run_flood
 from mrwpflood.zones import build_zone_map, check_expansion
 
@@ -274,7 +271,8 @@ class TestSubstreams:
     def test_reserved_indices_distinct(self):
         idx = {INIT_STREAM_INDEX, SOURCE_STREAM_INDEX, MONITOR_STREAM_INDEX}
         assert len(idx) == 3
-        assert min(idx) >= 2**48  # clear of any realistic agent id
+        # one-word indices, clear of the small ones callers draw from
+        assert 2**31 <= min(idx) and max(idx) < 2**32
 
     def test_seed_wraps_at_64_bits(self):
         a = derive_substream(5, 0).random(4)
@@ -293,87 +291,40 @@ class TestSubstreams:
         assert 0.0 <= x < 1.0
 
 
-def seed_sequence_words(seed, indices):
-    """Reference for ``substream_seeds``: numpy's own SeedSequence, one
-    index at a time."""
-    entropy = [(seed & (2**64 - 1), int(i)) for i in indices]
-    return np.array([np.random.SeedSequence(e).generate_state(4, np.uint64) for e in entropy])
-
-
 # the extremes of the one-word index range, plus 1000 indices below 2**32
 GATE_INDICES = np.concatenate(
     [[0, 1, 2**32 - 1], np.random.default_rng(17).integers(0, 2**32, 1000)]
 )
 
 
+def generator_at(words):
+    """A ``Generator`` on numpy's PCG64 at the state of one row of
+    substream words."""
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = substream_state(words)
+    return np.random.Generator(bit_generator)
+
+
 class TestSubstreamSeeds:
-    # one- and two-word seeds, the 64-bit edge and a seed that wraps past it
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 5 + 2**64])
-    def test_matches_seed_sequence(self, seed):
-        words = substream_seeds(seed, GATE_INDICES)
-        assert words.dtype == np.uint64 and words.shape == (GATE_INDICES.size, 4)
-        assert np.array_equal(words, seed_sequence_words(seed, GATE_INDICES))
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(min_value=-(2**70), max_value=2**70))
-    def test_matches_seed_sequence_on_drawn_seeds(self, seed):
-        words = substream_seeds(seed, GATE_INDICES)
-        assert np.array_equal(words, seed_sequence_words(seed, GATE_INDICES))
-
     @pytest.mark.parametrize("seed", [0, 2**32, 5 + 2**64])
     def test_generators_draw_the_derived_streams(self, seed):
-        indices = GATE_INDICES[:60]
-        states = pcg64_states(substream_seeds(seed, indices))
-        rows = np.arange(indices.size)
-        draws = np.concatenate([pcg64_random3(states, rows) for _ in range(3)], axis=1)
-        for row, i in zip(draws, indices.tolist()):
-            assert np.array_equal(row, derive_substream(seed, i).random(9)), i
+        # the words of many seeds in one array pass, as the corner trials
+        # take them, equal those of each seed alone, and load generators
+        # that draw what derive_substream draws
+        seeds = [(seed + j) % 2**64 for j in range(60)]
+        for index in GATE_INDICES[:3].tolist():
+            words = substream_words(np.array(seeds, dtype=np.uint64), index)
+            assert words.dtype == np.uint64 and words.shape == (len(seeds), 4)
+            for row, s in zip(words, [seed + j for j in range(60)]):
+                assert np.array_equal(row, substream_words(s, index)), (s, index)
+                want = derive_substream(s, index).random(9)
+                assert np.array_equal(bits(generator_at(row).random(9)), bits(want))
 
     @pytest.mark.parametrize("indices", [[2**32], [0, 2**32 + 5], [2**64], [-1]])
     def test_indices_outside_one_word_rejected(self, indices):
         with pytest.raises(ValueError):
-            substream_seeds(0, indices)
-
-
-def generator_at(states, row):
-    """A ``Generator`` on numpy's PCG64 started from ``states[row]``."""
-    (s_hi, s_lo), (inc_hi, inc_lo) = states[row].tolist()
-    bit_generator = np.random.PCG64()
-    bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": s_hi << 64 | s_lo, "inc": inc_hi << 64 | inc_lo},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return np.random.Generator(bit_generator)
-
-
-class TestSeedSequenceWords:
-    # one entropy integer of one, two, three and four words, and entropy
-    # longer than the four-word pool, which numpy mixes in after the pool
-    @pytest.mark.parametrize(
-        "entropy",
-        [(), (0,), (5, 2**32), (2**64 - 1, 2), (2**64 + 5, 2), (2**100, 3, 1, 4, 1, 5)],
-    )
-    def test_matches_seed_sequence(self, entropy):
-        column = np.arange(0, 2**32, 2**22, dtype=np.uint64).astype(np.uint32)
-        words = [w for e in entropy for w in entropy_words(e)]
-        got = seedseq_words([*words, column], 7)
-        assert got.dtype == np.uint32 and got.shape == (column.size, 7)
-        for row, c in zip(got, column.tolist()):
-            want = np.random.SeedSequence((*entropy, c)).generate_state(7)
-            assert np.array_equal(row, want), c
-
-    def test_entropy_words(self):
-        for value in (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 3**70):
-            want = np.random.SeedSequence(value).generate_state(5)
-            assert np.array_equal(seedseq_words(entropy_words(value), 5)[0], want)
-        assert entropy_words(np.uint64(2**64 - 1)) == entropy_words(2**64 - 1)
-        assert entropy_words(np.int64(7)) == [7]
-        with pytest.raises(ValueError):
-            entropy_words(-1)
-        with pytest.raises(TypeError):
-            entropy_words(2.0)
+            for index in indices:
+                derive_substream(0, index)
 
 
 def corner_trial_streams(monkeypatch, seed, trials):
@@ -410,8 +361,7 @@ class TestTrialStreams:
         "seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 5 + 2**64, 2**100]
     )
     def test_match_the_derived_streams_bitwise(self, monkeypatch, seed):
-        # seeds past 64 bits are not wrapped by derived_seed: their three or
-        # four words make entropy longer than the pool
+        # seeds past 64 bits wrap, as derived_seed reads seed mod 2**64
         trials = 1200 if seed < 2**64 else 50
         seeds, streams = corner_trial_streams(monkeypatch, seed, trials)
         for k, (trial_seed, (state, first, later)) in enumerate(zip(seeds, streams)):
@@ -423,46 +373,19 @@ class TestTrialStreams:
             assert np.array_equal(bits(later), bits(want.random(8))), k
 
     def test_one_word_trial_seeds(self):
-        # a trial seed below 2**32 is one entropy word, not two; such a
-        # derived seed turns up about once in 2**32 trials, so the seeds are
+        # a trial seed below 2**32 is hashed like any other; such a derived
+        # seed turns up about once in 2**32 trials, so the seeds are
         # chosen, among others of two words
         chosen = [0, 1, 2, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
-        states = substream_states(np.array(chosen, dtype=np.uint64), INIT_STREAM_INDEX)
-        for row, seed in enumerate(chosen):
-            sequence = np.random.SeedSequence((seed, INIT_STREAM_INDEX))
-            want = np.random.Generator(np.random.PCG64(sequence))
-            got = generator_at(states, row)
+        words = substream_words(np.array(chosen, dtype=np.uint64), INIT_STREAM_INDEX)
+        for row, seed in zip(words, chosen):
+            want = derive_substream(seed, INIT_STREAM_INDEX)
+            got = generator_at(row)
             assert got.bit_generator.state == want.bit_generator.state, seed
             assert np.array_equal(bits(got.random(9)), bits(want.random(9))), seed
 
     def test_no_trials(self, monkeypatch):
         assert corner_trial_streams(monkeypatch, 3, 0) == ([], [])
-
-
-class SeedWords(ISeedSequence):
-    """Seed sequence that hands numpy's PCG64 four chosen seed words, so
-    its own seeding is the reference for :func:`pcg64_states`."""
-
-    def __init__(self, words):
-        self.words = np.asarray(words, dtype=np.uint64)
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        assert n_words == 4 and np.dtype(dtype) == np.uint64
-        return self.words
-
-
-PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
-M64 = 2**64 - 1
-
-
-def seeding_carries(words):
-    """Whether the low-word sums of ``inc + initstate`` and of ``a * (inc
-    + initstate) + inc`` carry, for one row of seed words (Python ints)."""
-    w0, w1, w2, w3 = map(int, words)
-    inc = ((w2 << 64 | w3) << 1 | 1) & (2**128 - 1)
-    start = (inc + (w0 << 64 | w1)) & (2**128 - 1)
-    product = PCG_MULT * start & (2**128 - 1)
-    return (inc & M64) + w1 > M64, (product & M64) + (inc & M64) > M64
 
 
 def bits(x):
@@ -472,89 +395,126 @@ def bits(x):
 class TestArrayPCG64:
     @pytest.mark.parametrize("seed", [0, 2**32, 2**64 - 1, 5 + 2**64])
     def test_draws_match_the_derived_streams_bitwise(self, seed):
-        # every agent draws at least four trips, some more, in shuffled
-        # subsets; rows left out of a draw must not move
-        indices = GATE_INDICES[:64]
-        states = pcg64_states(substream_seeds(seed, indices))
+        # one generator reloaded from rows of array-held words, in shuffled
+        # order and with rows revisited, as the corner trials reuse theirs,
+        # draws each row's derived stream from its start every time
+        indices = GATE_INDICES[:64].tolist()
+        words = np.stack([substream_words(seed, i) for i in indices])
+        gen = generator_at(words[0])
         rng = np.random.default_rng(3)
-        drawn = [[] for _ in indices]
-        for k in range(8):
-            rows = rng.permutation(indices.size)
-            if k >= 4:
-                rows = rows[: rng.integers(1, indices.size)]
-            before = states.copy()
-            for r, row in zip(rows.tolist(), pcg64_random3(states, rows)):
-                drawn[r].append(row)
-            left = np.setdiff1d(np.arange(indices.size), rows)
-            assert np.array_equal(states[left], before[left])
-        for r, i in enumerate(indices.tolist()):
-            want = derive_substream(seed, i).random(3 * len(drawn[r]))
-            assert np.array_equal(bits(np.concatenate(drawn[r])), bits(want)), i
-
-    def test_seeding_matches_numpy_pcg64_across_chunks(self):
-        # more rows than one seeding chunk holds, so chunk edges are covered
-        words = substream_seeds(11, np.arange(5000))
-        states = pcg64_states(words)
-        for row, w in enumerate(words):
-            state = np.random.PCG64(SeedWords(w)).state["state"]
-            assert int(states[row, 0, 0]) << 64 | int(states[row, 0, 1]) == state["state"]
-            assert int(states[row, 1, 0]) << 64 | int(states[row, 1, 1]) == state["inc"]
-
-    def test_many_states_match_numpy_pcg64(self):
-        # random states, with every one of 300 000 whose draws need the
-        # carry from the lowest 32-bit chunk of the limb sums into the next
-        # (about one draw in 60 000; see core._advance)
-        rng = np.random.default_rng(7)
-        pool = rng.integers(0, 2**64, (300_000, 2, 2), dtype=np.uint64)
-        pool[:, 1, 1] |= np.uint64(1)  # PCG64 increments are odd
-        d = (pool.view("<u2").reshape(-1, 16) @ core._STEP3.T).astype(np.uint64)
-        low, next_ = d[:, :3], d[:, 3:6]
-        carried = (low >> np.uint64(32)) + (next_ & np.uint64(M64 >> 32)) > M64 >> 32
-        assert carried.any(axis=1).sum() >= 5
-        states = np.concatenate([pool[carried.any(axis=1)], pool[:2000]])
-        start = states.copy()
-        draws = pcg64_random3(states, np.arange(len(states)))
-        bit_generator = np.random.PCG64()
-        gen = np.random.Generator(bit_generator)
-        for row, (s, inc) in enumerate(start.tolist()):
-            bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": s[0] << 64 | s[1], "inc": inc[0] << 64 | inc[1]},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            assert np.array_equal(bits(draws[row]), bits(gen.random(3))), row
-            state = bit_generator.state["state"]["state"]
-            assert int(states[row, 0, 0]) << 64 | int(states[row, 0, 1]) == state, row
+        for r in rng.integers(0, len(indices), 200).tolist():
+            gen.bit_generator.state = substream_state(words[r])
+            want = derive_substream(seed, indices[r]).random(3)
+            assert np.array_equal(bits(gen.random(3)), bits(want)), indices[r]
 
     def test_chosen_seed_words_match_numpy_pcg64(self):
-        # the seeding's two 128-bit additions (inc + initstate, then
-        # a * (inc + initstate) + inc) each carry out of the low word in
-        # some rows and not in others; the all-ones row also wraps at 2**128,
-        # and the rows of long 16-bit runs make large limb sums
+        # a row's first two words are the 128-bit state and its last two
+        # the increment, made odd: even and odd increments, all ones and
+        # all zeros
+        M64 = 2**64 - 1
         words = np.array(
             [
                 [M64, M64, M64, M64],
-                [0, 1, 0, 2**63 - 1],
-                [0x0123456789ABCDEF, 0xFEDCBA9876543210, 0x0F0F0F0F0F0F0F0F, 2**63 - 1],
                 [0, 0, 0, 0],
-                [1, M64, 2**63, 2**62],
-                [M64, 0, M64, 0],
-                [0xFFFF0000FFFF0000, 0x0000FFFF0000FFFF] * 2,
-                [0x0000FFFF0000FFFF, 0xFFFF0000FFFF0000] * 2,
+                [0, 1, 0, 2**63 - 1],
+                [0x0123456789ABCDEF, 0xFEDCBA9876543210, 0x0F0F0F0F0F0F0F0F, 2**63],
                 *np.random.default_rng(5).integers(0, 2**64, (11, 4), dtype=np.uint64),
             ],
             dtype=np.uint64,
         )
-        carries = np.array([seeding_carries(row) for row in words])
-        assert carries.any(axis=0).all() and (~carries).any(axis=0).all()
-        assert carries.all(axis=1).any()
-        states = pcg64_states(words)
-        rows = np.arange(len(words))
-        draws = np.concatenate([pcg64_random3(states, rows) for _ in range(4)], axis=1)
-        for row, w, got in zip(rows.tolist(), words, draws):
-            gen = np.random.Generator(np.random.PCG64(SeedWords(w)))
-            assert np.array_equal(bits(got), bits(gen.random(12))), row
-            state = gen.bit_generator.state["state"]
-            assert int(states[row, 0, 0]) << 64 | int(states[row, 0, 1]) == state["state"]
-            assert int(states[row, 1, 0]) << 64 | int(states[row, 1, 1]) == state["inc"]
+        for row in words.tolist():
+            state = generator_at(row).bit_generator.state["state"]
+            assert state["state"] == row[0] << 64 | row[1], row
+            assert state["inc"] == (row[2] << 64 | row[3]) | 1, row
+            bit_generator = np.random.PCG64(1)
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": state,
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            want = np.random.Generator(bit_generator).random(12)
+            assert np.array_equal(bits(generator_at(row).random(12)), bits(want)), row
+
+
+def pair_chi_square_z(u, w, bins=10):
+    """Standard scores of the chi-squares of the pairs ``(u[i], w[i])`` of
+    uniforms over ``bins x bins`` equal cells (``bins**2 - 1`` degrees of
+    freedom): of the pairs as they are, and of ``(u, w - u mod 1)``.  The
+    map is a bijection of the unit torus that keeps area, so independent
+    uniform pairs are uniform either way; the second sees additive ties."""
+    z = []
+    for v in (w, (w - u) % 1.0):
+        cells = (u * bins).astype(np.int64) * bins + (v * bins).astype(np.int64)
+        counts = np.bincount(cells, minlength=bins * bins)
+        expected = len(u) / bins**2
+        df = bins * bins - 1
+        z.append((((counts - expected) ** 2).sum() / expected - df) / math.sqrt(2.0 * df))
+    return max(z)
+
+
+def substream_uniforms(seed, indices):
+    """The first word of each substream ``(seed, i)`` as a uniform."""
+    words = np.array([substream_words(seed, i)[0] for i in indices], dtype=np.uint64)
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+class TestKeyedStreams:
+    # Pairs of hash outputs whose counters differ by one step of each kind
+    # must look independent: chi-squares of 20 000 pairs over 10 x 10
+    # cells, each bounded by z <= 4 (a one-sided false alarm of about 3e-5).
+    # A hash of one xor-shift-multiply round, not the finalizer's two,
+    # reads z of 18 to 33 on adjacent agents, whose counters differ only
+    # above bit 34.
+    PAIRS = 20_000
+
+    def test_draws_of_adjacent_agents(self):
+        agents = np.arange(self.PAIRS + 1)
+        d = trip_draws(7, agents, np.zeros(agents.size, dtype=np.uint32))
+        for k in range(3):
+            assert pair_chi_square_z(d[:-1, k], d[1:, k]) <= 4.0, k
+
+    def test_draws_of_adjacent_trips(self):
+        agents, trips = np.divmod(np.arange(self.PAIRS + 200), 101)
+        d = trip_draws(7, agents, trips).reshape(-1, 101, 3)
+        for k in range(3):
+            assert pair_chi_square_z(d[:, :-1, k].ravel(), d[:, 1:, k].ravel()) <= 4.0, k
+
+    def test_adjacent_draws_of_a_trip(self):
+        d = trip_draws(7, np.arange(self.PAIRS), np.full(self.PAIRS, 5, dtype=np.uint32))
+        assert pair_chi_square_z(d[:, 0], d[:, 1]) <= 4.0
+        assert pair_chi_square_z(d[:, 1], d[:, 2]) <= 4.0
+
+    def test_words_of_adjacent_substream_indices(self):
+        u = substream_uniforms(7, range(self.PAIRS + 1))
+        assert pair_chi_square_z(u[:-1], u[1:]) <= 4.0
+
+    def test_draws_of_adjacent_seeds(self):
+        agents = np.arange(self.PAIRS)
+        a, b = (trip_draws(s, agents, np.zeros(agents.size, dtype=np.uint32)) for s in (7, 8))
+        assert pair_chi_square_z(a[:, 0], b[:, 0]) <= 4.0
+
+    def test_a_trip_depends_only_on_seed_agent_and_trip(self):
+        # any order and grouping of rows draws the same, and seeds agree
+        # mod 2**64
+        rng = np.random.default_rng(9)
+        agents = rng.integers(0, 2**29, 500)
+        trips = rng.integers(0, 2**32, 500).astype(np.uint32)
+        whole = trip_draws(3, agents, trips)
+        order = rng.permutation(500)
+        assert np.array_equal(bits(trip_draws(3 + 2**64, agents[order], trips[order])), bits(whole[order]))
+        for r in range(0, 500, 50):
+            assert np.array_equal(bits(trip_draws(3, agents[r:r + 1], trips[r:r + 1])), bits(whole[r:r + 1]))
+        assert 0.0 <= whole.min() and whole.max() < 1.0
+
+    def test_derived_seeds_are_hash_words(self):
+        # an array word derives each seed as the scalar word does
+        ks = np.arange(50)
+        seeds = derived_seed(11, 2, ks)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [derived_seed(11, 2, k) for k in ks.tolist()]
+        assert len(set(seeds.tolist())) == 50
+        with pytest.raises(ValueError):
+            derived_seed(11, -1)
+        with pytest.raises(ValueError):
+            derived_seed(11, 2**62)

@@ -867,8 +867,10 @@ class TestSenderIndex:
         np.fill_diagonal(d2, np.inf)
         return int(np.argmax(d2.min(axis=1)))
 
+    # the first seed of each world whose flood ends with one target left,
+    # and its flooding time
     @pytest.mark.parametrize(
-        "n, c1, slow, seed, steps", [(1000, 0.7, 1, 3, 36), (600, 0.6, 8, 0, 180)]
+        "n, c1, slow, seed, steps", [(1000, 0.7, 1, 0, 47), (600, 0.6, 8, 1, 228)]
     )
     def test_flood_matches_the_brute_force_exchange(
         self, monkeypatch, n, c1, slow, seed, steps

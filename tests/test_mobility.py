@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mrwpflood import mobility
-from mrwpflood.core import INIT_STREAM_INDEX, Point, WorldParams, derive_substream
+from mrwpflood.core import INIT_STREAM_INDEX, Point, WorldParams, derive_substream, trip_draws
 from mrwpflood.experiments import _turn_counter, make_params, total_variation
 from mrwpflood.mobility import (
     APPROX_STATIONARY,
@@ -34,6 +34,7 @@ from mrwpflood.stationary import (
 from oracle import (
     AgentState,
     AgentTrajectory,
+    agent_streams,
     build_trip,
     count_turns,
     from_states,
@@ -302,9 +303,9 @@ def oracle_init(p, mode, warmup_steps=None):
     """The per-agent oracle of ``init_population``: the same ``init_rng``
     draws, one :func:`build_trip` or :func:`new_trip` per agent, and in
     warmup mode ``warmup_steps`` scalar steps of each agent on its own
-    substream.  Returns the agent states and the substreams."""
+    trip stream.  Returns the agent states and the trip streams."""
     init_rng = derive_substream(p.seed, INIT_STREAM_INDEX)
-    rngs = [derive_substream(p.seed, i) for i in range(p.n)]
+    rngs = agent_streams(p)
     if mode == WARMUP:
         pos = init_rng.random((p.n, 2)) * p.L
         states = [new_trip(Point(*pos[i]), init_rng, p.L) for i in range(p.n)]
@@ -349,10 +350,10 @@ def assert_velocity_cached(pop):
 
 def step_beside_oracle(pop, states, rngs, steps):
     """Step ``pop`` and, beside it, each agent's oracle state on its own
-    substream.  Every state and the cached velocity must match after every
-    step, and every third agent's recorded way-point events must equal the
-    oracle's, in order.  Returns the most events one agent crossed in one
-    step."""
+    trip stream.  Every state and the cached velocity must match after
+    every step, every third agent's recorded way-point events must equal
+    the oracle's, in order, and each agent's trip count its stream's.
+    Returns the most events one agent crossed in one step."""
     p = pop.params
     rec = TrajectoryRecorder(pop, range(0, p.n, 3))
     logs = {a: [] for a in rec.events}
@@ -369,6 +370,7 @@ def step_beside_oracle(pop, states, rngs, steps):
     for a, events in logs.items():
         assert rec.events[a] == events, a
     assert sum(map(len, logs.values())) > 0
+    assert pop.trips.tolist() == [r.trips for r in rngs]
     return most
 
 
@@ -464,10 +466,15 @@ class TestPopulation:
     def test_step_advances_everyone_by_v(self):
         p = params(n=50, v=0.125, seed=3)
         pop = init_population(p, APPROX_STATIONARY)
+        rec = TrajectoryRecorder(pop, range(p.n))
         before = pop.pos.copy()
-        pop.step()
-        moved = np.abs(pop.pos - before).sum(axis=1)
-        # every agent walks exactly v of Manhattan path (no clamping at this v)
+        pop.step(recorder=rec)
+        # every agent walks exactly v of Manhattan path, through the
+        # way-points it meets (an arrival may turn it back)
+        moved = []
+        for a in range(p.n):
+            path = [before[a], *([e.x, e.y] for e in rec.events[a]), pop.pos[a]]
+            moved.append(np.abs(np.diff(path, axis=0)).sum())
         assert moved == pytest.approx(np.full(50, 0.125), rel=1e-9)
         assert pop.step_count == 1
 
@@ -501,7 +508,7 @@ class TestPopulation:
         p = params(n=300, L=10.0, v=0.25, seed=6)
         states = lattice_states(p)
         pop = from_states(p, states)
-        rngs = [derive_substream(p.seed, i) for i in range(p.n)]
+        rngs = agent_streams(p)
         step_beside_oracle(pop, states, rngs, 40)
 
     @pytest.mark.parametrize("v", [0.25, 0.3])
@@ -516,7 +523,7 @@ class TestPopulation:
         assert {s.heading for s in states} == set(Heading)
         p = params(n=len(states), L=L, v=v, seed=9)
         pop = from_states(p, states)
-        rngs = [derive_substream(p.seed, i) for i in range(p.n)]
+        rngs = agent_streams(p)
         for k in range(8):
             pop.step()
             for i in range(p.n):
@@ -543,6 +550,19 @@ class TestPopulation:
         with pytest.raises(RuntimeError, match="rollover cap"):
             pop.step()
 
+    def test_agents_hold_at_most_72_bytes(self):
+        # per agent: pos, dest, turn and vel (16 bytes each), leg and
+        # heading (1 each), the countdown (2) and the trip count (4); the
+        # complex views share the memory of the arrays they view
+        p = make_params(1000)
+        pop = init_population(p, APPROX_STATIONARY)
+        per_agent = [
+            a for name, a in vars(pop).items()
+            if name not in Population._VIEWS and isinstance(a, np.ndarray) and len(a) == p.n
+        ]
+        assert sum(a.nbytes for a in per_agent) <= 72 * p.n
+        assert pop.trips.dtype == np.uint32
+
     def test_zero_speed_step_counts_time(self):
         p = params(n=5, v=0.0)
         pop = init_population(p, APPROX_STATIONARY)
@@ -552,9 +572,9 @@ class TestPopulation:
         assert pop.step_count == 1
 
     def test_copies_step_like_the_original(self):
-        # Deep copies and pickle round trips rebuild the complex and PCG
-        # item views on their own arrays: a copy whose views kept memory of
-        # their own would step ``_pos`` while ``pos`` stood still.
+        # Deep copies and pickle round trips rebuild the complex item views
+        # on their own arrays: a copy whose views kept memory of their own
+        # would step ``_pos`` while ``pos`` stood still.
         p = make_params(500, seed=3)
         pop = init_population(p, APPROX_STATIONARY)
         pop.step()
@@ -564,7 +584,7 @@ class TestPopulation:
         }
         kept = {name: getattr(pop, name).copy() for name in ENGINE_STATE}
         for how, c in copies.items():
-            for name in ("pos", "dest", "turn", "vel", "pcg"):
+            for name in ("pos", "dest", "turn", "vel"):
                 assert np.shares_memory(getattr(c, name), getattr(c, "_" + name)), how
                 assert not np.shares_memory(getattr(c, name), getattr(pop, name)), how
             for _ in range(50):
@@ -619,7 +639,7 @@ class TestWaypointCountdown:
         assert {s.heading for s in states} == set(Heading)
         p = params(n=len(states), L=L, v=v, seed=2)
         pop = from_states(p, states)
-        rngs = [derive_substream(p.seed, i) for i in range(p.n)]
+        rngs = agent_streams(p)
         step_positions_beside_oracle(pop, states, rngs, 404)
 
     def test_agents_off_the_arena_match_scalar_oracle(self):
@@ -685,7 +705,7 @@ ADVANCE_WORLDS = advance_worlds()
 def off_arena_world():
     return from_states(params(n=len(OFF_ARENA_STATES), seed=3), OFF_ARENA_STATES)
 
-ENGINE_STATE = ("pos", "dest", "turn", "leg", "heading", "vel", "pcg", "_left")
+ENGINE_STATE = ("pos", "dest", "turn", "leg", "heading", "vel", "trips", "_left")
 
 
 def assert_reachable(pop):
@@ -809,7 +829,7 @@ def oracle_step(p, states, rngs=None, k=0):
     """Step ``k`` of each agent's oracle state on its substream (a fresh
     one unless ``rngs`` are given): ``(state, events)`` per agent."""
     if rngs is None:
-        rngs = [derive_substream(p.seed, i) for i in range(p.n)]
+        rngs = agent_streams(p)
     return [step_agent(s, rng, p.v, p.L, k) for s, rng in zip(states, rngs)]
 
 
@@ -820,7 +840,7 @@ def kinds(events):
 def quiet_unless(p, states, keep, step=0):
     """``states`` with every agent whose oracle events on step ``step`` are
     not in ``keep`` replaced by :data:`QUIET`."""
-    rngs = [derive_substream(p.seed, i) for i in range(p.n)]
+    rngs = agent_streams(p)
     now = states
     for k in range(step + 1):
         now, events = zip(*oracle_step(p, now, rngs, k))
@@ -851,8 +871,11 @@ class TestWaypointChains:
     ARRIVAL_THEN_ELBOW = build_trip((2.0, 2.0), (2.0, 2.5), True), 4.0
 
     def chain_world(self, case):
+        # each agent meets the rarest chain, a fresh first leg within the
+        # 0.25 left after an elbow and an arrival, with chance about 1/20,
+        # so 256 agents all miss it with chance about 2e-6
         start, v = case
-        p = params(n=64, v=v, seed=21)
+        p = params(n=256, v=v, seed=21)
         return p, [start] * p.n
 
     def test_elbow_then_arrival(self):
@@ -898,7 +921,7 @@ class TestWaypointChains:
     def fresh_trip(self, p, agent, at):
         """The first and second leg lengths of the first trip ``agent``
         draws, from the point ``at``."""
-        x, y, coin = derive_substream(p.seed, agent).random(3)
+        x, y, coin = trip_draws(p.seed, [agent], [0])[0]
         trip = build_trip(at, (x * p.L, y * p.L), coin < 0.5)
         first = abs(trip.turn_point.x - at[0]) + abs(trip.turn_point.y - at[1])
         second = abs(x * p.L - trip.turn_point.x) + abs(y * p.L - trip.turn_point.y)
@@ -1165,7 +1188,7 @@ class TestInitialWaypointRate:
         # that exact for any v.  The count is a sum of independent per-agent
         # counts with variance at most their mean, so sqrt(expected) bounds
         # its standard error: 1.2% here.  Over these first 8 steps the exact
-        # path law reads within 0.6 se of the rate, a fair path coin about
+        # path law reads within 0.3 se of the rate, a fair path coin about
         # 6% (7 se) low.
         n, L, v, steps = 30_000, 10.0, 0.2, 8
         pop = init_population(params(n=n, L=L, v=v, seed=1), APPROX_STATIONARY)
@@ -1181,8 +1204,8 @@ class TestInitialWaypointRate:
         # within v is the way-point rate 3v/L, less the agents with two
         # way-points within v (of relative order v/L, under 1% here).  Over
         # these 32 worlds about 14 200 such agents are expected, so the
-        # count's standard error is 0.84%.  The exact path law reads 1.3%
-        # low; a fair path coin reads 10% low.
+        # count's standard error is 0.84%.  The exact path law reads 0.4%
+        # high; a fair path coin reads 10% low.
         n = 32_000
         near = expected = 0.0
         for seed in range(32):

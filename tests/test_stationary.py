@@ -247,10 +247,11 @@ class TestPositionSampler:
 
     @pytest.mark.parametrize("count, seed", [(31, 1925), (33, 274)])
     def test_a_short_first_batch_draws_a_second(self, count, seed):
-        # these streams accept fewer than ``count`` of the first batch's
-        # max(64, 2 * count) proposals, so the sampler draws another batch
-        rng, ref = derive_substream(seed, 0), derive_substream(seed, 0)
-        one_batch = derive_substream(seed, 0)
+        # these streams, numpy's own for the entropy (seed, 0), accept
+        # fewer than ``count`` of the first batch's max(64, 2 * count)
+        # proposals, so the sampler draws another batch
+        rng, ref = np.random.default_rng([seed, 0]), np.random.default_rng([seed, 0])
+        one_batch = np.random.default_rng([seed, 0])
         one_batch.random(3 * max(64, 2 * count))
         got = sample_stationary_positions(rng, count, 10.0)
         assert rng.bit_generator.state != one_batch.bit_generator.state
