@@ -1078,7 +1078,7 @@ class TestArraySubstreams:
             a for a, events in rec.events.items() if any(e.kind == ARRIVAL for e in events)
         }
         assert len(arrived) > 100  # agents drew fresh trips ...
-        assert len(built) == 1  # ... from their array-held states
+        assert len(built) == 1  # ... by counter, with no generator
 
 
 class TestInitPopulation:
